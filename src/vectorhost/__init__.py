@@ -43,7 +43,6 @@ from .grid import (
     ScalarField,
     build_mesh,
     field_from_constant,
-    field_from_values,
     positive_part,
     sup_distance,
     sup_norm,

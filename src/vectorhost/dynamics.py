@@ -1,15 +1,24 @@
 """IMEX time integration of the parabolic systems.
 
-Diffusion is treated implicitly (one tridiagonal solve per component per
-step), reactions explicitly, so the fixed points of the scheme are exactly
-the discrete elliptic steady states.  The explicit reaction imposes the
-documented step bound
+Every integrator runs one core, `_march`: the first-order forward-backward
+IMEX splitting of Ascher, Ruuth & Spiteri (Appl. Numer. Math. 25, 1997),
+implicit in diffusion (one tridiagonal solve per component per step) and
+explicit in reaction, so the fixed points of the scheme are exactly the
+discrete elliptic steady states.  The full system, the scalar logistic
+reduction, the auxiliary pair and the two-state comparison differ only in
+the right-hand side they hand the core and in what they record per step.
+
+All share one time grid: floor(t_end/dt) full steps, then one remainder
+step landing exactly on t_end.  The steady window (the state moved less
+than steady_tol in sup norm over the last steady_window steps) is tested
+after full steps only.  The explicit reaction imposes the step bound
 
     dt <= 0.5 / max_x (rho + 2 sigma2 Vhat + beta + 2 mu Vhat + sigma1 h_u),
 
 with Vhat = max(max V(0), max beta/mu), a crude Lipschitz bound that also
 keeps the update positivity-preserving.  Negative round-off in
-(-1e-14, 0) is clamped to zero; anything below that reports blow-up.
+(-1e-14, 0) is clamped to zero; anything below that, or a right-hand side
+that overflows to a non-finite value, raises BlowUpError.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, MeshMismatchError, StabilityError, ValidationError
-from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, sup_distance
+from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField
 from .operators import ShiftedSolve, assemble
 
 CLAMP_BAND = 1e-14
@@ -87,6 +96,11 @@ def stability_dt_max(coeffs: CoefficientSet, state: State) -> float:
     return 0.5 / reaction_bound(coeffs, v_hat_bound(coeffs, v0))
 
 
+def _check_dt(dt: float, bound: float) -> None:
+    if dt > bound * (1.0 + 1e-12):
+        raise StabilityError(f"dt={dt:g} exceeds the explicit-reaction bound {bound:g}")
+
+
 def _clamp(values: np.ndarray, what: str) -> np.ndarray:
     lowest = values.min()
     if lowest <= -CLAMP_BAND:
@@ -96,53 +110,124 @@ def _clamp(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-class _Kernels:
-    """Prefactored implicit-diffusion solves for one (coeffs, bc, dt)."""
-
-    def __init__(self, coeffs: CoefficientSet, bc: BoundarySpec, dt: float):
-        self.dt = dt
-        self.op1 = assemble(coeffs.d1, bc)
-        self.op2 = assemble(coeffs.d2, bc)
-        inv_dt = np.full(coeffs.mesh.n, 1.0 / dt)
-        self.sol1 = ShiftedSolve(self.op1, inv_dt)
-        self.sol2 = ShiftedSolve(self.op2, inv_dt)
-        self.rho = coeffs.rho.values
-        self.s1hu = coeffs.sigma1.values * coeffs.h_u.values
-        self.s2 = coeffs.sigma2.values
-        self.beta = coeffs.beta.values
-        self.mu = coeffs.mu.values
+def _snap_walls(u: np.ndarray, names) -> None:
+    """Zero the Dirichlet wall nodes of each row in place; round-off
+    residue (e.g. sin(pi)) is snapped, anything larger is rejected."""
+    for row, name in zip(u, names):
+        tol = 1e-12 * (1.0 + float(np.abs(row).max()))
+        if abs(row[0]) > tol or abs(row[-1]) > tol:
+            raise ValidationError(f"Dirichlet runs need zero boundary values in {name}")
+    u[:, 0] = 0.0
+    u[:, -1] = 0.0
 
 
-def _advance(state: State, k: _Kernels, t_new: float | None = None) -> State:
-    h = state.h_i.values
-    vu = state.v_u.values
-    vi = state.v_i.values
-    v = vu + vi
-    inv_dt = 1.0 / k.dt
-    cross = k.s2 * vu * h
-    r_h = -k.rho * h + k.s1hu * vi
-    r_vu = -cross + k.beta * v - k.mu * v * vu
-    r_vi = cross - k.mu * v * vi
-    h_new = _clamp(k.sol1.solve(h * inv_dt + r_h), "H_i")
-    vu_new = _clamp(k.sol2.solve(vu * inv_dt + r_vu), "V_u")
-    vi_new = _clamp(k.sol2.solve(vi * inv_dt + r_vi), "V_i")
-    mesh = state.mesh
-    return State(
-        state.t + k.dt if t_new is None else t_new,
-        ScalarField(mesh, h_new),
-        ScalarField(mesh, vu_new),
-        ScalarField(mesh, vi_new),
-    )
+def _snapshot_clock(snapshot_times, dt: float):
+    """Return due(t): how many of the requested times, taken in order, the
+    state at t stands for.  The initial state (t = 0) takes only times
+    within round-off of zero; later states take every time they reach."""
+    times = sorted(float(s) for s in snapshot_times) if snapshot_times is not None else []
+    taken = 0
+
+    def due(t: float) -> int:
+        nonlocal taken
+        slack = (1e-12 if t == 0.0 else 1e-9) * max(1.0, dt)
+        start = taken
+        while taken < len(times) and t >= times[taken] - slack:
+            taken += 1
+        return taken - start
+
+    return due
+
+
+def _solvers(ops, dt: float) -> list[ShiftedSolve]:
+    """Per row, the solve against -L + 1/dt, factored once per distinct operator."""
+    distinct = {id(op): op for op in ops}
+    shared = {key: ShiftedSolve(op, np.full(op.mesh.n, 1.0 / dt)) for key, op in distinct.items()}
+    return [shared[id(op)] for op in ops]
+
+
+def _march(u, ops, names, rhs, dt: float, t_end: float, visit, steady=None):
+    """Advance the stacked rows u (row i diffuses under ops[i]) from t = 0
+    to t_end on the shared time grid.
+
+    rhs(u, h) returns the stacked right-hand sides u/h + reaction for a
+    step of size h; row i is then solved against -L_i + 1/h and clamped.
+    visit(t, new, old) runs after every step.  Given a StepperConfig as
+    steady, the run stops after the first full step that moved less than
+    steady_tol over the last steady_window steps.  Returns (u, t, steps, settled).
+    """
+
+    def advance(u, solvers, h, t, k):
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            f = rhs(u, h)
+        if not np.isfinite(f).all():
+            raise BlowUpError(f"step {k} (to t={t:g}) overflowed: non-finite right-hand side")
+        new = np.array([_clamp(s.solve(r), what) for s, r, what in zip(solvers, f, names)])
+        visit(t, new, u)
+        return new
+
+    n_full = int(np.floor(t_end / dt + 1e-12))
+    remainder = t_end - n_full * dt
+    solvers = _solvers(ops, dt)
+    window = deque([u], maxlen=steady.steady_window + 1) if steady is not None else None
+    t = 0.0
+    for k in range(1, n_full + 1):
+        t = k * dt
+        u = advance(u, solvers, dt, t, k)
+        if window is not None:
+            window.append(u)
+            if len(window) == window.maxlen and np.abs(u - window[0]).max() < steady.steady_tol:
+                return u, t, k, True
+    if remainder > 1e-12 * dt:
+        u = advance(u, _solvers(ops, remainder), remainder, t_end, n_full + 1)
+        return u, t_end, n_full + 1, False
+    return u, t, n_full, False
+
+
+def _system(coeffs: CoefficientSet, bc: BoundarySpec, copies: int = 1):
+    """Operators, row names and right-hand side of the full system for
+    `copies` states stacked as rows (H_i, V_u, V_i, H_i, ...)."""
+    op1 = assemble(coeffs.d1, bc)
+    op2 = assemble(coeffs.d2, bc)
+    rho = coeffs.rho.values
+    s1hu = coeffs.sigma1.values * coeffs.h_u.values
+    s2 = coeffs.sigma2.values
+    beta = coeffs.beta.values
+    mu = coeffs.mu.values
+
+    def rhs(u, dt):
+        h, vu, vi = u[0::3], u[1::3], u[2::3]
+        v = vu + vi
+        inv_dt = 1.0 / dt
+        cross = s2 * vu * h
+        r_h = -rho * h + s1hu * vi
+        r_vu = -cross + beta * v - mu * v * vu
+        r_vi = cross - mu * v * vi
+        f = np.empty_like(u)
+        f[0::3] = h * inv_dt + r_h
+        f[1::3] = vu * inv_dt + r_vu
+        f[2::3] = vi * inv_dt + r_vi
+        return f
+
+    return [op1, op2, op2] * copies, ("H_i", "V_u", "V_i") * copies, rhs
+
+
+def _rows(state: State) -> np.ndarray:
+    return np.array([state.h_i.values, state.v_u.values, state.v_i.values])
+
+
+def _state(t: float, u: np.ndarray, mesh) -> State:
+    return State(t, ScalarField(mesh, u[0]), ScalarField(mesh, u[1]), ScalarField(mesh, u[2]))
 
 
 def step(state: State, coeffs: CoefficientSet, bc: BoundarySpec, dt: float) -> State:
     """One IMEX step of the full system; dt must respect the stability bound."""
     if state.mesh != coeffs.mesh:
         raise MeshMismatchError("state and coefficients live on different meshes")
-    bound = stability_dt_max(coeffs, state)
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityError(f"dt={dt:g} exceeds the explicit-reaction bound {bound:g}")
-    return _advance(state, _Kernels(coeffs, bc, dt))
+    _check_dt(dt, stability_dt_max(coeffs, state))
+    ops, names, rhs = _system(coeffs, bc)
+    u = _march(_rows(state), ops, names, rhs, dt, dt, lambda t, new, old: None)[0]
+    return _state(state.t + dt, u, state.mesh)
 
 
 @dataclass
@@ -155,28 +240,6 @@ class TrajectorySummary:
     snapshot_distances: list[float] | None = None
     first_time_below: float | None = None
     final_sup_distance: float | None = None
-
-
-def _snap_dirichlet_zeros(state: State) -> State:
-    """Zero the wall nodes exactly; round-off residue (e.g. sin(pi)) is
-    snapped, anything larger is rejected."""
-    fields = {}
-    changed = False
-    for name in ("h_i", "v_u", "v_i"):
-        f = getattr(state, name)
-        tol = 1e-12 * (1.0 + float(np.abs(f.values).max()))
-        if abs(f.values[0]) > tol or abs(f.values[-1]) > tol:
-            raise ValidationError(f"Dirichlet runs need zero boundary values in {name}")
-        if f.values[0] != 0.0 or f.values[-1] != 0.0:
-            vals = f.values.copy()
-            vals[0] = 0.0
-            vals[-1] = 0.0
-            f = ScalarField(f.mesh, vals)
-            changed = True
-        fields[name] = f
-    if not changed:
-        return state
-    return State(state.t, fields["h_i"], fields["v_u"], fields["v_i"])
 
 
 def integrate(
@@ -195,85 +258,41 @@ def integrate(
     windowed measure catches slow drift that per-step changes would hide.
     With a reference triple the per-step sup distance is tracked and the
     first time it dips below reference_tol is recorded."""
-    if state0.mesh != coeffs.mesh:
+    mesh = coeffs.mesh
+    if state0.mesh != mesh:
         raise MeshMismatchError("state and coefficients live on different meshes")
+    u0 = _rows(state0)
     if bc.kind == DIRICHLET:
-        state0 = _snap_dirichlet_zeros(state0)
-    bound = stability_dt_max(coeffs, state0)
-    if cfg.dt > bound * (1.0 + 1e-12):
-        raise StabilityError(f"dt={cfg.dt:g} exceeds the explicit-reaction bound {bound:g}")
+        _snap_walls(u0, ("h_i", "v_u", "v_i"))
+        state0 = _state(state0.t, u0, mesh)
+    _check_dt(cfg.dt, stability_dt_max(coeffs, state0))
 
-    ref = None
-    if reference is not None:
-        ref = tuple(np.asarray(f.values, dtype=float) for f in reference)
+    ref = None if reference is None else np.array([f.values for f in reference])
+    track = ref is not None and reference_tol is not None
+    due = _snapshot_clock(snapshot_times, cfg.dt)
+    summary = TrajectorySummary(state0, False, 0, cfg.dt)
+    summary.snapshot_distances = None if ref is None else []
 
-    def distance(st: State) -> float:
-        return max(
-            float(np.abs(st.h_i.values - ref[0]).max()),
-            float(np.abs(st.v_u.values - ref[1]).max()),
-            float(np.abs(st.v_i.values - ref[2]).max()),
-        )
+    def distance(u):
+        return float(np.abs(u - ref).max())
 
-    times = sorted(float(t) for t in snapshot_times) if snapshot_times is not None else []
-    summary = TrajectorySummary(final=state0, steady=False, steps=0, dt=cfg.dt)
-    if ref is not None:
-        summary.snapshot_distances = []
-        d0 = distance(state0)
-        if reference_tol is not None and d0 < reference_tol:
-            summary.first_time_below = 0.0
-    idx = 0
-    while idx < len(times) and times[idx] <= 1e-12 * max(1.0, cfg.dt):
-        summary.snapshots.append(state0)
-        if ref is not None:
-            summary.snapshot_distances.append(distance(state0))
-        idx += 1
-
-    kernels = _Kernels(coeffs, bc, cfg.dt)
-    window: deque[State] = deque([state0], maxlen=cfg.steady_window + 1)
-    state = state0
-    n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-12))
-    remainder = cfg.t_end - n_full * cfg.dt
-    steps_done = 0
-
-    def one_step(st: State, k: _Kernels, t_new: float) -> State:
-        nonlocal idx, steps_done
-        new = _advance(st, k, t_new)
-        steps_done += 1
-        window.append(new)
-        if ref is not None and reference_tol is not None and summary.first_time_below is None:
-            if distance(new) < reference_tol:
-                summary.first_time_below = new.t
-        while idx < len(times) and new.t >= times[idx] - 1e-9 * max(1.0, cfg.dt):
-            summary.snapshots.append(new)
+    def visit(t, new, old):
+        if track and summary.first_time_below is None and distance(new) < reference_tol:
+            summary.first_time_below = t
+        k = due(t)
+        if k:
+            summary.snapshots += [state0 if old is None else _state(t, new, mesh)] * k
             if ref is not None:
-                summary.snapshot_distances.append(distance(new))
-            idx += 1
-        return new
+                summary.snapshot_distances += [distance(new)] * k
 
-    def window_settled() -> bool:
-        if len(window) <= cfg.steady_window:
-            return False
-        old, new = window[0], window[-1]
-        moved = max(
-            sup_distance(new.h_i, old.h_i),
-            sup_distance(new.v_u, old.v_u),
-            sup_distance(new.v_i, old.v_i),
-        )
-        return moved < cfg.steady_tol
-
-    for k in range(n_full):
-        state = one_step(state, kernels, (k + 1) * cfg.dt)
-        if stop_at_steady and window_settled():
-            summary.steady = True
-            break
-    else:
-        if remainder > 1e-12 * cfg.dt:
-            state = one_step(state, _Kernels(coeffs, bc, remainder), cfg.t_end)
-
-    summary.final = state
-    summary.steps = steps_done
+    visit(0.0, u0, None)
+    ops, names, rhs = _system(coeffs, bc)
+    run = _march(u0, ops, names, rhs, cfg.dt, cfg.t_end, visit, cfg if stop_at_steady else None)
+    u, t, summary.steps, summary.steady = run
+    if summary.steps:
+        summary.final = _state(t, u, mesh)
     if ref is not None:
-        summary.final_sup_distance = distance(state)
+        summary.final_sup_distance = distance(u)
     return summary
 
 
@@ -307,74 +326,29 @@ def integrate_scalar_logistic(
         raise MeshMismatchError("v0 and coefficients live on different meshes")
     if v0.values[mesh.interior].min() <= 0:
         raise ValidationError("v0 must be positive at interior nodes")
+    u0 = np.array([v0.values])
     if bc.kind == DIRICHLET:
-        tol = 1e-12 * (1.0 + float(np.abs(v0.values).max()))
-        if abs(v0.values[0]) > tol or abs(v0.values[-1]) > tol:
-            raise ValidationError("Dirichlet runs need zero boundary values in v0")
-        if v0.values[0] != 0.0 or v0.values[-1] != 0.0:
-            vals = v0.values.copy()
-            vals[0] = 0.0
-            vals[-1] = 0.0
-            v0 = ScalarField(mesh, vals)
-    bound = 0.5 / reaction_bound(coeffs, v_hat_bound(coeffs, float(v0.values.max())))
-    if cfg.dt > bound * (1.0 + 1e-12):
-        raise StabilityError(f"dt={cfg.dt:g} exceeds the explicit-reaction bound {bound:g}")
+        _snap_walls(u0, ("v0",))
+    _check_dt(cfg.dt, 0.5 / reaction_bound(coeffs, v_hat_bound(coeffs, float(u0.max()))))
 
-    op2 = assemble(coeffs.d2, bc)
     beta = coeffs.beta.values
     mu = coeffs.mu.values
-
-    times = sorted(float(t) for t in snapshot_times) if snapshot_times is not None else []
+    due = _snapshot_clock(snapshot_times, cfg.dt)
     traj = ScalarTrajectory(final=v0, steady=False, steps=0, dt=cfg.dt)
-    idx = 0
-    t = 0.0
-    v = v0.values.copy()
-    if observer is not None:
-        observer(t, v)
-    while idx < len(times) and times[idx] <= 1e-12 * max(1.0, cfg.dt):
-        traj.snapshots.append((t, ScalarField(mesh, v)))
-        idx += 1
 
-    window: deque[np.ndarray] = deque([v], maxlen=cfg.steady_window + 1)
-    n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-12))
-    remainder = cfg.t_end - n_full * cfg.dt
-    sol = ShiftedSolve(op2, np.full(mesh.n, 1.0 / cfg.dt))
-    sol_rem = None
-    steps = 0
-
-    def advance(vv: np.ndarray, solver: ShiftedSolve, dt: float) -> np.ndarray:
-        rhs = vv / dt + beta * vv - mu * vv * vv
-        return _clamp(solver.solve(rhs), "V")
-
-    for k in range(n_full + 1):
-        if k == n_full:
-            if remainder <= 1e-12 * cfg.dt:
-                break
-            if sol_rem is None:
-                sol_rem = ShiftedSolve(op2, np.full(mesh.n, 1.0 / remainder))
-            v_new = advance(v, sol_rem, remainder)
-            t = cfg.t_end
-        else:
-            v_new = advance(v, sol, cfg.dt)
-            t = (k + 1) * cfg.dt
-        steps += 1
-        v = v_new
-        window.append(v)
+    def visit(t, new, old):
         if observer is not None:
-            observer(t, v)
-        while idx < len(times) and t >= times[idx] - 1e-9 * max(1.0, cfg.dt):
-            traj.snapshots.append((t, ScalarField(mesh, v)))
-            idx += 1
-        if (
-            stop_at_steady
-            and len(window) > cfg.steady_window
-            and float(np.abs(window[-1] - window[0]).max()) < cfg.steady_tol
-        ):
-            traj.steady = True
-            break
+            observer(t, new[0])
+        k = due(t)
+        if k:
+            traj.snapshots += [(t, ScalarField(mesh, new[0]))] * k
 
-    traj.final = ScalarField(mesh, v)
-    traj.steps = steps
+    visit(0.0, u0, None)
+    u, _, traj.steps, traj.steady = _march(
+        u0, [assemble(coeffs.d2, bc)], ("V",), lambda v, dt: v / dt + beta * v - mu * v * v,
+        cfg.dt, cfg.t_end, visit, cfg if stop_at_steady else None,
+    )
+    traj.final = ScalarField(mesh, u[0])
     return traj
 
 
@@ -434,48 +408,31 @@ def integrate_aux_pair(
     den = np.maximum(rho, s2 * h_cap + mu * v_abs)
     dt = min(cfg.dt, 0.5 / float(den.max()))
 
-    op1 = assemble(coeffs.d1, bc)
-    op2 = assemble(coeffs.d2, bc)
-    sol1 = ShiftedSolve(op1, np.full(mesh.n, 1.0 / dt))
-    sol2 = ShiftedSolve(op2, np.full(mesh.n, 1.0 / dt))
-
-    h = h0.values.copy()
-    v = v0.values.copy()
-    t = 0.0
-    window: deque[tuple[np.ndarray, np.ndarray]] = deque([(h, v)], maxlen=cfg.steady_window + 1)
-    out = AuxPairTrajectory(h0, v0, steady=False, steps=0, dt=dt)
-    if monotone is not None:
-        out.monotone_ok = True
-    steps = 0
-    while t < cfg.t_end - 1e-12 * max(1.0, dt):
+    def rhs(u, dt):
+        h, v = u
         f1 = -rho * h + s1hu * v
         f2 = s2 * np.maximum(v_plus - v, 0.0) * h - mu * v_minus * v
-        h_new = _clamp(sol1.solve(h / dt + f1), "H")
-        v_new = _clamp(sol2.solve(v / dt + f2), "V")
-        steps += 1
-        t = steps * dt
-        if monotone is not None:
-            if monotone == "nonincreasing":
-                viol = max(float((h_new - h).max()), float((v_new - v).max()))
-            else:
-                viol = max(float((h - h_new).max()), float((v - v_new).max()))
-            if viol > out.max_violation:
-                out.max_violation = viol
-            if viol > monotone_tol and out.first_violation_time is None:
-                out.first_violation_time = t
-                out.monotone_ok = False
-        h, v = h_new, v_new
-        window.append((h, v))
-        if stop_at_steady and len(window) > cfg.steady_window:
-            h_old, v_old = window[0]
-            moved = max(float(np.abs(h - h_old).max()), float(np.abs(v - v_old).max()))
-            if moved < cfg.steady_tol:
-                out.steady = True
-                break
+        return np.array([h / dt + f1, v / dt + f2])
 
-    out.h = ScalarField(mesh, h)
-    out.v = ScalarField(mesh, v)
-    out.steps = steps
+    out = AuxPairTrajectory(h0, v0, False, 0, dt, monotone_ok=None if monotone is None else True)
+
+    def visit(t, new, old):
+        if monotone is None:
+            return
+        viol = float((new - old if monotone == "nonincreasing" else old - new).max())
+        if viol > out.max_violation:
+            out.max_violation = viol
+        if viol > monotone_tol and out.first_violation_time is None:
+            out.first_violation_time = t
+            out.monotone_ok = False
+
+    ops = [assemble(coeffs.d1, bc), assemble(coeffs.d2, bc)]
+    steady = cfg if stop_at_steady else None
+    u, _, out.steps, out.steady = _march(
+        np.array([h0.values, v0.values]), ops, ("H", "V"), rhs, dt, cfg.t_end, visit, steady
+    )
+    out.h = ScalarField(mesh, u[0])
+    out.v = ScalarField(mesh, u[1])
     return out
 
 
@@ -528,23 +485,17 @@ def compare_trajectories(
     )
     dt = min(cfg.dt, 0.5 / reaction_bound(coeffs, v_hat), 0.5 / float(order_den.max()))
 
-    kernels = _Kernels(coeffs, bc, dt)
-    a, b = state_a, state_b
     report = ComparisonReport(True, None, 0.0, cfg.t_end, dt)
-    t = 0.0
-    steps = 0
-    while t < cfg.t_end - 1e-12 * max(1.0, dt):
-        steps += 1
-        t = steps * dt
-        a = _advance(a, kernels, t)
-        b = _advance(b, kernels, t)
-        viol = max(
-            float((a.h_i.values - b.h_i.values).max()),
-            float((a.v_i.values - b.v_i.values).max()),
-        )
+
+    def visit(t, new, old):
+        # Rows 0-2 carry state_a, rows 3-5 state_b.
+        viol = max(float((new[0] - new[3]).max()), float((new[2] - new[5]).max()))
         if viol > report.max_violation:
             report.max_violation = viol
         if viol > order_tol and report.first_violation_time is None:
             report.first_violation_time = t
             report.ordered = False
+
+    ops, names, rhs = _system(coeffs, bc, copies=2)
+    _march(np.vstack([_rows(state_a), _rows(state_b)]), ops, names, rhs, dt, cfg.t_end, visit)
     return report

@@ -68,4 +68,4 @@ class StabilityError(ValidationError):
 
 
 class BlowUpError(VectorHostError):
-    """A trajectory produced values below the round-off clamping band."""
+    """A trajectory fell below the round-off clamping band or overflowed to non-finite values."""

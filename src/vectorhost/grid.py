@@ -94,11 +94,6 @@ def field_from_constant(mesh: Mesh1D, c: float) -> ScalarField:
     return ScalarField(mesh, np.full(mesh.n, float(c)))
 
 
-def field_from_values(mesh: Mesh1D, values) -> ScalarField:
-    """Field from an explicit nodal array (length must match the mesh)."""
-    return ScalarField(mesh, values)
-
-
 def positive_part(f: ScalarField) -> ScalarField:
     """Nodewise max(f, 0)."""
     return ScalarField(f.mesh, np.maximum(f.values, 0.0))

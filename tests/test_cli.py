@@ -103,6 +103,14 @@ class TestSimulateCommand:
         assert rows[0] == ["t", "sup_dist_attractor", "sup_Hi", "sup_Vu", "sup_Vi"]
         assert len(rows) > 10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_exits_one(self, tmp_path, capsys):
+        cfg_obj = threshold_config(n=21, kind="simulate")
+        cfg_obj["initial"] = {name: {"const": 1e300} for name in ("h_i", "v_u", "v_i")}
+        cfg = write_config(tmp_path, cfg_obj)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestEigenCommand:
     def test_minimal_eigen(self, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import vectorhost as vh
 from vectorhost import verify
-from vectorhost.errors import StabilityError, ValidationError
+from vectorhost.errors import BlowUpError, StabilityError, ValidationError
 
 from helpers import constants_coeffs, make_state
 
@@ -143,6 +143,31 @@ class TestIntegrate:
                             vh.StepperConfig(dt=dt, t_end=5.0), stop_at_steady=False)
         for f in (traj.final.h_i, traj.final.v_u, traj.final.v_i):
             assert f.values[0] == 0.0 and f.values[-1] == 0.0
+
+    def test_overflow_raises_blowup(self):
+        mesh = vh.build_mesh(0, 1, 21)
+        coeffs = constants_coeffs(mesh)
+        init = make_state(mesh, 1e300, 1e300, 1e300)
+        cfg = vh.StepperConfig(dt=vh.stability_dt_max(coeffs, init), t_end=200.0)
+        with pytest.raises(BlowUpError, match="step 1"):
+            vh.integrate(init, coeffs, vh.BoundarySpec.neumann(), cfg)
+
+
+class TestTimeGrid:
+    """All integrators take floor(t_end/dt) full steps plus one remainder
+    step onto t_end, and test the steady window after full steps only."""
+
+    @pytest.mark.parametrize("n_dt, steady", [(4.5, False), (5.0, True)])
+    def test_window_skips_remainder_step(self, neumann, n_dt, steady):
+        mesh = vh.build_mesh(0, 1, 21)
+        coeffs = constants_coeffs(mesh, h_u=0.5)
+        v_b = vh.solve_logistic(coeffs, neumann).v_b
+        dt = 0.05
+        cfg = vh.StepperConfig(dt=dt, t_end=n_dt * dt, steady_window=5)
+        full = vh.integrate(make_state(mesh, 0.0, v_b, 0.0), coeffs, neumann, cfg)
+        scalar = vh.integrate_scalar_logistic(v_b, coeffs, neumann, cfg)
+        assert (full.steady, full.steps) == (steady, 5)
+        assert (scalar.steady, scalar.steps) == (steady, 5)
 
 
 class TestScalarLogistic:
