@@ -162,7 +162,11 @@ def _march(u, ops, names, rhs, dt: float, t_end: float, visit, steady=None):
             f = rhs(u, h)
         if not np.isfinite(f).all():
             raise BlowUpError(f"step {k} (to t={t:g}) overflowed: non-finite right-hand side")
-        new = np.array([_clamp(s.solve(r), what) for s, r, what in zip(solvers, f, names)])
+        new = np.zeros_like(u)  # Dirichlet walls stay exactly 0
+        for s, r, row in zip(solvers, f, new):
+            row[s.op.sl] = s.solve_active(r[s.op.sl])
+        if new.min() < 0.0:
+            new = np.array([_clamp(row, what) for row, what in zip(new, names)])
         visit(t, new, u)
         return new
 

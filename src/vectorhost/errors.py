@@ -38,7 +38,7 @@ class AdmissibilityError(ValidationError):
 
 
 class SingularSystemError(VectorHostError):
-    """The shifted operator is singular (pure Neumann with zero potential)."""
+    """A tridiagonal system is singular (zero pivot, or pure Neumann with zero potential)."""
 
 
 class ConvergenceError(VectorHostError):

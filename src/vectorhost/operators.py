@@ -13,6 +13,9 @@ with face coefficients d_{j+1/2} = (d_j + d_{j+1}) / 2.  Boundary closures:
   * Dirichlet: boundary unknowns eliminated (u = 0 there); solves return
     fields re-embedded with explicit zeros.
 
+Shifted systems (-L + c) are LU-factored once by LAPACK dgttrf and solved by
+dgttrs; dgtsv, which pivots the same way, gives bit-identical solutions.
+
 The matrix of -L is symmetric for Dirichlet and symmetrizable for
 Neumann/Robin under the nodal inner product with half-weights at the
 endpoints; it is positive semidefinite (definite unless pure Neumann or
@@ -22,7 +25,7 @@ Robin with b = 0 on both ends).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SingularSystemError, ValidationError
 from .grid import DIRICHLET, ROBIN, BoundarySpec, ScalarField
@@ -151,11 +154,33 @@ def assemble(d: ScalarField, bc: BoundarySpec) -> EllipticOperator:
     return EllipticOperator(d, bc)
 
 
-class ShiftedSolve:
-    """Reusable banded solver for (-L + c) u = f with c >= 0.
+def _factor(lower, diag, upper):
+    """LU-factor the tridiagonal matrix (lower, diag, upper) once (dgttrf) and
+    return solve(f): one dgttrs call on the read-only factors, which leaves f
+    untouched and may run concurrently with other solves."""
+    n = diag.size
+    pad = np.zeros(max(0, 3 - n))  # scipy's wrappers need n >= 3: add decoupled unit rows
+    *lu, info = dgttrf(np.append(lower, pad), np.append(diag, 1.0 + pad), np.append(upper, pad))
+    if info != 0:
+        raise SingularSystemError(f"tridiagonal system is singular: zero pivot in row {info}")
+    for a in lu:
+        a.setflags(write=False)
 
-    The banded form is prepared once; repeated solves against it are cheap
-    and may run concurrently (the factorization state is read-only).
+    def solve(f):
+        x, info = dgttrs(*lu, np.append(f, pad) if pad.size else f, overwrite_b=False)
+        if info != 0:
+            raise ValueError(f"dgttrs rejected argument {-info}")
+        return x[:n] if pad.size else x
+
+    return solve
+
+
+class ShiftedSolve:
+    """Reusable solver for (-L + c) u = f with c >= 0.
+
+    -L + c is LU-factored once, here (dgttrf); each solve is one dgttrs call
+    on the read-only factors, leaves its input untouched and may run
+    concurrently.  solve checks that f is finite; solve_active does not.
     """
 
     def __init__(self, op: EllipticOperator, c):
@@ -168,28 +193,24 @@ class ShiftedSolve:
             c_active = cv
         else:
             raise ValidationError("potential length matches neither the mesh nor the active nodes")
-        if c_active.min() < 0:
-            raise ValidationError("potential c must be nonnegative")
+        if not (np.isfinite(c_active).all() and c_active.min() >= 0):
+            raise ValidationError("potential c must be finite and nonnegative")
         if op.has_constant_kernel and c_active.max() == 0.0:
             raise SingularSystemError(
                 "(-L + c) is singular: Neumann closure with c identically zero "
                 "(constants span the kernel)"
             )
         self.op = op
-        self.c_active = c_active
-        ab = np.zeros((3, op.m))
-        ab[0, 1:] = op.upper
-        ab[1, :] = op.diag + c_active
-        ab[2, :-1] = op.lower
-        self._ab = ab
-        self._ab.setflags(write=False)
+        self._solve = _factor(op.lower, op.diag + c_active, op.upper)
 
     def solve_active(self, f_active: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), self._ab, f_active, overwrite_ab=False, overwrite_b=False)
+        return self._solve(f_active)
 
     def solve(self, f) -> np.ndarray:
         """Solve from full-length right-hand side, return full-length values."""
         f_active = self.op.restrict(f)
+        if not np.isfinite(f_active).all():
+            raise ValidationError("right-hand side must be finite")
         return self.op.embed(self.solve_active(f_active))
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -48,7 +47,7 @@ from .eigen import (
     principal_eigen_system,
 )
 from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import ShiftedSolve, assemble, solve
+from .operators import ShiftedSolve, _factor, assemble, solve
 
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 5000
@@ -79,6 +78,9 @@ class EndemicEquilibrium:
     iterations_upper: int
     iterations_lower: int
     residual: float
+    # False when that monotone iteration hit its cap and Newton polish rescued it.
+    converged_upper: bool
+    converged_lower: bool
 
 
 @dataclass(frozen=True)
@@ -128,11 +130,8 @@ def solve_logistic(
         for _ in range(max_newton):
             if rn <= residual_tol * scale:
                 break
-            ab = np.zeros((3, op.m))
-            ab[0, 1:] = op.upper
-            ab[1, :] = op.diag - beta + 2.0 * mu * v
-            ab[2, :-1] = op.lower
-            delta = solve_banded((1, 1), ab, -r)
+            # The shift -beta + 2 mu v may be negative: no ShiftedSolve here.
+            delta = _factor(op.lower, op.diag - beta + 2.0 * mu * v, op.upper)(-r)
             alpha = 1.0
             accepted = False
             while alpha > 2.0 ** -30:
@@ -592,6 +591,12 @@ def solve_endemic(
     )
     disagreement = max(float(np.abs(hd - hu).max()), float(np.abs(vd - vu_).max()))
     if disagreement > agreement_tol:
+        capped = [name for name, it in (("downward", down), ("upward", up)) if not it.converged]
+        if capped:  # a cap hit, not evidence against uniqueness
+            raise ConvergenceError(
+                f"{capped[0]} monotone iteration hit its cap of {max_sweeps} sweeps; "
+                f"polished limits disagree by {disagreement:.3e}"
+            )
         raise UniquenessViolation(
             f"down/up limits disagree by {disagreement:.3e} (> {agreement_tol:g}); "
             "this contradicts uniqueness of the positive equilibrium"
@@ -618,4 +623,6 @@ def solve_endemic(
         iterations_upper=down.sweeps,
         iterations_lower=up.sweeps,
         residual=res,
+        converged_upper=down.converged,
+        converged_lower=up.converged,
     )

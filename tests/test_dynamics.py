@@ -153,6 +153,33 @@ class TestIntegrate:
             vh.integrate(init, coeffs, vh.BoundarySpec.neumann(), cfg)
 
 
+class TestMarchClamp:
+    """The stepping core clamps round-off negatives row by row and names the
+    row that drops below the band."""
+
+    def _march(self, scale):
+        from vectorhost.dynamics import _march
+
+        mesh = vh.build_mesh(0, 1, 21)
+        op = vh.assemble(vh.field_from_constant(mesh, 1.0), vh.BoundarySpec.neumann())
+        u0 = np.ones((3, mesh.n))
+
+        def rhs(u, h):  # (-L + 1/h) maps constants c/h to c: rows 1, -5e-15, scale
+            return np.array([u[0], -5e-15 * u[1], scale * u[2]]) / h
+
+        names = ("H_i", "V_u", "V_i")
+        return _march(u0, [op] * 3, names, rhs, 1.0, 1.0, lambda t, new, old: None)[0]
+
+    def test_round_off_negatives_clamped_to_zero(self):
+        u = self._march(1.0)
+        assert np.all(u[1] == 0.0)
+        assert np.allclose(u[[0, 2]], 1.0, rtol=1e-12)
+
+    def test_blowup_names_the_row(self):
+        with pytest.raises(BlowUpError, match="^V_i dropped to"):
+            self._march(-1e-3)
+
+
 class TestTimeGrid:
     """All integrators take floor(t_end/dt) full steps plus one remainder
     step onto t_end, and test the steady window after full steps only."""

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_banded
+
 import vectorhost as vh
 from vectorhost.errors import SingularSystemError, ValidationError
-from vectorhost.operators import ShiftedSolve, assemble, solve
+from vectorhost.operators import ShiftedSolve, _factor, assemble, solve
 
 
 def unit_d(mesh):
@@ -205,3 +207,67 @@ class TestShiftedSolve:
         shifted = ShiftedSolve(op, 1.5)
         u = shifted.solve(np.full(unit_mesh.n, 3.0))
         assert np.allclose(u, 2.0, atol=1e-12)
+
+    def test_non_finite_input_rejected(self, unit_mesh):
+        op = assemble(unit_d(unit_mesh), vh.BoundarySpec.neumann())
+        with pytest.raises(ValidationError, match="finite"):
+            ShiftedSolve(op, np.nan)
+        with pytest.raises(ValidationError, match="finite"):
+            ShiftedSolve(op, 1.0).solve(np.full(unit_mesh.n, np.inf))
+
+
+def banded(lower, diag, upper):
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper
+    ab[1] = diag
+    ab[2, :-1] = lower
+    return ab
+
+
+class TestFactoredKernel:
+    """ShiftedSolve factors once (dgttrf) and solves by dgttrs; its results
+    must equal scipy's solve_banded (dgtsv) bit for bit."""
+
+    BCS = {
+        "neumann": vh.BoundarySpec.neumann(),
+        "dirichlet": vh.BoundarySpec.dirichlet(),
+        "robin": vh.BoundarySpec.robin(1.0, 0.5),
+    }
+
+    @pytest.mark.parametrize("n", [3, 4, 101])
+    @pytest.mark.parametrize("kind", sorted(BCS))
+    def test_bit_identical_to_solve_banded(self, kind, n):
+        rng = np.random.default_rng([n, len(kind)])
+        mesh = vh.build_mesh(0, 1, n)
+        op = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), self.BCS[kind])
+        sparse = rng.uniform(0, 5, op.m) * (rng.random(op.m) < 0.5)
+        sparse[op.m // 2] = 1.0
+        shifts = [rng.uniform(0, 5, op.m), sparse]
+        if not op.has_constant_kernel:
+            shifts.append(np.zeros(op.m))
+        for c in shifts:
+            ab = banded(op.lower, op.diag + c, op.upper)
+            shifted = ShiftedSolve(op, c)
+            for _ in range(3):
+                f = rng.normal(size=op.m)
+                f_before = f.copy()
+                u = shifted.solve_active(f)
+                assert np.array_equal(u, solve_banded((1, 1), ab, f))
+                assert np.array_equal(f, f_before)
+                assert np.array_equal(shifted.solve_active(f), u)
+
+    @pytest.mark.parametrize("n", [3, 101])
+    def test_negative_shift_bit_identical(self, n):
+        # logistic Newton factors -L - beta + 2 mu v, which may be indefinite
+        rng = np.random.default_rng(n)
+        mesh = vh.build_mesh(0, 1, n)
+        op = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), self.BCS["dirichlet"])
+        diag = op.diag - rng.uniform(0, 2, op.m) * op.diag.max()
+        f = rng.normal(size=op.m)
+        u = _factor(op.lower, diag, op.upper)(f)
+        assert np.array_equal(u, solve_banded((1, 1), banded(op.lower, diag, op.upper), f))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_zero_pivot_is_singular(self, m):
+        with pytest.raises(SingularSystemError):
+            _factor(np.zeros(m - 1), np.zeros(m), np.zeros(m - 1))

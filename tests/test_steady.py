@@ -3,7 +3,7 @@ import pytest
 
 import vectorhost as vh
 from vectorhost import verify
-from vectorhost.errors import AdmissibilityError, ValidationError
+from vectorhost.errors import AdmissibilityError, ConvergenceError, ValidationError
 from vectorhost.steady import (
     EndemicProblem,
     check_eps_admissibility,
@@ -228,6 +228,26 @@ class TestMonotoneIteration:
         coeffs, log, problem = self._problem(unit_mesh, neumann)
         with pytest.raises(ValidationError):
             monotone_iterate(problem, log.v_b, log.v_b, "sideways")
+
+
+class TestSweepCap:
+    """A monotone iteration that stops at max_sweeps is a convergence
+    failure, not evidence against uniqueness, and is never silent."""
+
+    def test_cap_hit_with_disagreeing_limits_is_convergence_error(self, unit_mesh, neumann):
+        expected = "downward monotone iteration hit its cap of 3 sweeps"
+        with pytest.raises(ConvergenceError, match=expected):
+            vh.solve_endemic(constants_coeffs(unit_mesh), neumann, 0.0, max_sweeps=3)
+
+    def test_cap_hit_rescued_by_polish_is_recorded(self, unit_mesh, neumann):
+        coeffs = constants_coeffs(unit_mesh)
+        capped = vh.solve_endemic(coeffs, neumann, 0.0, max_sweeps=20)
+        assert (capped.converged_upper, capped.converged_lower) == (False, False)
+        assert (capped.iterations_upper, capped.iterations_lower) == (20, 20)
+        full = vh.solve_endemic(coeffs, neumann, 0.0)
+        assert full.converged_upper and full.converged_lower
+        assert vh.sup_distance(capped.h_i, full.h_i) < 1e-8
+        assert vh.sup_distance(capped.v_i, full.v_i) < 1e-8
 
 
 class TestExistenceIffSign:
