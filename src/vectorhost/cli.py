@@ -47,6 +47,8 @@ from .errors import (
 from .steady import EndemicEquilibrium, solve_endemic, solve_logistic
 
 WORKERS_ENV = "VECTORHOST_WORKERS"
+# Errors that mean a prediction check failed (exit 2), not an operational error.
+PREDICTION_ERRORS = (UniquenessViolation, MonotonicityError)
 
 
 def _jsonable(obj):
@@ -246,20 +248,30 @@ def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
     bc = config.bc
     children = np.random.SeedSequence(seed).spawn(config.count)
 
-    def one(i: int) -> dict:
+    def one(i: int) -> tuple[dict, int]:
+        """Run scenario i and write its artifacts; return its report and exit code."""
         rng = np.random.default_rng(children[i])
         scenario = verify.random_scenario(mesh, bc, rng)
         sub = out / f"scenario_{i:03d}"
         sub.mkdir(parents=True, exist_ok=True)
         cfg = _scenario_stepper(config, scenario)
-        result = verify.run_threshold_experiment(
-            scenario.coeffs,
-            bc,
-            scenario.initial,
-            cfg,
-            distance_tol=config.distance_tol,
-            snapshot_times=np.linspace(0.0, cfg.t_end, 51),
-        )
+        sub_report = _base_report(config, seed)
+        sub_report["scenario"] = i
+        try:
+            result = verify.run_threshold_experiment(
+                scenario.coeffs,
+                bc,
+                scenario.initial,
+                cfg,
+                distance_tol=config.distance_tol,
+                snapshot_times=np.linspace(0.0, cfg.t_end, 51),
+            )
+        except VectorHostError as exc:
+            # One failed scenario must not take the batch down with it.
+            sub_report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            sub_report["passed"] = False
+            write_report(sub / "report.json", sub_report)
+            return sub_report, 2 if isinstance(exc, PREDICTION_ERRORS) else 1
         # A contradiction is a settled trajectory far from the predicted
         # attractor in a regime where the prediction is decisive.
         contradiction = (
@@ -267,10 +279,8 @@ def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
             and result.steady
             and result.final_sup_distance > config.distance_tol
         )
-        sub_report = _base_report(config, seed)
         sub_report.update(
             {
-                "scenario": i,
                 "lambda_beta": result.lambda_beta,
                 "lambda_system": result.lambda_system,
                 "predicted": result.predicted_attractor,
@@ -285,37 +295,34 @@ def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
         )
         write_report(sub / "report.json", sub_report)
         _write_trajectory(sub / "trajectory.csv", result.trajectory)
-        return sub_report
+        return sub_report, 2 if contradiction else 0
 
     workers = int(os.environ.get(WORKERS_ENV, "4"))
     workers = max(1, min(workers, config.count))
     if workers == 1:
-        summaries = [one(i) for i in range(config.count)]
+        results = [one(i) for i in range(config.count)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(one, range(config.count)))
+            results = list(pool.map(one, range(config.count)))
 
-    all_passed = all(s["passed"] for s in summaries)
+    summary_keys = (
+        "scenario", "lambda_beta", "lambda_system", "predicted", "slow_regime", "error", "passed"
+    )
     report = _base_report(config, seed)
     report.update(
         {
             "count": config.count,
-            "passed": all_passed,
-            "scenarios": [
-                {
-                    "scenario": s["scenario"],
-                    "lambda_beta": s["lambda_beta"],
-                    "lambda_system": s["lambda_system"],
-                    "predicted": s["predicted"],
-                    "slow_regime": s["slow_regime"],
-                    "passed": s["passed"],
-                }
-                for s in summaries
-            ],
+            "passed": all(s["passed"] for s, _ in results),
+            "scenarios": [{k: s[k] for k in summary_keys if k in s} for s, _ in results],
         }
     )
     write_report(out / "report.json", report)
-    return 0 if all_passed else 2
+    for s, _ in results:
+        if "error" in s:
+            print(f"error: scenario {s['scenario']}: {s['error']['type']}: {s['error']['message']}",
+                  file=sys.stderr)
+    # A contradicted prediction outranks an operational error.
+    return max(code for _, code in results)
 
 
 def run(config: RunConfig, out_dir, seed: int | None = None) -> int:
@@ -358,7 +365,7 @@ def main(argv=None) -> int:
                 f"config experiment kind {config.kind!r} does not match command {args.command!r}"
             )
         return run(config, args.out, seed=args.seed)
-    except (UniquenessViolation, MonotonicityError) as exc:
+    except PREDICTION_ERRORS as exc:
         print(f"prediction check failed: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, ConvergenceError, VectorHostError, OSError) as exc:

@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, MeshMismatchError, ValidationError
 from .grid import BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import ShiftedSolve, assemble
+from .operators import ShiftedSolve, _block_matrix, assemble
 
 LAMBDA_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -162,17 +161,11 @@ class SystemOperator:
             float(self.a22.max()),
         )
 
-    def shifted_sparse(self, s: float) -> sp.csc_matrix:
-        def tri(op, extra):
-            return sp.diags(
-                [op.lower, op.diag + extra + s, op.upper], offsets=(-1, 0, 1), format="csc"
-            )
-
-        b11 = tri(self.op1, self.a11)
-        b22 = tri(self.op2, self.a22)
-        b12 = sp.diags([self.a12], offsets=(0,), format="csc")
-        b21 = sp.diags([self.a21], offsets=(0,), format="csc")
-        return sp.bmat([[b11, b12], [b21, b22]], format="csc")
+    def shifted_sparse(self, s: float):
+        return _block_matrix(
+            self.op1, self.op2,
+            self.op1.diag + self.a11 + s, self.a12, self.a21, self.op2.diag + self.a22 + s,
+        )
 
     def dense(self) -> np.ndarray:
         """Dense block matrix (small-mesh oracle support)."""

@@ -25,6 +25,7 @@ Robin with b = 0 on both ends).
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SingularSystemError, ValidationError
@@ -173,6 +174,34 @@ def _factor(lower, diag, upper):
         return x[:n] if pad.size else x
 
     return solve
+
+
+def _block_matrix(op1, op2, diag1, off12, off21, diag2) -> sp.csc_matrix:
+    """The 2m x 2m CSC matrix [[T1, diag(off12)], [diag(off21), T2]], where Tk
+    has opk's off-diagonals and main diagonal diagk, built in one call from a
+    fixed index pattern.  Explicit zeros are dropped, as sp.diags does, so the
+    result equals sp.bmat of the four blocks array for array."""
+    m = diag1.size
+    j = np.arange(m)
+    # Up to four entries per column, in row order; four slots fall outside the blocks.
+    left = np.stack([j - 1, j, j + 1, m + j], axis=1)
+    right = np.stack([j, m + j - 1, m + j, m + j + 1], axis=1)
+    rows = np.concatenate([left, right])
+    keep = np.ones((2 * m, 4), dtype=bool)
+    keep[0, 0] = keep[m - 1, 2] = keep[m, 1] = keep[2 * m - 1, 3] = False
+    vals = np.zeros((2 * m, 4))
+    vals[1:m, 0] = op1.upper
+    vals[:m, 1] = diag1
+    vals[: m - 1, 2] = op1.lower
+    vals[:m, 3] = off21
+    vals[m:, 0] = off12
+    vals[m + 1 :, 1] = op2.upper
+    vals[m:, 2] = diag2
+    vals[m : 2 * m - 1, 3] = op2.lower
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    a = sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(2 * m, 2 * m))
+    a.eliminate_zeros()
+    return a
 
 
 class ShiftedSolve:

@@ -15,13 +15,18 @@ Three layers:
     agreement tolerances;
   * monotone_iterate: the sweep engine itself, usable standalone.
 
-Each damped Picard sweep solves, componentwise,
+Each monotone sweep is one block Gauss-Seidel step with nodewise damping
+potentials (C. V. Pao, Numer. Math. 72, 1995, and 79, 1998):
 
-    (-L + K_c) u_new = f(u_old) + K_c u_old
+    (-L1 + K1) H_new = f1(H_old, V_old) + K1 H_old
+    (-L2 + K2) V_new = f2(H_new, V_old) + K2 V_old
 
-with K_c large enough that f(u) + K_c u is non-decreasing in (H, V)
-over the order interval, which makes the sweep map order-preserving and
-the iterates nodewise monotone.
+K1 = rho is exact, because f1 = -rho H + sigma1 h_u V is linear in H.
+K2 = sigma2 h_top + mu (V_B - eps w) bounds -df2/dV over the order
+interval, where h_top is the H component at its top, so f2 + K2 V is
+non-decreasing in V there.  f2 is non-decreasing in H (the system is
+cooperative), so taking V's reaction at the new H keeps the sweep map
+order-preserving and the iterates nodewise monotone.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -47,7 +51,7 @@ from .eigen import (
     principal_eigen_system,
 )
 from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import ShiftedSolve, _factor, assemble, solve
+from .operators import ShiftedSolve, _block_matrix, _factor, assemble, solve
 
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 5000
@@ -256,6 +260,10 @@ class EndemicProblem:
 
         (-L1 + rho) H = sigma1 h_u V
         (-L2) V = sigma2 (V_B + eps w - V)^+ H - mu (V_B - eps w) V
+
+    reaction gives (f1, f2), the right-hand sides above without the
+    -L terms; sweep_potential gives the nodewise damping K2 of the
+    monotone sweeps.
     """
 
     def __init__(
@@ -283,13 +291,13 @@ class EndemicProblem:
         self.mu = coeffs.mu.values[sl]
         self.v_plus = (v_b.values + eps * weight.values)[sl]
         self.v_minus = (v_b.values - eps * weight.values)[sl]
-        self.v_abs = (v_b.values + abs(eps) * weight.values)[sl]
         self.m = self.op1.m
 
     def reaction(self, h: np.ndarray, v: np.ndarray):
-        f1 = -self.rho * h + self.s1hu * v
-        f2 = self.s2 * np.maximum(self.v_plus - v, 0.0) * h - self.mu * self.v_minus * v
-        return f1, f2
+        return -self.rho * h + self.s1hu * v, self.reaction_v(h, v)
+
+    def reaction_v(self, h: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.s2 * np.maximum(self.v_plus - v, 0.0) * h - self.mu * self.v_minus * v
 
     def residual(self, h: np.ndarray, v: np.ndarray):
         f1, f2 = self.reaction(h, v)
@@ -312,31 +320,22 @@ class EndemicProblem:
         s = self._slack(r1, r2)
         return bool(r1.max() <= s and r2.max() <= s)
 
-    def sweep_constant(self, h_cap: float) -> float:
-        """Smallest documented K_c making the sweep map order-preserving.
+    def sweep_potential(self, h_top: np.ndarray) -> np.ndarray:
+        """Nodewise K2 = sigma2 h_top + mu (V_B - eps w) on active nodes.
 
-        h_cap bounds the H-component over the order interval (sup of the
-        starting upper iterate); the sigma2*h_cap term is what dominates
-        the V-derivative of the infection reaction.
+        h_top bounds the H component over the order interval node by node;
+        K2 then bounds -df2/dV there, which makes the V half-sweep
+        order-preserving.  (K1 = rho needs no bound: f1 is linear in H.)
         """
-        base = float((self.s2 * self.v_abs + self.mu * self.v_abs + self.rho).max())
-        needed = max(
-            float(self.rho.max()),
-            float((self.s2 * h_cap + self.mu * self.v_abs).max()),
+        return self.s2 * h_top + self.mu * self.v_minus
+
+    def jacobian(self, h: np.ndarray, v: np.ndarray):
+        gap = np.maximum(self.v_plus - v, 0.0)
+        return _block_matrix(
+            self.op1, self.op2,
+            self.op1.diag + self.rho, -self.s1hu, -self.s2 * gap,
+            self.op2.diag + (self.mu * self.v_minus + self.s2 * h * (gap > 0.0)),
         )
-        return max(base, needed)
-
-    def jacobian(self, h: np.ndarray, v: np.ndarray) -> sp.csc_matrix:
-        active = (self.v_plus - v > 0.0).astype(float)
-
-        def tri(op, extra):
-            return sp.diags([op.lower, op.diag + extra, op.upper], offsets=(-1, 0, 1), format="csc")
-
-        j11 = tri(self.op1, self.rho)
-        j12 = sp.diags([-self.s1hu], offsets=(0,), format="csc")
-        j21 = sp.diags([-self.s2 * np.maximum(self.v_plus - v, 0.0)], offsets=(0,), format="csc")
-        j22 = tri(self.op2, self.mu * self.v_minus + self.s2 * h * active)
-        return sp.bmat([[j11, j12], [j21, j22]], format="csc")
 
 
 @dataclass
@@ -345,7 +344,7 @@ class MonotoneIteration:
     v: ScalarField
     sweeps: int
     converged: bool
-    k_c: float
+    k_c: float  # max over nodes of the K2 used (after any doubling)
     final_change: float
     history: list[tuple[ScalarField, ScalarField]] | None = None
 
@@ -356,21 +355,26 @@ def monotone_iterate(
     v0: ScalarField,
     direction: str,
     *,
-    k_c: float | None = None,
+    h_top: ScalarField | None = None,
     sweep_tol: float = SWEEP_TOL,
     max_sweeps: int = MAX_SWEEPS,
     check_start: bool = True,
     keep_history: bool = False,
     stop_below_sup: float | None = None,
 ) -> MonotoneIteration:
-    """Run damped Picard sweeps from an upper ("down") or lower ("up") pair.
+    """Run Gauss-Seidel monotone sweeps from an upper ("down") or lower ("up") pair.
 
-    The starting pair is verified to satisfy the matching discrete
-    inequalities; every sweep is checked to move nodewise in the declared
-    direction (a violation doubles K_c once and restarts, then fails).
-    Stops when the sweep-to-sweep sup change drops below sweep_tol, when
-    both components fall below stop_below_sup (collapse runs), or at the
-    sweep cap.
+    The damping potentials are K1 = rho and K2 = problem.sweep_potential(h_top),
+    each factored once.  h_top is the H component at the top of the order
+    interval; by default the starting H for "down", and for "up" the H_bar
+    solving (-L1 + rho) H_bar = sigma1 h_u (V_B + eps w).  An h_top below
+    the iterates voids the order guarantee, and only a sweep that moves the
+    wrong way reveals it.  The starting pair is verified to satisfy the
+    matching discrete inequalities; every sweep is checked to move nodewise
+    in the declared direction (a violation doubles both potentials once and
+    restarts, then fails).  Stops when the sweep-to-sweep sup change drops
+    below sweep_tol, when both components fall below stop_below_sup
+    (collapse runs), or at the sweep cap.
     """
     if direction not in ("down", "up"):
         raise ValidationError(f"direction must be 'down' or 'up', got {direction!r}")
@@ -382,32 +386,45 @@ def monotone_iterate(
             raise ValidationError(
                 f"starting pair is not a valid {'upper' if direction == 'down' else 'lower'} solution"
             )
-    if k_c is None:
-        k_c = problem.sweep_constant(float(h_start.max()))
+    if h_top is not None:
+        top = problem.op1.restrict(h_top)
+    elif direction == "down":
+        top = h_start
+    else:  # H_bar, the H of the upper-solution pair
+        top = ShiftedSolve(problem.op1, problem.rho).solve_active(
+            problem.s1hu * problem.v_plus
+        )
+    k2_base = problem.sweep_potential(top)
 
-    def run(k: float) -> MonotoneIteration:
-        s1 = ShiftedSolve(problem.op1, problem.op1.embed(np.full(problem.m, k)))
-        s2 = ShiftedSolve(problem.op2, problem.op2.embed(np.full(problem.m, k)))
+    def run(scale: float) -> MonotoneIteration:
+        k1 = scale * problem.rho
+        k2 = scale * k2_base
+        s1 = ShiftedSolve(problem.op1, k1)
+        s2 = ShiftedSolve(problem.op2, k2)
+        k1_extra = k1 - problem.rho  # f1 + K1 H = sigma1 h_u V + (K1 - rho) H
         # Round-off floor of one sweep: evaluating the residual costs
-        # eps*stiffness*|u| and the sweep damps it by (M + K)^{-1} ~ 1/K.
-        stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max())) + k
+        # eps*stiffness*|u| and the sweep damps it by (M + K)^{-1} ~ 1/min K.
+        k_min = min(float(k1.min()), float(k2.min()))
+        stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
+        stiff += max(float(k1.max()), float(k2.max()))
         h = h_start.copy()
         v = v_start.copy()
         history = [] if keep_history else None
         change = np.inf
+        converged = False
         for sweep in range(1, max_sweeps + 1):
-            f1, f2 = problem.reaction(h, v)
-            h_new = s1.solve_active(f1 + k * h)
-            v_new = s2.solve_active(f2 + k * v)
+            h_new = s1.solve_active(problem.s1hu * v + k1_extra * h)
+            v_new = s2.solve_active(problem.reaction_v(h_new, v) + k2 * v)
             u_scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
-            mono_tol = 256.0 * np.finfo(float).eps * stiff * u_scale / k
+            mono_tol = 256.0 * np.finfo(float).eps * stiff * u_scale / k_min
             if direction == "down":
                 violation = max(float((h_new - h).max()), float((v_new - v).max()))
             else:
                 violation = max(float((h - h_new).max()), float((v - v_new).max()))
             if violation > mono_tol:
                 raise MonotonicityError(
-                    f"sweep {sweep} moved {violation:.3e} against the declared direction (K_c={k:g})"
+                    f"sweep {sweep} moved {violation:.3e} against the declared direction "
+                    f"(max K2={float(k2.max()):g})"
                 )
             change = max(float(np.abs(h_new - h).max()), float(np.abs(v_new - v).max()))
             h, v = h_new, v_new
@@ -422,31 +439,24 @@ def monotone_iterate(
                 stop_below_sup is not None
                 and max(float(h.max(initial=0.0)), float(v.max(initial=0.0))) < stop_below_sup
             )
-            if change < sweep_tol or collapsed:
-                return MonotoneIteration(
-                    ScalarField(problem.mesh, problem.op1.embed(h)),
-                    ScalarField(problem.mesh, problem.op2.embed(v)),
-                    sweep,
-                    True,
-                    k,
-                    change,
-                    history,
-                )
+            converged = change < sweep_tol or collapsed
+            if converged:
+                break
         return MonotoneIteration(
             ScalarField(problem.mesh, problem.op1.embed(h)),
             ScalarField(problem.mesh, problem.op2.embed(v)),
-            max_sweeps,
-            False,
-            k,
+            sweep if converged else max_sweeps,
+            converged,
+            float(k2.max()),
             change,
             history,
         )
 
     try:
-        return run(k_c)
+        return run(1.0)
     except MonotonicityError:
-        # K_c too small for this order interval; one doubling is allowed.
-        return run(2.0 * k_c)
+        # h_top too low for this order interval; one doubling is allowed.
+        return run(2.0)
 
 
 def _newton_polish(
@@ -563,20 +573,18 @@ def solve_endemic(
             "no amplitude in {1e-1..1e-8} makes delta*(phi1, phi2) an admissible lower solution"
         )
 
-    k_down = problem.sweep_constant(float(upper_h.max()))
     down = monotone_iterate(
-        problem, h_bar, v_up, "down", k_c=k_down, sweep_tol=sweep_tol, max_sweeps=max_sweeps
+        problem, h_bar, v_up, "down", sweep_tol=sweep_tol, max_sweeps=max_sweeps
     )
     down_h = problem.op1.restrict(down.h)
     down_v = problem.op2.restrict(down.v)
     # The upward iterates stay below the minimal solution, hence below the
-    # downward limit; its (much smaller) sup legitimizes a smaller K_c and
-    # a far better contraction rate for the upward phase.
-    k_up = problem.sweep_constant(float(down_h.max()))
+    # downward limit, which is a much lower top of their order interval
+    # than H_bar: a smaller K2 and a far better contraction rate.
     lo_h = ScalarField(coeffs.mesh, problem.op1.embed(delta * phi1))
     lo_v = ScalarField(coeffs.mesh, problem.op2.embed(delta * phi2))
     up = monotone_iterate(
-        problem, lo_h, lo_v, "up", k_c=k_up, sweep_tol=sweep_tol, max_sweeps=max_sweeps
+        problem, lo_h, lo_v, "up", h_top=down.h, sweep_tol=sweep_tol, max_sweeps=max_sweeps
     )
     up_h = problem.op1.restrict(up.h)
     up_v = problem.op2.restrict(up.v)

@@ -243,3 +243,29 @@ class TestSweepCommand:
         assert r1 == r2
         r3 = json.loads((out3 / "scenario_000" / "report.json").read_text())
         assert r3["lambda_beta"] != json.loads(r1)["lambda_beta"]
+
+    def test_failing_scenario_is_isolated(self, tmp_path, capsys):
+        """Seed 15's scenario 8 raises BlowUpError (V_u turns negative); the
+        other scenarios still run and the summary is still written."""
+        cfg = write_config(tmp_path, {
+            "domain": {"a": 0, "b": 1, "n": 51},
+            "bc": "neumann",
+            "stepper": {"dt": "auto", "t_end": 30, "steady_tol": 1e-7},
+            "experiment": {"kind": "sweep", "seed": 15, "count": 9},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        failed = json.loads((out / "scenario_008" / "report.json").read_text())
+        assert failed["passed"] is False
+        assert failed["error"]["type"] == "BlowUpError"
+        assert failed["error"]["message"].startswith("V_u dropped to")
+        assert not (out / "scenario_008" / "trajectory.csv").exists()
+        report = read_report(out)
+        assert report["passed"] is False
+        assert [s["scenario"] for s in report["scenarios"]] == list(range(9))
+        assert report["scenarios"][8] == {"scenario": 8, "error": failed["error"], "passed": False}
+        for s in report["scenarios"][:8]:
+            assert set(s) == {"scenario", "lambda_beta", "lambda_system", "predicted",
+                              "slow_regime", "passed"}
+        message = failed["error"]["message"]
+        assert capsys.readouterr().err == f"error: scenario 8: BlowUpError: {message}\n"

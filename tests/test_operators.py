@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scipy.linalg import solve_banded
+from scipy.sparse.linalg import splu
 
 import vectorhost as vh
 from vectorhost.errors import SingularSystemError, ValidationError
-from vectorhost.operators import ShiftedSolve, _factor, assemble, solve
+from vectorhost import verify
+from vectorhost.eigen import SystemOperator
+from vectorhost.operators import ShiftedSolve, _block_matrix, _factor, assemble, solve
+from vectorhost.steady import EndemicProblem
 
 
 def unit_d(mesh):
@@ -271,3 +276,76 @@ class TestFactoredKernel:
     def test_zero_pivot_is_singular(self, m):
         with pytest.raises(SingularSystemError):
             _factor(np.zeros(m - 1), np.zeros(m), np.zeros(m - 1))
+
+
+def bmat_blocks(op1, op2, diag1, off12, off21, diag2):
+    """The 2x2 block matrix built block by block with sp.diags and sp.bmat."""
+
+    def tri(op, diag):
+        return sp.diags([op.lower, diag, op.upper], offsets=(-1, 0, 1), format="csc")
+
+    def dia(values):
+        return sp.diags([values], offsets=(0,), format="csc")
+
+    return sp.bmat([[tri(op1, diag1), dia(off12)], [dia(off21), tri(op2, diag2)]], format="csc")
+
+
+def assert_same_csc(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+class TestBlockMatrix:
+    """_block_matrix builds the block operators of the Newton Jacobian and
+    the system eigensolve in one call; its arrays must equal those of the
+    sp.diags + sp.bmat construction, so splu factors the same matrix."""
+
+    BCS = TestFactoredKernel.BCS
+
+    @pytest.mark.parametrize("n", [3, 4, 101])
+    @pytest.mark.parametrize("kind", sorted(BCS))
+    def test_equals_bmat(self, kind, n):
+        rng = np.random.default_rng([n, len(kind), 7])
+        mesh = vh.build_mesh(0, 1, n)
+        bc = self.BCS[kind]
+        op1 = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), bc)
+        op2 = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), bc)
+        m = op1.m
+        for zeros in (True, False):  # the second pass finds a mutated cached pattern
+            blocks = [op1.diag + rng.uniform(0, 5, m), -rng.uniform(0.1, 5, m),
+                      -rng.uniform(0.1, 5, m), op2.diag + rng.uniform(0, 5, m)]
+            if zeros:  # explicit zeros are dropped by sp.diags
+                blocks[2][::2] = 0.0
+                blocks[1][-1] = 0.0
+            assert_same_csc(_block_matrix(op1, op2, *blocks), bmat_blocks(op1, op2, *blocks))
+
+    @pytest.mark.parametrize("kind", sorted(BCS))
+    def test_jacobian_and_shifted_system_unchanged(self, kind):
+        bc = self.BCS[kind]
+        mesh = vh.build_mesh(0, 5, 101)
+        rng = np.random.default_rng(np.random.SeedSequence([4, 2, 6]))
+        coeffs = verify.random_coefficients(mesh, rng)
+        v_b = vh.solve_logistic(coeffs, bc).v_b
+        problem = EndemicProblem(coeffs, bc, v_b)
+        h = rng.uniform(0.1, 2.0, problem.m)
+        v = problem.v_plus * rng.uniform(0.2, 1.0, problem.m)
+        v[::3] = problem.v_plus[::3]  # saturated nodes: zero coupling entries
+        gap = np.maximum(problem.v_plus - v, 0.0)
+        old = bmat_blocks(
+            problem.op1, problem.op2,
+            problem.op1.diag + problem.rho, -problem.s1hu, -problem.s2 * gap,
+            problem.op2.diag + (problem.mu * problem.v_minus + problem.s2 * h * (gap > 0).astype(float)),
+        )
+        new = problem.jacobian(h, v)
+        assert_same_csc(new, old)
+        f = rng.normal(size=2 * problem.m)
+        assert np.array_equal(splu(new).solve(f), splu(old).solve(f))
+
+        sys_op = SystemOperator(coeffs, v_b, bc)
+        s = sys_op.shift()
+        old = bmat_blocks(
+            sys_op.op1, sys_op.op2,
+            sys_op.op1.diag + sys_op.a11 + s, sys_op.a12, sys_op.a21, sys_op.op2.diag + sys_op.a22 + s,
+        )
+        assert_same_csc(sys_op.shifted_sparse(s), old)

@@ -3,7 +3,12 @@ import pytest
 
 import vectorhost as vh
 from vectorhost import verify
-from vectorhost.errors import AdmissibilityError, ConvergenceError, ValidationError
+from vectorhost.errors import (
+    AdmissibilityError,
+    ConvergenceError,
+    MonotonicityError,
+    ValidationError,
+)
 from vectorhost.steady import (
     EndemicProblem,
     check_eps_admissibility,
@@ -230,6 +235,75 @@ class TestMonotoneIteration:
             monotone_iterate(problem, log.v_b, log.v_b, "sideways")
 
 
+def criterion4_scenario(kind_index, seed):
+    """Scenario `seed` of criterion 4's stream for Dirichlet (1) or Robin (2) on [0, 5]."""
+    bc = (None, vh.BoundarySpec.dirichlet(), vh.BoundarySpec.robin(1.0, 0.5))[kind_index]
+    mesh = vh.build_mesh(0, 5, 101)
+    rng = np.random.default_rng(np.random.SeedSequence([4, kind_index, seed]))
+    coeffs = verify.random_coefficients(mesh, rng)
+    log = vh.solve_logistic(coeffs, bc)
+    return coeffs, bc, log, EndemicProblem(coeffs, bc, log.v_b)
+
+
+def assert_monotone(start, history, sign):
+    prev = start
+    for h, v in history:
+        assert np.all(sign * (h.values - prev[0]) <= 1e-10)
+        assert np.all(sign * (v.values - prev[1]) <= 1e-10)
+        prev = (h.values, v.values)
+
+
+class TestNodewiseSweeps:
+    """Gauss-Seidel sweeps with nodewise K1 = rho, K2 = sigma2 h_top + mu V_B
+    keep the iterates ordered on variable coefficients."""
+
+    # criterion-4 scenarios with an equilibrium; Robin seed 6 used to hit the cap
+    CASES = [(1, 5), (2, 6)]
+
+    @pytest.mark.parametrize("kind_index, seed", CASES)
+    def test_down_sweeps_decrease_everywhere(self, kind_index, seed):
+        coeffs, bc, log, problem = criterion4_scenario(kind_index, seed)
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        run = monotone_iterate(problem, h_bar, log.v_b, "down", keep_history=True)
+        assert run.converged and len(run.history) == run.sweeps
+        assert run.k_c == float(problem.sweep_potential(problem.op1.restrict(h_bar)).max())
+        assert_monotone((h_bar.values, log.v_b.values), run.history, 1.0)
+
+    @pytest.mark.parametrize("kind_index, seed", CASES)
+    def test_standalone_up_sweeps_increase_everywhere(self, kind_index, seed):
+        """Without h_top, "up" takes H_bar of upper_solution_h as the top."""
+        coeffs, bc, log, problem = criterion4_scenario(kind_index, seed)
+        eig = vh.principal_eigen_system(coeffs, log.v_b, bc)
+        lo_h = vh.ScalarField(log.v_b.mesh, 1e-2 * eig.phi1.values)
+        lo_v = vh.ScalarField(log.v_b.mesh, 1e-2 * eig.phi2.values)
+        run = monotone_iterate(problem, lo_h, lo_v, "up", keep_history=True)
+        assert run.converged
+        h_bar = problem.op1.restrict(vh.upper_solution_h(coeffs, log.v_b, bc))
+        assert run.k_c == pytest.approx(float(problem.sweep_potential(h_bar).max()), rel=1e-14)
+        assert_monotone((lo_h.values, lo_v.values), run.history, -1.0)
+        eq = vh.solve_endemic(coeffs, bc, logistic=log, eigenpair=eig)
+        assert vh.sup_distance(run.v, eq.v_i) < 1e-6
+
+    @pytest.mark.parametrize("frac, doubled", [(0.6, True), (0.3, False)])
+    def test_low_top_retries_once_with_doubled_potentials(self, frac, doubled):
+        """An h_top below the order interval makes a sweep move the wrong way;
+        the retry doubles both potentials, and a second violation raises."""
+        coeffs, bc, log, problem = criterion4_scenario(2, 6)
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        low = vh.ScalarField(h_bar.mesh, frac * h_bar.values)
+        if not doubled:
+            with pytest.raises(MonotonicityError, match="against the declared direction"):
+                monotone_iterate(problem, h_bar, log.v_b, "down", h_top=low)
+            return
+        run = monotone_iterate(problem, h_bar, log.v_b, "down", h_top=low)
+        k2 = problem.sweep_potential(problem.op1.restrict(low))
+        assert run.k_c == float((2.0 * k2).max())
+        assert run.converged
+        ref = monotone_iterate(problem, h_bar, log.v_b, "down")
+        assert vh.sup_distance(run.h, ref.h) < 1e-8
+        assert vh.sup_distance(run.v, ref.v) < 1e-8
+
+
 class TestSweepCap:
     """A monotone iteration that stops at max_sweeps is a convergence
     failure, not evidence against uniqueness, and is never silent."""
@@ -248,6 +322,14 @@ class TestSweepCap:
         assert full.converged_upper and full.converged_lower
         assert vh.sup_distance(capped.h_i, full.h_i) < 1e-8
         assert vh.sup_distance(capped.v_i, full.v_i) < 1e-8
+
+    def test_former_cap_hitter_converges(self):
+        """Robin seed 6 of criterion 4 (bench panel index 14) ran both monotone
+        iterations into the 5,000-sweep cap under one scalar K_c."""
+        coeffs, bc, log, _ = criterion4_scenario(2, 6)
+        eq = vh.solve_endemic(coeffs, bc, logistic=log)
+        assert eq.converged_upper and eq.converged_lower
+        assert max(eq.iterations_upper, eq.iterations_lower) <= 100
 
 
 class TestExistenceIffSign:
