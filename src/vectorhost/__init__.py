@@ -18,6 +18,7 @@ from .dynamics import (
     step,
 )
 from .eigen import (
+    EndemicProblem,
     ScalarEigenpair,
     SystemEigenpair,
     principal_eigen_scalar,
@@ -51,7 +52,6 @@ from .operators import EllipticOperator, ShiftedSolve, assemble, solve
 from .steady import (
     EndemicAbsent,
     EndemicEquilibrium,
-    EndemicProblem,
     LogisticSteady,
     monotone_iterate,
     solve_endemic,

@@ -11,7 +11,7 @@ the config seed):
                the trajectory contradicts the prediction)
     envelope   Dirichlet moving-envelope check (exit 2 when it fails)
     sweep      seeded batch of random threshold scenarios, one
-               subdirectory each; VECTORHOST_WORKERS bounds the pool
+               subdirectory each
 
 Exit codes: 0 pass, 1 operational error (bad config, inadmissible eps,
 solver non-convergence, I/O), 2 checks ran but a prediction failed.
@@ -26,9 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +44,6 @@ from .errors import (
 )
 from .steady import EndemicEquilibrium, solve_endemic, solve_logistic
 
-WORKERS_ENV = "VECTORHOST_WORKERS"
 # Errors that mean a prediction check failed (exit 2), not an operational error.
 PREDICTION_ERRORS = (UniquenessViolation, MonotonicityError)
 
@@ -297,13 +294,7 @@ def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
         _write_trajectory(sub / "trajectory.csv", result.trajectory)
         return sub_report, 2 if contradiction else 0
 
-    workers = int(os.environ.get(WORKERS_ENV, "4"))
-    workers = max(1, min(workers, config.count))
-    if workers == 1:
-        results = [one(i) for i in range(config.count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(config.count)))
+    results = [one(i) for i in range(config.count)]
 
     summary_keys = (
         "scenario", "lambda_beta", "lambda_system", "predicted", "slow_regime", "error", "passed"

@@ -22,6 +22,7 @@ from .grid import (
     Mesh1D,
     ScalarField,
     build_mesh,
+    check_coefficient,
 )
 
 EXPERIMENT_KINDS = ("eigen", "steady", "simulate", "threshold", "envelope", "sweep")
@@ -166,13 +167,10 @@ def _parse_coefficients(obj, mesh: Mesh1D, kind: str, path: str) -> dict[str, Sc
     out = {}
     for name, entry in obj.items():
         f = _parse_field(entry, mesh, f"{path}.{name}")
-        if name == "h_u":
-            if f.values.min() < 0:
-                raise ConfigError(f"{path}.h_u", "h_u must be nonnegative")
-            if f.values.max() <= 0:
-                raise ConfigError(f"{path}.h_u", "h_u must not be identically zero")
-        elif f.values.min() <= 0:
-            raise ConfigError(f"{path}.{name}", f"{name} must be strictly positive")
+        try:
+            check_coefficient(name, f)
+        except ValidationError as exc:
+            raise ConfigError(f"{path}.{name}", str(exc)) from exc
         out[name] = f
     return out
 

@@ -1,6 +1,10 @@
 """Principal eigenpairs of the scalar operator -L2 - beta and of the
 coupled 2x2 cooperative system that linearizes the infection equations
-at the infection-free state.
+at the infection-free state, and the infection block itself.
+
+EndemicProblem is the one builder of that block: its residual is the
+endemic equilibrium system, and its linearization at zero infection is
+the operator whose principal eigenvalue is lambda_system.
 
 Both solvers run shifted inverse power iteration.  The shift s = 1 + (max
 zeroth-order coefficient) makes the shifted matrix an M-matrix, so its
@@ -48,17 +52,13 @@ def principal_eigen_scalar(
     d2: ScalarField,
     beta: ScalarField,
     bc: BoundarySpec,
-    *,
-    lambda_tol: float = LAMBDA_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> ScalarEigenpair:
     """Smallest eigenvalue of -L2 - beta with positive eigenfunction.
 
     The eigenvalue estimate is the Rayleigh quotient in the weighted inner
     product that symmetrizes -L2; iteration stops when consecutive
-    estimates differ by less than lambda_tol and the eigen-residual drops
-    below residual_tol.
+    estimates differ by less than LAMBDA_TOL and the eigen-residual drops
+    below RESIDUAL_TOL.
     """
     if beta.mesh != d2.mesh:
         raise MeshMismatchError("beta and d2 must share a mesh")
@@ -70,19 +70,19 @@ def principal_eigen_scalar(
     # Residual evaluation bottoms out at round-off proportional to the
     # stencil magnitude; don't demand more than float64 can represent.
     res_floor = 4.0 * np.finfo(float).eps * (float(op.diag.max()) + shift)
-    res_tol = max(residual_tol, res_floor)
+    res_tol = max(RESIDUAL_TOL, res_floor)
 
     v = np.ones(op.m)
     lam_prev = np.inf
     lam = np.inf
     residual = np.inf
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         z = solver.solve_active(v)
         z /= z.max()
         az = op.matvec(z) - beta_a * z
         lam = float((w * z * az).sum() / (w * z * z).sum())
         residual = float(np.abs(az - lam * z).max())
-        if abs(lam - lam_prev) < lambda_tol and residual < res_tol:
+        if abs(lam - lam_prev) < LAMBDA_TOL and residual < res_tol:
             phi = op.embed(z)
             return ScalarEigenpair(lam, ScalarField(op.mesh, phi / phi.max()))
         lam_prev = lam
@@ -90,37 +90,29 @@ def principal_eigen_scalar(
     raise ConvergenceError(
         "scalar principal eigenvalue iteration did not converge",
         residual=residual,
-        iterations=max_iterations,
+        iterations=MAX_ITERATIONS,
     )
 
 
-def _system_diagonals(
-    coeffs: CoefficientSet,
-    v_b: ScalarField,
-    eps: float,
-    weight: ScalarField,
-):
-    """Zeroth-order fields of the coupled block operator.
+class EndemicProblem:
+    """The perturbed infection equilibrium system on active nodes.
 
-    Rows (on active nodes):
-        (-L1 + rho) p1 - sigma1 h_u p2
-        -sigma2 (V_B + eps w) p1 + (-L2 + mu (V_B - eps w)) p2
+        (-L1 + rho) H = sigma1 h_u V
+        (-L2) V = sigma2 (V_B + eps w - V)^+ H - mu (V_B - eps w) V
+
+    This is the only builder of the infection block.  reaction gives
+    (f1, f2), the right-hand sides above without the -L terms;
+    sweep_potential gives the nodewise damping K2 of the monotone sweeps.
+    Linearized at zero infection, the block is the cooperative operator of
+    the system eigenproblem: linear_matvec applies it, and
+    jacobian(0, 0, shift=s) is its shifted sparse matrix.
     """
-    a11 = coeffs.rho.values
-    a12 = -coeffs.sigma1.values * coeffs.h_u.values
-    a21 = -coeffs.sigma2.values * (v_b.values + eps * weight.values)
-    a22 = coeffs.mu.values * (v_b.values - eps * weight.values)
-    return a11, a12, a21, a22
-
-
-class SystemOperator:
-    """The 2x2 block operator acting on active-node value pairs."""
 
     def __init__(
         self,
         coeffs: CoefficientSet,
-        v_b: ScalarField,
         bc: BoundarySpec,
+        v_b: ScalarField,
         eps: float = 0.0,
         weight: ScalarField | None = None,
     ):
@@ -137,41 +129,74 @@ class SystemOperator:
                 "V_B - eps*weight must stay positive at interior nodes "
                 "(perturbation too large)"
             )
+        self.mesh = mesh
         self.op1 = assemble(coeffs.d1, bc)
         self.op2 = assemble(coeffs.d2, bc)
-        a11, a12, a21, a22 = _system_diagonals(coeffs, v_b, eps, weight)
         sl = self.op1.sl
-        self.a11 = a11[sl]
-        self.a12 = a12[sl]
-        self.a21 = a21[sl]
-        self.a22 = a22[sl]
+        self.rho = coeffs.rho.values[sl]
+        self.s1hu = (coeffs.sigma1.values * coeffs.h_u.values)[sl]
+        self.s2 = coeffs.sigma2.values[sl]
+        self.v_plus = (v_b.values + eps * weight.values)[sl]
+        self.s2v = self.s2 * self.v_plus  # sigma2 (V_B + eps w)
+        self.muv = (coeffs.mu.values * (v_b.values - eps * weight.values))[sl]  # mu (V_B - eps w)
         self.m = self.op1.m
-        self.mesh = mesh
 
-    def matvec(self, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r1 = self.op1.matvec(p1) + self.a11 * p1 + self.a12 * p2
-        r2 = self.a21 * p1 + self.op2.matvec(p2) + self.a22 * p2
+    def reaction(self, h: np.ndarray, v: np.ndarray):
+        return -self.rho * h + self.s1hu * v, self.reaction_v(h, v)
+
+    def reaction_v(self, h: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.s2 * np.maximum(self.v_plus - v, 0.0) * h - self.muv * v
+
+    def residual(self, h: np.ndarray, v: np.ndarray):
+        f1, f2 = self.reaction(h, v)
+        return self.op1.matvec(h) - f1, self.op2.matvec(v) - f2
+
+    def _slack(self, r1, r2) -> float:
+        return 1e-8 * (1.0 + float(max(np.abs(r1).max(), np.abs(r2).max())))
+
+    def is_upper(self, h: np.ndarray, v: np.ndarray) -> bool:
+        r1, r2 = self.residual(h, v)
+        s = self._slack(r1, r2)
+        return bool(r1.min() >= -s and r2.min() >= -s)
+
+    def is_lower(self, h: np.ndarray, v: np.ndarray) -> bool:
+        r1, r2 = self.residual(h, v)
+        s = self._slack(r1, r2)
+        return bool(r1.max() <= s and r2.max() <= s)
+
+    def sweep_potential(self, h_top: np.ndarray) -> np.ndarray:
+        """Nodewise K2 = sigma2 h_top + mu (V_B - eps w) on active nodes.
+
+        h_top bounds the H component over the order interval node by node;
+        K2 then bounds -df2/dV there, which makes the V half-sweep
+        order-preserving.  (K1 = rho needs no bound: f1 is linear in H.)
+        """
+        return self.s2 * h_top + self.muv
+
+    def linear_matvec(self, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The block linearized at zero infection, applied to (p1, p2)."""
+        r1 = self.op1.matvec(p1) + self.rho * p1 - self.s1hu * p2
+        r2 = self.op2.matvec(p2) - self.s2v * p1 + self.muv * p2
         return r1, r2
 
     def shift(self) -> float:
+        """1 + the largest zeroth-order entry of the linear block: adding it to
+        both diagonals makes jacobian(0, 0) an M-matrix."""
         return 1.0 + max(
-            float(self.a11.max()),
-            float((-self.a12).max()),
-            float((-self.a21).max()),
-            float(self.a22.max()),
+            float(self.rho.max()),
+            float(self.s1hu.max()),
+            float(self.s2v.max()),
+            float(self.muv.max()),
         )
 
-    def shifted_sparse(self, s: float):
+    def jacobian(self, h: np.ndarray, v: np.ndarray, shift: float = 0.0):
+        """Sparse Jacobian of the residual at (h, v), plus shift on the diagonal."""
+        gap = np.maximum(self.v_plus - v, 0.0)
         return _block_matrix(
             self.op1, self.op2,
-            self.op1.diag + self.a11 + s, self.a12, self.a21, self.op2.diag + self.a22 + s,
+            self.op1.diag + self.rho + shift, -self.s1hu, -self.s2 * gap,
+            self.op2.diag + (self.muv + self.s2 * h * (gap > 0.0)) + shift,
         )
-
-    def dense(self) -> np.ndarray:
-        """Dense block matrix (small-mesh oracle support)."""
-        top = np.hstack([self.op1.matrix() + np.diag(self.a11), np.diag(self.a12)])
-        bottom = np.hstack([np.diag(self.a21), self.op2.matrix() + np.diag(self.a22)])
-        return np.vstack([top, bottom])
 
 
 def principal_eigen_system(
@@ -180,10 +205,6 @@ def principal_eigen_system(
     bc: BoundarySpec,
     eps: float = 0.0,
     weight: ScalarField | None = None,
-    *,
-    lambda_tol: float = LAMBDA_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> SystemEigenpair:
     """Principal eigenpair of the coupled cooperative block system.
 
@@ -191,37 +212,37 @@ def principal_eigen_system(
     invade the vector equilibrium v_b; eps/weight perturb the coupling
     fields to sigma2 (V_B + eps w) and mu (V_B - eps w).
     """
-    sys_op = SystemOperator(coeffs, v_b, bc, eps, weight)
-    s = sys_op.shift()
-    lu = splu(sys_op.shifted_sparse(s))
-    m = sys_op.m
-    stiff = max(float(sys_op.op1.diag.max()), float(sys_op.op2.diag.max())) + s
-    res_tol = max(residual_tol, 4.0 * np.finfo(float).eps * stiff)
+    problem = EndemicProblem(coeffs, bc, v_b, eps, weight)
+    s = problem.shift()
+    lu = splu(problem.jacobian(0.0, 0.0, shift=s))
+    m = problem.m
+    stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max())) + s
+    res_tol = max(RESIDUAL_TOL, 4.0 * np.finfo(float).eps * stiff)
 
     v = np.ones(2 * m)
     lam_prev = np.inf
     lam = np.inf
     residual = np.inf
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         z = lu.solve(v)
         z /= z.max()
-        b1, b2 = sys_op.matvec(z[:m], z[m:])
+        b1, b2 = problem.linear_matvec(z[:m], z[m:])
         bz = np.concatenate([b1, b2])
         lam = float(z @ bz / (z @ z))
         residual = float(np.abs(bz - lam * z).max())
-        if abs(lam - lam_prev) < lambda_tol and residual < res_tol:
-            phi1 = sys_op.op1.embed(z[:m])
-            phi2 = sys_op.op2.embed(z[m:])
+        if abs(lam - lam_prev) < LAMBDA_TOL and residual < res_tol:
+            phi1 = problem.op1.embed(z[:m])
+            phi2 = problem.op2.embed(z[m:])
             scale = max(phi1.max(), phi2.max())
             return SystemEigenpair(
                 lam,
-                ScalarField(sys_op.mesh, phi1 / scale),
-                ScalarField(sys_op.mesh, phi2 / scale),
+                ScalarField(problem.mesh, phi1 / scale),
+                ScalarField(problem.mesh, phi2 / scale),
             )
         lam_prev = lam
         v = z
     raise ConvergenceError(
         "system principal eigenvalue iteration did not converge",
         residual=residual,
-        iterations=max_iterations,
+        iterations=MAX_ITERATIONS,
     )

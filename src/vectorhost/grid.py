@@ -149,6 +149,18 @@ class BoundarySpec:
         return cls(ROBIN, (b_left, b_right))
 
 
+def check_coefficient(name: str, field: ScalarField) -> None:
+    """Raise ValidationError unless field may serve as coefficient name:
+    h_u nonnegative and not identically zero, every other one strictly positive."""
+    if name == "h_u":
+        if field.values.min() < 0:
+            raise ValidationError("h_u must be nonnegative at every node")
+        if field.values.max() <= 0:
+            raise ValidationError("h_u must not be identically zero")
+    elif field.values.min() <= 0:
+        raise ValidationError(f"{name} must be strictly positive at every node")
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """The eight model coefficients as fields over one shared mesh.
@@ -172,13 +184,7 @@ class CoefficientSet:
             field = getattr(self, name)
             if field.mesh != mesh:
                 raise MeshMismatchError(f"coefficient {name} lives on a different mesh")
-            if name == "h_u":
-                if field.values.min() < 0:
-                    raise ValidationError("h_u must be nonnegative at every node")
-                if field.values.max() <= 0:
-                    raise ValidationError("h_u must not be identically zero")
-            elif field.values.min() <= 0:
-                raise ValidationError(f"{name} must be strictly positive at every node")
+            check_coefficient(name, field)
 
     @property
     def mesh(self) -> Mesh1D:

@@ -39,19 +39,19 @@ from scipy.sparse.linalg import splu
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
-    MeshMismatchError,
     MonotonicityError,
     UniquenessViolation,
     ValidationError,
 )
 from .eigen import (
+    EndemicProblem,
     ScalarEigenpair,
     SystemEigenpair,
     principal_eigen_scalar,
     principal_eigen_system,
 )
 from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import ShiftedSolve, _block_matrix, _factor, assemble, solve
+from .operators import ShiftedSolve, _factor, assemble, solve
 
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 5000
@@ -255,89 +255,6 @@ def upper_solution_h(
     return solve(op, coeffs.rho, rhs)
 
 
-class EndemicProblem:
-    """The perturbed infection equilibrium system on active nodes.
-
-        (-L1 + rho) H = sigma1 h_u V
-        (-L2) V = sigma2 (V_B + eps w - V)^+ H - mu (V_B - eps w) V
-
-    reaction gives (f1, f2), the right-hand sides above without the
-    -L terms; sweep_potential gives the nodewise damping K2 of the
-    monotone sweeps.
-    """
-
-    def __init__(
-        self,
-        coeffs: CoefficientSet,
-        bc: BoundarySpec,
-        v_b: ScalarField,
-        eps: float = 0.0,
-        weight: ScalarField | None = None,
-    ):
-        mesh = coeffs.mesh
-        if v_b.mesh != mesh:
-            raise MeshMismatchError("v_b must share the coefficient mesh")
-        if weight is None:
-            weight = field_from_constant(mesh, 1.0)
-        self.mesh = mesh
-        self.bc = bc
-        self.eps = eps
-        self.op1 = assemble(coeffs.d1, bc)
-        self.op2 = assemble(coeffs.d2, bc)
-        sl = self.op1.sl
-        self.rho = coeffs.rho.values[sl]
-        self.s1hu = (coeffs.sigma1.values * coeffs.h_u.values)[sl]
-        self.s2 = coeffs.sigma2.values[sl]
-        self.mu = coeffs.mu.values[sl]
-        self.v_plus = (v_b.values + eps * weight.values)[sl]
-        self.v_minus = (v_b.values - eps * weight.values)[sl]
-        self.m = self.op1.m
-
-    def reaction(self, h: np.ndarray, v: np.ndarray):
-        return -self.rho * h + self.s1hu * v, self.reaction_v(h, v)
-
-    def reaction_v(self, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.s2 * np.maximum(self.v_plus - v, 0.0) * h - self.mu * self.v_minus * v
-
-    def residual(self, h: np.ndarray, v: np.ndarray):
-        f1, f2 = self.reaction(h, v)
-        return self.op1.matvec(h) - f1, self.op2.matvec(v) - f2
-
-    def residual_norm(self, h: np.ndarray, v: np.ndarray) -> float:
-        r1, r2 = self.residual(h, v)
-        return float(max(np.abs(r1).max(), np.abs(r2).max()))
-
-    def _slack(self, r1, r2) -> float:
-        return 1e-8 * (1.0 + float(max(np.abs(r1).max(), np.abs(r2).max())))
-
-    def is_upper(self, h: np.ndarray, v: np.ndarray) -> bool:
-        r1, r2 = self.residual(h, v)
-        s = self._slack(r1, r2)
-        return bool(r1.min() >= -s and r2.min() >= -s)
-
-    def is_lower(self, h: np.ndarray, v: np.ndarray) -> bool:
-        r1, r2 = self.residual(h, v)
-        s = self._slack(r1, r2)
-        return bool(r1.max() <= s and r2.max() <= s)
-
-    def sweep_potential(self, h_top: np.ndarray) -> np.ndarray:
-        """Nodewise K2 = sigma2 h_top + mu (V_B - eps w) on active nodes.
-
-        h_top bounds the H component over the order interval node by node;
-        K2 then bounds -df2/dV there, which makes the V half-sweep
-        order-preserving.  (K1 = rho needs no bound: f1 is linear in H.)
-        """
-        return self.s2 * h_top + self.mu * self.v_minus
-
-    def jacobian(self, h: np.ndarray, v: np.ndarray):
-        gap = np.maximum(self.v_plus - v, 0.0)
-        return _block_matrix(
-            self.op1, self.op2,
-            self.op1.diag + self.rho, -self.s1hu, -self.s2 * gap,
-            self.op2.diag + (self.mu * self.v_minus + self.s2 * h * (gap > 0.0)),
-        )
-
-
 @dataclass
 class MonotoneIteration:
     h: ScalarField
@@ -368,7 +285,8 @@ def monotone_iterate(
     each factored once.  h_top is the H component at the top of the order
     interval; by default the starting H for "down", and for "up" the H_bar
     solving (-L1 + rho) H_bar = sigma1 h_u (V_B + eps w).  An h_top below
-    the iterates voids the order guarantee, and only a sweep that moves the
+    the starting H at any node raises ValidationError; one below later
+    iterates voids the order guarantee, and only a sweep that moves the
     wrong way reveals it.  The starting pair is verified to satisfy the
     matching discrete inequalities; every sweep is checked to move nodewise
     in the declared direction (a violation doubles both potentials once and
@@ -388,6 +306,11 @@ def monotone_iterate(
             )
     if h_top is not None:
         top = problem.op1.restrict(h_top)
+        # A top below the start lets the first sweeps drop below the order
+        # interval without ever moving the wrong way.
+        gap = float((top - h_start).min())
+        if gap < -1e-12 * (1.0 + float(np.abs(h_start).max())):
+            raise ValidationError(f"h_top lies up to {-gap:.3e} below the starting H")
     elif direction == "down":
         top = h_start
     else:  # H_bar, the H of the upper-solution pair

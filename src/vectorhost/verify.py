@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import State, StepperConfig, integrate, integrate_scalar_logistic
-from .eigen import principal_eigen_scalar, principal_eigen_system
+from .eigen import EndemicProblem, principal_eigen_scalar, principal_eigen_system
 from .errors import ValidationError
 from .grid import (
     DIRICHLET,
@@ -34,7 +34,6 @@ from .grid import (
 from .steady import (
     EndemicAbsent,
     EndemicEquilibrium,
-    EndemicProblem,
     check_eps_admissibility,
     monotone_iterate,
     solve_endemic,

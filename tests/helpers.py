@@ -9,7 +9,6 @@ import numpy as np
 import scipy.linalg
 
 import vectorhost as vh
-from vectorhost.eigen import SystemOperator
 from vectorhost.operators import assemble
 
 CONSTANTS = dict(d1=1.0, d2=1.0, rho=1.0, sigma1=1.0, sigma2=1.0, beta=1.0, mu=1.0, h_u=2.0)
@@ -40,9 +39,19 @@ def dense_scalar_eig(d2, beta, bc):
 def dense_system_eig(coeffs, v_b, bc, eps=0.0, weight=None):
     """Eigenvalue of smallest real part of the dense block matrix, with its
     (sign-fixed) eigenvector; Perron theory for the shifted inverse makes
-    this the principal pair."""
-    sys_op = SystemOperator(coeffs, v_b, bc, eps, weight)
-    vals, vecs = scipy.linalg.eig(sys_op.dense())
+    this the principal pair.  The block is built here from the coefficients
+    and op.matrix(), not by the solver's sparse assembly."""
+    w = 1.0 if weight is None else weight.values
+    op1, op2 = assemble(coeffs.d1, bc), assemble(coeffs.d2, bc)
+    sl = op1.sl
+    a12 = -(coeffs.sigma1.values * coeffs.h_u.values)[sl]
+    a21 = -(coeffs.sigma2.values * (v_b.values + eps * w))[sl]
+    a22 = (coeffs.mu.values * (v_b.values - eps * w))[sl]
+    block = np.block([
+        [op1.matrix() + np.diag(coeffs.rho.values[sl]), np.diag(a12)],
+        [np.diag(a21), op2.matrix() + np.diag(a22)],
+    ])
+    vals, vecs = scipy.linalg.eig(block)
     i = int(np.argmin(vals.real))
     lam = vals[i]
     vec = vecs[:, i].real

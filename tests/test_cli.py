@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -211,12 +210,7 @@ class TestSweepCommand:
             "experiment": {"kind": "sweep", "seed": 11, "count": 20},
         })
         out = tmp_path / "out"
-        os.environ["VECTORHOST_WORKERS"] = "4"
-        try:
-            code = main(["sweep", "--config", cfg, "--out", str(out)])
-        finally:
-            del os.environ["VECTORHOST_WORKERS"]
-        assert code == 0
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         subdirs = sorted(p.name for p in out.iterdir() if p.is_dir())
         assert len(subdirs) == 20
         assert subdirs[0] == "scenario_000"

@@ -54,6 +54,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sigma2 must be strictly positive"):
             parse_config(json.dumps(raw))
 
+    def test_partial_eigen_set_checked_per_coefficient(self):
+        with pytest.raises(ConfigError, match="beta must be strictly positive") as info:
+            parse_config(json.dumps(minimal_eigen(beta=0.0)))
+        assert info.value.path == "coefficients.beta"
+
     def test_nodes_length_mismatch(self):
         raw = minimal_eigen(n=101)
         raw["coefficients"]["beta"] = {"nodes": [1.0] * 50}

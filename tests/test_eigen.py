@@ -137,16 +137,14 @@ class TestSystemEigen:
         assert peak == pytest.approx(1.0, abs=1e-12)
 
     def test_residual_rows_meet_invariant(self, unit_mesh, neumann):
-        from vectorhost.eigen import SystemOperator
-
         rng = np.random.default_rng(31)
         coeffs = verify.random_coefficients(unit_mesh, rng)
         logistic = vh.solve_logistic(coeffs, neumann)
         eig = vh.principal_eigen_system(coeffs, logistic.v_b, neumann)
-        sys_op = SystemOperator(coeffs, logistic.v_b, neumann)
-        p1 = sys_op.op1.restrict(eig.phi1)
-        p2 = sys_op.op2.restrict(eig.phi2)
-        r1, r2 = sys_op.matvec(p1, p2)
+        problem = vh.EndemicProblem(coeffs, neumann, logistic.v_b)
+        p1 = problem.op1.restrict(eig.phi1)
+        p2 = problem.op2.restrict(eig.phi2)
+        r1, r2 = problem.linear_matvec(p1, p2)
         tol = 1e-9 * (1 + abs(eig.lam))
         assert np.abs(r1 - eig.lam * p1).max() <= tol
         assert np.abs(r2 - eig.lam * p2).max() <= tol

@@ -8,7 +8,6 @@ from scipy.sparse.linalg import splu
 import vectorhost as vh
 from vectorhost.errors import SingularSystemError, ValidationError
 from vectorhost import verify
-from vectorhost.eigen import SystemOperator
 from vectorhost.operators import ShiftedSolve, _block_matrix, _factor, assemble, solve
 from vectorhost.steady import EndemicProblem
 
@@ -335,17 +334,26 @@ class TestBlockMatrix:
         old = bmat_blocks(
             problem.op1, problem.op2,
             problem.op1.diag + problem.rho, -problem.s1hu, -problem.s2 * gap,
-            problem.op2.diag + (problem.mu * problem.v_minus + problem.s2 * h * (gap > 0).astype(float)),
+            problem.op2.diag + (problem.muv + problem.s2 * h * (gap > 0).astype(float)),
         )
         new = problem.jacobian(h, v)
         assert_same_csc(new, old)
         f = rng.normal(size=2 * problem.m)
         assert np.array_equal(splu(new).solve(f), splu(old).solve(f))
 
-        sys_op = SystemOperator(coeffs, v_b, bc)
-        s = sys_op.shift()
+        # Linearized at zero infection and shifted: the system eigensolve's matrix.
+        sl = problem.op1.sl
+        a11, a22 = coeffs.rho.values[sl], (coeffs.mu.values * v_b.values)[sl]
+        a12 = -(coeffs.sigma1.values * coeffs.h_u.values)[sl]
+        a21 = -(coeffs.sigma2.values * v_b.values)[sl]
+        s = problem.shift()
+        assert s == 1.0 + max(a11.max(), (-a12).max(), (-a21).max(), a22.max())
         old = bmat_blocks(
-            sys_op.op1, sys_op.op2,
-            sys_op.op1.diag + sys_op.a11 + s, sys_op.a12, sys_op.a21, sys_op.op2.diag + sys_op.a22 + s,
+            problem.op1, problem.op2, problem.op1.diag + a11 + s, a12, a21, problem.op2.diag + a22 + s
         )
-        assert_same_csc(sys_op.shifted_sparse(s), old)
+        shifted = problem.jacobian(0.0, 0.0, shift=s)
+        assert_same_csc(shifted, old)
+        z = rng.normal(size=2 * problem.m)
+        b1, b2 = problem.linear_matvec(z[: problem.m], z[problem.m :])
+        scale = np.abs(z).max() * (max(problem.op1.diag.max(), problem.op2.diag.max()) + s)
+        assert np.abs(shifted @ z - (np.concatenate([b1, b2]) + s * z)).max() <= 1e-14 * scale

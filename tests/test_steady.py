@@ -286,22 +286,39 @@ class TestNodewiseSweeps:
 
     @pytest.mark.parametrize("frac, doubled", [(0.6, True), (0.3, False)])
     def test_low_top_retries_once_with_doubled_potentials(self, frac, doubled):
-        """An h_top below the order interval makes a sweep move the wrong way;
-        the retry doubles both potentials, and a second violation raises."""
+        """An h_top above the start but below the limit makes an "up" sweep
+        move the wrong way; the retry doubles both potentials, and a second
+        violation raises."""
         coeffs, bc, log, problem = criterion4_scenario(2, 6)
+        eig = vh.principal_eigen_system(coeffs, log.v_b, bc)
+        lo_h = vh.ScalarField(log.v_b.mesh, 1e-2 * eig.phi1.values)
+        lo_v = vh.ScalarField(log.v_b.mesh, 1e-2 * eig.phi2.values)
         h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
         low = vh.ScalarField(h_bar.mesh, frac * h_bar.values)
         if not doubled:
             with pytest.raises(MonotonicityError, match="against the declared direction"):
-                monotone_iterate(problem, h_bar, log.v_b, "down", h_top=low)
+                monotone_iterate(problem, lo_h, lo_v, "up", h_top=low)
             return
-        run = monotone_iterate(problem, h_bar, log.v_b, "down", h_top=low)
+        run = monotone_iterate(problem, lo_h, lo_v, "up", h_top=low)
         k2 = problem.sweep_potential(problem.op1.restrict(low))
         assert run.k_c == float((2.0 * k2).max())
         assert run.converged
-        ref = monotone_iterate(problem, h_bar, log.v_b, "down")
+        ref = monotone_iterate(problem, lo_h, lo_v, "up")
         assert vh.sup_distance(run.h, ref.h) < 1e-8
         assert vh.sup_distance(run.v, ref.v) < 1e-8
+
+    def test_top_below_start_rejected(self):
+        """A top below the start gives no order interval.  A "down" run from
+        (H_bar, V_B) with h_top = 0 used to stop after 3 sweeps at H = 0 with
+        converged=True, while max H* is 1.568."""
+        mesh = vh.build_mesh(0, 5, 101)
+        bc = vh.BoundarySpec.dirichlet()
+        coeffs = verify.random_coefficients(mesh, np.random.default_rng(4))
+        log = vh.solve_logistic(coeffs, bc)
+        problem = EndemicProblem(coeffs, bc, log.v_b)
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        with pytest.raises(ValidationError, match="h_top lies up to .* below the starting H"):
+            monotone_iterate(problem, h_bar, log.v_b, "down", h_top=vh.field_from_constant(mesh, 0.0))
 
 
 class TestSweepCap:
