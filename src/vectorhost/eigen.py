@@ -6,12 +6,13 @@ EndemicProblem is the one builder of that block: its residual is the
 endemic equilibrium system, and its linearization at zero infection is
 the operator whose principal eigenvalue is lambda_system.
 
-Both solvers run shifted inverse power iteration.  The shift s = 1 + (max
-zeroth-order coefficient) makes the shifted matrix an M-matrix, so its
-inverse maps the positive cone strictly into itself; iterating it from the
-all-ones vector converges to the eigenvalue of smallest real part together
-with its positive eigenfunction, which is exactly the pair the threshold
-theory is built on.
+Both eigenproblems run one safeguarded Noda iteration (T. Noda, Numer.
+Math. 17, 1971).  For positive x, the ratios r = (A x) / x of an
+irreducible Z-matrix A bracket its principal eigenvalue: min r <= lambda
+<= max r (Collatz-Wielandt; R. S. Varga, Matrix Iterative Analysis, ch. 2).
+Solving (A - min r) y = x keeps y positive and converges quadratically
+(L. Elsner, Linear Algebra Appl. 15, 1976).  The reported eigenvalue is the
+Rayleigh quotient, with the bracket of the final iterate.
 """
 
 from __future__ import annotations
@@ -23,29 +24,81 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, MeshMismatchError, ValidationError
 from .grid import BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import ShiftedSolve, _block_matrix, assemble
+from .operators import _block_matrix, _factor, assemble
 
 LAMBDA_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 MAX_ITERATIONS = 10_000
+REFACTOR_GAP = 1e-3
+
+
+def roundoff_floor(stiffness: float) -> float:
+    """4 eps * stiffness: the least change or residual a stopping test can
+    resolve on a sup-normalized iterate when |A| has row sums <= stiffness."""
+    return 4.0 * np.finfo(float).eps * stiffness
 
 
 @dataclass(frozen=True)
 class ScalarEigenpair:
-    """Principal eigenvalue and positive eigenfunction, sup-normalized to 1."""
+    """Principal eigenvalue and positive eigenfunction, sup-normalized to 1,
+    with the bracket lam_lo <= lam <= lam_hi and the iteration count."""
 
     lam: float
     phi: ScalarField
+    lam_lo: float
+    lam_hi: float
+    iterations: int
 
 
 @dataclass(frozen=True)
 class SystemEigenpair:
     """Principal eigenvalue of the coupled system with componentwise-positive
-    eigenfunction pair, jointly sup-normalized so max(phi1, phi2) = 1."""
+    eigenfunction pair, jointly sup-normalized so max(phi1, phi2) = 1, with
+    the bracket lam_lo <= lam <= lam_hi and the iteration count."""
 
     lam: float
     phi1: ScalarField
     phi2: ScalarField
+    lam_lo: float
+    lam_hi: float
+    iterations: int
+
+
+def _noda(matvec, dot, factor, m: int, stiffness: float, what: str):
+    """Principal eigenpair of the irreducible Z-matrix A applied by matvec,
+    as (x, lam, lam_lo, lam_hi, iterations) with x > 0 and max x = 1.
+
+    factor(sigma) returns a solver of (A - sigma I) y = x.  The shift is
+    sigma = min(Ax/x) while the bracket is wider than REFACTOR_GAP relative; the
+    last factorization, still below lambda, then runs inverse iteration.  A
+    solve with an entry <= 0 or NaN proves A - sigma I is no nonsingular M-matrix.
+    dot is the inner product of the Rayleigh quotient lam.  The loop stops on
+    a closed bracket, or on the change in lam and the eigen-residual, with
+    tolerances raised to the round-off floor of stiffness >= |A| row sums.
+    """
+    floor = roundoff_floor(stiffness)
+    lam_tol, res_tol = max(LAMBDA_TOL, floor), max(RESIDUAL_TOL, floor)
+    x = np.ones(m)
+    solve = None
+    lam_prev = residual = np.inf
+    for it in range(1, MAX_ITERATIONS + 1):
+        ax = matvec(x)
+        ratios = ax / x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        lam = float(dot(x, ax) / dot(x, x))
+        residual = float(np.abs(ax - lam * x).max())
+        # lam is a weighted mean of the ratios, so the bracket bounds its
+        # error and the residual; once closed, lo would be a singular shift.
+        if hi - lo < LAMBDA_TOL or (abs(lam - lam_prev) < lam_tol and residual < res_tol):
+            return x, lam, lo, hi, it
+        if solve is None or hi - lo > REFACTOR_GAP * (1.0 + abs(lo)):
+            solve = factor(lo)
+        y = solve(x)
+        if not y.min() > 0:
+            raise ConvergenceError(f"{what} eigen-iterate lost positivity", residual, it)
+        x = y / y.max()
+        lam_prev = lam
+    raise ConvergenceError(f"{what} principal eigenvalue iteration did not converge", residual, it)
 
 
 def principal_eigen_scalar(
@@ -53,45 +106,22 @@ def principal_eigen_scalar(
     beta: ScalarField,
     bc: BoundarySpec,
 ) -> ScalarEigenpair:
-    """Smallest eigenvalue of -L2 - beta with positive eigenfunction.
-
-    The eigenvalue estimate is the Rayleigh quotient in the weighted inner
-    product that symmetrizes -L2; iteration stops when consecutive
-    estimates differ by less than LAMBDA_TOL and the eigen-residual drops
-    below RESIDUAL_TOL.
-    """
+    """Smallest eigenvalue of -L2 - beta with positive eigenfunction; lam is
+    the Rayleigh quotient in the weighted inner product that symmetrizes -L2."""
     if beta.mesh != d2.mesh:
         raise MeshMismatchError("beta and d2 must share a mesh")
     op = assemble(d2, bc)
     beta_a = op.restrict(beta)
-    shift = 1.0 + float(beta.values.max())
-    solver = ShiftedSolve(op, shift - beta.values)
     w = op.weights
-    # Residual evaluation bottoms out at round-off proportional to the
-    # stencil magnitude; don't demand more than float64 can represent.
-    res_floor = 4.0 * np.finfo(float).eps * (float(op.diag.max()) + shift)
-    res_tol = max(RESIDUAL_TOL, res_floor)
-
-    v = np.ones(op.m)
-    lam_prev = np.inf
-    lam = np.inf
-    residual = np.inf
-    for _ in range(MAX_ITERATIONS):
-        z = solver.solve_active(v)
-        z /= z.max()
-        az = op.matvec(z) - beta_a * z
-        lam = float((w * z * az).sum() / (w * z * z).sum())
-        residual = float(np.abs(az - lam * z).max())
-        if abs(lam - lam_prev) < LAMBDA_TOL and residual < res_tol:
-            phi = op.embed(z)
-            return ScalarEigenpair(lam, ScalarField(op.mesh, phi / phi.max()))
-        lam_prev = lam
-        v = z
-    raise ConvergenceError(
-        "scalar principal eigenvalue iteration did not converge",
-        residual=residual,
-        iterations=MAX_ITERATIONS,
+    x, lam, *bracket = _noda(
+        lambda z: op.matvec(z) - beta_a * z,
+        lambda a, b: (w * a * b).sum(),
+        lambda sigma: _factor(op.lower, op.diag - beta_a - sigma, op.upper),
+        op.m,
+        float(np.abs(op.diag - beta_a).max() + np.abs(op.lower).max() + np.abs(op.upper).max()),
+        "scalar",
     )
+    return ScalarEigenpair(lam, ScalarField(op.mesh, op.embed(x)), *bracket)
 
 
 class EndemicProblem:
@@ -105,7 +135,7 @@ class EndemicProblem:
     sweep_potential gives the nodewise damping K2 of the monotone sweeps.
     Linearized at zero infection, the block is the cooperative operator of
     the system eigenproblem: linear_matvec applies it, and
-    jacobian(0, 0, shift=s) is its shifted sparse matrix.
+    jacobian(0, 0, shift=-sigma) is its sparse matrix minus sigma I.
     """
 
     def __init__(
@@ -123,11 +153,12 @@ class EndemicProblem:
             weight = field_from_constant(mesh, 1.0)
         if weight.mesh != mesh:
             raise MeshMismatchError("weight must share the coefficient mesh")
-        interior = mesh.interior
-        if np.min(v_b.values[interior] - eps * weight.values[interior]) <= 0:
+        vb, ew = v_b.values[mesh.interior], eps * weight.values[mesh.interior]
+        # sigma2 (V_B + eps w) < 0 would make the block non-cooperative.
+        if np.min(vb - ew) <= 0 or np.min(vb + ew) < 0:
             raise ValidationError(
-                "V_B - eps*weight must stay positive at interior nodes "
-                "(perturbation too large)"
+                "V_B - eps*weight must stay positive and V_B + eps*weight nonnegative "
+                "at interior nodes (perturbation too large)"
             )
         self.mesh = mesh
         self.op1 = assemble(coeffs.d1, bc)
@@ -179,16 +210,6 @@ class EndemicProblem:
         r2 = self.op2.matvec(p2) - self.s2v * p1 + self.muv * p2
         return r1, r2
 
-    def shift(self) -> float:
-        """1 + the largest zeroth-order entry of the linear block: adding it to
-        both diagonals makes jacobian(0, 0) an M-matrix."""
-        return 1.0 + max(
-            float(self.rho.max()),
-            float(self.s1hu.max()),
-            float(self.s2v.max()),
-            float(self.muv.max()),
-        )
-
     def jacobian(self, h: np.ndarray, v: np.ndarray, shift: float = 0.0):
         """Sparse Jacobian of the residual at (h, v), plus shift on the diagonal."""
         gap = np.maximum(self.v_plus - v, 0.0)
@@ -213,36 +234,15 @@ def principal_eigen_system(
     fields to sigma2 (V_B + eps w) and mu (V_B - eps w).
     """
     problem = EndemicProblem(coeffs, bc, v_b, eps, weight)
-    s = problem.shift()
-    lu = splu(problem.jacobian(0.0, 0.0, shift=s))
     m = problem.m
-    stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max())) + s
-    res_tol = max(RESIDUAL_TOL, 4.0 * np.finfo(float).eps * stiff)
-
-    v = np.ones(2 * m)
-    lam_prev = np.inf
-    lam = np.inf
-    residual = np.inf
-    for _ in range(MAX_ITERATIONS):
-        z = lu.solve(v)
-        z /= z.max()
-        b1, b2 = problem.linear_matvec(z[:m], z[m:])
-        bz = np.concatenate([b1, b2])
-        lam = float(z @ bz / (z @ z))
-        residual = float(np.abs(bz - lam * z).max())
-        if abs(lam - lam_prev) < LAMBDA_TOL and residual < res_tol:
-            phi1 = problem.op1.embed(z[:m])
-            phi2 = problem.op2.embed(z[m:])
-            scale = max(phi1.max(), phi2.max())
-            return SystemEigenpair(
-                lam,
-                ScalarField(problem.mesh, phi1 / scale),
-                ScalarField(problem.mesh, phi2 / scale),
-            )
-        lam_prev = lam
-        v = z
-    raise ConvergenceError(
-        "system principal eigenvalue iteration did not converge",
-        residual=residual,
-        iterations=MAX_ITERATIONS,
+    x, lam, *bracket = _noda(
+        lambda z: np.concatenate(problem.linear_matvec(z[:m], z[m:])),
+        np.dot,
+        lambda sigma: splu(problem.jacobian(0.0, 0.0, shift=-sigma)).solve,
+        2 * m,
+        float(abs(problem.jacobian(0.0, 0.0)).sum(axis=1).max()),
+        "system",
     )
+    phi1, phi2 = problem.op1.embed(x[:m]), problem.op2.embed(x[m:])
+    mesh = problem.mesh
+    return SystemEigenpair(lam, ScalarField(mesh, phi1), ScalarField(mesh, phi2), *bracket)

@@ -42,7 +42,7 @@ class SingularSystemError(VectorHostError):
 
 
 class ConvergenceError(VectorHostError):
-    """An iteration hit its cap before reaching tolerance."""
+    """An iteration hit its cap before reaching tolerance, or lost an invariant it relies on."""
 
     def __init__(self, message, residual=None, iterations=None):
         self.residual = residual

@@ -5,6 +5,8 @@ The oracles here deliberately use dense eigendecompositions
 test are checked against a different code path.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import scipy.linalg
 
@@ -36,24 +38,42 @@ def dense_scalar_eig(d2, beta, bc):
     return float(np.linalg.eigvalsh(0.5 * (s + s.T)).min())
 
 
-def dense_system_eig(coeffs, v_b, bc, eps=0.0, weight=None):
-    """Eigenvalue of smallest real part of the dense block matrix, with its
-    (sign-fixed) eigenvector; Perron theory for the shifted inverse makes
-    this the principal pair.  The block is built here from the coefficients
-    and op.matrix(), not by the solver's sparse assembly."""
+def dense_system_block(coeffs, v_b, bc, eps=0.0, weight=None):
+    """The dense block matrix of the system eigenproblem, built here from the
+    coefficients and op.matrix(), not by the solver's sparse assembly."""
     w = 1.0 if weight is None else weight.values
     op1, op2 = assemble(coeffs.d1, bc), assemble(coeffs.d2, bc)
     sl = op1.sl
     a12 = -(coeffs.sigma1.values * coeffs.h_u.values)[sl]
     a21 = -(coeffs.sigma2.values * (v_b.values + eps * w))[sl]
     a22 = (coeffs.mu.values * (v_b.values - eps * w))[sl]
-    block = np.block([
+    return np.block([
         [op1.matrix() + np.diag(coeffs.rho.values[sl]), np.diag(a12)],
         [np.diag(a21), op2.matrix() + np.diag(a22)],
     ])
-    vals, vecs = scipy.linalg.eig(block)
+
+
+def dense_system_eig(coeffs, v_b, bc, eps=0.0, weight=None):
+    """Eigenvalue of smallest real part of the dense block matrix, with its
+    (sign-fixed) eigenvector; Perron theory for the shifted inverse makes
+    this the principal pair."""
+    vals, vecs = scipy.linalg.eig(dense_system_block(coeffs, v_b, bc, eps, weight))
     i = int(np.argmin(vals.real))
     lam = vals[i]
     vec = vecs[:, i].real
     vec = vec * np.sign(vec[int(np.argmax(np.abs(vec)))])
     return float(lam.real), float(abs(lam.imag)), vec
+
+
+def refined_system_lambda(coeffs, v_b, bc):
+    """The principal eigenvalue of the dense block, refined: the two-sided
+    Rayleigh quotient y.A v / y.v of its dense right and left eigenvectors,
+    summed exactly in rationals.  Its error is quadratic in theirs; the
+    plain nonsymmetric eigenvalue is off by up to 1.3e-10 at n=101."""
+    a = dense_system_block(coeffs, v_b, bc)
+    vals, left, right = scipy.linalg.eig(a, left=True)
+    i = int(np.argmin(vals.real))
+    y, v = left[:, i].real, right[:, i].real
+    rows, cols = np.nonzero(a)
+    num = sum(Fraction(y[r]) * Fraction(a[r, c]) * Fraction(v[c]) for r, c in zip(rows, cols))
+    return float(num / sum(Fraction(p) * Fraction(q) for p, q in zip(y, v)))

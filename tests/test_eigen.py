@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import vectorhost as vh
-from vectorhost import verify
-from vectorhost.errors import ValidationError
+from vectorhost import eigen, verify
+from vectorhost.errors import ConvergenceError, ValidationError
 
-from helpers import constants_coeffs, dense_scalar_eig, dense_system_eig
+from helpers import constants_coeffs, dense_scalar_eig, dense_system_eig, refined_system_lambda
 
 
 class TestScalarEigen:
@@ -155,6 +155,16 @@ class TestSystemEigen:
         with pytest.raises(ValidationError):
             vh.principal_eigen_system(coeffs, vb, neumann, eps=1.5)
 
+    def test_noncooperative_perturbation_rejected(self, neumann):
+        """eps = -1.5 makes sigma2 (V_B + eps w) negative: rejected up front."""
+        mesh = vh.build_mesh(0, 1, 51)
+        coeffs = constants_coeffs(mesh)
+        vb = vh.field_from_constant(mesh, 1.0)
+        with pytest.raises(ValidationError, match=r"V_B \+ eps\*weight"):
+            vh.EndemicProblem(coeffs, neumann, vb, eps=-1.5)
+        with pytest.raises(ValidationError, match=r"V_B \+ eps\*weight"):
+            vh.principal_eigen_system(coeffs, vb, neumann, eps=-1.5)
+
     def test_lipschitz_in_eps(self, neumann):
         """|lam(eps) - lam(0)| <= C |eps| with mesh-stable C."""
         ratios = {}
@@ -195,3 +205,103 @@ class TestSystemEigen:
         )
         assert decoupled > lams[-1]
         assert decoupled - lams[-1] < 0.05 * (1 + abs(decoupled))
+
+
+class TestNodaIteration:
+    def test_readme_lambda_beta_exact_without_factoring(self, neumann, monkeypatch):
+        """x = 1 is the exact eigenvector: the bracket is closed at the start."""
+        mesh = vh.build_mesh(0, 1, 201)
+        coeffs = constants_coeffs(mesh)
+        factored = []
+        monkeypatch.setattr(eigen, "_factor", lambda *args: factored.append(args))
+        eig = vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, neumann)
+        assert eig.lam == -1.0
+        assert eig.lam_lo == eig.lam_hi == -1.0
+        assert eig.iterations == 1
+        assert factored == []
+
+    def test_readme_lambda_system_closed_form(self, neumann):
+        mesh = vh.build_mesh(0, 1, 201)
+        coeffs = constants_coeffs(mesh)
+        eig = vh.principal_eigen_system(coeffs, vh.field_from_constant(mesh, 1.0), neumann)
+        assert abs(eig.lam - (1 - np.sqrt(2))) <= 2e-13
+        assert eig.lam_lo <= 1 - np.sqrt(2) <= eig.lam_hi
+
+    def test_solve_leaving_positive_cone_raises(self):
+        """Positive off-diagonals (not a Z-matrix): the shifted solve gives y = (1, 0)."""
+        a = np.array([[3.0, 1.0], [1.0, 1.0]])
+
+        def factor(sigma):
+            return lambda x: np.linalg.solve(a - sigma * np.eye(2), x)
+
+        with pytest.raises(ConvergenceError, match="positivity"):
+            eigen._noda(lambda x: a @ x, np.dot, factor, 2, 4.0, "test")
+
+    @pytest.mark.parametrize("n", [201, 401, 801])
+    def test_mesh_refinement_converges(self, neumann, n):
+        """Criterion 4's Neumann seeds on finer meshes: the stopping tests'
+        round-off floor scales with the stencil, so none stalls."""
+        mesh = vh.build_mesh(0, 1, n)
+        failed = []
+        for k in range(1, 61):
+            rng = np.random.default_rng(np.random.SeedSequence([4, 0, k]))
+            coeffs = verify.random_coefficients(mesh, rng)
+            try:
+                vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, neumann)
+            except ConvergenceError:
+                failed.append(k)
+        assert failed == []
+
+
+PANEL_SPECS = (
+    (vh.BoundarySpec.neumann(), (0.0, 1.0)),
+    (vh.BoundarySpec.dirichlet(), (0.0, 5.0)),
+    (vh.BoundarySpec.robin(1.0, 0.5), (0.0, 5.0)),
+)
+
+
+@pytest.fixture(scope="module")
+def criterion4_panel():
+    """Criterion 4's panel at n=101: per closure, seeds [4, kind, k] up to the
+    50th with lambda_beta < 0.  One (coeffs, bc, scalar eigenpair, V_B, system
+    eigenpair) per seed tried; V_B and the system pair are None when
+    lambda_beta >= 0."""
+    runs = []
+    for kind_index, (bc, (a, b)) in enumerate(PANEL_SPECS):
+        mesh = vh.build_mesh(a, b, 101)
+        count = k = 0
+        while count < 50:
+            k += 1
+            rng = np.random.default_rng(np.random.SeedSequence([4, kind_index, k]))
+            coeffs = verify.random_coefficients(mesh, rng)
+            eig = vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
+            v_b = sys_eig = None
+            if eig.lam < 0:
+                count += 1
+                v_b = vh.solve_logistic(coeffs, bc, scalar_eig=eig).v_b
+                sys_eig = vh.principal_eigen_system(coeffs, v_b, bc)
+            runs.append((coeffs, bc, eig, v_b, sys_eig))
+    return runs
+
+
+class TestCriterion4Panel:
+    def test_iterations_bounded(self, criterion4_panel):
+        """Noda's quadratic convergence, as a count: fixed-shift inverse
+        iteration took about 41 (scalar) and 205 (system) per call here."""
+        counts = [eig.iterations for _, _, eig, _, _ in criterion4_panel]
+        counts += [s.iterations for *_, s in criterion4_panel if s is not None]
+        assert len(counts) == len(criterion4_panel) + 150
+        assert max(counts) <= 20
+
+    def test_scalar_bracket_holds(self, criterion4_panel):
+        for coeffs, bc, eig, _, _ in criterion4_panel:
+            lam = dense_scalar_eig(coeffs.d2, coeffs.beta, bc)
+            assert eig.lam_lo - 1e-10 <= lam <= eig.lam_hi + 1e-10, bc.kind
+
+    def test_system_bracket_holds(self, criterion4_panel):
+        for coeffs, bc, _, v_b, eig in criterion4_panel:
+            if eig is None:
+                continue
+            lam = refined_system_lambda(coeffs, v_b, bc)
+            assert eig.lam_lo - 1e-10 <= lam <= eig.lam_hi + 1e-10, bc.kind
+            assert abs(eig.lam - lam) <= 1e-8
