@@ -13,6 +13,7 @@ from .dynamics import (
     compare_trajectories,
     integrate,
     integrate_aux_pair,
+    integrate_many,
     integrate_scalar_logistic,
     stability_dt_max,
     step,

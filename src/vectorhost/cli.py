@@ -33,7 +33,7 @@ import numpy as np
 
 from . import verify
 from .config import RunConfig, parse_config
-from .dynamics import StepperConfig, stability_dt_max
+from .dynamics import StepperConfig, integrate_many, stability_dt_max
 from .eigen import principal_eigen_scalar, principal_eigen_system
 from .errors import (
     ConvergenceError,
@@ -241,34 +241,43 @@ def _scenario_stepper(config: RunConfig, scenario: "verify.Scenario") -> Stepper
 
 
 def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
+    """Classify every scenario, integrate all classified ones in one lockstep
+    batch, then write the artifacts in scenario order.  An error in one
+    scenario is recorded in its report and does not stop the others."""
     mesh = config.mesh
     bc = config.bc
-    children = np.random.SeedSequence(seed).spawn(config.count)
-
-    def one(i: int) -> tuple[dict, int]:
-        """Run scenario i and write its artifacts; return its report and exit code."""
-        rng = np.random.default_rng(children[i])
-        scenario = verify.random_scenario(mesh, bc, rng)
-        sub = out / f"scenario_{i:03d}"
-        sub.mkdir(parents=True, exist_ok=True)
+    reports, codes, trajectories = [], [], {}
+    classified = []  # (scenario index, scenario, stepper config, classification)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(config.count)):
+        scenario = verify.random_scenario(mesh, bc, np.random.default_rng(child))
+        (out / f"scenario_{i:03d}").mkdir(parents=True, exist_ok=True)
         cfg = _scenario_stepper(config, scenario)
         sub_report = _base_report(config, seed)
         sub_report["scenario"] = i
+        reports.append(sub_report)
+        codes.append(0)
         try:
-            result = verify.run_threshold_experiment(
-                scenario.coeffs,
-                bc,
-                scenario.initial,
-                cfg,
-                distance_tol=config.distance_tol,
-                snapshot_times=np.linspace(0.0, cfg.t_end, 51),
+            classified.append(
+                (i, scenario, cfg, verify.classify_scenario(scenario.coeffs, bc, scenario.initial))
             )
         except VectorHostError as exc:
-            # One failed scenario must not take the batch down with it.
-            sub_report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-            sub_report["passed"] = False
-            write_report(sub / "report.json", sub_report)
-            return sub_report, 2 if isinstance(exc, PREDICTION_ERRORS) else 1
+            codes[i] = _record_error(sub_report, exc)
+
+    runs = integrate_many(
+        [sc.initial for _, sc, _, _ in classified],
+        [sc.coeffs for _, sc, _, _ in classified],
+        [bc] * len(classified),
+        [cfg for _, _, cfg, _ in classified],
+        snapshot_times=np.linspace(0.0, config.t_end, 51),
+        references=[prediction.attractor for *_, prediction in classified],
+        reference_tol=config.distance_tol,
+    )
+    for j, traj in runs:  # in the order the runs finish
+        i, _, cfg, prediction = classified[j]
+        if isinstance(traj, VectorHostError):
+            codes[i] = _record_error(reports[i], traj)
+            continue
+        result = verify.threshold_report(prediction, traj, config.distance_tol)
         # A contradiction is a settled trajectory far from the predicted
         # attractor in a regime where the prediction is decisive.
         contradiction = (
@@ -276,7 +285,7 @@ def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
             and result.steady
             and result.final_sup_distance > config.distance_tol
         )
-        sub_report.update(
+        reports[i].update(
             {
                 "lambda_beta": result.lambda_beta,
                 "lambda_system": result.lambda_system,
@@ -290,11 +299,14 @@ def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
                 "passed": not contradiction,
             }
         )
-        write_report(sub / "report.json", sub_report)
-        _write_trajectory(sub / "trajectory.csv", result.trajectory)
-        return sub_report, 2 if contradiction else 0
+        trajectories[i] = result.trajectory
+        codes[i] = 2 if contradiction else 0
 
-    results = [one(i) for i in range(config.count)]
+    for i, sub_report in enumerate(reports):
+        sub = out / f"scenario_{i:03d}"
+        write_report(sub / "report.json", sub_report)
+        if i in trajectories:
+            _write_trajectory(sub / "trajectory.csv", trajectories[i])
 
     summary_keys = (
         "scenario", "lambda_beta", "lambda_system", "predicted", "slow_regime", "error", "passed"
@@ -303,17 +315,24 @@ def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
     report.update(
         {
             "count": config.count,
-            "passed": all(s["passed"] for s, _ in results),
-            "scenarios": [{k: s[k] for k in summary_keys if k in s} for s, _ in results],
+            "passed": all(s["passed"] for s in reports),
+            "scenarios": [{k: s[k] for k in summary_keys if k in s} for s in reports],
         }
     )
     write_report(out / "report.json", report)
-    for s, _ in results:
+    for s in reports:
         if "error" in s:
             print(f"error: scenario {s['scenario']}: {s['error']['type']}: {s['error']['message']}",
                   file=sys.stderr)
     # A contradicted prediction outranks an operational error.
-    return max(code for _, code in results)
+    return max(codes)
+
+
+def _record_error(report: dict, exc: VectorHostError) -> int:
+    """Record a failed scenario in its report; return its exit code."""
+    report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    report["passed"] = False
+    return 2 if isinstance(exc, PREDICTION_ERRORS) else 1
 
 
 def run(config: RunConfig, out_dir, seed: int | None = None) -> int:

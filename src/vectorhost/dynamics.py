@@ -1,34 +1,56 @@
 """IMEX time integration of the parabolic systems.
 
-Every integrator runs one core, `_march`: the first-order forward-backward
-IMEX splitting of Ascher, Ruuth & Spiteri (Appl. Numer. Math. 25, 1997),
-implicit in diffusion (one tridiagonal solve per component per step) and
-explicit in reaction, so the fixed points of the scheme are exactly the
-discrete elliptic steady states.  The full system, the scalar logistic
-reduction, the auxiliary pair and the two-state comparison differ only in
-the right-hand side they hand the core and in what they record per step.
+Every integrator runs one lockstep core, `_march`, over R independent runs:
+the first-order forward-backward IMEX splitting of Ascher, Ruuth & Spiteri
+(Appl. Numer. Math. 25, 1997), implicit in diffusion and explicit in
+reaction, so the fixed points of the scheme are exactly the discrete
+elliptic steady states.  The full system, the scalar logistic reduction,
+the auxiliary pair and the two-state comparison differ only in the
+right-hand side they hand the core and in what they record per step.
+`integrate_many` runs many full systems at once; every other integrator is
+a batch of one.
 
-All share one time grid: floor(t_end/dt) full steps, then one remainder
-step landing exactly on t_end.  The steady window (the state moved less
-than steady_tol in sup norm over the last steady_window steps) is tested
-after full steps only.  The explicit reaction imposes the step bound
+Each run keeps its own time grid: floor(t_end/dt) full steps, then one
+remainder step landing exactly on t_end.  The steady window (the state
+moved less than steady_tol in sup norm over the last steady_window steps)
+is tested after full steps only.
+
+The core takes step k of every active run together.  It evaluates the
+reaction once over the stacked rows of all runs, held component-major as
+(rows, runs, n) so that each component is one contiguous block, then solves
+every row of every run in one dgttrs call.  That system is block diagonal,
+one block -L_row + 1/dt_run per row, joined with zero coupling, so each run
+keeps its own dt and gets the bits it would get alone.  It is factored once
+and refactored only when the active set changes.  A run retires when it
+settles, reaches t_end or fails; its remainder step onto t_end changes the
+set too.  Retired runs are compacted out of the arrays.  The steady window,
+snapshot clock, clamping and errors stay per run, vectorized over runs.
+
+The explicit reaction imposes the step bound
 
     dt <= 0.5 / max_x (rho + 2 sigma2 Vhat + beta + 2 mu Vhat + sigma1 h_u),
 
 with Vhat = max(max V(0), max beta/mu), a crude Lipschitz bound that also
 keeps the update positivity-preserving.  Negative round-off in
 (-1e-14, 0) is clamped to zero; anything below that, or a right-hand side
-that overflows to a non-finite value, raises BlowUpError.
+that overflows to a non-finite value, stops the run with BlowUpError.
+integrate_many records it for that run; the single-run integrators raise it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError, MeshMismatchError, StabilityError, ValidationError
+from .errors import (
+    BlowUpError,
+    MeshMismatchError,
+    StabilityError,
+    ValidationError,
+    VectorHostError,
+)
 from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField
 from .operators import ShiftedSolve, assemble
 
@@ -101,13 +123,20 @@ def _check_dt(dt: float, bound: float) -> None:
         raise StabilityError(f"dt={dt:g} exceeds the explicit-reaction bound {bound:g}")
 
 
-def _clamp(values: np.ndarray, what: str) -> np.ndarray:
-    lowest = values.min()
-    if lowest <= -CLAMP_BAND:
-        raise BlowUpError(f"{what} dropped to {lowest:.3e}, below the -1e-14 round-off band")
-    if lowest < 0.0:
-        values = np.maximum(values, 0.0)
-    return values
+def _clamp(u: np.ndarray, names) -> dict:
+    """Zero the round-off negatives in (-1e-14, 0) of the stacked rows u
+    (rows, runs, n) in place.  Return, for each run with a row below that
+    band, a BlowUpError naming its first such row."""
+    lows = u.min(axis=2)
+    errors = {}
+    for r, j in zip(*np.nonzero(lows.T <= -CLAMP_BAND)):
+        if r not in errors:
+            errors[r] = BlowUpError(
+                f"{names[j]} dropped to {lows[j, r]:.3e}, below the -1e-14 round-off band"
+            )
+    neg = lows < 0.0
+    u[neg] = np.maximum(u[neg], 0.0)
+    return errors
 
 
 def _snap_walls(u: np.ndarray, names) -> None:
@@ -121,99 +150,217 @@ def _snap_walls(u: np.ndarray, names) -> None:
     u[:, -1] = 0.0
 
 
-def _snapshot_clock(snapshot_times, dt: float):
-    """Return due(t): how many of the requested times, taken in order, the
-    state at t stands for.  The initial state (t = 0) takes only times
-    within round-off of zero; later states take every time they reach."""
-    times = sorted(float(s) for s in snapshot_times) if snapshot_times is not None else []
-    taken = 0
+class _SnapshotClock:
+    """Per run, how many of the requested times, taken in order, its state
+    at time t stands for.  The initial state (t = 0) takes only times
+    within round-off of zero; later states take every time they reach.
+    next[r] is the time from which run r's next state is due."""
 
-    def due(t: float) -> int:
-        nonlocal taken
-        slack = (1e-12 if t == 0.0 else 1e-9) * max(1.0, dt)
-        start = taken
-        while taken < len(times) and t >= times[taken] - slack:
-            taken += 1
-        return taken - start
+    def __init__(self, snapshot_times, dts):
+        self.times = sorted(float(s) for s in snapshot_times) if snapshot_times is not None else []
+        self.scale = [max(1.0, float(dt)) for dt in dts]
+        self.taken = [0] * len(self.scale)
+        self.next = np.array([self._next(r) for r in range(len(self.scale))], dtype=float)
 
-    return due
+    def _next(self, r: int) -> float:
+        i = self.taken[r]
+        return self.times[i] - 1e-9 * self.scale[r] if i < len(self.times) else np.inf
+
+    def take(self, r: int, t: float) -> int:
+        slack = (1e-12 if t == 0.0 else 1e-9) * self.scale[r]
+        start = self.taken[r]
+        while self.taken[r] < len(self.times) and t >= self.times[self.taken[r]] - slack:
+            self.taken[r] += 1
+        self.next[r] = self._next(r)
+        return self.taken[r] - start
 
 
-def _solvers(ops, dt: float) -> list[ShiftedSolve]:
-    """Per row, the solve against -L + 1/dt, factored once per distinct operator."""
-    distinct = {id(op): op for op in ops}
-    shared = {key: ShiftedSolve(op, np.full(op.mesh.n, 1.0 / dt)) for key, op in distinct.items()}
-    return [shared[id(op)] for op in ops]
+def _sup_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per run, the sup-norm distance between stacked rows u and v (rows, runs, n)."""
+    d = u - v
+    np.abs(d, out=d)
+    return d.max(axis=(0, 2))
 
 
-def _march(u, ops, names, rhs, dt: float, t_end: float, visit, steady=None):
-    """Advance the stacked rows u (row i diffuses under ops[i]) from t = 0
-    to t_end on the shared time grid.
+def _joined_solver(ops, h, n: int):
+    """One ShiftedSolve for every row of the active runs against its
+    -L + 1/h, blocks in the row-major order of the stacked rows (rows, runs,
+    n), and the flat indices of the active nodes there (None when every node
+    is active)."""
+    flat = [run[j] for j in range(len(ops[0])) for run in ops]
+    solver = ShiftedSolve(flat, np.tile(1.0 / h, len(ops[0])))
+    if all(op.m == n for op in flat):
+        return solver, None
+    nodes = np.arange(n)
+    return solver, np.concatenate([b * n + nodes[op.sl] for b, op in enumerate(flat)])
 
-    rhs(u, h) returns the stacked right-hand sides u/h + reaction for a
-    step of size h; row i is then solved against -L_i + 1/h and clamped.
-    visit(t, new, old) runs after every step.  Given a StepperConfig as
-    steady, the run stops after the first full step that moved less than
-    steady_tol over the last steady_window steps.  Returns (u, t, steps, settled).
+
+def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
+    """Advance R independent runs in lockstep, each from t = 0 to its t_end
+    on its own time grid.
+
+    u (rows, R, n) stacks the runs' rows component-major, so each row is one
+    contiguous block over the runs: row j of run r diffuses under
+    ops[r][j], and names[j] names it in errors.  rhs(u, c, h) returns the
+    right-hand sides u/h + reaction of the active runs, given their
+    coefficient rows c = coef[:, active] and step sizes h of shape
+    (active, 1); each row is then solved against -L + 1/h and clamped.
+    visit(t, new, old, runs) runs after every step with the active runs'
+    indices, their times and their rows after and before the step.  Given a
+    StepperConfig as steady[r], run r stops after the first full step that
+    moved less than steady_tol over the last steady_window steps.
+
+    Yields (r, outcome) for each run r as it retires: its (rows, t, steps,
+    settled), or the BlowUpError that stopped it.
     """
+    n = u.shape[2]
+    dt = np.asarray(dt, dtype=float)
+    t_end = np.asarray(t_end, dtype=float)
+    n_full = np.floor(t_end / dt + 1e-12)  # float: t_end/dt may exceed any int64
+    rem = t_end - n_full * dt
+    n_steps = n_full + (rem > 1e-12 * dt)
+    window = np.array([0 if s is None else s.steady_window for s in steady], dtype=int)
+    # A run without a steady test never moves less than -inf.
+    tol = np.array([-np.inf if s is None else s.steady_tol for s in steady])
+    for r in np.flatnonzero(n_steps == 0):
+        yield r, (u[:, r], 0.0, 0, False)
 
-    def advance(u, solvers, h, t, k):
+    runs = np.flatnonzero(n_steps > 0)
+    u, coef = u.take(runs, axis=1), coef.take(runs, axis=1)  # C-contiguous, unlike u[:, runs]
+    dt, t_end, n_full, rem, n_steps, window, tol = (
+        x[runs] for x in (dt, t_end, n_full, rem, n_steps, window, tol)
+    )
+    w_max = int(window.max(initial=0))
+    ring = [u] * w_max  # u_j at slot j % w_max; the arrays are never written in place
+    solver = None
+    k = 0
+    while runs.size:
+        k += 1
+        last = None
+        if solver is None:
+            n_full_min, n_steps_min = float(n_full.min()), float(n_steps.min())
+            # Runs sharing a window share the ring slot of their oldest state.
+            windows = [(w, window == w) for w in np.unique(window[window > 0]).tolist()]
+            h = dt
+        if k > n_full_min:  # some runs take their remainder step onto t_end
+            last = k > n_full
+            h = np.where(last, rem, dt)
+            t = np.where(last, t_end, k * dt)
+            solver = None
+        else:
+            t = k * dt
+        if solver is None:
+            solver, active = _joined_solver([ops[r] for r in runs], h, n)
+            h2 = h[:, None]
+
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            f = rhs(u, h)
-        if not np.isfinite(f).all():
-            raise BlowUpError(f"step {k} (to t={t:g}) overflowed: non-finite right-hand side")
-        new = np.zeros_like(u)  # Dirichlet walls stay exactly 0
-        for s, r, row in zip(solvers, f, new):
-            row[s.op.sl] = s.solve_active(r[s.op.sl])
+            f = rhs(u, coef, h2)
+            finite = math.isfinite(f.sum())
+        failed = {}
+        if not finite:
+            bad = ~np.isfinite(f).all(axis=(0, 2))
+            for i in np.flatnonzero(bad):
+                failed[i] = BlowUpError(
+                    f"step {k} (to t={t[i]:g}) overflowed: non-finite right-hand side"
+                )
+            f[:, bad] = 0.0  # keeps the joined solve finite for the other runs
+        if active is None:
+            new = solver.solve_active(f.reshape(-1)).reshape(u.shape)
+        else:
+            new = np.zeros(u.shape)  # Dirichlet walls stay exactly 0
+            new.reshape(-1)[active] = solver.solve_active(f.reshape(-1)[active])
         if new.min() < 0.0:
-            new = np.array([_clamp(row, what) for row, what in zip(new, names)])
-        visit(t, new, u)
-        return new
+            for i, err in _clamp(new, names).items():
+                failed.setdefault(i, err)
+        if failed:
+            ok = np.ones(runs.size, dtype=bool)
+            ok[list(failed)] = False
+            if ok.any():
+                visit(t[ok], new[:, ok], u[:, ok], runs[ok])
+        else:
+            visit(t, new, u, runs)
 
-    n_full = int(np.floor(t_end / dt + 1e-12))
-    remainder = t_end - n_full * dt
-    solvers = _solvers(ops, dt)
-    window = deque([u], maxlen=steady.steady_window + 1) if steady is not None else None
-    t = 0.0
-    for k in range(1, n_full + 1):
-        t = k * dt
-        u = advance(u, solvers, dt, t, k)
-        if window is not None:
-            window.append(u)
-            if len(window) == window.maxlen and np.abs(u - window[0]).max() < steady.steady_tol:
-                return u, t, k, True
-    if remainder > 1e-12 * dt:
-        u = advance(u, _solvers(ops, remainder), remainder, t_end, n_full + 1)
-        return u, t_end, n_full + 1, False
-    return u, t, n_full, False
+        settled = None
+        for w, members in windows:
+            if k < w:
+                continue
+            oldest = ring[(k - w) % w_max]
+            if len(windows) == 1:
+                settled = _sup_distance(new, oldest) < tol
+            else:
+                if settled is None:
+                    settled = np.zeros(runs.size, dtype=bool)
+                settled[members] = _sup_distance(new[:, members], oldest[:, members]) < tol[members]
+        if settled is not None and last is not None:
+            settled &= ~last
+        if w_max:
+            ring[k % w_max] = new
+        # count_nonzero is the cheapest any() on these small masks.
+        if k < n_steps_min and not failed and (settled is None or not np.count_nonzero(settled)):
+            u = new
+            continue
+        done = k >= n_steps
+        if settled is not None:
+            done |= settled
+        if failed:
+            done[list(failed)] = True
+        for i in np.flatnonzero(done):
+            if i in failed:
+                yield runs[i], failed[i]
+            else:
+                rows = new[:, i].copy()  # not a view that keeps the whole batch alive
+                yield runs[i], (rows, float(t[i]), k, settled is not None and bool(settled[i]))
+        keep = ~done
+        u, coef = new.compress(keep, axis=1), coef.compress(keep, axis=1)
+        runs, dt, t_end, n_full, rem, n_steps, window, tol = (
+            x[keep] for x in (runs, dt, t_end, n_full, rem, n_steps, window, tol)
+        )
+        for s in range(w_max):  # one slot at a time, so the ring is never held twice
+            ring[s] = ring[s].compress(keep, axis=1)
+        solver = None
 
 
 def _system(coeffs: CoefficientSet, bc: BoundarySpec, copies: int = 1):
-    """Operators, row names and right-hand side of the full system for
-    `copies` states stacked as rows (H_i, V_u, V_i, H_i, ...)."""
-    op1 = assemble(coeffs.d1, bc)
-    op2 = assemble(coeffs.d2, bc)
-    rho = coeffs.rho.values
-    s1hu = coeffs.sigma1.values * coeffs.h_u.values
-    s2 = coeffs.sigma2.values
-    beta = coeffs.beta.values
-    mu = coeffs.mu.values
+    """Operators and coefficient rows of the full system for `copies` states
+    stacked as rows (H_i, V_u, V_i, H_i, ...); _system_rhs is its right-hand side."""
+    c = coeffs
+    op1 = assemble(c.d1, bc)
+    op2 = assemble(c.d2, bc)
+    rows = np.array(
+        [c.rho.values, c.sigma1.values * c.h_u.values, c.sigma2.values, c.beta.values, c.mu.values]
+    )
+    return [op1, op2, op2] * copies, rows
 
-    def rhs(u, dt):
-        h, vu, vi = u[0::3], u[1::3], u[2::3]
-        v = vu + vi
-        inv_dt = 1.0 / dt
-        cross = s2 * vu * h
-        r_h = -rho * h + s1hu * vi
-        r_vu = -cross + beta * v - mu * v * vu
-        r_vi = cross - mu * v * vi
-        f = np.empty_like(u)
-        f[0::3] = h * inv_dt + r_h
-        f[1::3] = vu * inv_dt + r_vu
-        f[2::3] = vi * inv_dt + r_vi
-        return f
 
-    return [op1, op2, op2] * copies, ("H_i", "V_u", "V_i") * copies, rhs
+def _system_rhs(u, c, dt):
+    """u/dt + reaction of the full system for stacked rows u (rows, runs, n),
+    with coefficient rows c = (rho, sigma1 h_u, sigma2, beta, mu).  The
+    reactions are
+
+        H_i: -rho H_i + sigma1 h_u V_i
+        V_u: -sigma2 V_u H_i + beta V - mu V V_u
+        V_i:  sigma2 V_u H_i - mu V V_i,    V = V_u + V_i.
+    """
+    rho, s1hu, s2, beta, mu = c
+    h, vu, vi = u[0::3], u[1::3], u[2::3]
+    v = vu + vi
+    muv = mu * v
+    cross = s2 * vu
+    cross *= h
+    f = u * (1.0 / dt)
+    r = s1hu * vi
+    r -= rho * h
+    f[0::3] += r
+    r = beta * v
+    r -= cross
+    r -= muv * vu
+    f[1::3] += r
+    cross -= muv * vi
+    f[2::3] += cross
+    return f
+
+
+SYSTEM_ROWS = ("H_i", "V_u", "V_i")
 
 
 def _rows(state: State) -> np.ndarray:
@@ -224,14 +371,25 @@ def _state(t: float, u: np.ndarray, mesh) -> State:
     return State(t, ScalarField(mesh, u[0]), ScalarField(mesh, u[1]), ScalarField(mesh, u[2]))
 
 
+def _unwrap(batch):
+    """The outcome of a batch of one, raising the error that stopped it."""
+    ((_, outcome),) = batch
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def step(state: State, coeffs: CoefficientSet, bc: BoundarySpec, dt: float) -> State:
     """One IMEX step of the full system; dt must respect the stability bound."""
     if state.mesh != coeffs.mesh:
         raise MeshMismatchError("state and coefficients live on different meshes")
     _check_dt(dt, stability_dt_max(coeffs, state))
-    ops, names, rhs = _system(coeffs, bc)
-    u = _march(_rows(state), ops, names, rhs, dt, dt, lambda t, new, old: None)[0]
-    return _state(state.t + dt, u, state.mesh)
+    ops, coef = _system(coeffs, bc)
+    out = _march(
+        _rows(state)[:, None], [ops], SYSTEM_ROWS, _system_rhs, coef[:, None], [dt], [dt],
+        lambda *args: None, [None],
+    )
+    return _state(state.t + dt, _unwrap(out)[0], state.mesh)
 
 
 @dataclass
@@ -262,6 +420,15 @@ def integrate(
     windowed measure catches slow drift that per-step changes would hide.
     With a reference triple the per-step sup distance is tracked and the
     first time it dips below reference_tol is recorded."""
+    return _unwrap(integrate_many(
+        [state0], [coeffs], [bc], [cfg], snapshot_times=snapshot_times,
+        references=[reference], reference_tol=reference_tol, stop_at_steady=stop_at_steady,
+    ))
+
+
+def _start(state0: State, coeffs: CoefficientSet, bc: BoundarySpec, cfg: StepperConfig):
+    """The checked initial state of a full-system run and its rows, with
+    Dirichlet walls snapped to zero."""
     mesh = coeffs.mesh
     if state0.mesh != mesh:
         raise MeshMismatchError("state and coefficients live on different meshes")
@@ -270,34 +437,122 @@ def integrate(
         _snap_walls(u0, ("h_i", "v_u", "v_i"))
         state0 = _state(state0.t, u0, mesh)
     _check_dt(cfg.dt, stability_dt_max(coeffs, state0))
+    return state0, u0
 
-    ref = None if reference is None else np.array([f.values for f in reference])
-    track = ref is not None and reference_tol is not None
-    due = _snapshot_clock(snapshot_times, cfg.dt)
-    summary = TrajectorySummary(state0, False, 0, cfg.dt)
-    summary.snapshot_distances = None if ref is None else []
 
-    def distance(u):
-        return float(np.abs(u - ref).max())
+def integrate_many(
+    states,
+    coeffs,
+    bcs,
+    cfgs,
+    *,
+    snapshot_times=None,
+    references=None,
+    reference_tol: float | None = None,
+    stop_at_steady: bool = True,
+):
+    """Integrate independent runs of the full system in lockstep.
 
-    def visit(t, new, old):
-        if track and summary.first_time_below is None and distance(new) < reference_tol:
-            summary.first_time_below = t
-        k = due(t)
-        if k:
-            summary.snapshots += [state0 if old is None else _state(t, new, mesh)] * k
-            if ref is not None:
-                summary.snapshot_distances += [distance(new)] * k
+    Run r is integrate(states[r], coeffs[r], bcs[r], cfgs[r], reference=
+    references[r], ...), with the other keywords shared, and its summary is
+    bit-identical to that call's: each run keeps its own dt, time grid,
+    steady window, snapshots and reference tracking.  All runs need the
+    same number of mesh nodes.
 
-    visit(0.0, u0, None)
-    ops, names, rhs = _system(coeffs, bc)
-    run = _march(u0, ops, names, rhs, cfg.dt, cfg.t_end, visit, cfg if stop_at_steady else None)
-    u, t, summary.steps, summary.steady = run
-    if summary.steps:
-        summary.final = _state(t, u, mesh)
-    if ref is not None:
-        summary.final_sup_distance = distance(u)
-    return summary
+    Yields (r, result) for each run as it finishes, so a caller can drop
+    finished runs while the rest step on.  The result is the run's
+    TrajectorySummary, or the VectorHostError that stopped it (a rejected
+    input, or a BlowUpError at some step): one failing run does not stop
+    the others.
+    """
+    references = [None] * len(states) if references is None else references
+    batch = []
+    for r, args in enumerate(zip(states, coeffs, bcs, cfgs, references, strict=True)):
+        try:
+            batch.append((r, *_start(*args[:4])))
+        except VectorHostError as exc:
+            yield r, exc
+    if not batch:
+        return
+    if len({coeffs[r].mesh.n for r, *_ in batch}) > 1:
+        raise ValidationError("integrate_many runs must share one node count")
+
+    index = [r for r, *_ in batch]
+    meshes = [coeffs[r].mesh for r in index]
+    u = np.stack([u0 for *_, u0 in batch], axis=1)
+    refs = np.zeros_like(u)
+    has_ref = np.array([references[r] is not None for r in index])
+    for b in np.flatnonzero(has_ref):
+        refs[:, b] = [f.values for f in references[index[b]]]
+    open_ = has_ref & (reference_tol is not None)  # still looking for first_time_below
+    first = np.full(len(batch), np.nan)
+    clock = _SnapshotClock(snapshot_times, [cfgs[r].dt for r in index])
+    summaries = [TrajectorySummary(state0, False, 0, cfgs[r].dt) for r, state0, _ in batch]
+    for b in np.flatnonzero(has_ref):
+        summaries[b].snapshot_distances = []
+
+    # Per active set: its runs, their references, which still look for the
+    # first time below reference_tol, and when their next snapshot is due.
+    active = ref_a = open_a = next_a = None
+    any_open = False
+
+    def visit(t, new, old, runs):
+        nonlocal active, ref_a, open_a, next_a, any_open
+        if runs is not active:
+            active, ref_a, open_a, next_a = runs, refs[:, runs], open_[runs], clock.next[runs]
+            any_open = bool(np.count_nonzero(open_a))
+        if any_open:
+            hit = _sup_distance(new, ref_a) < reference_tol
+            hit &= open_a
+            if np.count_nonzero(hit):
+                first[runs[hit]] = t[hit]
+                open_[runs[hit]] = False
+                open_a &= ~hit
+                any_open = bool(np.count_nonzero(open_a))
+        due = t >= next_a
+        if np.count_nonzero(due):
+            for i in np.flatnonzero(due):
+                b = runs[i]
+                count = clock.take(b, t[i])
+                next_a[i] = clock.next[b]
+                # Rows while the run steps, States once it finishes: a State takes
+                # about 40% more memory, and every active run holds its snapshots.
+                snapshot = batch[b][1] if old is None else (float(t[i]), new[:, i].copy())
+                summaries[b].snapshots += [snapshot] * count
+                if has_ref[b]:
+                    distance = float(np.abs(new[:, i] - refs[:, b]).max())
+                    summaries[b].snapshot_distances += [distance] * count
+
+    visit(np.zeros(len(batch)), u, None, np.arange(len(batch)))
+    systems = [_system(coeffs[r], bcs[r]) for r in index]
+    outcomes = _march(
+        u,
+        [ops for ops, _ in systems],
+        SYSTEM_ROWS,
+        _system_rhs,
+        np.stack([rows for _, rows in systems], axis=1),
+        [cfgs[r].dt for r in index],
+        [cfgs[r].t_end for r in index],
+        visit,
+        [cfgs[r] if stop_at_steady else None for r in index],
+    )
+    for b, outcome in outcomes:
+        summary, summaries[b] = summaries[b], None
+        if isinstance(outcome, VectorHostError):
+            yield index[b], outcome
+            continue
+        rows, t, summary.steps, summary.steady = outcome
+        if summary.steps:
+            summary.final = _state(t, rows, meshes[b])
+        snapshots = summary.snapshots
+        for j, snapshot in enumerate(snapshots):
+            if isinstance(snapshot, tuple):
+                snapshots[j] = _state(*snapshot, meshes[b])
+        if has_ref[b]:
+            summary.final_sup_distance = float(np.abs(rows - refs[:, b]).max())
+        if not np.isnan(first[b]):
+            summary.first_time_below = float(first[b])
+        yield index[b], summary
 
 
 @dataclass
@@ -335,23 +590,23 @@ def integrate_scalar_logistic(
         _snap_walls(u0, ("v0",))
     _check_dt(cfg.dt, 0.5 / reaction_bound(coeffs, v_hat_bound(coeffs, float(u0.max()))))
 
-    beta = coeffs.beta.values
-    mu = coeffs.mu.values
-    due = _snapshot_clock(snapshot_times, cfg.dt)
+    clock = _SnapshotClock(snapshot_times, [cfg.dt])
     traj = ScalarTrajectory(final=v0, steady=False, steps=0, dt=cfg.dt)
 
-    def visit(t, new, old):
+    def visit(t, new, old, runs):
         if observer is not None:
-            observer(t, new[0])
-        k = due(t)
-        if k:
-            traj.snapshots += [(t, ScalarField(mesh, new[0]))] * k
+            observer(float(t[0]), new[0, 0])
+        if t[0] >= clock.next[0]:
+            traj.snapshots += [(float(t[0]), ScalarField(mesh, new[0, 0]))] * clock.take(0, t[0])
 
-    visit(0.0, u0, None)
-    u, _, traj.steps, traj.steady = _march(
-        u0, [assemble(coeffs.d2, bc)], ("V",), lambda v, dt: v / dt + beta * v - mu * v * v,
-        cfg.dt, cfg.t_end, visit, cfg if stop_at_steady else None,
+    visit(np.zeros(1), u0[:, None], None, None)
+    out = _march(
+        u0[:, None], [[assemble(coeffs.d2, bc)]], ("V",),
+        lambda v, c, h: v / h + c[0] * v - c[1] * v * v,
+        np.array([coeffs.beta.values, coeffs.mu.values])[:, None],
+        [cfg.dt], [cfg.t_end], visit, [cfg if stop_at_steady else None],
     )
+    u, _, traj.steps, traj.steady = _unwrap(out)
     traj.final = ScalarField(mesh, u[0])
     return traj
 
@@ -412,7 +667,8 @@ def integrate_aux_pair(
     den = np.maximum(rho, s2 * h_cap + mu * v_abs)
     dt = min(cfg.dt, 0.5 / float(den.max()))
 
-    def rhs(u, dt):
+    def rhs(u, c, dt):
+        rho, s1hu, s2, v_plus, mu, v_minus = c
         h, v = u
         f1 = -rho * h + s1hu * v
         f2 = s2 * np.maximum(v_plus - v, 0.0) * h - mu * v_minus * v
@@ -420,21 +676,28 @@ def integrate_aux_pair(
 
     out = AuxPairTrajectory(h0, v0, False, 0, dt, monotone_ok=None if monotone is None else True)
 
-    def visit(t, new, old):
+    def visit(t, new, old, runs):
         if monotone is None:
             return
         viol = float((new - old if monotone == "nonincreasing" else old - new).max())
         if viol > out.max_violation:
             out.max_violation = viol
         if viol > monotone_tol and out.first_violation_time is None:
-            out.first_violation_time = t
+            out.first_violation_time = float(t[0])
             out.monotone_ok = False
 
-    ops = [assemble(coeffs.d1, bc), assemble(coeffs.d2, bc)]
-    steady = cfg if stop_at_steady else None
-    u, _, out.steps, out.steady = _march(
-        np.array([h0.values, v0.values]), ops, ("H", "V"), rhs, dt, cfg.t_end, visit, steady
+    run = _march(
+        np.array([h0.values, v0.values])[:, None],
+        [[assemble(coeffs.d1, bc), assemble(coeffs.d2, bc)]],
+        ("H", "V"),
+        rhs,
+        np.array([rho, s1hu, s2, v_plus, mu, v_minus])[:, None],
+        [dt],
+        [cfg.t_end],
+        visit,
+        [cfg if stop_at_steady else None],
     )
+    u, _, out.steps, out.steady = _unwrap(run)
     out.h = ScalarField(mesh, u[0])
     out.v = ScalarField(mesh, u[1])
     return out
@@ -491,15 +754,20 @@ def compare_trajectories(
 
     report = ComparisonReport(True, None, 0.0, cfg.t_end, dt)
 
-    def visit(t, new, old):
+    def visit(t, new, old, runs):
         # Rows 0-2 carry state_a, rows 3-5 state_b.
-        viol = max(float((new[0] - new[3]).max()), float((new[2] - new[5]).max()))
+        u = new[:, 0]
+        viol = max(float((u[0] - u[3]).max()), float((u[2] - u[5]).max()))
         if viol > report.max_violation:
             report.max_violation = viol
         if viol > order_tol and report.first_violation_time is None:
-            report.first_violation_time = t
+            report.first_violation_time = float(t[0])
             report.ordered = False
 
-    ops, names, rhs = _system(coeffs, bc, copies=2)
-    _march(np.vstack([_rows(state_a), _rows(state_b)]), ops, names, rhs, dt, cfg.t_end, visit)
+    ops, coef = _system(coeffs, bc, copies=2)
+    u0 = np.vstack([_rows(state_a), _rows(state_b)])
+    _unwrap(_march(
+        u0[:, None], [ops], SYSTEM_ROWS * 2, _system_rhs, coef[:, None], [dt], [cfg.t_end], visit,
+        [None],
+    ))
     return report

@@ -101,28 +101,6 @@ class EllipticOperator:
             return self.bc.robin_b == (0.0, 0.0)
         return True
 
-    def apply(self, u) -> np.ndarray:
-        """Evaluate (L u) at every node from full-length nodal values.
-
-        Interior nodes use the plain stencil on the actual neighbor values;
-        Neumann/Robin walls use their ghost closures; Dirichlet walls return 0
-        (those rows enforce the boundary value).
-        """
-        uv = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
-        h = self.mesh.h
-        h2 = h * h
-        df = self.d_face
-        out = np.empty_like(uv)
-        out[1:-1] = (df[1:] * (uv[2:] - uv[1:-1]) - df[:-1] * (uv[1:-1] - uv[:-2])) / h2
-        if self.bc.kind == DIRICHLET:
-            out[0] = 0.0
-            out[-1] = 0.0
-        else:
-            bl, br = self.bc.robin_b if self.bc.kind == ROBIN else (0.0, 0.0)
-            out[0] = 2.0 * df[0] * (uv[1] - uv[0]) / h2 - 2.0 * bl * df[0] * uv[0] / h
-            out[-1] = 2.0 * df[-1] * (uv[-2] - uv[-1]) / h2 - 2.0 * br * df[-1] * uv[-1] / h
-        return out
-
     def matvec(self, u_active: np.ndarray) -> np.ndarray:
         """(-L u) on active nodes, treating u as zero outside them."""
         out = self.diag * u_active
@@ -207,30 +185,31 @@ def _block_matrix(op1, op2, diag1, off12, off21, diag2) -> sp.csc_matrix:
 class ShiftedSolve:
     """Reusable solver for (-L + c) u = f with c >= 0.
 
-    -L + c is LU-factored once, here (dgttrf); each solve is one dgttrs call
-    on the read-only factors, leaves its input untouched and may run
-    concurrently.  solve checks that f is finite; solve_active does not.
+    Given equal-length sequences of operators and potentials instead, it
+    solves their block-diagonal system: the (-L_k + c_k) on their active
+    nodes, joined in order with zero coupling, so f and u are the
+    concatenated active parts.  With zero off-diagonals at the joins
+    dgttrf neither pivots nor eliminates across blocks, and each block
+    solves bit-identically to its own ShiftedSolve.
+
+    The system is LU-factored once, here (dgttrf); each solve is one dgttrs
+    call on the read-only factors, leaves its input untouched and may run
+    concurrently.  solve (single-operator form) checks that f is finite;
+    solve_active does not.
     """
 
-    def __init__(self, op: EllipticOperator, c):
-        cv = c.values if isinstance(c, ScalarField) else np.asarray(c, dtype=float)
-        if cv.ndim == 0:
-            cv = np.full(op.mesh.n, float(cv))
-        if cv.shape[0] == op.mesh.n:
-            c_active = cv[op.sl]
-        elif cv.shape[0] == op.m:
-            c_active = cv
-        else:
-            raise ValidationError("potential length matches neither the mesh nor the active nodes")
-        if not (np.isfinite(c_active).all() and c_active.min() >= 0):
-            raise ValidationError("potential c must be finite and nonnegative")
-        if op.has_constant_kernel and c_active.max() == 0.0:
-            raise SingularSystemError(
-                "(-L + c) is singular: Neumann closure with c identically zero "
-                "(constants span the kernel)"
-            )
+    def __init__(self, op, c):
+        ops, cs = (op, c) if isinstance(op, (list, tuple)) else ((op,), (c,))
+        join = np.zeros(1)
+        lower, diag, upper = [], [], []
+        for o, cv in zip(ops, cs, strict=True):
+            diag.append(o.diag + _potential(o, cv))
+            lower += [o.lower, join]
+            upper += [o.upper, join]
         self.op = op
-        self._solve = _factor(op.lower, op.diag + c_active, op.upper)
+        self._solve = _factor(
+            np.concatenate(lower[:-1]), np.concatenate(diag), np.concatenate(upper[:-1])
+        )
 
     def solve_active(self, f_active: np.ndarray) -> np.ndarray:
         return self._solve(f_active)
@@ -241,6 +220,28 @@ class ShiftedSolve:
         if not np.isfinite(f_active).all():
             raise ValidationError("right-hand side must be finite")
         return self.op.embed(self.solve_active(f_active))
+
+
+def _potential(op: EllipticOperator, c) -> np.ndarray:
+    """The potential c on op's active nodes, checked finite and nonnegative
+    and not identically zero when constants span the kernel of -L."""
+    cv = c.values if isinstance(c, ScalarField) else np.asarray(c, dtype=float)
+    if cv.ndim == 0:
+        c_active = cv  # added to the diagonal as a scalar, bit for bit a constant array
+    elif cv.shape[0] == op.mesh.n:
+        c_active = cv[op.sl]
+    elif cv.shape[0] == op.m:
+        c_active = cv
+    else:
+        raise ValidationError("potential length matches neither the mesh nor the active nodes")
+    if not (np.isfinite(c_active).all() and c_active.min() >= 0):
+        raise ValidationError("potential c must be finite and nonnegative")
+    if op.has_constant_kernel and c_active.max() == 0.0:
+        raise SingularSystemError(
+            "(-L + c) is singular: Neumann closure with c identically zero "
+            "(constants span the kernel)"
+        )
+    return c_active
 
 
 def solve(op: EllipticOperator, c: ScalarField, f: ScalarField) -> ScalarField:

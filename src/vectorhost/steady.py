@@ -49,6 +49,7 @@ from .eigen import (
     SystemEigenpair,
     principal_eigen_scalar,
     principal_eigen_system,
+    roundoff_floor,
 )
 from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, field_from_constant
 from .operators import ShiftedSolve, _factor, assemble, solve
@@ -152,9 +153,15 @@ def solve_logistic(
             if not accepted:
                 break
         # Quadratic convergence bottoms out at the evaluation round-off of
-        # -L v; accept a stall there as long as the documented residual
-        # bound still holds comfortably.
-        if rn <= residual_tol * scale or rn <= 1e-9 * (1.0 + float(v.max())):
+        # -L v, which grows with the stencil: accept a stall below 1e-9
+        # (1 + max v) or below the round-off floor of the Jacobian's |row| sums.
+        stiffness = float(
+            np.abs(op.diag - beta + 2.0 * mu * v).max()
+            + np.abs(op.lower).max()
+            + np.abs(op.upper).max()
+        )
+        stall_tol = max(1e-9 * (1.0 + float(v.max())), roundoff_floor(stiffness) * scale)
+        if rn <= residual_tol * scale or rn <= stall_tol:
             return LogisticSteady(ScalarField(coeffs.mesh, op.embed(v)), lam)
         # Relax toward the attractor before retrying Newton.
         from . import dynamics

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import State, StepperConfig, integrate, integrate_scalar_logistic
+from .dynamics import (
+    State,
+    StepperConfig,
+    TrajectorySummary,
+    integrate,
+    integrate_scalar_logistic,
+)
 from .eigen import EndemicProblem, principal_eigen_scalar, principal_eigen_system
 from .errors import ValidationError
 from .grid import (
@@ -74,18 +80,22 @@ def _zero_state(mesh: Mesh1D) -> tuple[ScalarField, ScalarField, ScalarField]:
     return z, z, z
 
 
-def run_threshold_experiment(
-    coeffs: CoefficientSet,
-    bc: BoundarySpec,
-    initial: State,
-    cfg: StepperConfig,
-    *,
-    distance_tol: float = 1e-4,
-    eps: float = 0.0,
-    snapshot_times=None,
-) -> ThresholdReport:
-    """Classify the scenario by its eigenvalues, then integrate and record
-    how the trajectory approaches the predicted attractor."""
+@dataclass(frozen=True)
+class Classification:
+    """A scenario's eigenvalue prediction and the attractor it predicts."""
+
+    lambda_beta: float
+    lambda_system: float | None
+    predicted_attractor: str
+    attractor: tuple[ScalarField, ScalarField, ScalarField]
+    slow_regime: bool
+    equilibrium: EndemicEquilibrium | None
+    v_b: ScalarField | None
+
+
+def classify_scenario(coeffs: CoefficientSet, bc: BoundarySpec, initial: State) -> Classification:
+    """Check the initial state, classify the scenario by its eigenvalues and
+    solve for the predicted attractor."""
     mesh = coeffs.mesh
     if initial.mesh != mesh:
         raise ValidationError("initial state must live on the coefficient mesh")
@@ -121,18 +131,19 @@ def run_threshold_experiment(
             attractor = (eq.h_i, eq.v_u, eq.v_i)
 
     slow = abs(lam_beta) <= SLOW_BAND or (lam_sys is not None and abs(lam_sys) <= SLOW_BAND)
+    return Classification(lam_beta, lam_sys, predicted, attractor, slow, equilibrium, v_b)
 
-    if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, cfg.t_end, 101)
-    traj = integrate(
-        initial,
-        coeffs,
-        bc,
-        cfg,
-        snapshot_times=snapshot_times,
-        reference=attractor,
-        reference_tol=distance_tol,
-    )
+
+def threshold_report(
+    prediction: Classification,
+    traj: TrajectorySummary,
+    distance_tol: float,
+    *,
+    envelope_ok: bool | None = None,
+    eps: float = 0.0,
+) -> ThresholdReport:
+    """The threshold report of a classified scenario and its trajectory,
+    integrated with the attractor as reference."""
     rows = [
         TrajectoryRow(
             st.t,
@@ -143,31 +154,55 @@ def run_threshold_experiment(
         )
         for st, dist in zip(traj.snapshots, traj.snapshot_distances)
     ]
-
-    envelope_ok = None
-    if bc.kind == DIRICHLET and eps > 0 and lam_beta < 0:
-        env = check_envelope_dirichlet(coeffs, initial, eps, cfg)
-        envelope_ok = env.t_eps is not None and env.held_until_end
-
-    att_state = State(0.0, attractor[0], attractor[1], attractor[2])
     return ThresholdReport(
-        lambda_beta=lam_beta,
-        lambda_system=lam_sys,
-        predicted_attractor=predicted,
-        attractor=att_state,
+        lambda_beta=prediction.lambda_beta,
+        lambda_system=prediction.lambda_system,
+        predicted_attractor=prediction.predicted_attractor,
+        attractor=State(0.0, *prediction.attractor),
         final_sup_distance=traj.final_sup_distance,
         time_to_tolerance=traj.first_time_below,
         envelope_ok=envelope_ok,
         eps_used=eps,
-        slow_regime=slow,
+        slow_regime=prediction.slow_regime,
         steady=traj.steady,
         steps=traj.steps,
         distance_tol=distance_tol,
         trajectory=rows,
-        equilibrium=equilibrium,
-        v_b=v_b,
+        equilibrium=prediction.equilibrium,
+        v_b=prediction.v_b,
         final_state=traj.final,
     )
+
+
+def run_threshold_experiment(
+    coeffs: CoefficientSet,
+    bc: BoundarySpec,
+    initial: State,
+    cfg: StepperConfig,
+    *,
+    distance_tol: float = 1e-4,
+    eps: float = 0.0,
+    snapshot_times=None,
+) -> ThresholdReport:
+    """Classify the scenario by its eigenvalues, then integrate and record
+    how the trajectory approaches the predicted attractor."""
+    prediction = classify_scenario(coeffs, bc, initial)
+    if snapshot_times is None:
+        snapshot_times = np.linspace(0.0, cfg.t_end, 101)
+    traj = integrate(
+        initial,
+        coeffs,
+        bc,
+        cfg,
+        snapshot_times=snapshot_times,
+        reference=prediction.attractor,
+        reference_tol=distance_tol,
+    )
+    envelope_ok = None
+    if bc.kind == DIRICHLET and eps > 0 and prediction.lambda_beta < 0:
+        env = check_envelope_dirichlet(coeffs, initial, eps, cfg)
+        envelope_ok = env.t_eps is not None and env.held_until_end
+    return threshold_report(prediction, traj, distance_tol, envelope_ok=envelope_ok, eps=eps)
 
 
 @dataclass

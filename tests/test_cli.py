@@ -263,3 +263,27 @@ class TestSweepCommand:
                               "slow_regime", "passed"}
         message = failed["error"]["message"]
         assert capsys.readouterr().err == f"error: scenario 8: BlowUpError: {message}\n"
+
+    def test_batched_sweep_isolates_failure(self, tmp_path, capsys):
+        """The benchmark's sweep config at seed 4: scenario 9 turns V_u
+        negative in the lockstep batch, exactly as when run alone; the other
+        19 scenarios finish and write complete artifacts."""
+        cfg = write_config(tmp_path, {
+            "domain": {"a": 0, "b": 1, "n": 51},
+            "bc": "neumann",
+            "stepper": {"dt": "auto", "t_end": 30, "steady_tol": 1e-7},
+            "experiment": {"kind": "sweep", "seed": 11, "count": 20},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--seed", "4"]) == 1
+        error = {"type": "BlowUpError",
+                 "message": "V_u dropped to -1.013e-01, below the -1e-14 round-off band"}
+        failed = json.loads((out / "scenario_009" / "report.json").read_text())
+        assert failed["error"] == error and failed["passed"] is False
+        assert not (out / "scenario_009" / "trajectory.csv").exists()
+        report = read_report(out)
+        assert report["scenarios"][9] == {"scenario": 9, "error": error, "passed": False}
+        complete = [p.name for p in sorted(out.glob("scenario_*"))
+                    if (p / "report.json").exists() and (p / "trajectory.csv").exists()]
+        assert complete == [f"scenario_{i:03d}" for i in range(20) if i != 9]
+        assert capsys.readouterr().err == f"error: scenario 9: BlowUpError: {error['message']}\n"

@@ -78,10 +78,11 @@ class TestStep:
         from vectorhost.dynamics import _clamp
         from vectorhost.errors import BlowUpError
 
-        healed = _clamp(np.array([1.0, -5e-15, 0.2]), "V")
-        assert healed[1] == 0.0
+        healed = np.array([[[1.0, -5e-15, 0.2]]])  # (rows, runs, n)
+        assert _clamp(healed, ["V"]) == {}
+        assert healed[0, 0, 1] == 0.0
         with pytest.raises(BlowUpError):
-            _clamp(np.array([1.0, -1e-13, 0.2]), "V")
+            raise _clamp(np.array([[[1.0, -1e-13, 0.2]]]), ["V"])[0]
 
 
 class TestIntegrate:
@@ -153,6 +154,90 @@ class TestIntegrate:
             vh.integrate(init, coeffs, vh.BoundarySpec.neumann(), cfg)
 
 
+def _batch_runs():
+    """Four runs on 51 nodes with different dt: Neumann random coefficients
+    (settles early, on a 30-step window where the others use 50), Dirichlet
+    constants (ends on a remainder step), Robin random coefficients (tracks
+    its attractor to t_end), and the overflow state of
+    test_overflow_raises_blowup (fails at step 1)."""
+    n = 51
+    runs = []
+    for bc, (a, b), seed in ((vh.BoundarySpec.neumann(), (0, 1), 1),
+                             (vh.BoundarySpec.robin(1.0, 0.5), (0, 5), 3)):
+        mesh = vh.build_mesh(a, b, n)
+        rng = np.random.default_rng(np.random.SeedSequence([7, seed]))
+        sc = verify.random_scenario(mesh, bc, rng)
+        attractor = verify.classify_scenario(sc.coeffs, bc, sc.initial).attractor
+        dt = (1.0 if seed == 1 else 0.5) * vh.stability_dt_max(sc.coeffs, sc.initial)
+        cfg = vh.StepperConfig(dt=dt, t_end=30.0 if seed == 1 else 10.0, steady_tol=1e-7,
+                               steady_window=30 if seed == 1 else 50)
+        runs.append((sc.initial, sc.coeffs, bc, cfg, attractor))
+    mesh = vh.build_mesh(0, np.pi, n)
+    coeffs = constants_coeffs(mesh, beta=2.0)
+    bump = np.sin(mesh.nodes)
+    init = make_state(mesh, vh.ScalarField(mesh, 0.1 * bump), vh.ScalarField(mesh, 0.2 * bump),
+                      vh.ScalarField(mesh, 0.1 * bump))
+    cfg = vh.StepperConfig(dt=0.7 * vh.stability_dt_max(coeffs, init), t_end=4.3)
+    runs.insert(1, (init, coeffs, vh.BoundarySpec.dirichlet(), cfg, None))
+    mesh = vh.build_mesh(0, 1, n)
+    coeffs = constants_coeffs(mesh)
+    init = make_state(mesh, 1e300, 1e300, 1e300)
+    cfg = vh.StepperConfig(dt=vh.stability_dt_max(coeffs, init), t_end=200.0)
+    runs.append((init, coeffs, vh.BoundarySpec.neumann(), cfg, None))
+    return runs
+
+
+class TestIntegrateMany:
+    """A lockstep batch gives each run exactly what integrate gives it alone."""
+
+    def test_matches_separate_runs(self):
+        runs = _batch_runs()
+        times = np.linspace(0.0, 30.0, 31)
+        kw = dict(snapshot_times=times, reference_tol=1e-3)
+        finished = list(vh.integrate_many(*[list(x) for x in zip(*(r[:4] for r in runs))],
+                                          references=[r[4] for r in runs], **kw))
+        # The failed run leaves first, then the others in the order they finish.
+        assert [r for r, _ in finished] == [3, 1, 2, 0]
+        batch = [result for _, result in sorted(finished, key=lambda item: item[0])]
+        assert len({r[3].dt for r in runs}) == len(runs)
+        for (state0, coeffs, bc, cfg, ref), got in zip(runs[:3], batch):
+            alone = vh.integrate(state0, coeffs, bc, cfg, reference=ref, **kw)
+            for name in ("h_i", "v_u", "v_i"):
+                assert getattr(got.final, name).values.tobytes() == \
+                    getattr(alone.final, name).values.tobytes()
+            assert (got.steps, got.steady) == (alone.steps, alone.steady)
+            assert got.final.t == alone.final.t
+            assert got.first_time_below == alone.first_time_below
+            assert got.final_sup_distance == alone.final_sup_distance
+            assert got.snapshot_distances == alone.snapshot_distances
+            assert [s.t for s in got.snapshots] == [s.t for s in alone.snapshots]
+            for a, b in zip(got.snapshots, alone.snapshots):
+                assert a.v_i.values.tobytes() == b.v_i.values.tobytes()
+        settles, remainder, tracks = batch[:3]
+        assert settles.steady and settles.steps < runs[0][3].t_end / runs[0][3].dt
+        cfg = runs[1][3]
+        assert not remainder.steady and remainder.steps == int(cfg.t_end / cfg.dt) + 1
+        assert remainder.final.t == cfg.t_end
+        # One tracked run comes within reference_tol, the other never does.
+        assert settles.first_time_below is not None and tracks.first_time_below is None
+
+        with pytest.raises(BlowUpError) as alone:
+            vh.integrate(*runs[3][:4], **kw)
+        assert isinstance(batch[3], BlowUpError)
+        assert str(batch[3]) == str(alone.value) and str(alone.value).startswith("step 1 ")
+
+    def test_rejected_input_is_recorded(self, neumann):
+        mesh = vh.build_mesh(0, 1, 21)
+        coeffs = constants_coeffs(mesh)
+        init = make_state(mesh, 0.1, 0.8, 0.2)
+        cfg = vh.StepperConfig(dt=0.05, t_end=1.0)
+        bad = vh.StepperConfig(dt=1.0, t_end=1.0)
+        finished = vh.integrate_many([init, init], [coeffs, coeffs], [neumann] * 2, [cfg, bad])
+        (_, err), (_, ok) = finished
+        assert ok.steps == 20
+        assert isinstance(err, StabilityError)
+
+
 class TestMarchClamp:
     """The stepping core clamps round-off negatives row by row and names the
     row that drops below the band."""
@@ -164,11 +249,15 @@ class TestMarchClamp:
         op = vh.assemble(vh.field_from_constant(mesh, 1.0), vh.BoundarySpec.neumann())
         u0 = np.ones((3, mesh.n))
 
-        def rhs(u, h):  # (-L + 1/h) maps constants c/h to c: rows 1, -5e-15, scale
-            return np.array([u[0], -5e-15 * u[1], scale * u[2]]) / h
+        def rhs(u, c, h):  # (-L + 1/h) maps constants c/h to c: rows 1, -5e-15, scale
+            return u * np.array([1.0, -5e-15, scale])[:, None, None] / h
 
         names = ("H_i", "V_u", "V_i")
-        return _march(u0, [op] * 3, names, rhs, 1.0, 1.0, lambda t, new, old: None)[0]
+        ((_, out),) = _march(u0[:, None], [[op] * 3], names, rhs, np.empty((0, 1, mesh.n)),
+                             [1.0], [1.0], lambda t, new, old, runs: None, [None])
+        if isinstance(out, Exception):
+            raise out
+        return out[0]
 
     def test_round_off_negatives_clamped_to_zero(self):
         u = self._march(1.0)

@@ -240,14 +240,17 @@ class TestNodaIteration:
     @pytest.mark.parametrize("n", [201, 401, 801])
     def test_mesh_refinement_converges(self, neumann, n):
         """Criterion 4's Neumann seeds on finer meshes: the stopping tests'
-        round-off floor scales with the stencil, so none stalls."""
+        round-off floor scales with the stencil, so neither the scalar
+        eigensolve nor, where lambda_beta < 0, logistic Newton stalls."""
         mesh = vh.build_mesh(0, 1, n)
         failed = []
         for k in range(1, 61):
             rng = np.random.default_rng(np.random.SeedSequence([4, 0, k]))
             coeffs = verify.random_coefficients(mesh, rng)
             try:
-                vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, neumann)
+                eig = vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, neumann)
+                if eig.lam < 0:
+                    vh.solve_logistic(coeffs, neumann, scalar_eig=eig)
             except ConvergenceError:
                 failed.append(k)
         assert failed == []
