@@ -15,16 +15,20 @@ remainder step landing exactly on t_end.  The steady window (the state
 moved less than steady_tol in sup norm over the last steady_window steps)
 is tested after full steps only.
 
-The core takes step k of every active run together.  It evaluates the
-reaction once over the stacked rows of all runs, held component-major as
-(rows, runs, n) so that each component is one contiguous block, then solves
-every row of every run in one dgttrs call.  That system is block diagonal,
-one block -L_row + 1/dt_run per row, joined with zero coupling, so each run
-keeps its own dt and gets the bits it would get alone.  It is factored once
-and refactored only when the active set changes.  A run retires when it
-settles, reaches t_end or fails; its remainder step onto t_end changes the
-set too.  Retired runs are compacted out of the arrays.  The steady window,
-snapshot clock, clamping and errors stay per run, vectorized over runs.
+The core takes step k of every active run together.  It holds the rows of
+all runs as one C-contiguous (rows, runs, n) array.  The rows of a run are
+grouped by component: a comparison of two states stacks (H_i, H_i, V_u,
+V_u, V_i, V_i), so each component of all states and runs is one contiguous,
+flat block.  Whenever the active set changes, the core lays the runs'
+coefficient rows and 1/dt out in that order once, with a small workspace;
+each step then evaluates the reaction as 1-D ufunc calls on the blocks and
+solves every row of every run in one dgttrs call.  That system is block
+diagonal, one block -L_row + 1/dt_run per row, joined with zero coupling,
+so each run keeps its own dt and gets the bits it would get alone.  It is
+factored once per active set too.  A run retires when it settles, reaches
+t_end or fails; its remainder step onto t_end changes the set too.  Retired
+runs are compacted out of the arrays.  The steady window, snapshot clock,
+clamping and errors stay per run, vectorized over runs.
 
 The explicit reaction imposes the step bound
 
@@ -35,6 +39,9 @@ keeps the update positivity-preserving.  Negative round-off in
 (-1e-14, 0) is clamped to zero; anything below that, or a right-hand side
 that overflows to a non-finite value, stops the run with BlowUpError.
 integrate_many records it for that run; the single-run integrators raise it.
+Overflow is silenced for each stretch of steps between retirements, never
+across a yield, so the caller's numpy error state holds whenever its code
+runs.
 """
 
 from __future__ import annotations
@@ -199,19 +206,24 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
     """Advance R independent runs in lockstep, each from t = 0 to its t_end
     on its own time grid.
 
-    u (rows, R, n) stacks the runs' rows component-major, so each row is one
-    contiguous block over the runs: row j of run r diffuses under
-    ops[r][j], and names[j] names it in errors.  rhs(u, c, h) returns the
-    right-hand sides u/h + reaction of the active runs, given their
-    coefficient rows c = coef[:, active] and step sizes h of shape
-    (active, 1); each row is then solved against -L + 1/h and clamped.
+    u (rows, R, n) stacks the runs' rows, those of several states grouped by
+    component (see _system): row j of run r diffuses under ops[r][j], and
+    names[j] names it in errors.  Whenever the active set or its step sizes
+    change, rhs(c, h, rows) gets the active runs' coefficient rows
+    c = coef[:, active], their step sizes h (active,) and the row count, and
+    returns react(u): for the active runs' rows u (rows, active, n),
+    C-contiguous, a fresh array of their right-hand sides, u/h plus the
+    reaction.
+    Each row is then solved against -L + 1/h and clamped.
     visit(t, new, old, runs) runs after every step with the active runs'
-    indices, their times and their rows after and before the step.  Given a
-    StepperConfig as steady[r], run r stops after the first full step that
-    moved less than steady_tol over the last steady_window steps.
+    indices, their times and their rows after and before the step; it runs
+    under the error state that lets react overflow.  Given a StepperConfig
+    as steady[r], run r stops after the first full step that moved less
+    than steady_tol over the last steady_window steps.
 
     Yields (r, outcome) for each run r as it retires: its (rows, t, steps,
-    settled), or the BlowUpError that stopped it.
+    settled), or the BlowUpError that stopped it.  The error state is left
+    before each yield, so the caller's is in force whenever it runs.
     """
     n = u.shape[2]
     dt = np.asarray(dt, dtype=float)
@@ -235,70 +247,76 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
     solver = None
     k = 0
     while runs.size:
-        k += 1
-        last = None
-        if solver is None:
-            n_full_min, n_steps_min = float(n_full.min()), float(n_steps.min())
-            # Runs sharing a window share the ring slot of their oldest state.
-            windows = [(w, window == w) for w in np.unique(window[window > 0]).tolist()]
-            h = dt
-        if k > n_full_min:  # some runs take their remainder step onto t_end
-            last = k > n_full
-            h = np.where(last, rem, dt)
-            t = np.where(last, t_end, k * dt)
-            solver = None
-        else:
-            t = k * dt
-        if solver is None:
-            solver, active = _joined_solver([ops[r] for r in runs], h, n)
-            h2 = h[:, None]
+        # One error state per stretch of steps between retirements: overflow
+        # in react is reported as a BlowUpError instead.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                k += 1
+                last = None
+                if solver is None:
+                    n_full_min, n_steps_min = float(n_full.min()), float(n_steps.min())
+                    # Runs sharing a window share the ring slot of their oldest state.
+                    windows = [(w, window == w) for w in np.unique(window[window > 0]).tolist()]
+                    h = dt
+                if k > n_full_min:  # some runs take their remainder step onto t_end
+                    last = k > n_full
+                    h = np.where(last, rem, dt)
+                    t = np.where(last, t_end, k * dt)
+                    solver = None
+                else:
+                    t = k * dt
+                if solver is None:
+                    solver, active = _joined_solver([ops[r] for r in runs], h, n)
+                    react = rhs(coef, h, u.shape[0])
 
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            f = rhs(u, coef, h2)
-            finite = math.isfinite(f.sum())
-        failed = {}
-        if not finite:
-            bad = ~np.isfinite(f).all(axis=(0, 2))
-            for i in np.flatnonzero(bad):
-                failed[i] = BlowUpError(
-                    f"step {k} (to t={t[i]:g}) overflowed: non-finite right-hand side"
-                )
-            f[:, bad] = 0.0  # keeps the joined solve finite for the other runs
-        if active is None:
-            new = solver.solve_active(f.reshape(-1)).reshape(u.shape)
-        else:
-            new = np.zeros(u.shape)  # Dirichlet walls stay exactly 0
-            new.reshape(-1)[active] = solver.solve_active(f.reshape(-1)[active])
-        if new.min() < 0.0:
-            for i, err in _clamp(new, names).items():
-                failed.setdefault(i, err)
-        if failed:
-            ok = np.ones(runs.size, dtype=bool)
-            ok[list(failed)] = False
-            if ok.any():
-                visit(t[ok], new[:, ok], u[:, ok], runs[ok])
-        else:
-            visit(t, new, u, runs)
+                f = react(u)
+                failed = {}
+                if not math.isfinite(f.sum()):
+                    bad = ~np.isfinite(f).all(axis=(0, 2))
+                    for i in np.flatnonzero(bad):
+                        failed[i] = BlowUpError(
+                            f"step {k} (to t={t[i]:g}) overflowed: non-finite right-hand side"
+                        )
+                    f[:, bad] = 0.0  # keeps the joined solve finite for the other runs
+                if active is None:
+                    new = solver.solve_active(f.reshape(-1)).reshape(u.shape)
+                else:
+                    new = np.zeros(u.shape)  # Dirichlet walls stay exactly 0
+                    new.reshape(-1)[active] = solver.solve_active(f.reshape(-1)[active])
+                if new.min() < 0.0:
+                    for i, err in _clamp(new, names).items():
+                        failed.setdefault(i, err)
+                if failed:
+                    ok = np.ones(runs.size, dtype=bool)
+                    ok[list(failed)] = False
+                    if ok.any():
+                        visit(t[ok], new[:, ok], u[:, ok], runs[ok])
+                else:
+                    visit(t, new, u, runs)
 
-        settled = None
-        for w, members in windows:
-            if k < w:
-                continue
-            oldest = ring[(k - w) % w_max]
-            if len(windows) == 1:
-                settled = _sup_distance(new, oldest) < tol
-            else:
-                if settled is None:
-                    settled = np.zeros(runs.size, dtype=bool)
-                settled[members] = _sup_distance(new[:, members], oldest[:, members]) < tol[members]
-        if settled is not None and last is not None:
-            settled &= ~last
-        if w_max:
-            ring[k % w_max] = new
-        # count_nonzero is the cheapest any() on these small masks.
-        if k < n_steps_min and not failed and (settled is None or not np.count_nonzero(settled)):
-            u = new
-            continue
+                settled = None
+                for w, members in windows:
+                    if k < w:
+                        continue
+                    oldest = ring[(k - w) % w_max]
+                    if len(windows) == 1:
+                        settled = _sup_distance(new, oldest) < tol
+                    else:
+                        if settled is None:
+                            settled = np.zeros(runs.size, dtype=bool)
+                        settled[members] = (
+                            _sup_distance(new[:, members], oldest[:, members]) < tol[members]
+                        )
+                if settled is not None and last is not None:
+                    settled &= ~last
+                if w_max:
+                    ring[k % w_max] = new
+                # count_nonzero is the cheapest any() on these small masks.
+                any_settled = settled is not None and np.count_nonzero(settled)
+                if k >= n_steps_min or failed or any_settled:
+                    break
+                u = new
+
         done = k >= n_steps
         if settled is not None:
             done |= settled
@@ -322,42 +340,56 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
 
 def _system(coeffs: CoefficientSet, bc: BoundarySpec, copies: int = 1):
     """Operators and coefficient rows of the full system for `copies` states
-    stacked as rows (H_i, V_u, V_i, H_i, ...); _system_rhs is its right-hand side."""
+    stacked as rows grouped by component, (H_i x copies, V_u x copies,
+    V_i x copies); _system_rhs is its right-hand side."""
     c = coeffs
     op1 = assemble(c.d1, bc)
     op2 = assemble(c.d2, bc)
     rows = np.array(
         [c.rho.values, c.sigma1.values * c.h_u.values, c.sigma2.values, c.beta.values, c.mu.values]
     )
-    return [op1, op2, op2] * copies, rows
+    return [op1] * copies + [op2] * (2 * copies), rows
 
 
-def _system_rhs(u, c, dt):
-    """u/dt + reaction of the full system for stacked rows u (rows, runs, n),
-    with coefficient rows c = (rho, sigma1 h_u, sigma2, beta, mu).  The
-    reactions are
+def _system_rhs(c, h, rows):
+    """The right-hand side u * (1/h) + reaction of the full system for
+    `rows` stacked rows grouped by component, given the coefficient rows
+    c = (rho, sigma1 h_u, sigma2, beta, mu) and step sizes h of the runs.
+    The reactions are, evaluated left to right,
 
         H_i: -rho H_i + sigma1 h_u V_i
         V_u: -sigma2 V_u H_i + beta V - mu V V_u
         V_i:  sigma2 V_u H_i - mu V V_i,    V = V_u + V_i.
+
+    Each component is one contiguous block of u, so the reaction runs as
+    1-D ufunc calls (the third argument is out) against coefficients, 1/h
+    and a workspace laid out here once; a step allocates only the
+    right-hand side it returns.
     """
-    rho, s1hu, s2, beta, mu = c
-    h, vu, vi = u[0::3], u[1::3], u[2::3]
-    v = vu + vi
-    muv = mu * v
-    cross = s2 * vu
-    cross *= h
-    f = u * (1.0 / dt)
-    r = s1hu * vi
-    r -= rho * h
-    f[0::3] += r
-    r = beta * v
-    r -= cross
-    r -= muv * vu
-    f[1::3] += r
-    cross -= muv * vi
-    f[2::3] += cross
-    return f
+    shape = (rows, *c.shape[1:])
+    # Each coefficient row once per state, in the order of a component block.
+    rho, s1hu, s2, beta, mu = (np.broadcast_to(x, (rows // 3, *x.shape)).ravel() for x in c)
+    inv_h = np.broadcast_to((1.0 / h)[:, None], shape).copy()
+    v, muv, tmp = np.empty((3, rho.size))
+    reaction = np.empty(shape)
+    r_hi, r_vu, cross = reaction.reshape(3, -1)
+
+    def react(u):
+        hi, vu, vi = u.reshape(3, -1)
+        np.add(vu, vi, v)
+        np.multiply(mu, v, muv)
+        np.multiply(s2, vu, cross)
+        np.multiply(cross, hi, cross)
+        np.multiply(s1hu, vi, r_hi)
+        np.subtract(r_hi, np.multiply(rho, hi, tmp), r_hi)
+        np.multiply(beta, v, r_vu)
+        np.subtract(r_vu, cross, r_vu)
+        np.subtract(r_vu, np.multiply(muv, vu, tmp), r_vu)
+        np.subtract(cross, np.multiply(muv, vi, tmp), cross)
+        f = np.multiply(u, inv_h)
+        return np.add(f, reaction, f)
+
+    return react
 
 
 SYSTEM_ROWS = ("H_i", "V_u", "V_i")
@@ -592,17 +624,23 @@ def integrate_scalar_logistic(
 
     clock = _SnapshotClock(snapshot_times, [cfg.dt])
     traj = ScalarTrajectory(final=v0, steady=False, steps=0, dt=cfg.dt)
+    caller = np.geterr()  # the core silences overflow; the observer runs under this
 
     def visit(t, new, old, runs):
         if observer is not None:
-            observer(float(t[0]), new[0, 0])
+            with np.errstate(**caller):
+                observer(float(t[0]), new[0, 0])
         if t[0] >= clock.next[0]:
             traj.snapshots += [(float(t[0]), ScalarField(mesh, new[0, 0]))] * clock.take(0, t[0])
 
+    def rhs(c, dt, rows):
+        beta, mu = c
+        dt = dt[:, None]
+        return lambda v: v / dt + beta * v - mu * v * v
+
     visit(np.zeros(1), u0[:, None], None, None)
     out = _march(
-        u0[:, None], [[assemble(coeffs.d2, bc)]], ("V",),
-        lambda v, c, h: v / h + c[0] * v - c[1] * v * v,
+        u0[:, None], [[assemble(coeffs.d2, bc)]], ("V",), rhs,
         np.array([coeffs.beta.values, coeffs.mu.values])[:, None],
         [cfg.dt], [cfg.t_end], visit, [cfg if stop_at_steady else None],
     )
@@ -667,12 +705,17 @@ def integrate_aux_pair(
     den = np.maximum(rho, s2 * h_cap + mu * v_abs)
     dt = min(cfg.dt, 0.5 / float(den.max()))
 
-    def rhs(u, c, dt):
+    def rhs(c, dt, rows):
         rho, s1hu, s2, v_plus, mu, v_minus = c
-        h, v = u
-        f1 = -rho * h + s1hu * v
-        f2 = s2 * np.maximum(v_plus - v, 0.0) * h - mu * v_minus * v
-        return np.array([h / dt + f1, v / dt + f2])
+        dt = dt[:, None]
+
+        def react(u):
+            h, v = u
+            f1 = -rho * h + s1hu * v
+            f2 = s2 * np.maximum(v_plus - v, 0.0) * h - mu * v_minus * v
+            return np.array([h / dt + f1, v / dt + f2])
+
+        return react
 
     out = AuxPairTrajectory(h0, v0, False, 0, dt, monotone_ok=None if monotone is None else True)
 
@@ -755,9 +798,8 @@ def compare_trajectories(
     report = ComparisonReport(True, None, 0.0, cfg.t_end, dt)
 
     def visit(t, new, old, runs):
-        # Rows 0-2 carry state_a, rows 3-5 state_b.
-        u = new[:, 0]
-        viol = max(float((u[0] - u[3]).max()), float((u[2] - u[5]).max()))
+        # Rows (H_i, V_i) of state_a are 0 and 4, those of state_b 1 and 5.
+        viol = float((new[0::4] - new[1::4]).max())
         if viol > report.max_violation:
             report.max_violation = viol
         if viol > order_tol and report.first_violation_time is None:
@@ -765,9 +807,10 @@ def compare_trajectories(
             report.ordered = False
 
     ops, coef = _system(coeffs, bc, copies=2)
-    u0 = np.vstack([_rows(state_a), _rows(state_b)])
+    u0 = np.stack([_rows(state_a), _rows(state_b)], axis=1)  # (H_i, V_u, V_i) x (a, b)
+    names = tuple(name for name in SYSTEM_ROWS for _ in "ab")
     _unwrap(_march(
-        u0[:, None], [ops], SYSTEM_ROWS * 2, _system_rhs, coef[:, None], [dt], [cfg.t_end], visit,
+        u0.reshape(6, 1, -1), [ops], names, _system_rhs, coef[:, None], [dt], [cfg.t_end], visit,
         [None],
     ))
     return report

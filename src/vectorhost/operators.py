@@ -38,7 +38,6 @@ class EllipticOperator:
     Attributes
     ----------
     mesh, bc : the discretized geometry and closure
-    d_face   : diffusion coefficient at the n-1 cell faces
     sl       : slice of "active" nodes (all nodes, or the interior for Dirichlet)
     m        : number of active nodes
     lower, diag, upper : the three diagonals of -L on active nodes
@@ -57,7 +56,6 @@ class EllipticOperator:
 
         self.mesh = mesh
         self.bc = bc
-        self.d_face = d_face
 
         if bc.kind == DIRICHLET:
             m = n - 2
@@ -84,7 +82,7 @@ class EllipticOperator:
             weights = np.ones(n)
             weights[0] = weights[-1] = 0.5
 
-        for arr in (d_face, lower, diag, upper, weights):
+        for arr in (lower, diag, upper, weights):
             arr.setflags(write=False)
         self.m = m
         self.lower = lower

@@ -4,6 +4,7 @@ import pytest
 import vectorhost as vh
 from vectorhost import verify
 from vectorhost.errors import BlowUpError, StabilityError, ValidationError
+from vectorhost.operators import ShiftedSolve
 
 from helpers import constants_coeffs, make_state
 
@@ -249,8 +250,8 @@ class TestMarchClamp:
         op = vh.assemble(vh.field_from_constant(mesh, 1.0), vh.BoundarySpec.neumann())
         u0 = np.ones((3, mesh.n))
 
-        def rhs(u, c, h):  # (-L + 1/h) maps constants c/h to c: rows 1, -5e-15, scale
-            return u * np.array([1.0, -5e-15, scale])[:, None, None] / h
+        def rhs(c, h, rows):  # (-L + 1/h) maps constants c/h to c: rows 1, -5e-15, scale
+            return lambda u: u * np.array([1.0, -5e-15, scale])[:, None, None] / h[:, None]
 
         names = ("H_i", "V_u", "V_i")
         ((_, out),) = _march(u0[:, None], [[op] * 3], names, rhs, np.empty((0, 1, mesh.n)),
@@ -267,6 +268,130 @@ class TestMarchClamp:
     def test_blowup_names_the_row(self):
         with pytest.raises(BlowUpError, match="^V_i dropped to"):
             self._march(-1e-3)
+
+
+def _oracle_step(state, coeffs, bc, dt):
+    """One IMEX step written out independently of the stepping core: the
+    documented reactions evaluated left to right, u * (1/dt) added, and each
+    component solved on its own against -L + 1/dt."""
+    c = coeffs
+    h, vu, vi = state.h_i.values, state.v_u.values, state.v_i.values
+    rho, s2, beta, mu = c.rho.values, c.sigma2.values, c.beta.values, c.mu.values
+    s1hu = c.sigma1.values * c.h_u.values
+    v = vu + vi
+    reactions = (
+        -rho * h + s1hu * vi,
+        -s2 * vu * h + beta * v - mu * v * vu,
+        s2 * vu * h - mu * v * vi,
+    )
+    rows = []
+    for u, reaction, d in zip((h, vu, vi), reactions, (c.d1, c.d2, c.d2)):
+        solve = ShiftedSolve(vh.assemble(d, bc), 1.0 / dt)
+        x = solve.solve(u * (1.0 / dt) + reaction)
+        assert x.min() > -1e-14
+        rows.append(np.maximum(x, 0.0))  # the round-off clamp
+    return rows
+
+
+def _oracle_cases(n=41):
+    """A random scenario under each closure, on meshes of n nodes."""
+    cases = []
+    for bc, (a, b) in ((vh.BoundarySpec.neumann(), (0, 1)),
+                       (vh.BoundarySpec.dirichlet(), (0, np.pi)),
+                       (vh.BoundarySpec.robin(1.0, 0.5), (0, 5))):
+        rng = np.random.default_rng(np.random.SeedSequence([11, len(cases)]))
+        sc = verify.random_scenario(vh.build_mesh(a, b, n), bc, rng)
+        cases.append((sc.initial, sc.coeffs, bc))
+    return cases
+
+
+class TestOneStepOracle:
+    """The stepping core gives, bit for bit, the step written out by hand."""
+
+    @pytest.mark.parametrize("case", range(3), ids=["neumann", "dirichlet", "robin"])
+    def test_step(self, case):
+        state, coeffs, bc = _oracle_cases()[case]
+        dt = vh.stability_dt_max(coeffs, state)
+        new = vh.step(state, coeffs, bc, dt)
+        want = _oracle_step(state, coeffs, bc, dt)
+        for got, row in zip((new.h_i, new.v_u, new.v_i), want):
+            assert np.array_equal(got.values, row)
+
+    def test_first_step_of_a_batch(self):
+        cases = _oracle_cases()
+        dts = [f * vh.stability_dt_max(coeffs, state)
+               for f, (state, coeffs, _) in zip((1.0, 0.6, 0.35), cases)]
+        cfgs = [vh.StepperConfig(dt=dt, t_end=3 * dt) for dt in dts]
+        states, coeffs, bcs = (list(x) for x in zip(*cases))
+        batch = dict(vh.integrate_many(states, coeffs, bcs, cfgs,
+                                       snapshot_times=[0.5 * min(dts)], stop_at_steady=False))
+        for r, (state, co, bc) in enumerate(cases):
+            (snap,) = batch[r].snapshots
+            assert snap.t == dts[r]
+            want = _oracle_step(state, co, bc, dts[r])
+            for got, row in zip((snap.h_i, snap.v_u, snap.v_i), want):
+                assert np.array_equal(got.values, row)
+
+
+class TestErrorState:
+    """The core silences overflow for its own steps only: the caller's numpy
+    error state is in force on return, on raise, while a batch is suspended
+    and inside an observer."""
+
+    CALLER = {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}
+
+    @pytest.fixture
+    def caller_state(self):
+        with np.errstate(**self.CALLER):
+            yield
+            assert np.geterr() == self.CALLER
+
+    def test_integrate(self, caller_state, neumann):
+        mesh = vh.build_mesh(0, 1, 21)
+        cfg = vh.StepperConfig(dt=0.05, t_end=2.0)
+        vh.integrate(make_state(mesh, 0.1, 0.8, 0.2), constants_coeffs(mesh), neumann, cfg)
+        assert np.geterr() == self.CALLER
+
+    def test_compare_trajectories(self, caller_state, neumann):
+        mesh = vh.build_mesh(0, 1, 21)
+        s = make_state(mesh, 0.1, 0.8, 0.2)
+        vh.compare_trajectories(s, s, constants_coeffs(mesh), neumann,
+                                vh.StepperConfig(dt=0.05, t_end=1.0))
+        assert np.geterr() == self.CALLER
+
+    def test_batch_closed_after_first_yield(self, caller_state, neumann):
+        mesh = vh.build_mesh(0, 1, 21)
+        init = make_state(mesh, 0.1, 0.8, 0.2)
+        cfgs = [vh.StepperConfig(dt=0.05, t_end=t_end) for t_end in (0.5, 5.0)]
+        batch = vh.integrate_many([init] * 2, [constants_coeffs(mesh)] * 2, [neumann] * 2, cfgs,
+                                  stop_at_steady=False)
+        r, _ = next(batch)  # the other run is still stepping
+        assert r == 0 and np.geterr() == self.CALLER
+        batch.close()
+        assert np.geterr() == self.CALLER
+
+    def test_blowup(self, caller_state):
+        mesh = vh.build_mesh(0, 1, 21)
+        coeffs = constants_coeffs(mesh)
+        init = make_state(mesh, 1e300, 1e300, 1e300)
+        cfg = vh.StepperConfig(dt=vh.stability_dt_max(coeffs, init), t_end=1.0)
+        with pytest.raises(BlowUpError, match="step 1"):
+            vh.integrate(init, coeffs, vh.BoundarySpec.neumann(), cfg)
+        assert np.geterr() == self.CALLER
+
+    def test_observer_still_warns(self, neumann):
+        mesh = vh.build_mesh(0, 1, 21)
+        coeffs = constants_coeffs(mesh)
+        seen = []
+
+        def observer(t, values):
+            if t > 0:  # inside the stepping core, not the initial call
+                seen.append(np.float64(1e308) * 10)
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            vh.integrate_scalar_logistic(vh.field_from_constant(mesh, 0.5), coeffs, neumann,
+                                         vh.StepperConfig(dt=0.05, t_end=0.2), observer=observer)
+        assert len(seen) == 4 and np.isinf(seen).all()
 
 
 class TestTimeGrid:
