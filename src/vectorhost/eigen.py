@@ -12,7 +12,9 @@ irreducible Z-matrix A bracket its principal eigenvalue: min r <= lambda
 <= max r (Collatz-Wielandt; R. S. Varga, Matrix Iterative Analysis, ch. 2).
 Solving (A - min r) y = x keeps y positive and converges quadratically
 (L. Elsner, Linear Algebra Appl. 15, 1976).  The reported eigenvalue is the
-Rayleigh quotient, with the bracket of the final iterate.
+Rayleigh quotient, with the bracket of the final iterate.  The system's
+shifted solves factor the infection block as one LAPACK band matrix
+(operators._factor_block), as the endemic Newton polish does.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, MeshMismatchError, ValidationError
 from .grid import BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import _block_matrix, _factor, assemble
+from .operators import _block_stiffness, _factor, _factor_block, assemble
 
 LAMBDA_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -135,7 +136,8 @@ class EndemicProblem:
     sweep_potential gives the nodewise damping K2 of the monotone sweeps.
     Linearized at zero infection, the block is the cooperative operator of
     the system eigenproblem: linear_matvec applies it, and
-    jacobian(0, 0, shift=-sigma) is its sparse matrix minus sigma I.
+    jacobian(0, 0, shift=-sigma) factors it minus sigma I as one band
+    matrix; stiffness is its largest |row| sum.
     """
 
     def __init__(
@@ -171,6 +173,11 @@ class EndemicProblem:
         self.s2v = self.s2 * self.v_plus  # sigma2 (V_B + eps w)
         self.muv = (coeffs.mu.values * (v_b.values - eps * weight.values))[sl]  # mu (V_B - eps w)
         self.m = self.op1.m
+        # |row| sums of the block at zero infection bound those of every
+        # term of the residual on the order interval 0 <= V <= V_B + eps w.
+        self.stiffness = _block_stiffness(
+            self.op1, self.op2, self.op1.diag + self.rho, self.s1hu, self.s2v, self.op2.diag + self.muv
+        )
 
     def reaction(self, h: np.ndarray, v: np.ndarray):
         return -self.rho * h + self.s1hu * v, self.reaction_v(h, v)
@@ -182,17 +189,24 @@ class EndemicProblem:
         f1, f2 = self.reaction(h, v)
         return self.op1.matvec(h) - f1, self.op2.matvec(v) - f2
 
-    def _slack(self, r1, r2) -> float:
-        return 1e-8 * (1.0 + float(max(np.abs(r1).max(), np.abs(r2).max())))
+    def roundoff(self, h: np.ndarray, v: np.ndarray) -> float:
+        """The round-off floor of the residual at (h, v): roundoff_floor of
+        the stiffness times the solution scale 1 + max |(h, v)|."""
+        scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
+        return roundoff_floor(self.stiffness) * scale
+
+    def _slack(self, h, v, r1, r2) -> float:
+        r_max = float(max(np.abs(r1).max(), np.abs(r2).max()))
+        return max(1e-8 * (1.0 + r_max), self.roundoff(h, v))
 
     def is_upper(self, h: np.ndarray, v: np.ndarray) -> bool:
         r1, r2 = self.residual(h, v)
-        s = self._slack(r1, r2)
+        s = self._slack(h, v, r1, r2)
         return bool(r1.min() >= -s and r2.min() >= -s)
 
     def is_lower(self, h: np.ndarray, v: np.ndarray) -> bool:
         r1, r2 = self.residual(h, v)
-        s = self._slack(r1, r2)
+        s = self._slack(h, v, r1, r2)
         return bool(r1.max() <= s and r2.max() <= s)
 
     def sweep_potential(self, h_top: np.ndarray) -> np.ndarray:
@@ -211,9 +225,10 @@ class EndemicProblem:
         return r1, r2
 
     def jacobian(self, h: np.ndarray, v: np.ndarray, shift: float = 0.0):
-        """Sparse Jacobian of the residual at (h, v), plus shift on the diagonal."""
+        """Factor of the residual's Jacobian at (h, v) plus shift on the
+        diagonal: solve(f) on concatenated [h; v] vectors."""
         gap = np.maximum(self.v_plus - v, 0.0)
-        return _block_matrix(
+        return _factor_block(
             self.op1, self.op2,
             self.op1.diag + self.rho + shift, -self.s1hu, -self.s2 * gap,
             self.op2.diag + (self.muv + self.s2 * h * (gap > 0.0)) + shift,
@@ -238,9 +253,9 @@ def principal_eigen_system(
     x, lam, *bracket = _noda(
         lambda z: np.concatenate(problem.linear_matvec(z[:m], z[m:])),
         np.dot,
-        lambda sigma: splu(problem.jacobian(0.0, 0.0, shift=-sigma)).solve,
+        lambda sigma: problem.jacobian(0.0, 0.0, shift=-sigma),
         2 * m,
-        float(abs(problem.jacobian(0.0, 0.0)).sum(axis=1).max()),
+        problem.stiffness,
         "system",
     )
     phi1, phi2 = problem.op1.embed(x[:m]), problem.op2.embed(x[m:])

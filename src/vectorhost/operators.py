@@ -16,6 +16,12 @@ with face coefficients d_{j+1/2} = (d_j + d_{j+1}) / 2.  Boundary closures:
 Shifted systems (-L + c) are LU-factored once by LAPACK dgttrf and solved by
 dgttrs; dgtsv, which pivots the same way, gives bit-identical solutions.
 
+The 2m x 2m infection block [[T1, D12], [D21, T2]] (two tridiagonal blocks
+coupled through diagonals) is a band matrix with two sub- and two
+super-diagonals once its unknowns are interleaved as (h_0, v_0, h_1, v_1,
+...): it is LU-factored once by LAPACK dgbtrf and solved by dgbtrs, on
+right-hand sides given and returned in the concatenated [h; v] order.
+
 The matrix of -L is symmetric for Dirichlet and symmetrizable for
 Neumann/Robin under the nodal inner product with half-weights at the
 endpoints; it is positive semidefinite (definite unless pure Neumann or
@@ -25,8 +31,7 @@ Robin with b = 0 on both ends).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .errors import SingularSystemError, ValidationError
 from .grid import DIRICHLET, ROBIN, BoundarySpec, ScalarField
@@ -152,32 +157,44 @@ def _factor(lower, diag, upper):
     return solve
 
 
-def _block_matrix(op1, op2, diag1, off12, off21, diag2) -> sp.csc_matrix:
-    """The 2m x 2m CSC matrix [[T1, diag(off12)], [diag(off21), T2]], where Tk
-    has opk's off-diagonals and main diagonal diagk, built in one call from a
-    fixed index pattern.  Explicit zeros are dropped, as sp.diags does, so the
-    result equals sp.bmat of the four blocks array for array."""
+def _block_stiffness(op1, op2, diag1, off12, off21, diag2) -> float:
+    """The largest |row| sum of the block that _factor_block factors."""
+    rows = np.abs([diag1, diag2]) + np.abs([off12, off21])
+    rows[:, :-1] += np.abs([op1.upper, op2.upper])
+    rows[:, 1:] += np.abs([op1.lower, op2.lower])
+    return float(rows.max())
+
+
+def _factor_block(op1, op2, diag1, off12, off21, diag2):
+    """LU-factor the 2m x 2m block [[T1, diag(off12)], [diag(off21), T2]],
+    where Tk has opk's off-diagonals and main diagonal diagk, once (dgbtrf)
+    and return solve(f) for the concatenated f = [h; v]: one dgbtrs call on
+    a preallocated interleaved copy of f, which leaves f untouched.  The
+    copy is shared, so the solves of one factor must not run concurrently."""
     m = diag1.size
-    j = np.arange(m)
-    # Up to four entries per column, in row order; four slots fall outside the blocks.
-    left = np.stack([j - 1, j, j + 1, m + j], axis=1)
-    right = np.stack([j, m + j - 1, m + j, m + j + 1], axis=1)
-    rows = np.concatenate([left, right])
-    keep = np.ones((2 * m, 4), dtype=bool)
-    keep[0, 0] = keep[m - 1, 2] = keep[m, 1] = keep[2 * m - 1, 3] = False
-    vals = np.zeros((2 * m, 4))
-    vals[1:m, 0] = op1.upper
-    vals[:m, 1] = diag1
-    vals[: m - 1, 2] = op1.lower
-    vals[:m, 3] = off21
-    vals[m:, 0] = off12
-    vals[m + 1 :, 1] = op2.upper
-    vals[m:, 2] = diag2
-    vals[m : 2 * m - 1, 3] = op2.lower
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    a = sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(2 * m, 2 * m))
-    a.eliminate_zeros()
-    return a
+    # In the order (h_0, v_0, h_1, v_1, ...) the block has kl = ku = 2.
+    # Entry (r, c) sits at row 4 + r - c of column c of the band array;
+    # rows 0 and 1 are dgbtrf's room for fill-in.
+    ab = np.zeros((7, m, 2))  # ab[:, i, 0] is column h_i, ab[:, i, 1] column v_i
+    ab[2, 1:, 0], ab[2, 1:, 1] = op1.upper, op2.upper
+    ab[3, :, 1] = off12
+    ab[4, :, 0], ab[4, :, 1] = diag1, diag2
+    ab[5, :, 0] = off21
+    ab[6, :-1, 0], ab[6, :-1, 1] = op1.lower, op2.lower
+    lu, piv, info = dgbtrf(ab.reshape(7, 2 * m), 2, 2, overwrite_ab=True)
+    if info != 0:
+        raise SingularSystemError(f"block system is singular: zero pivot in row {info}")
+    buf = np.empty((m, 2))
+
+    def solve(f):
+        buf[:, 0] = f[:m]
+        buf[:, 1] = f[m:]
+        x, info = dgbtrs(lu, 2, 2, buf.reshape(2 * m), piv, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"dgbtrs rejected argument {-info}")
+        return x.reshape(m, 2).T.flatten()
+
+    return solve
 
 
 class ShiftedSolve:

@@ -40,7 +40,7 @@ def dense_scalar_eig(d2, beta, bc):
 
 def dense_system_block(coeffs, v_b, bc, eps=0.0, weight=None):
     """The dense block matrix of the system eigenproblem, built here from the
-    coefficients and op.matrix(), not by the solver's sparse assembly."""
+    coefficients and op.matrix(), not by the solver's band factor."""
     w = 1.0 if weight is None else weight.values
     op1, op2 = assemble(coeffs.d1, bc), assemble(coeffs.d2, bc)
     sl = op1.sl

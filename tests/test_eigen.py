@@ -241,7 +241,9 @@ class TestNodaIteration:
     def test_mesh_refinement_converges(self, neumann, n):
         """Criterion 4's Neumann seeds on finer meshes: the stopping tests'
         round-off floor scales with the stencil, so neither the scalar
-        eigensolve nor, where lambda_beta < 0, logistic Newton stalls."""
+        eigensolve nor, where lambda_beta < 0, logistic Newton stalls, and
+        where also lambda_system < -1e-3 the endemic solve's start checks,
+        Newton polish and residual gate all resolve their residuals."""
         mesh = vh.build_mesh(0, 1, n)
         failed = []
         for k in range(1, 61):
@@ -250,9 +252,14 @@ class TestNodaIteration:
             try:
                 eig = vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, neumann)
                 if eig.lam < 0:
-                    vh.solve_logistic(coeffs, neumann, scalar_eig=eig)
-            except ConvergenceError:
-                failed.append(k)
+                    logistic = vh.solve_logistic(coeffs, neumann, scalar_eig=eig)
+                    sys_eig = vh.principal_eigen_system(coeffs, logistic.v_b, neumann)
+                    if sys_eig.lam < -1e-3:
+                        vh.solve_endemic(
+                            coeffs, neumann, logistic=logistic, scalar_eig=eig, eigenpair=sys_eig
+                        )
+            except (ConvergenceError, ValidationError) as exc:
+                failed.append((k, type(exc).__name__))
         assert failed == []
 
 

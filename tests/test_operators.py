@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import splu
 
 import vectorhost as vh
 from vectorhost.errors import SingularSystemError, ValidationError
 from vectorhost import verify
-from vectorhost.operators import ShiftedSolve, _block_matrix, _factor, assemble, solve
+from vectorhost.operators import ShiftedSolve, _block_stiffness, _factor, _factor_block, assemble, solve
 from vectorhost.steady import EndemicProblem
+
+from helpers import dense_system_block
 
 
 def unit_d(mesh):
@@ -282,28 +282,41 @@ class TestFactoredKernel:
             _factor(np.zeros(m - 1), np.zeros(m), np.zeros(m - 1))
 
 
-def bmat_blocks(op1, op2, diag1, off12, off21, diag2):
-    """The 2x2 block matrix built block by block with sp.diags and sp.bmat."""
+def dense_block(op1, op2, diag1, off12, off21, diag2):
+    """The 2x2 block matrix written out densely, block by block, with np.block."""
 
     def tri(op, diag):
-        return sp.diags([op.lower, diag, op.upper], offsets=(-1, 0, 1), format="csc")
+        return np.diag(diag) + np.diag(op.upper, 1) + np.diag(op.lower, -1)
 
-    def dia(values):
-        return sp.diags([values], offsets=(0,), format="csc")
-
-    return sp.bmat([[tri(op1, diag1), dia(off12)], [dia(off21), tri(op2, diag2)]], format="csc")
+    return np.block([[tri(op1, diag1), np.diag(off12)], [np.diag(off21), tri(op2, diag2)]])
 
 
-def assert_same_csc(a, b):
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
+def assert_solves_dense(solve, a, rng):
+    """solve agrees with np.linalg.solve on the dense a within its condition
+    number, leaves its input untouched, and a later solve does not
+    overwrite an earlier result."""
+    f, g = rng.normal(size=(2, a.shape[0]))
+    f_before = f.copy()
+    x = solve(f)
+    assert np.array_equal(f, f_before)
+    expected = np.linalg.solve(a, f)
+    tol = 16 * np.finfo(float).eps * np.linalg.cond(a, np.inf) * np.abs(expected).max()
+    assert np.abs(x - expected).max() <= tol
+    x_before = x.copy()
+    solve(g)
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(solve(f), x)
+
+
+def dense_stiffness(a):
+    return float(np.abs(a).sum(axis=1).max())
 
 
 class TestBlockMatrix:
-    """_block_matrix builds the block operators of the Newton Jacobian and
-    the system eigensolve in one call; its arrays must equal those of the
-    sp.diags + sp.bmat construction, so splu factors the same matrix."""
+    """The infection block [[T1, diag(off12)], [diag(off21), T2]] is factored
+    as one band matrix in interleaved order (dgbtrf) and solved by dgbtrs;
+    the dense block written out with np.block is its oracle, through
+    np.linalg.solve and its |row| sums."""
 
     BCS = TestFactoredKernel.BCS
 
@@ -316,13 +329,15 @@ class TestBlockMatrix:
         op1 = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), bc)
         op2 = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), bc)
         m = op1.m
-        for zeros in (True, False):  # the second pass finds a mutated cached pattern
+        for zeros in (True, False):
             blocks = [op1.diag + rng.uniform(0, 5, m), -rng.uniform(0.1, 5, m),
                       -rng.uniform(0.1, 5, m), op2.diag + rng.uniform(0, 5, m)]
-            if zeros:  # explicit zeros are dropped by sp.diags
+            if zeros:  # saturated nodes: zero coupling entries
                 blocks[2][::2] = 0.0
                 blocks[1][-1] = 0.0
-            assert_same_csc(_block_matrix(op1, op2, *blocks), bmat_blocks(op1, op2, *blocks))
+            a = dense_block(op1, op2, *blocks)
+            assert_solves_dense(_factor_block(op1, op2, *blocks), a, rng)
+            assert _block_stiffness(op1, op2, *blocks) == pytest.approx(dense_stiffness(a), rel=1e-15)
 
     @pytest.mark.parametrize("kind", sorted(BCS))
     def test_jacobian_and_shifted_system_unchanged(self, kind):
@@ -332,32 +347,42 @@ class TestBlockMatrix:
         coeffs = verify.random_coefficients(mesh, rng)
         v_b = vh.solve_logistic(coeffs, bc).v_b
         problem = EndemicProblem(coeffs, bc, v_b)
-        h = rng.uniform(0.1, 2.0, problem.m)
-        v = problem.v_plus * rng.uniform(0.2, 1.0, problem.m)
-        v[::3] = problem.v_plus[::3]  # saturated nodes: zero coupling entries
+        m = problem.m
+
+        # A Newton point with both gap > 0 and gap = 0 nodes.
+        h = rng.uniform(0.1, 2.0, m)
+        v = problem.v_plus * rng.uniform(0.2, 1.0, m)
+        v[::3] = problem.v_plus[::3]
         gap = np.maximum(problem.v_plus - v, 0.0)
-        old = bmat_blocks(
+        assert (gap > 0).any() and (gap == 0).any()
+        a = dense_block(
             problem.op1, problem.op2,
             problem.op1.diag + problem.rho, -problem.s1hu, -problem.s2 * gap,
-            problem.op2.diag + (problem.muv + problem.s2 * h * (gap > 0).astype(float)),
+            problem.op2.diag + problem.muv + problem.s2 * h * (gap > 0),
         )
-        new = problem.jacobian(h, v)
-        assert_same_csc(new, old)
-        f = rng.normal(size=2 * problem.m)
-        assert np.array_equal(splu(new).solve(f), splu(old).solve(f))
+        assert_solves_dense(problem.jacobian(h, v), a, rng)
 
-        # Linearized at zero infection and shifted by -sigma: the system eigensolve's matrix.
-        sl = problem.op1.sl
-        a11, a22 = coeffs.rho.values[sl], (coeffs.mu.values * v_b.values)[sl]
-        a12 = -(coeffs.sigma1.values * coeffs.h_u.values)[sl]
-        a21 = -(coeffs.sigma2.values * v_b.values)[sl]
-        s = -0.75
-        old = bmat_blocks(
-            problem.op1, problem.op2, problem.op1.diag + a11 + s, a12, a21, problem.op2.diag + a22 + s
-        )
-        shifted = problem.jacobian(0.0, 0.0, shift=s)
-        assert_same_csc(shifted, old)
-        z = rng.normal(size=2 * problem.m)
-        b1, b2 = problem.linear_matvec(z[: problem.m], z[problem.m :])
-        scale = np.abs(z).max() * (max(problem.op1.diag.max(), problem.op2.diag.max()) + abs(s))
-        assert np.abs(shifted @ z - (np.concatenate([b1, b2]) + s * z)).max() <= 1e-14 * scale
+        # Linearized at zero infection and shifted by -sigma with sigma below
+        # lambda: the system eigensolve's matrix, a nonsingular M-matrix.
+        block = dense_system_block(coeffs, v_b, bc)
+        sigma = vh.principal_eigen_system(coeffs, v_b, bc).lam - 0.75
+        assert_solves_dense(problem.jacobian(0.0, 0.0, shift=-sigma), block - sigma * np.eye(2 * m), rng)
+        assert problem.stiffness == pytest.approx(dense_stiffness(block), rel=1e-15)
+        z = rng.normal(size=2 * m)
+        scale = np.abs(z).max() * dense_stiffness(block)
+        assert np.abs(np.concatenate(problem.linear_matvec(z[:m], z[m:])) - block @ z).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_singular_block_raises(self, m):
+        # Zero diagonals: for m = 3 each tridiagonal block is odd-sized with a zero diagonal.
+        op = assemble(unit_d(vh.build_mesh(0, 1, m + 2)), vh.BoundarySpec.dirichlet())
+        zero = np.zeros(m)
+        with pytest.raises(SingularSystemError):
+            _factor_block(op, op, zero, zero, zero, zero)
+
+    def test_rank_one_coupling_raises(self):
+        # m = 1: [[2, -1], [-4, 2]] pivots on -4 and leaves an exact zero pivot.
+        op = assemble(unit_d(vh.build_mesh(0, 1, 3)), vh.BoundarySpec.dirichlet())
+        blocks = [np.array([x]) for x in (2.0, -1.0, -4.0, 2.0)]
+        with pytest.raises(SingularSystemError):
+            _factor_block(op, op, *blocks)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -183,6 +188,24 @@ class TestEndemicConstants:
         res = vh.solve_endemic(zero_hu, neumann)
         assert isinstance(res, vh.EndemicAbsent)
         assert res.decoupled
+
+    def test_dense_path_loads_no_sparse_module(self):
+        """The endemic solve factors the infection block as one LAPACK band
+        matrix: on the README config it never imports scipy.sparse."""
+        script = (
+            "import sys\n"
+            "import vectorhost as vh\n"
+            "mesh = vh.build_mesh(0.0, 1.0, 201)\n"
+            "coeffs = vh.CoefficientSet.from_constants(mesh, d1=1.0, d2=1.0, rho=1.0, sigma1=1.0,\n"
+            "                                          sigma2=1.0, beta=1.0, mu=1.0, h_u=2.0)\n"
+            "eq = vh.solve_endemic(coeffs, vh.BoundarySpec.neumann())\n"
+            "assert isinstance(eq, vh.EndemicEquilibrium)\n"
+            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
+        )
+        src = str(Path(vh.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestMonotoneIteration:
