@@ -175,13 +175,16 @@ def _factor_block(op1, op2, diag1, off12, off21, diag2):
     # In the order (h_0, v_0, h_1, v_1, ...) the block has kl = ku = 2.
     # Entry (r, c) sits at row 4 + r - c of column c of the band array;
     # rows 0 and 1 are dgbtrf's room for fill-in.
-    ab = np.zeros((7, m, 2))  # ab[:, i, 0] is column h_i, ab[:, i, 1] column v_i
+    # ab[:, i, 0] is column h_i and ab[:, i, 1] column v_i of the band array,
+    # laid out in Fortran order so that dgbtrf factors it in place.
+    ab_f = np.zeros((m, 2, 7))
+    ab = ab_f.transpose(2, 0, 1)
     ab[2, 1:, 0], ab[2, 1:, 1] = op1.upper, op2.upper
     ab[3, :, 1] = off12
     ab[4, :, 0], ab[4, :, 1] = diag1, diag2
     ab[5, :, 0] = off21
     ab[6, :-1, 0], ab[6, :-1, 1] = op1.lower, op2.lower
-    lu, piv, info = dgbtrf(ab.reshape(7, 2 * m), 2, 2, overwrite_ab=True)
+    lu, piv, info = dgbtrf(ab_f.reshape(2 * m, 7).T, 2, 2, overwrite_ab=True)
     if info != 0:
         raise SingularSystemError(f"block system is singular: zero pivot in row {info}")
     buf = np.empty((m, 2))

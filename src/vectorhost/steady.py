@@ -453,7 +453,9 @@ def solve_endemic(
     is negative the equilibrium is bracketed by a downward iteration from
     (H_bar, V_B + eps w) and an upward one from delta (phi1, phi2); the
     two polished limits must agree within agreement_tol (uniqueness), and
-    their common value is returned.
+    their common value is returned.  The residual gate on that value is
+    max(residual_tol, 4 eps * stiffness * (1 + max |(H, V)|)), the larger
+    of residual_tol and the round-off floor of the infection block.
     """
     if bc.kind == DIRICHLET and scalar_eig is None:
         scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
