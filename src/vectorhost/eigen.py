@@ -180,10 +180,8 @@ class EndemicProblem:
         )
 
     def reaction(self, h: np.ndarray, v: np.ndarray):
-        return -self.rho * h + self.s1hu * v, self.reaction_v(h, v)
-
-    def reaction_v(self, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.s2 * np.maximum(self.v_plus - v, 0.0) * h - self.muv * v
+        f2 = self.s2 * np.maximum(self.v_plus - v, 0.0) * h - self.muv * v
+        return -self.rho * h + self.s1hu * v, f2
 
     def residual(self, h: np.ndarray, v: np.ndarray):
         f1, f2 = self.reaction(h, v)

@@ -14,7 +14,8 @@ with face coefficients d_{j+1/2} = (d_j + d_{j+1}) / 2.  Boundary closures:
     fields re-embedded with explicit zeros.
 
 Shifted systems (-L + c) are LU-factored once by LAPACK dgttrf and solved by
-dgttrs; dgtsv, which pivots the same way, gives bit-identical solutions.
+dgttrs, into a fresh array or in place; dgtsv, which pivots the same way,
+gives bit-identical solutions.
 
 The 2m x 2m infection block [[T1, D12], [D21, T2]] (two tridiagonal blocks
 coupled through diagonals) is a band matrix with two sub- and two
@@ -138,21 +139,33 @@ def assemble(d: ScalarField, bc: BoundarySpec) -> EllipticOperator:
 
 def _factor(lower, diag, upper):
     """LU-factor the tridiagonal matrix (lower, diag, upper) once (dgttrf) and
-    return solve(f): one dgttrs call on the read-only factors, which leaves f
-    untouched and may run concurrently with other solves."""
+    return solve(f, overwrite_f=False): one dgttrs call on the read-only
+    factors.  By default it leaves f untouched and may run concurrently
+    with other solves; with overwrite_f=True it writes the solution into f,
+    a contiguous float64 array, and returns f itself."""
     n = diag.size
     pad = np.zeros(max(0, 3 - n))  # scipy's wrappers need n >= 3: add decoupled unit rows
-    *lu, info = dgttrf(np.append(lower, pad), np.append(diag, 1.0 + pad), np.append(upper, pad))
+    if pad.size:
+        lower, diag, upper = np.append(lower, pad), np.append(diag, 1.0 + pad), np.append(upper, pad)
+    # dgttrf copies its inputs (overwrite_* defaults to False).
+    *lu, info = dgttrf(lower, diag, upper)
     if info != 0:
         raise SingularSystemError(f"tridiagonal system is singular: zero pivot in row {info}")
     for a in lu:
         a.setflags(write=False)
 
-    def solve(f):
-        x, info = dgttrs(*lu, np.append(f, pad) if pad.size else f, overwrite_b=False)
+    def solve(f, overwrite_f=False):
+        b = np.append(f, pad) if pad.size else f
+        x, info = dgttrs(*lu, b, overwrite_b=overwrite_f or b is not f)
         if info != 0:
             raise ValueError(f"dgttrs rejected argument {-info}")
-        return x[:n] if pad.size else x
+        if not overwrite_f:
+            return x[:n] if pad.size else x
+        if b is not f:
+            f[:] = x[:n]
+        elif x is not f:
+            raise RuntimeError("dgttrs solved into a copy of the array it was to overwrite")
+        return f
 
     return solve
 
@@ -212,8 +225,11 @@ class ShiftedSolve:
 
     The system is LU-factored once, here (dgttrf); each solve is one dgttrs
     call on the read-only factors, leaves its input untouched and may run
-    concurrently.  solve (single-operator form) checks that f is finite;
-    solve_active does not.
+    concurrently.  The exception is solve_active(f, overwrite_f=True),
+    which writes the solution into f (a contiguous float64 array, such as
+    one row of a C-ordered 2-D array) and returns f itself, so a loop of
+    solves allocates nothing.  solve (single-operator form) checks that f
+    is finite; solve_active does not.
     """
 
     def __init__(self, op, c):
@@ -229,8 +245,8 @@ class ShiftedSolve:
             np.concatenate(lower[:-1]), np.concatenate(diag), np.concatenate(upper[:-1])
         )
 
-    def solve_active(self, f_active: np.ndarray) -> np.ndarray:
-        return self._solve(f_active)
+    def solve_active(self, f_active: np.ndarray, overwrite_f: bool = False) -> np.ndarray:
+        return self._solve(f_active, overwrite_f)
 
     def solve(self, f) -> np.ndarray:
         """Solve from full-length right-hand side, return full-length values."""

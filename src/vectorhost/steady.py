@@ -27,6 +27,15 @@ interval, where h_top is the H component at its top, so f2 + K2 V is
 non-decreasing in V there.  f2 is non-decreasing in H (the system is
 cooperative), so taking V's reaction at the new H keeps the sweep map
 order-preserving and the iterates nodewise monotone.
+
+The sweeps run on a stacked state: the iterate and its successor are two
+(2, m) arrays with rows (H, V), allocated once per run with the two
+factorizations.  Each half-sweep builds its right-hand side by ufunc calls
+into a row of the successor and solves it there in place (one dgttrs
+call); the direction check, the scale and the change are each one max or
+min over both rows.  Max and min are exact, and the arithmetic keeps the
+per-component order, so the iterates are those of separate H and V
+arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -288,9 +297,10 @@ def monotone_iterate(
     """Run Gauss-Seidel monotone sweeps from an upper ("down") or lower ("up") pair.
 
     The damping potentials are K1 = rho and K2 = problem.sweep_potential(h_top),
-    each factored once.  h_top is the H component at the top of the order
-    interval; by default the starting H for "down", and for "up" the H_bar
-    solving (-L1 + rho) H_bar = sigma1 h_u (V_B + eps w).  An h_top below
+    each factored once; the sweeps then allocate nothing but the history.
+    h_top is the H component at the top of the order interval; by default
+    the starting H for "down", and for "up" the H_bar solving
+    (-L1 + rho) H_bar = sigma1 h_u (V_B + eps w).  An h_top below
     the starting H at any node raises ValidationError; one below later
     iterates voids the order guarantee, and only a sweep that moves the
     wrong way reveals it.  The starting pair is verified to satisfy the
@@ -328,8 +338,8 @@ def monotone_iterate(
     def run(scale: float) -> MonotoneIteration:
         k1 = scale * problem.rho
         k2 = scale * k2_base
-        s1 = ShiftedSolve(problem.op1, k1)
-        s2 = ShiftedSolve(problem.op2, k2)
+        solve1 = ShiftedSolve(problem.op1, k1)
+        solve2 = ShiftedSolve(problem.op2, k2)
         k1_extra = k1 - problem.rho  # f1 + K1 H = sigma1 h_u V + (K1 - rho) H
         # Round-off floor of one sweep: evaluating the residual costs
         # eps*stiffness*|u| and the sweep damps it by (M + K)^{-1} ~ 1/min K.
@@ -337,42 +347,61 @@ def monotone_iterate(
         stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
         stiff += max(float(k1.max()), float(k2.max()))
         mono_coef = 256.0 * np.finfo(float).eps * stiff
-        h = h_start.copy()
-        v = v_start.copy()
+        # u and its successor u_new hold rows (H, V) and swap after each
+        # sweep; d and row are scratch (see the module docstring).
+        u = np.stack([h_start, v_start])
+        u_new = np.empty_like(u)
+        cur, nxt = (u, *u), (u_new, *u_new)
+        d = np.empty_like(u)
+        row = np.empty(problem.m)
+        s1hu, s2, v_plus, muv = problem.s1hu, problem.s2, problem.v_plus, problem.muv
         history = [] if keep_history else None
         change = np.inf
         converged = False
         for sweep in range(1, max_sweeps + 1):
-            h_new = s1.solve_active(problem.s1hu * v + k1_extra * h)
-            v_new = s2.solve_active(problem.reaction_v(h_new, v) + k2 * v)
-            u_scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
+            u, h, v = cur
+            u_new, h_new, v_new = nxt
+            # H half-sweep: sigma1 h_u V + (K1 - rho) H.
+            np.multiply(s1hu, v, out=h_new)
+            np.multiply(k1_extra, h, out=row)
+            np.add(h_new, row, out=h_new)
+            solve1.solve_active(h_new, True)
+            # V half-sweep: f2(H_new, V) + K2 V, in the order of problem.reaction.
+            np.subtract(v_plus, v, out=v_new)
+            np.maximum(v_new, 0.0, out=v_new)
+            np.multiply(s2, v_new, out=v_new)
+            np.multiply(v_new, h_new, out=v_new)
+            np.multiply(muv, v, out=row)
+            np.subtract(v_new, row, out=v_new)
+            np.multiply(k2, v, out=row)
+            np.add(v_new, row, out=v_new)
+            solve2.solve_active(v_new, True)
+            u_scale = 1.0 + float(np.abs(u, out=d).max())
             mono_tol = mono_coef * u_scale / k_min
-            dh, dv = h_new - h, v_new - v
-            if direction == "down":
-                violation = max(float(dh.max()), float(dv.max()))
-            else:  # h - h_new is exactly -(h_new - h)
-                violation = max(float(-dh.min()), float(-dv.min()))
+            np.subtract(u_new, u, out=d)
+            # u - u_new is exactly -(u_new - u)
+            violation = float(d.max()) if direction == "down" else float(-d.min())
             if violation > mono_tol:
                 raise MonotonicityError(
                     f"sweep {sweep} moved {violation:.3e} against the declared direction "
                     f"(max K2={float(k2.max()):g})"
                 )
-            change = max(float(np.abs(dh).max()), float(np.abs(dv).max()))
-            h, v = h_new, v_new
+            change = float(np.abs(d, out=d).max())
+            cur, nxt = nxt, cur
             if history is not None:
                 history.append(
                     (
-                        ScalarField(problem.mesh, problem.op1.embed(h)),
-                        ScalarField(problem.mesh, problem.op2.embed(v)),
+                        ScalarField(problem.mesh, problem.op1.embed(h_new)),
+                        ScalarField(problem.mesh, problem.op2.embed(v_new)),
                     )
                 )
             collapsed = (
-                stop_below_sup is not None
-                and max(float(h.max(initial=0.0)), float(v.max(initial=0.0))) < stop_below_sup
+                stop_below_sup is not None and float(u_new.max(initial=0.0)) < stop_below_sup
             )
             converged = change < sweep_tol or collapsed
             if converged:
                 break
+        _, h, v = cur
         return MonotoneIteration(
             ScalarField(problem.mesh, problem.op1.embed(h)),
             ScalarField(problem.mesh, problem.op2.embed(v)),

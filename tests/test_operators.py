@@ -265,6 +265,50 @@ class TestFactoredKernel:
                 assert np.array_equal(f, f_before)
                 assert np.array_equal(shifted.solve_active(f), u)
 
+    @pytest.mark.parametrize("n, kind", [(3, "dirichlet"), (4, "dirichlet"), (101, "neumann")])
+    def test_in_place_solve_matches_solve_active(self, n, kind):
+        """overwrite_f=True writes the solution into the given row of a
+        (2, m) array, bit for bit what solve_active returns; m = 1 and 2
+        run through the padded factor."""
+        rng = np.random.default_rng([n, 7])
+        mesh = vh.build_mesh(0, 1, n)
+        op = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), self.BCS[kind])
+        assert op.m == {3: 1, 4: 2, 101: 101}[n]
+        c = rng.uniform(0, 5, op.m)
+        ab = banded(op.lower, op.diag + c, op.upper)
+        shifted = ShiftedSolve(op, c)
+        solve = shifted._solve
+        lu = dict(zip(solve.__code__.co_freevars, (x.cell_contents for x in solve.__closure__)))["lu"]
+        factors = [a.copy() for a in lu]
+        u = np.empty((2, op.m))
+        rows = tuple(u)
+        for k in range(3):
+            f = rng.normal(size=op.m)
+            other = rng.normal(size=op.m)
+            i = k % 2
+            rows[i][:] = f
+            rows[1 - i][:] = other
+            expected = shifted.solve_active(f)
+            assert shifted.solve_active(rows[i], True) is rows[i]
+            assert np.array_equal(rows[i], expected)
+            assert np.array_equal(rows[1 - i], other)
+            assert np.array_equal(expected, solve_banded((1, 1), ab, f))
+        for a, before in zip(lu, factors):
+            assert not a.flags.writeable
+            assert np.array_equal(a, before)
+
+    def test_in_place_solve_rejects_a_copy(self, unit_mesh):
+        """A right-hand side dgttrs cannot overwrite (strided, or not
+        float64) is copied by the wrapper; the in-place solve raises instead
+        of returning a solution that never reached the caller's array."""
+        op = assemble(unit_d(unit_mesh), vh.BoundarySpec.neumann())
+        shifted = ShiftedSolve(op, 1.0)
+        strided = np.ones((op.m, 2))[:, 0]
+        with pytest.raises(RuntimeError, match="copy"):
+            shifted.solve_active(strided, True)
+        with pytest.raises(RuntimeError, match="copy"):
+            shifted.solve_active(np.ones(op.m, dtype=np.float32), True)
+
     @pytest.mark.parametrize("n", [3, 101])
     def test_negative_shift_bit_identical(self, n):
         # logistic Newton factors -L - beta + 2 mu v, which may be indefinite

@@ -15,7 +15,10 @@ from vectorhost.errors import (
     MonotonicityError,
     ValidationError,
 )
+from vectorhost.operators import ShiftedSolve
 from vectorhost.steady import (
+    MAX_SWEEPS,
+    SWEEP_TOL,
     EndemicProblem,
     check_eps_admissibility,
     default_weight,
@@ -288,9 +291,14 @@ class TestMonotoneIteration:
 
 
 def criterion4_scenario(kind_index, seed):
-    """Scenario `seed` of criterion 4's stream for Dirichlet (1) or Robin (2) on [0, 5]."""
-    bc = (None, vh.BoundarySpec.dirichlet(), vh.BoundarySpec.robin(1.0, 0.5))[kind_index]
-    mesh = vh.build_mesh(0, 5, 101)
+    """Scenario `seed` of criterion 4's stream for Neumann (0) on [0, 1], or
+    Dirichlet (1) or Robin (2) on [0, 5]."""
+    bc, length = (
+        (vh.BoundarySpec.neumann(), 1.0),
+        (vh.BoundarySpec.dirichlet(), 5.0),
+        (vh.BoundarySpec.robin(1.0, 0.5), 5.0),
+    )[kind_index]
+    mesh = vh.build_mesh(0, length, 101)
     rng = np.random.default_rng(np.random.SeedSequence([4, kind_index, seed]))
     coeffs = verify.random_coefficients(mesh, rng)
     log = vh.solve_logistic(coeffs, bc)
@@ -371,6 +379,145 @@ class TestNodewiseSweeps:
         h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
         with pytest.raises(ValidationError, match="h_top lies up to .* below the starting H"):
             monotone_iterate(problem, h_bar, log.v_b, "down", h_top=vh.field_from_constant(mesh, 0.0))
+
+
+def reference_monotone(problem, h0, v0, direction, *, h_top=None, stop_below_sup=None):
+    """The sweeps of monotone_iterate written per component, with fresh
+    arrays and separate H and V reductions: its active-node history, sweeps,
+    converged, k_c and final change, or the MonotonicityError it raises."""
+    h_start, v_start = problem.op1.restrict(h0), problem.op2.restrict(v0)
+    if h_top is not None:
+        top = problem.op1.restrict(h_top)
+    elif direction == "down":
+        top = h_start
+    else:
+        top = ShiftedSolve(problem.op1, problem.rho).solve_active(problem.s1hu * problem.v_plus)
+    k2_base = problem.sweep_potential(top)
+
+    def run(scale):
+        k1, k2 = scale * problem.rho, scale * k2_base
+        s1, s2 = ShiftedSolve(problem.op1, k1), ShiftedSolve(problem.op2, k2)
+        k_min = min(float(k1.min()), float(k2.min()))
+        stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
+        stiff += max(float(k1.max()), float(k2.max()))
+        mono_coef = 256.0 * np.finfo(float).eps * stiff
+        h, v = h_start.copy(), v_start.copy()
+        history, change, converged = [], np.inf, False
+        for sweep in range(1, MAX_SWEEPS + 1):
+            h_new = s1.solve_active(problem.s1hu * v + (k1 - problem.rho) * h)
+            v_new = s2.solve_active(problem.reaction(h_new, v)[1] + k2 * v)
+            u_scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
+            dh, dv = h_new - h, v_new - v
+            if direction == "down":
+                violation = max(float(dh.max()), float(dv.max()))
+            else:
+                violation = max(float(-dh.min()), float(-dv.min()))
+            if violation > mono_coef * u_scale / k_min:
+                raise MonotonicityError(
+                    f"sweep {sweep} moved {violation:.3e} against the declared direction "
+                    f"(max K2={float(k2.max()):g})"
+                )
+            change = max(float(np.abs(dh).max()), float(np.abs(dv).max()))
+            h, v = h_new, v_new
+            history.append((h, v))
+            collapsed = (
+                stop_below_sup is not None
+                and max(float(h.max(initial=0.0)), float(v.max(initial=0.0))) < stop_below_sup
+            )
+            converged = change < SWEEP_TOL or collapsed
+            if converged:
+                break
+        return history, sweep if converged else MAX_SWEEPS, converged, float(k2.max()), change
+
+    try:
+        return run(1.0)
+    except MonotonicityError:
+        return run(2.0)
+
+
+class TestMonotoneSweepOracle:
+    """The stacked, allocation-free sweep kernel reproduces the per-component
+    sweeps bit for bit: every iterate, the sweep count, the stop reason,
+    K_c and the final change, and the error of a failed retry."""
+
+    @staticmethod
+    def assert_matches(problem, h0, v0, direction, **kwargs):
+        history, sweeps, converged, k_c, change = reference_monotone(
+            problem, h0, v0, direction, **kwargs
+        )
+        run = monotone_iterate(problem, h0, v0, direction, keep_history=True, **kwargs)
+        assert (run.sweeps, run.converged, run.k_c, run.final_change) == (
+            sweeps, converged, k_c, change
+        )
+        assert len(run.history) == len(history)
+        for (h, v), (h_ref, v_ref) in zip(run.history, history):
+            assert np.array_equal(h.values, problem.op1.embed(h_ref))
+            assert np.array_equal(v.values, problem.op2.embed(v_ref))
+        assert np.array_equal(run.h.values, run.history[-1][0].values)
+        assert np.array_equal(run.v.values, run.history[-1][1].values)
+        return run
+
+    @staticmethod
+    def lower_pair(coeffs, log, bc, amplitude=1e-2):
+        eig = vh.principal_eigen_system(coeffs, log.v_b, bc)
+        mesh = log.v_b.mesh
+        return (
+            vh.ScalarField(mesh, amplitude * eig.phi1.values),
+            vh.ScalarField(mesh, amplitude * eig.phi2.values),
+        )
+
+    @pytest.mark.parametrize("kind_index, seed", [(0, 2), (1, 5), (2, 6)])
+    def test_down_and_up_with_and_without_top(self, kind_index, seed):
+        coeffs, bc, log, problem = criterion4_scenario(kind_index, seed)
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        self.assert_matches(problem, h_bar, log.v_b, "down")
+        high = vh.ScalarField(h_bar.mesh, 1.5 * h_bar.values)
+        down = self.assert_matches(problem, h_bar, log.v_b, "down", h_top=high)
+        lo_h, lo_v = self.lower_pair(coeffs, log, bc)
+        self.assert_matches(problem, lo_h, lo_v, "up")
+        self.assert_matches(problem, lo_h, lo_v, "up", h_top=down.h)
+
+    def test_doubling_retry(self):
+        coeffs, bc, log, problem = criterion4_scenario(2, 6)
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        lo_h, lo_v = self.lower_pair(coeffs, log, bc)
+        low = vh.ScalarField(h_bar.mesh, 0.6 * h_bar.values)
+        run = self.assert_matches(problem, lo_h, lo_v, "up", h_top=low)
+        assert run.k_c == float((2.0 * problem.sweep_potential(problem.op1.restrict(low))).max())
+
+    def test_failed_retry_raises_the_same_error(self):
+        coeffs, bc, log, problem = criterion4_scenario(2, 6)
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        lo_h, lo_v = self.lower_pair(coeffs, log, bc)
+        low = vh.ScalarField(h_bar.mesh, 0.3 * h_bar.values)
+        with pytest.raises(MonotonicityError) as ref:
+            reference_monotone(problem, lo_h, lo_v, "up", h_top=low)
+        with pytest.raises(MonotonicityError) as got:
+            monotone_iterate(problem, lo_h, lo_v, "up", h_top=low)
+        assert str(got.value) == str(ref.value)
+
+    def test_collapse_stop(self):
+        """Neumann seed 3 has lambda_system > 0: the down run collapses to zero
+        and stops on stop_below_sup before the change drops below tolerance."""
+        coeffs, bc, log, problem = criterion4_scenario(0, 3)
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        run = self.assert_matches(problem, h_bar, log.v_b, "down", stop_below_sup=2e-6)
+        assert run.converged and run.final_change >= SWEEP_TOL
+
+    def test_padded_factor(self):
+        """n = 4 under Dirichlet leaves m = 2 active nodes, which _factor pads
+        to the three rows scipy's wrappers need."""
+        mesh = vh.build_mesh(0, 5, 4)
+        bc = vh.BoundarySpec.dirichlet()
+        coeffs = constants_coeffs(mesh, d1=0.1, d2=0.1, h_u=5.0)
+        log = vh.solve_logistic(coeffs, bc)
+        problem = EndemicProblem(coeffs, bc, log.v_b)
+        assert problem.m == 2
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        run = self.assert_matches(problem, h_bar, log.v_b, "down")
+        assert run.sweeps > 1
+        lo_h, lo_v = self.lower_pair(coeffs, log, bc)
+        self.assert_matches(problem, lo_h, lo_v, "up", h_top=run.h)
 
 
 class TestSweepCap:
