@@ -45,9 +45,7 @@ from .grid import (
     ScalarField,
     build_mesh,
     field_from_constant,
-    positive_part,
     sup_distance,
-    sup_norm,
 )
 from .operators import EllipticOperator, ShiftedSolve, assemble, solve
 from .steady import (

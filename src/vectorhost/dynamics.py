@@ -125,6 +125,18 @@ def stability_dt_max(coeffs: CoefficientSet, state: State) -> float:
     return 0.5 / reaction_bound(coeffs, v_hat_bound(coeffs, v0))
 
 
+def _order_dt(coeffs: CoefficientSet, h_max: float, v_max) -> float:
+    """Largest dt that keeps the explicit (H, V) reaction map order-preserving:
+    1/dt >= rho and 1/dt >= sigma2 H + mu v_max, where v_max (a field or a
+    constant) bounds V and the maximum principle bounds H over the run by
+    max(h_max, max(sigma1 h_u v_max) / min rho), h_max the starting max of H.
+    """
+    s1hu = coeffs.sigma1.values * coeffs.h_u.values
+    rho = coeffs.rho.values
+    h_cap = max(h_max, float((s1hu * v_max).max()) / float(rho.min()))
+    return 0.5 / float(np.maximum(rho, coeffs.sigma2.values * h_cap + coeffs.mu.values * v_max).max())
+
+
 def _check_dt(dt: float, bound: float) -> None:
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(f"dt={dt:g} exceeds the explicit-reaction bound {bound:g}")
@@ -697,13 +709,8 @@ def integrate_aux_pair(
     s1hu = coeffs.sigma1.values * coeffs.h_u.values
     s2 = coeffs.sigma2.values
     mu = coeffs.mu.values
-
-    # Order preservation needs 1/dt >= rho and 1/dt >= sigma2 H + mu (V_B + |eps| w);
-    # bound H over the run through the maximum principle.
-    v_abs = v_b.values + abs(eps) * weight.values
-    h_cap = max(float(h0.values.max()), float((s1hu * v_plus).max()) / float(rho.min()))
-    den = np.maximum(rho, s2 * h_cap + mu * v_abs)
-    dt = min(cfg.dt, 0.5 / float(den.max()))
+    # V_B + |eps| w bounds both V and V_B - eps w.
+    dt = min(cfg.dt, _order_dt(coeffs, float(h0.values.max()), v_b.values + abs(eps) * weight.values))
 
     def rhs(c, dt, rows):
         rho, s1hu, s2, v_plus, mu, v_minus = c
@@ -784,16 +791,8 @@ def compare_trajectories(
         v_hat_bound(coeffs, float((state_a.v_u.values + state_a.v_i.values).max())),
         v_hat_bound(coeffs, float((state_b.v_u.values + state_b.v_i.values).max())),
     )
-    s1hu = coeffs.sigma1.values * coeffs.h_u.values
-    h_cap = max(
-        float(state_a.h_i.values.max()),
-        float(state_b.h_i.values.max()),
-        float(s1hu.max()) * v_hat / float(coeffs.rho.values.min()),
-    )
-    order_den = np.maximum(
-        coeffs.rho.values, coeffs.sigma2.values * h_cap + coeffs.mu.values * v_hat
-    )
-    dt = min(cfg.dt, 0.5 / reaction_bound(coeffs, v_hat), 0.5 / float(order_den.max()))
+    h_max = max(float(state_a.h_i.values.max()), float(state_b.h_i.values.max()))
+    dt = min(cfg.dt, 0.5 / reaction_bound(coeffs, v_hat), _order_dt(coeffs, h_max, v_hat))
 
     report = ComparisonReport(True, None, 0.0, cfg.t_end, dt)
 

@@ -94,16 +94,6 @@ def field_from_constant(mesh: Mesh1D, c: float) -> ScalarField:
     return ScalarField(mesh, np.full(mesh.n, float(c)))
 
 
-def positive_part(f: ScalarField) -> ScalarField:
-    """Nodewise max(f, 0)."""
-    return ScalarField(f.mesh, np.maximum(f.values, 0.0))
-
-
-def sup_norm(f: ScalarField) -> float:
-    """Max over nodes of |f|."""
-    return float(np.abs(f.values).max())
-
-
 def sup_distance(f: ScalarField, g: ScalarField) -> float:
     """Max over nodes of |f - g|; the two fields must share a mesh."""
     if f.mesh != g.mesh:

@@ -4,15 +4,14 @@ Three layers:
 
   * solve_logistic: the vector-population equilibrium V_B of
     -L2 V = beta V - mu V^2 (exists iff the scalar principal eigenvalue
-    of -L2 - beta is negative), computed by damped Newton from the
-    constant upper bound max(beta/mu) with a parabolic-relaxation
-    fallback;
+    of -L2 - beta is negative), computed by plain Newton from the
+    constant upper bound max(beta/mu);
   * solve_endemic: the infection equilibrium pair of the perturbed
     cooperative system, constructed the classical way — a downward
     monotone iteration from an explicit upper-solution pair and an
     upward one from a small multiple of the principal eigenfunction —
-    then polished by Newton so both limits meet the tight residual and
-    agreement tolerances;
+    then polished by damped Newton; each polished limit must meet the
+    residual gate before the two are held to the agreement tolerance;
   * monotone_iterate: the sweep engine itself, usable standalone.
 
 Each monotone sweep is one block Gauss-Seidel step with nodewise damping
@@ -60,12 +59,13 @@ from .eigen import (
     roundoff_floor,
 )
 from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import ShiftedSolve, _factor, assemble, solve
+from .operators import ShiftedSolve, _factor, assemble
 
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 5000
 AGREEMENT_TOL = 2e-8
 RESIDUAL_TOL = 1e-8
+MAX_NEWTON = 60
 DELTA_CANDIDATES = tuple(10.0 ** (-k) for k in range(1, 9))
 
 
@@ -110,15 +110,17 @@ def solve_logistic(
     bc: BoundarySpec,
     *,
     scalar_eig: ScalarEigenpair | None = None,
-    residual_tol: float = 1e-12,
-    max_newton: int = 60,
 ) -> LogisticSteady:
     """Unique positive solution of -L2 V = beta V - mu V^2, or Absent.
 
-    Newton starts at the constant upper bound max(beta/mu); steps are
-    damped until the residual decreases and the iterate stays positive.
-    If Newton stalls the iterate is relaxed by integrating the parabolic
-    equation for a while, then Newton resumes.
+    Plain Newton from the constant upper bound max(beta/mu), every step
+    taken in full.  F(v) = -L2 v - beta v + mu v^2 is convex and its
+    Jacobian is an M-matrix for v >= V_B, so the iterates decrease
+    monotonically to V_B (Ortega & Rheinboldt 1970, sec. 13.3; C. V. Pao
+    1992).  Newton stops at a sup residual of 1e-12 scale or once a step
+    no longer lowers it.  ConvergenceError is raised for an iterate that
+    loses positivity, for one that rises by more than 1e-10 max v while
+    the residual is above its round-off floor, and at MAX_NEWTON steps.
     """
     if scalar_eig is None:
         scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
@@ -136,55 +138,40 @@ def solve_logistic(
     def residual(u):
         return op.matvec(u) - beta * u + mu * u * u
 
-    history = []
-    for attempt in range(3):
-        r = residual(v)
-        rn = float(np.abs(r).max())
-        for _ in range(max_newton):
-            if rn <= residual_tol * scale:
-                break
-            # The shift -beta + 2 mu v may be negative: no ShiftedSolve here.
-            delta = _factor(op.lower, op.diag - beta + 2.0 * mu * v, op.upper)(-r)
-            alpha = 1.0
-            accepted = False
-            while alpha > 2.0 ** -30:
-                trial = v + alpha * delta
-                if trial.min() > 0:
-                    r_trial = residual(trial)
-                    rn_trial = float(np.abs(r_trial).max())
-                    if rn_trial < rn:
-                        v, r, rn = trial, r_trial, rn_trial
-                        accepted = True
-                        break
-                alpha *= 0.5
-            history.append(rn)
-            if not accepted:
-                break
+    def accept_tol(u):
         # Quadratic convergence bottoms out at the evaluation round-off of
         # -L v, which grows with the stencil: accept a stall below 1e-9
         # (1 + max v) or below the round-off floor of the Jacobian's |row| sums.
         stiffness = float(
-            np.abs(op.diag - beta + 2.0 * mu * v).max()
+            np.abs(op.diag - beta + 2.0 * mu * u).max()
             + np.abs(op.lower).max()
             + np.abs(op.upper).max()
         )
-        stall_tol = max(1e-9 * (1.0 + float(v.max())), roundoff_floor(stiffness) * scale)
-        if rn <= residual_tol * scale or rn <= stall_tol:
-            return LogisticSteady(ScalarField(coeffs.mesh, op.embed(v)), lam)
-        # Relax toward the attractor before retrying Newton.
-        from . import dynamics
+        return max(1e-12 * scale, 1e-9 * (1.0 + float(u.max())), roundoff_floor(stiffness) * scale)
 
-        v_hat = dynamics.v_hat_bound(coeffs, float(v.max()))
-        dt = 0.5 / dynamics.reaction_bound(coeffs, v_hat)
-        cfg = dynamics.StepperConfig(dt=dt, t_end=50.0 * (attempt + 1), steady_tol=1e-13)
-        traj = dynamics.integrate_scalar_logistic(
-            ScalarField(coeffs.mesh, op.embed(v)), coeffs, bc, cfg
-        )
-        v = op.restrict(traj.final)
-    raise ConvergenceError(
-        f"logistic Newton failed to converge; residual history {history[-5:]}",
-        residual=history[-1] if history else None,
-    )
+    r = residual(v)
+    rn = float(np.abs(r).max())
+    for _ in range(MAX_NEWTON):
+        if rn <= 1e-12 * scale:
+            break
+        # The shift -beta + 2 mu v may be negative: no ShiftedSolve here.
+        trial = v + _factor(op.lower, op.diag - beta + 2.0 * mu * v, op.upper)(-r)
+        # Once the residual is at round-off, so is the step, and it may rise.
+        rise = float((trial - v).max())
+        if rise > 1e-10 * float(v.max()) and rn > accept_tol(v):
+            raise ConvergenceError(f"logistic Newton iterate rose by {rise:.3e}", residual=rn)
+        if trial.min() <= 0:
+            raise ConvergenceError("logistic Newton iterate lost positivity", residual=rn)
+        r_trial = residual(trial)
+        rn_trial = float(np.abs(r_trial).max())
+        if rn_trial >= rn:
+            break
+        v, r, rn = trial, r_trial, rn_trial
+    else:
+        raise ConvergenceError(f"logistic Newton hit its cap of {MAX_NEWTON} steps", residual=rn)
+    if rn > accept_tol(v):
+        raise ConvergenceError("logistic Newton stalled above tolerance", residual=rn)
+    return LogisticSteady(ScalarField(coeffs.mesh, op.embed(v)), lam)
 
 
 def default_weight(
@@ -260,14 +247,20 @@ def upper_solution_h(
     """
     if weight is None:
         weight = field_from_constant(coeffs.mesh, 1.0)
-    if np.min(v_b.values + eps * weight.values) < 0:
+    v_plus = v_b.values + eps * weight.values
+    if np.min(v_plus) < 0:
         raise ValidationError("V_B + eps*weight must be nonnegative")
     op = assemble(coeffs.d1, bc)
-    rhs = ScalarField(
-        coeffs.mesh,
-        coeffs.sigma1.values * coeffs.h_u.values * (v_b.values + eps * weight.values),
-    )
-    return solve(op, coeffs.rho, rhs)
+    sl = op.sl
+    s1hu = (coeffs.sigma1.values * coeffs.h_u.values)[sl]
+    return ScalarField(coeffs.mesh, op.embed(_h_bar(op, coeffs.rho.values[sl], s1hu, v_plus[sl])))
+
+
+def _h_bar(op1, rho: np.ndarray, s1hu: np.ndarray, v_plus: np.ndarray) -> np.ndarray:
+    """H_bar on the active nodes of op1, given rho, sigma1 h_u and
+    V_B + eps w there: the one solve behind upper_solution_h and the
+    default top of an upward monotone iteration."""
+    return ShiftedSolve(op1, rho).solve_active(s1hu * v_plus)
 
 
 @dataclass
@@ -330,9 +323,7 @@ def monotone_iterate(
     elif direction == "down":
         top = h_start
     else:  # H_bar, the H of the upper-solution pair
-        top = ShiftedSolve(problem.op1, problem.rho).solve_active(
-            problem.s1hu * problem.v_plus
-        )
+        top = _h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
     k2_base = problem.sweep_potential(top)
 
     def run(scale: float) -> MonotoneIteration:
@@ -480,11 +471,12 @@ def solve_endemic(
 
     Absent exactly when the system principal eigenvalue is >= 0.  When it
     is negative the equilibrium is bracketed by a downward iteration from
-    (H_bar, V_B + eps w) and an upward one from delta (phi1, phi2); the
-    two polished limits must agree within agreement_tol (uniqueness), and
-    their common value is returned.  The residual gate on that value is
-    max(residual_tol, 4 eps * stiffness * (1 + max |(H, V)|)), the larger
-    of residual_tol and the round-off floor of the infection block.
+    (H_bar, V_B + eps w) and an upward one from delta (phi1, phi2).  Both
+    polished limits must pass the residual gate max(residual_tol,
+    4 eps * stiffness * (1 + max |(H, V)|)), the larger of residual_tol and
+    the round-off floor of the infection block, or ConvergenceError is
+    raised; two roots must then agree within agreement_tol (uniqueness),
+    and their common value is returned.
     """
     if bc.kind == DIRICHLET and scalar_eig is None:
         scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
@@ -559,22 +551,24 @@ def solve_endemic(
     hu, vu_, ru = _newton_polish(
         problem, up_h, up_v, box=((up_h, up_v), (np.maximum(down_h, hd), np.maximum(down_v, vd)))
     )
+    res = max(rd, ru)
+    # Evaluating -L u costs round-off that grows with the stencil.  Only
+    # two limits that are both roots can speak against uniqueness.
+    roots = res <= max(residual_tol, problem.roundoff(hd, vd))
     disagreement = max(float(np.abs(hd - hu).max()), float(np.abs(vd - vu_).max()))
-    if disagreement > agreement_tol:
+    if not roots or disagreement > agreement_tol:
         capped = [name for name, it in (("downward", down), ("upward", up)) if not it.converged]
         if capped:  # a cap hit, not evidence against uniqueness
             raise ConvergenceError(
                 f"{capped[0]} monotone iteration hit its cap of {max_sweeps} sweeps; "
                 f"polished limits disagree by {disagreement:.3e}"
             )
+        if not roots:
+            raise ConvergenceError("endemic equilibrium residual above tolerance", residual=res)
         raise UniquenessViolation(
             f"down/up limits disagree by {disagreement:.3e} (> {agreement_tol:g}); "
             "this contradicts uniqueness of the positive equilibrium"
         )
-    res = max(rd, ru)
-    # Evaluating -L u costs round-off that grows with the stencil.
-    if res > max(residual_tol, problem.roundoff(hd, vd)):
-        raise ConvergenceError("endemic equilibrium residual above tolerance", residual=res)
 
     interior = coeffs.mesh.interior
     h_full = problem.op1.embed(hd)

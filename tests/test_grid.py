@@ -63,36 +63,9 @@ class TestScalarField:
             f.values[0] = 5.0
 
 
-class TestPositivePart:
-    def test_mixed_signs(self):
-        mesh = vh.build_mesh(0, 1, 3)
-        f = vh.ScalarField(mesh, [-1.0, 0.0, 2.0])
-        assert np.array_equal(vh.positive_part(f).values, [0.0, 0.0, 2.0])
-
-    def test_nonnegative_unchanged(self, unit_mesh):
-        f = vh.ScalarField(unit_mesh, np.linspace(0, 3, unit_mesh.n))
-        assert np.array_equal(vh.positive_part(f).values, f.values)
-
-    def test_all_negative_becomes_zero(self, unit_mesh):
-        f = vh.field_from_constant(unit_mesh, -4.0)
-        assert np.all(vh.positive_part(f).values == 0.0)
-
-    def test_idempotent_and_monotone(self, unit_mesh):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            fv = rng.normal(size=unit_mesh.n)
-            gv = fv + rng.uniform(0, 1, size=unit_mesh.n)
-            f = vh.ScalarField(unit_mesh, fv)
-            g = vh.ScalarField(unit_mesh, gv)
-            pf = vh.positive_part(f)
-            assert np.array_equal(vh.positive_part(pf).values, pf.values)
-            assert np.all(pf.values <= vh.positive_part(g).values)
-
-
 class TestSupNormDistance:
     def test_basic_values(self):
         mesh = vh.build_mesh(0, 1, 3)
-        assert vh.sup_norm(vh.ScalarField(mesh, [-3.0, 1.0, 0.0])) == 3.0
         f = vh.ScalarField(mesh, [0.0, 0.0, 0.0])
         g = vh.ScalarField(mesh, [0.0, 1.0, 0.0])
         assert vh.sup_distance(f, f) == 0.0

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import vectorhost as vh
-from vectorhost import verify
+from vectorhost import steady, verify
+from vectorhost.eigen import roundoff_floor
 from vectorhost.errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -26,6 +27,8 @@ from vectorhost.steady import (
 )
 
 from helpers import constants_coeffs
+
+CLOSURES = (vh.BoundarySpec.neumann(), vh.BoundarySpec.dirichlet(), vh.BoundarySpec.robin(1.0, 0.5))
 
 
 class TestLogistic:
@@ -45,21 +48,40 @@ class TestLogistic:
         assert not log.exists
         assert log.lambda_beta == pytest.approx(0.5, abs=1e-3)
 
-    def test_random_scenarios_residual_and_bound(self, neumann):
-        mesh = vh.build_mesh(0, 1, 101)
-        op = vh.assemble(vh.field_from_constant(mesh, 1.0), neumann)
+    @pytest.mark.parametrize("n", [11, 201, 801])
+    @pytest.mark.parametrize("bc", CLOSURES, ids=lambda bc: bc.kind)
+    def test_random_scenarios_residual_and_bound(self, bc, n):
+        mesh = vh.build_mesh(0, 1.0 if bc.kind == "neumann" else 5.0, n)
         for seed in range(8):
             rng = np.random.default_rng(300 + seed)
             coeffs = verify.random_coefficients(mesh, rng)
-            log = vh.solve_logistic(coeffs, neumann)
-            assert log.exists  # beta > 0 under Neumann always admits one
-            v = log.v_b.values
+            log = vh.solve_logistic(coeffs, bc)
+            if bc.kind == "neumann":
+                assert log.exists  # beta > 0 under Neumann always admits one
+            if not log.exists:
+                continue
+            o = vh.assemble(coeffs.d2, bc)
+            beta, mu, v = o.restrict(coeffs.beta), o.restrict(coeffs.mu), o.restrict(log.v_b)
+            v_top = (coeffs.beta.values / coeffs.mu.values).max()
             assert v.min() > 0
-            assert v.max() <= (coeffs.beta.values / coeffs.mu.values).max() + 1e-9
-            o = vh.assemble(coeffs.d2, neumann)
-            va = o.restrict(log.v_b)
-            res = o.matvec(va) - o.restrict(coeffs.beta) * va + o.restrict(coeffs.mu) * va * va
-            assert np.abs(res).max() <= 1e-9 * (1 + v.max())
+            assert v.max() <= v_top + 1e-9
+            res = o.matvec(v) - beta * v + mu * v * v
+            # Evaluating -L2 v costs round-off that grows with the stencil.
+            stiff = np.abs(o.diag - beta + 2 * mu * v).max() + np.abs(o.lower).max() + np.abs(o.upper).max()
+            floor = roundoff_floor(stiff) * (1 + (beta * v_top).max())
+            assert np.abs(res).max() <= max(1e-9 * (1 + v.max()), floor)
+
+    @pytest.mark.parametrize(
+        "step, match", [(1.0, "rose by"), (-1e3, "lost positivity")], ids=["up", "through-zero"]
+    )
+    def test_newton_step_off_the_monotone_path_raises(self, monkeypatch, step, match):
+        """From max(beta/mu) plain Newton decreases monotonically and stays
+        positive; a step that rises or crosses zero is a failure."""
+        mesh = vh.build_mesh(0, np.pi, 101)
+        coeffs = constants_coeffs(mesh, beta=2.0)
+        monkeypatch.setattr(steady, "_factor", lambda lower, diag, upper: lambda f: np.full_like(f, step))
+        with pytest.raises(ConvergenceError, match=match):
+            vh.solve_logistic(coeffs, vh.BoundarySpec.dirichlet())
 
     def test_dirichlet_supercritical_profile(self):
         mesh = vh.build_mesh(0, np.pi, 201)
@@ -214,6 +236,22 @@ class TestEndemicConstants:
                 ]
         assert not found
 
+    @pytest.mark.parametrize("module", ["steady", "eigen", "operators", "grid"])
+    def test_lower_layers_do_not_import_dynamics(self, module):
+        """Equilibria, eigenpairs, operators and the grid sit below the time
+        stepping: none of them imports vectorhost.dynamics."""
+        path = Path(vh.__file__).parent / f"{module}.py"
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            found += [f"{module}.py:{node.lineno}" for name in names if "dynamics" in name.split(".")]
+        assert not found
+
     def test_dense_path_loads_no_sparse_module(self):
         """On the README config the endemic solve loads no scipy.sparse.
         Older scipy releases load it from scipy.linalg itself, which the
@@ -293,12 +331,8 @@ class TestMonotoneIteration:
 def criterion4_scenario(kind_index, seed):
     """Scenario `seed` of criterion 4's stream for Neumann (0) on [0, 1], or
     Dirichlet (1) or Robin (2) on [0, 5]."""
-    bc, length = (
-        (vh.BoundarySpec.neumann(), 1.0),
-        (vh.BoundarySpec.dirichlet(), 5.0),
-        (vh.BoundarySpec.robin(1.0, 0.5), 5.0),
-    )[kind_index]
-    mesh = vh.build_mesh(0, length, 101)
+    bc = CLOSURES[kind_index]
+    mesh = vh.build_mesh(0, 1.0 if kind_index == 0 else 5.0, 101)
     rng = np.random.default_rng(np.random.SeedSequence([4, kind_index, seed]))
     coeffs = verify.random_coefficients(mesh, rng)
     log = vh.solve_logistic(coeffs, bc)
@@ -546,6 +580,17 @@ class TestSweepCap:
         eq = vh.solve_endemic(coeffs, bc, logistic=log)
         assert eq.converged_upper and eq.converged_lower
         assert max(eq.iterations_upper, eq.iterations_lower) <= 100
+
+
+class TestResidualGate:
+    @pytest.mark.parametrize("kind_index, seed", [(2, 19), (1, 43), (2, 46)])
+    def test_unconverged_limits_are_not_a_uniqueness_violation(self, kind_index, seed):
+        """With sweep_tol=1e-3 the upward Newton polish of these criterion-4
+        scenarios stalls far above the residual gate, and the two limits
+        disagree: a convergence failure, not evidence against uniqueness."""
+        coeffs, bc, log, _ = criterion4_scenario(kind_index, seed)
+        with pytest.raises(ConvergenceError, match="residual above tolerance"):
+            vh.solve_endemic(coeffs, bc, logistic=log, sweep_tol=1e-3)
 
 
 class TestExistenceIffSign:
