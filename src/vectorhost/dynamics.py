@@ -28,7 +28,11 @@ so each run keeps its own dt and gets the bits it would get alone.  It is
 factored once per active set too.  A run retires when it settles, reaches
 t_end or fails; its remainder step onto t_end changes the set too.  Retired
 runs are compacted out of the arrays.  The steady window, snapshot clock,
-clamping and errors stay per run, vectorized over runs.
+clamping and errors stay per run, vectorized over runs: after each step one
+abs and one max reduction over one buffer give every run's change over its
+steady window and its distance to its reference.  integrate_many keeps each
+snapshot as its time and rows; the States of TrajectorySummary.snapshots
+are built from them on access.
 
 The explicit reaction imposes the step bound
 
@@ -194,13 +198,6 @@ class _SnapshotClock:
         return self.taken[r] - start
 
 
-def _sup_distance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per run, the sup-norm distance between stacked rows u and v (rows, runs, n)."""
-    d = u - v
-    np.abs(d, out=d)
-    return d.max(axis=(0, 2))
-
-
 def _joined_solver(ops, h, n: int):
     """One ShiftedSolve for every row of the active runs against its
     -L + 1/h, blocks in the row-major order of the stacked rows (rows, runs,
@@ -214,7 +211,7 @@ def _joined_solver(ops, h, n: int):
     return solver, np.concatenate([b * n + nodes[op.sl] for b, op in enumerate(flat)])
 
 
-def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
+def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     """Advance R independent runs in lockstep, each from t = 0 to its t_end
     on its own time grid.
 
@@ -227,11 +224,19 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
     C-contiguous, a fresh array of their right-hand sides, u/h plus the
     reaction.
     Each row is then solved against -L + 1/h and clamped.
-    visit(t, new, old, runs) runs after every step with the active runs'
-    indices, their times and their rows after and before the step; it runs
-    under the error state that lets react overflow.  Given a StepperConfig
-    as steady[r], run r stops after the first full step that moved less
-    than steady_tol over the last steady_window steps.
+    visit(t, new, old, runs, dist) runs after every step with the active
+    runs' indices, their times, their rows after and before the step and,
+    given ref (rows, R, n), each one's sup distance to its reference rows
+    ref[:, r] (else None); it runs under the error state that lets react
+    overflow.  Given a StepperConfig as steady[r], run r stops after the
+    first full step that moved less than steady_tol over the last
+    steady_window steps.
+
+    Both distances take one pass per step: the rows' change over each run's
+    window and their offset from its reference are written into planes of
+    one (planes, rows, active, n) buffer, allocated with each joined solver,
+    and one abs and one max reduction give them per run.  A run whose
+    window is not yet full, or that has none, keeps inf in the first plane.
 
     Yields (r, outcome) for each run r as it retires: its (rows, t, steps,
     settled), or the BlowUpError that stopped it.  The error state is left
@@ -251,11 +256,15 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
 
     runs = np.flatnonzero(n_steps > 0)
     u, coef = u.take(runs, axis=1), coef.take(runs, axis=1)  # C-contiguous, unlike u[:, runs]
+    if ref is not None:
+        ref = ref.take(runs, axis=1)
     dt, t_end, n_full, rem, n_steps, window, tol = (
         x[runs] for x in (dt, t_end, n_full, rem, n_steps, window, tol)
     )
     w_max = int(window.max(initial=0))
     ring = [u] * w_max  # u_j at slot j % w_max; the arrays are never written in place
+    planes = (w_max > 0) + (ref is not None)
+    ref_dist = settled = None
     solver = None
     k = 0
     while runs.size:
@@ -268,7 +277,9 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
                 if solver is None:
                     n_full_min, n_steps_min = float(n_full.min()), float(n_steps.min())
                     # Runs sharing a window share the ring slot of their oldest state.
+                    # A window of all runs takes them by where=True: a mask costs more.
                     windows = [(w, window == w) for w in np.unique(window[window > 0]).tolist()]
+                    windows = [(w, True if m.all() else m[:, None]) for w, m in windows]
                     h = dt
                 if k > n_full_min:  # some runs take their remainder step onto t_end
                     last = k > n_full
@@ -280,6 +291,7 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
                 if solver is None:
                     solver, active = _joined_solver([ops[r] for r in runs], h, n)
                     react = rhs(coef, h, u.shape[0])
+                    gap = np.full((planes, *u.shape), np.inf)
 
                 f = react(u)
                 failed = {}
@@ -298,30 +310,27 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
                 if new.min() < 0.0:
                     for i, err in _clamp(new, names).items():
                         failed.setdefault(i, err)
+                if planes:
+                    for w, members in windows:
+                        if k >= w:
+                            np.subtract(new, ring[(k - w) % w_max], out=gap[0], where=members)
+                    if ref is not None:
+                        np.subtract(new, ref, out=gap[-1])
+                    dist = np.maximum.reduce(np.abs(gap, out=gap), axis=(1, 3))
+                    ref_dist = dist[-1] if ref is not None else None
                 if failed:
                     ok = np.ones(runs.size, dtype=bool)
                     ok[list(failed)] = False
                     if ok.any():
-                        visit(t[ok], new[:, ok], u[:, ok], runs[ok])
+                        visit(t[ok], new[:, ok], u[:, ok], runs[ok],
+                              None if ref_dist is None else ref_dist[ok])
                 else:
-                    visit(t, new, u, runs)
+                    visit(t, new, u, runs, ref_dist)
 
-                settled = None
-                for w, members in windows:
-                    if k < w:
-                        continue
-                    oldest = ring[(k - w) % w_max]
-                    if len(windows) == 1:
-                        settled = _sup_distance(new, oldest) < tol
-                    else:
-                        if settled is None:
-                            settled = np.zeros(runs.size, dtype=bool)
-                        settled[members] = (
-                            _sup_distance(new[:, members], oldest[:, members]) < tol[members]
-                        )
-                if settled is not None and last is not None:
-                    settled &= ~last
                 if w_max:
+                    settled = dist[0] < tol
+                    if last is not None:
+                        settled &= ~last
                     ring[k % w_max] = new
                 # count_nonzero is the cheapest any() on these small masks.
                 any_settled = settled is not None and np.count_nonzero(settled)
@@ -342,6 +351,8 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady):
                 yield runs[i], (rows, float(t[i]), k, settled is not None and bool(settled[i]))
         keep = ~done
         u, coef = new.compress(keep, axis=1), coef.compress(keep, axis=1)
+        if ref is not None:
+            ref = ref.compress(keep, axis=1)
         runs, dt, t_end, n_full, rem, n_steps, window, tol = (
             x[keep] for x in (runs, dt, t_end, n_full, rem, n_steps, window, tol)
         )
@@ -438,14 +449,21 @@ def step(state: State, coeffs: CoefficientSet, bc: BoundarySpec, dt: float) -> S
 
 @dataclass
 class TrajectorySummary:
+    """A run's outcome; snapshot_rows holds each snapshot as (t, rows (3, n))."""
+
     final: State
     steady: bool
     steps: int
     dt: float
-    snapshots: list[State] = field(default_factory=list)
+    snapshot_rows: list[tuple[float, np.ndarray]] = field(default_factory=list)
     snapshot_distances: list[float] | None = None
     first_time_below: float | None = None
     final_sup_distance: float | None = None
+
+    @property
+    def snapshots(self) -> list[State]:
+        """The snapshots as States, built on each access."""
+        return [_state(t, rows, self.final.mesh) for t, rows in self.snapshot_rows]
 
 
 def integrate(
@@ -522,52 +540,47 @@ def integrate_many(
         raise ValidationError("integrate_many runs must share one node count")
 
     index = [r for r, *_ in batch]
-    meshes = [coeffs[r].mesh for r in index]
     u = np.stack([u0 for *_, u0 in batch], axis=1)
-    refs = np.zeros_like(u)
     has_ref = np.array([references[r] is not None for r in index])
+    refs = np.zeros_like(u) if has_ref.any() else None  # None: no distances to take
     for b in np.flatnonzero(has_ref):
         refs[:, b] = [f.values for f in references[index[b]]]
-    open_ = has_ref & (reference_tol is not None)  # still looking for first_time_below
+    # A run records first_time_below when its distance drops below its
+    # limit: reference_tol while it still looks for it, else -inf.
+    limit = np.full(len(batch), -np.inf)
+    if reference_tol is not None:
+        limit[has_ref] = reference_tol
     first = np.full(len(batch), np.nan)
     clock = _SnapshotClock(snapshot_times, [cfgs[r].dt for r in index])
     summaries = [TrajectorySummary(state0, False, 0, cfgs[r].dt) for r, state0, _ in batch]
     for b in np.flatnonzero(has_ref):
         summaries[b].snapshot_distances = []
 
-    # Per active set: its runs, their references, which still look for the
-    # first time below reference_tol, and when their next snapshot is due.
-    active = ref_a = open_a = next_a = None
-    any_open = False
+    # Per active set: its runs, their limits and when their next snapshot is due.
+    active = limit_a = next_a = None
 
-    def visit(t, new, old, runs):
-        nonlocal active, ref_a, open_a, next_a, any_open
+    def visit(t, new, old, runs, dist):
+        nonlocal active, limit_a, next_a
         if runs is not active:
-            active, ref_a, open_a, next_a = runs, refs[:, runs], open_[runs], clock.next[runs]
-            any_open = bool(np.count_nonzero(open_a))
-        if any_open:
-            hit = _sup_distance(new, ref_a) < reference_tol
-            hit &= open_a
+            active, limit_a, next_a = runs, limit[runs], clock.next[runs]
+        if dist is not None:
+            hit = dist < limit_a
             if np.count_nonzero(hit):
                 first[runs[hit]] = t[hit]
-                open_[runs[hit]] = False
-                open_a &= ~hit
-                any_open = bool(np.count_nonzero(open_a))
+                limit[runs[hit]] = limit_a[hit] = -np.inf
         due = t >= next_a
         if np.count_nonzero(due):
             for i in np.flatnonzero(due):
                 b = runs[i]
                 count = clock.take(b, t[i])
                 next_a[i] = clock.next[b]
-                # Rows while the run steps, States once it finishes: a State takes
-                # about 40% more memory, and every active run holds its snapshots.
-                snapshot = batch[b][1] if old is None else (float(t[i]), new[:, i].copy())
-                summaries[b].snapshots += [snapshot] * count
+                t_snap = batch[b][1].t if old is None else float(t[i])
+                summaries[b].snapshot_rows += [(t_snap, new[:, i].copy())] * count
                 if has_ref[b]:
-                    distance = float(np.abs(new[:, i] - refs[:, b]).max())
-                    summaries[b].snapshot_distances += [distance] * count
+                    summaries[b].snapshot_distances += [float(dist[i])] * count
 
-    visit(np.zeros(len(batch)), u, None, np.arange(len(batch)))
+    dist0 = None if refs is None else np.abs(u - refs).max(axis=(0, 2))
+    visit(np.zeros(len(batch)), u, None, np.arange(len(batch)), dist0)
     systems = [_system(coeffs[r], bcs[r]) for r in index]
     outcomes = _march(
         u,
@@ -579,6 +592,7 @@ def integrate_many(
         [cfgs[r].t_end for r in index],
         visit,
         [cfgs[r] if stop_at_steady else None for r in index],
+        refs,
     )
     for b, outcome in outcomes:
         summary, summaries[b] = summaries[b], None
@@ -587,11 +601,7 @@ def integrate_many(
             continue
         rows, t, summary.steps, summary.steady = outcome
         if summary.steps:
-            summary.final = _state(t, rows, meshes[b])
-        snapshots = summary.snapshots
-        for j, snapshot in enumerate(snapshots):
-            if isinstance(snapshot, tuple):
-                snapshots[j] = _state(*snapshot, meshes[b])
+            summary.final = _state(t, rows, coeffs[index[b]].mesh)
         if has_ref[b]:
             summary.final_sup_distance = float(np.abs(rows - refs[:, b]).max())
         if not np.isnan(first[b]):
@@ -638,7 +648,7 @@ def integrate_scalar_logistic(
     traj = ScalarTrajectory(final=v0, steady=False, steps=0, dt=cfg.dt)
     caller = np.geterr()  # the core silences overflow; the observer runs under this
 
-    def visit(t, new, old, runs):
+    def visit(t, new, old, runs, dist):
         if observer is not None:
             with np.errstate(**caller):
                 observer(float(t[0]), new[0, 0])
@@ -650,7 +660,7 @@ def integrate_scalar_logistic(
         dt = dt[:, None]
         return lambda v: v / dt + beta * v - mu * v * v
 
-    visit(np.zeros(1), u0[:, None], None, None)
+    visit(np.zeros(1), u0[:, None], None, None, None)
     out = _march(
         u0[:, None], [[assemble(coeffs.d2, bc)]], ("V",), rhs,
         np.array([coeffs.beta.values, coeffs.mu.values])[:, None],
@@ -726,7 +736,7 @@ def integrate_aux_pair(
 
     out = AuxPairTrajectory(h0, v0, False, 0, dt, monotone_ok=None if monotone is None else True)
 
-    def visit(t, new, old, runs):
+    def visit(t, new, old, runs, dist):
         if monotone is None:
             return
         viol = float((new - old if monotone == "nonincreasing" else old - new).max())
@@ -796,7 +806,7 @@ def compare_trajectories(
 
     report = ComparisonReport(True, None, 0.0, cfg.t_end, dt)
 
-    def visit(t, new, old, runs):
+    def visit(t, new, old, runs, dist):
         # Rows (H_i, V_i) of state_a are 0 and 4, those of state_b 1 and 5.
         viol = float((new[0::4] - new[1::4]).max())
         if viol > report.max_violation:

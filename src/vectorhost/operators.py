@@ -112,13 +112,6 @@ class EllipticOperator:
         out[1:] += self.lower * u_active[:-1]
         return out
 
-    def matrix(self) -> np.ndarray:
-        """Dense m x m matrix of -L on active nodes (for small-mesh oracles)."""
-        a = np.diag(self.diag)
-        a += np.diag(self.upper, 1)
-        a += np.diag(self.lower, -1)
-        return a
-
     def embed(self, active_values: np.ndarray) -> np.ndarray:
         """Re-embed active-node values into a full-length array (zeros at Dirichlet walls)."""
         if self.bc.kind != DIRICHLET:
@@ -216,11 +209,12 @@ def _factor_block(op1, op2, diag1, off12, off21, diag2):
 class ShiftedSolve:
     """Reusable solver for (-L + c) u = f with c >= 0.
 
-    Given equal-length sequences of operators and potentials instead, it
-    solves their block-diagonal system: the (-L_k + c_k) on their active
-    nodes, joined in order with zero coupling, so f and u are the
-    concatenated active parts.  With zero off-diagonals at the joins
-    dgttrf neither pivots nor eliminates across blocks, and each block
+    Given a sequence of operators and an equal-length 1-D array of constant
+    potentials instead, it solves their block-diagonal system: the
+    (-L_k + c_k) on their active nodes, joined in order with zero coupling,
+    so f and u are the concatenated active parts.  The constants are
+    checked together, as one potential is.  With zero off-diagonals at the
+    joins dgttrf neither pivots nor eliminates across blocks, and each block
     solves bit-identically to its own ShiftedSolve.
 
     The system is LU-factored once, here (dgttrf); each solve is one dgttrs
@@ -233,11 +227,15 @@ class ShiftedSolve:
     """
 
     def __init__(self, op, c):
-        ops, cs = (op, c) if isinstance(op, (list, tuple)) else ((op,), (c,))
+        if isinstance(op, (list, tuple)):
+            ops, cs = op, np.asarray(c, dtype=float)
+            _check_potential(cs, any(o.has_constant_kernel and cv == 0.0 for o, cv in zip(ops, cs)))
+        else:
+            ops, cs = (op,), (_potential(op, c),)
         join = np.zeros(1)
         lower, diag, upper = [], [], []
         for o, cv in zip(ops, cs, strict=True):
-            diag.append(o.diag + _potential(o, cv))
+            diag.append(o.diag + cv)
             lower += [o.lower, join]
             upper += [o.upper, join]
         self.op = op
@@ -268,14 +266,20 @@ def _potential(op: EllipticOperator, c) -> np.ndarray:
         c_active = cv
     else:
         raise ValidationError("potential length matches neither the mesh nor the active nodes")
-    if not (np.isfinite(c_active).all() and c_active.min() >= 0):
+    _check_potential(c_active, op.has_constant_kernel and c_active.max() == 0.0)
+    return c_active
+
+
+def _check_potential(c, singular: bool) -> None:
+    """Reject a potential c that is not finite and nonnegative, or one that
+    leaves (-L + c) singular."""
+    if not (np.isfinite(c).all() and c.min() >= 0):
         raise ValidationError("potential c must be finite and nonnegative")
-    if op.has_constant_kernel and c_active.max() == 0.0:
+    if singular:
         raise SingularSystemError(
             "(-L + c) is singular: Neumann closure with c identically zero "
             "(constants span the kernel)"
         )
-    return c_active
 
 
 def solve(op: EllipticOperator, c: ScalarField, f: ScalarField) -> ScalarField:

@@ -331,7 +331,8 @@ def monotone_iterate(
         k2 = scale * k2_base
         solve1 = ShiftedSolve(problem.op1, k1)
         solve2 = ShiftedSolve(problem.op2, k2)
-        k1_extra = k1 - problem.rho  # f1 + K1 H = sigma1 h_u V + (K1 - rho) H
+        # f1 + K1 H = sigma1 h_u V + (K1 - rho) H, whose second term is 0 unless doubled.
+        k1_extra = k1 - problem.rho if scale != 1.0 else None
         # Round-off floor of one sweep: evaluating the residual costs
         # eps*stiffness*|u| and the sweep damps it by (M + K)^{-1} ~ 1/min K.
         k_min = min(float(k1.min()), float(k2.min()))
@@ -354,8 +355,9 @@ def monotone_iterate(
             u_new, h_new, v_new = nxt
             # H half-sweep: sigma1 h_u V + (K1 - rho) H.
             np.multiply(s1hu, v, out=h_new)
-            np.multiply(k1_extra, h, out=row)
-            np.add(h_new, row, out=h_new)
+            if k1_extra is not None:
+                np.multiply(k1_extra, h, out=row)
+                np.add(h_new, row, out=h_new)
             solve1.solve_active(h_new, True)
             # V half-sweep: f2(H_new, V) + K2 V, in the order of problem.reaction.
             np.subtract(v_plus, v, out=v_new)

@@ -144,15 +144,13 @@ def threshold_report(
 ) -> ThresholdReport:
     """The threshold report of a classified scenario and its trajectory,
     integrated with the attractor as reference."""
+    snaps = traj.snapshot_rows
+    # Per snapshot, the sup norm of each component: max is exact, so these
+    # are the values of the snapshot States, bit for bit.
+    sups = np.abs([u for _, u in snaps]).max(axis=2).tolist() if snaps else []
     rows = [
-        TrajectoryRow(
-            st.t,
-            dist,
-            float(np.abs(st.h_i.values).max()),
-            float(np.abs(st.v_u.values).max()),
-            float(np.abs(st.v_i.values).max()),
-        )
-        for st, dist in zip(traj.snapshots, traj.snapshot_distances)
+        TrajectoryRow(t, dist, *sup)
+        for (t, _), dist, sup in zip(snaps, traj.snapshot_distances, sups)
     ]
     return ThresholdReport(
         lambda_beta=prediction.lambda_beta,

@@ -29,10 +29,15 @@ def make_state(mesh, h, vu, vi, t=0.0):
     return vh.State(t, f(h), f(vu), f(vi))
 
 
+def dense_matrix(op):
+    """Dense m x m matrix of -L on the active nodes of op, from its diagonals."""
+    return np.diag(op.diag) + np.diag(op.upper, 1) + np.diag(op.lower, -1)
+
+
 def dense_scalar_eig(d2, beta, bc):
     """Smallest eigenvalue of -L2 - beta via symmetrized dense eigh."""
     op = assemble(d2, bc)
-    a = op.matrix() - np.diag(op.restrict(beta))
+    a = dense_matrix(op) - np.diag(op.restrict(beta))
     sq = np.sqrt(op.weights)
     s = (sq[:, None] * a) / sq[None, :]
     return float(np.linalg.eigvalsh(0.5 * (s + s.T)).min())
@@ -40,7 +45,7 @@ def dense_scalar_eig(d2, beta, bc):
 
 def dense_system_block(coeffs, v_b, bc, eps=0.0, weight=None):
     """The dense block matrix of the system eigenproblem, built here from the
-    coefficients and op.matrix(), not by the solver's band factor."""
+    coefficients and dense_matrix, not by the solver's band factor."""
     w = 1.0 if weight is None else weight.values
     op1, op2 = assemble(coeffs.d1, bc), assemble(coeffs.d2, bc)
     sl = op1.sl
@@ -48,8 +53,8 @@ def dense_system_block(coeffs, v_b, bc, eps=0.0, weight=None):
     a21 = -(coeffs.sigma2.values * (v_b.values + eps * w))[sl]
     a22 = (coeffs.mu.values * (v_b.values - eps * w))[sl]
     return np.block([
-        [op1.matrix() + np.diag(coeffs.rho.values[sl]), np.diag(a12)],
-        [np.diag(a21), op2.matrix() + np.diag(a22)],
+        [dense_matrix(op1) + np.diag(coeffs.rho.values[sl]), np.diag(a12)],
+        [np.diag(a21), dense_matrix(op2) + np.diag(a22)],
     ])
 
 

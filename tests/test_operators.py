@@ -9,7 +9,7 @@ from vectorhost import verify
 from vectorhost.operators import ShiftedSolve, _block_stiffness, _factor, _factor_block, assemble, solve
 from vectorhost.steady import EndemicProblem
 
-from helpers import dense_system_block
+from helpers import dense_matrix, dense_system_block
 
 
 def unit_d(mesh):
@@ -30,27 +30,27 @@ class TestAssembly:
             ],
             dtype=float,
         )
-        assert np.allclose(op.matrix(), expected, atol=1e-12)
-        assert np.allclose(op.matrix().sum(axis=1), 0.0, atol=1e-12)
+        assert np.allclose(dense_matrix(op), expected, atol=1e-12)
+        assert np.allclose(dense_matrix(op).sum(axis=1), 0.0, atol=1e-12)
 
     def test_dirichlet_matrix_five_nodes(self):
         mesh = vh.build_mesh(0, 1, 5)
         op = assemble(unit_d(mesh), vh.BoundarySpec.dirichlet())
         expected = np.array([[32, -16, 0], [-16, 32, -16], [0, -16, 32]], dtype=float)
-        assert np.allclose(op.matrix(), expected, atol=1e-12)
+        assert np.allclose(dense_matrix(op), expected, atol=1e-12)
 
     def test_robin_adds_wall_terms(self):
         mesh = vh.build_mesh(0, 1, 5)
         op = assemble(unit_d(mesh), vh.BoundarySpec.robin(2.0, 3.0))
-        m = op.matrix()
+        m = dense_matrix(op)
         # wall diagonal gains 2 b d_face / h
         assert m[0, 0] == pytest.approx(32 + 2 * 2.0 / 0.25)
         assert m[-1, -1] == pytest.approx(32 + 2 * 3.0 / 0.25)
         assert m[0, 1] == -32.0
 
     def test_robin_zero_matches_neumann(self, unit_mesh):
-        a = assemble(unit_d(unit_mesh), vh.BoundarySpec.neumann()).matrix()
-        b = assemble(unit_d(unit_mesh), vh.BoundarySpec.robin(0.0, 0.0)).matrix()
+        a = dense_matrix(assemble(unit_d(unit_mesh), vh.BoundarySpec.neumann()))
+        b = dense_matrix(assemble(unit_d(unit_mesh), vh.BoundarySpec.robin(0.0, 0.0)))
         assert np.array_equal(a, b)
 
     def test_rejects_nonpositive_diffusion(self, unit_mesh):
@@ -65,7 +65,7 @@ class TestAssembly:
         for bc in (vh.BoundarySpec.neumann(), vh.BoundarySpec.robin(1.0, 0.5),
                    vh.BoundarySpec.dirichlet()):
             op = assemble(d, bc)
-            wa = op.weights[:, None] * op.matrix()
+            wa = op.weights[:, None] * dense_matrix(op)
             assert np.allclose(wa, wa.T, atol=1e-10)
             eigs = np.linalg.eigvalsh(0.5 * (wa + wa.T))
             assert eigs.min() >= -1e-9
@@ -216,6 +216,22 @@ class TestShiftedSolve:
         shifted = ShiftedSolve(op, 1.5)
         u = shifted.solve(np.full(unit_mesh.n, 3.0))
         assert np.allclose(u, 2.0, atol=1e-12)
+
+    def test_joined_operators(self, unit_mesh):
+        """Operators joined with one constant each solve bit for bit as on
+        their own; the constants get the checks of one potential."""
+        rng = np.random.default_rng(29)
+        ops = [assemble(unit_d(unit_mesh), bc) for bc in
+               (vh.BoundarySpec.neumann(), vh.BoundarySpec.dirichlet(), vh.BoundarySpec.robin(1.0, 0.5))]
+        cs = np.array([2.0, 0.0, 0.5])  # zero is admissible without the Neumann kernel
+        fs = [rng.normal(size=op.m) for op in ops]
+        u = ShiftedSolve(ops, cs).solve_active(np.concatenate(fs))
+        alone = [ShiftedSolve(op, c).solve_active(f) for op, c, f in zip(ops, cs, fs)]
+        assert np.array_equal(u, np.concatenate(alone))
+        for bad, error in (([2.0, np.nan, 0.5], ValidationError), ([2.0, -1.0, 0.5], ValidationError),
+                           ([0.0, 1.0, 0.5], SingularSystemError)):
+            with pytest.raises(error):
+                ShiftedSolve(ops, bad)
 
     def test_non_finite_input_rejected(self, unit_mesh):
         op = assemble(unit_d(unit_mesh), vh.BoundarySpec.neumann())

@@ -63,6 +63,27 @@ class TestThresholdExperiment:
             verify.run_threshold_experiment(coeffs, neumann, init,
                                             vh.StepperConfig(dt=0.05, t_end=1.0))
 
+    def test_trajectory_rows_match_the_snapshot_states(self, dirichlet):
+        """threshold_report takes the sup norms of all snapshots from their
+        stacked rows at once; they are those of each snapshot State, bit for
+        bit, repeated snapshots included."""
+        mesh = vh.build_mesh(0, 5, 51)
+        sc = verify.random_scenario(mesh, dirichlet, np.random.default_rng(3))
+        prediction = verify.classify_scenario(sc.coeffs, dirichlet, sc.initial)
+        cfg = vh.StepperConfig(dt=vh.stability_dt_max(sc.coeffs, sc.initial), t_end=4.0)
+        traj = vh.integrate(sc.initial, sc.coeffs, dirichlet, cfg,
+                            snapshot_times=[0.0, 1.0, 1.0, 2.5, 4.0],
+                            reference=prediction.attractor, reference_tol=1e-4)
+        got = verify.threshold_report(prediction, traj, 1e-4).trajectory
+        want = [
+            verify.TrajectoryRow(st.t, dist, *(float(np.abs(f.values).max())
+                                               for f in (st.h_i, st.v_u, st.v_i)))
+            for st, dist in zip(traj.snapshots, traj.snapshot_distances, strict=True)
+        ]
+        assert len(got) == 5 and got[1] == got[2]
+        assert [tuple(map(float.hex, row)) for row in got] == \
+            [tuple(map(float.hex, row)) for row in want]
+
     def test_neumann_lambda_beta_always_negative(self, neumann):
         mesh = vh.build_mesh(0, 1, 101)
         for seed in range(5):
