@@ -150,23 +150,31 @@ def _run_steady(config: RunConfig, out: Path, seed: int) -> int:
             profiles["V_i_star"] = result.v_i.values
         else:
             report["endemic_exists"] = False
-            report["decoupled"] = result.decoupled
     write_report(out / "report.json", report)
     _write_profiles(out / "profiles.csv", config.mesh, profiles)
     return 0
+
+
+def _threshold_fields(result: "verify.ThresholdReport", dt: float) -> dict:
+    """The report entries that threshold, simulate and sweep runs share."""
+    return {
+        "lambda_beta": result.lambda_beta,
+        "lambda_system": result.lambda_system,
+        "predicted": result.predicted_attractor,
+        "slow_regime": result.slow_regime,
+        "final_sup_distance": result.final_sup_distance,
+        "time_to_tolerance": result.time_to_tolerance,
+        "steady": result.steady,
+        "steps": result.steps,
+        "dt": dt,
+    }
 
 
 def _run_threshold(config: RunConfig, out: Path, seed: int, *, gate: bool) -> int:
     coeffs = config.coefficient_set()
     cfg = config.make_stepper(coeffs, config.initial)
     result = verify.run_threshold_experiment(
-        coeffs,
-        config.bc,
-        config.initial,
-        cfg,
-        distance_tol=config.distance_tol,
-        eps=config.eps,
-        snapshot_times=np.linspace(0.0, cfg.t_end, 101),
+        coeffs, config.bc, config.initial, cfg, distance_tol=config.distance_tol, eps=config.eps
     )
     passed = True
     if gate and not result.slow_regime:
@@ -177,22 +185,12 @@ def _run_threshold(config: RunConfig, out: Path, seed: int, *, gate: bool) -> in
 
     report = _base_report(config, seed)
     report.update(
-        {
-            "lambda_beta": result.lambda_beta,
-            "lambda_system": result.lambda_system,
-            "predicted": result.predicted_attractor,
-            "slow_regime": result.slow_regime,
-            "final_sup_distance": result.final_sup_distance,
-            "time_to_tolerance": result.time_to_tolerance,
-            "distance_tol": config.distance_tol,
-            "envelope_ok": result.envelope_ok,
-            "eps_used": result.eps_used,
-            "steady": result.steady,
-            "steps": result.steps,
-            "dt": cfg.dt,
-            "t_end": cfg.t_end,
-            "passed": passed,
-        }
+        _threshold_fields(result, cfg.dt),
+        distance_tol=config.distance_tol,
+        envelope_ok=result.envelope_ok,
+        eps_used=result.eps_used,
+        t_end=cfg.t_end,
+        passed=passed,
     )
     write_report(out / "report.json", report)
 
@@ -285,20 +283,7 @@ def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
             and result.steady
             and result.final_sup_distance > config.distance_tol
         )
-        reports[i].update(
-            {
-                "lambda_beta": result.lambda_beta,
-                "lambda_system": result.lambda_system,
-                "predicted": result.predicted_attractor,
-                "slow_regime": result.slow_regime,
-                "final_sup_distance": result.final_sup_distance,
-                "time_to_tolerance": result.time_to_tolerance,
-                "steady": result.steady,
-                "steps": result.steps,
-                "dt": cfg.dt,
-                "passed": not contradiction,
-            }
-        )
+        reports[i].update(_threshold_fields(result, cfg.dt), passed=not contradiction)
         trajectories[i] = result.trajectory
         codes[i] = 2 if contradiction else 0
 

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eigen import EndemicProblem
 from .errors import (
     BlowUpError,
     MeshMismatchError,
@@ -66,6 +67,9 @@ from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField
 from .operators import ShiftedSolve, assemble
 
 CLAMP_BAND = 1e-14
+# How far a monotone flow or an ordered pair may move the wrong way before
+# it counts as a violation.
+ORDER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -490,10 +494,13 @@ def integrate(
 
 def _start(state0: State, coeffs: CoefficientSet, bc: BoundarySpec, cfg: StepperConfig):
     """The checked initial state of a full-system run and its rows, with
-    Dirichlet walls snapped to zero."""
+    Dirichlet walls snapped to zero.  Runs start at t = 0: the stepping
+    clock, the snapshot times and t_end all count from there."""
     mesh = coeffs.mesh
     if state0.mesh != mesh:
         raise MeshMismatchError("state and coefficients live on different meshes")
+    if state0.t != 0.0:
+        raise ValidationError(f"runs start at t = 0, got an initial state at t = {state0.t:g}")
     u0 = _rows(state0)
     if bc.kind == DIRICHLET:
         _snap_walls(u0, ("h_i", "v_u", "v_i"))
@@ -574,8 +581,7 @@ def integrate_many(
                 b = runs[i]
                 count = clock.take(b, t[i])
                 next_a[i] = clock.next[b]
-                t_snap = batch[b][1].t if old is None else float(t[i])
-                summaries[b].snapshot_rows += [(t_snap, new[:, i].copy())] * count
+                summaries[b].snapshot_rows += [(float(t[i]), new[:, i].copy())] * count
                 if has_ref[b]:
                     summaries[b].snapshot_distances += [float(dist[i])] * count
 
@@ -694,7 +700,6 @@ def integrate_aux_pair(
     eps: float = 0.0,
     weight: ScalarField | None = None,
     monotone: str | None = None,
-    monotone_tol: float = 1e-10,
     stop_at_steady: bool = True,
 ) -> AuxPairTrajectory:
     """Integrate the auxiliary two-component flow with frozen vector
@@ -703,34 +708,30 @@ def integrate_aux_pair(
         dH/dt - L1 H = -rho H + sigma1 h_u V
         dV/dt - L2 V = sigma2 (V_B + eps w - V)^+ H - mu (V_B - eps w) V
 
-    This is the flow whose trajectories from upper (lower) solutions are
-    nodewise non-increasing (non-decreasing); pass monotone="nonincreasing"
-    or "nondecreasing" to track violations beyond monotone_tol.  The step
-    is capped so the update map is order-preserving over the run.
+    whose reaction is EndemicProblem.reaction (v_b, eps and weight must
+    pass its checks).  This is the flow whose trajectories from upper
+    (lower) solutions are nodewise non-increasing (non-decreasing); pass
+    monotone="nonincreasing" or "nondecreasing" to track violations beyond
+    ORDER_TOL.  The step is capped so the update map is order-preserving
+    over the run.
     """
     mesh = coeffs.mesh
     if weight is None:
         weight = ScalarField(mesh, np.ones(mesh.n))
     if monotone not in (None, "nonincreasing", "nondecreasing"):
         raise ValidationError(f"unknown monotone mode {monotone!r}")
-    v_plus = v_b.values + eps * weight.values
-    v_minus = v_b.values - eps * weight.values
-    rho = coeffs.rho.values
-    s1hu = coeffs.sigma1.values * coeffs.h_u.values
-    s2 = coeffs.sigma2.values
-    mu = coeffs.mu.values
+    problem = EndemicProblem(coeffs, bc, v_b, eps, weight)
+    sl = problem.op1.sl
     # V_B + |eps| w bounds both V and V_B - eps w.
     dt = min(cfg.dt, _order_dt(coeffs, float(h0.values.max()), v_b.values + abs(eps) * weight.values))
 
     def rhs(c, dt, rows):
-        rho, s1hu, s2, v_plus, mu, v_minus = c
         dt = dt[:, None]
 
         def react(u):
-            h, v = u
-            f1 = -rho * h + s1hu * v
-            f2 = s2 * np.maximum(v_plus - v, 0.0) * h - mu * v_minus * v
-            return np.array([h / dt + f1, v / dt + f2])
+            f = u / dt  # Dirichlet walls are not solved for
+            f[:, 0, sl] += problem.reaction(u[0, 0, sl], u[1, 0, sl])
+            return f
 
         return react
 
@@ -742,16 +743,16 @@ def integrate_aux_pair(
         viol = float((new - old if monotone == "nonincreasing" else old - new).max())
         if viol > out.max_violation:
             out.max_violation = viol
-        if viol > monotone_tol and out.first_violation_time is None:
+        if viol > ORDER_TOL and out.first_violation_time is None:
             out.first_violation_time = float(t[0])
             out.monotone_ok = False
 
     run = _march(
         np.array([h0.values, v0.values])[:, None],
-        [[assemble(coeffs.d1, bc), assemble(coeffs.d2, bc)]],
+        [[problem.op1, problem.op2]],
         ("H", "V"),
         rhs,
-        np.array([rho, s1hu, s2, v_plus, mu, v_minus])[:, None],
+        np.empty((0, 1)),  # the reaction's coefficients live in problem
         [dt],
         [cfg.t_end],
         visit,
@@ -778,11 +779,9 @@ def compare_trajectories(
     coeffs: CoefficientSet,
     bc: BoundarySpec,
     cfg: StepperConfig,
-    *,
-    order_tol: float = 1e-10,
 ) -> ComparisonReport:
     """Integrate two states with identical configuration and report the first
-    time (if any) the (H_i, V_i) ordering breaks beyond order_tol.
+    time (if any) the (H_i, V_i) ordering breaks beyond ORDER_TOL.
 
     Requires state_a <= state_b in (H_i, V_i) at t = 0.  The step is
     internally capped (never above cfg.dt) so the explicit reaction map is
@@ -792,8 +791,8 @@ def compare_trajectories(
     if state_a.mesh != state_b.mesh or state_a.mesh != coeffs.mesh:
         raise MeshMismatchError("states and coefficients must share one mesh")
     if (
-        float((state_a.h_i.values - state_b.h_i.values).max()) > order_tol
-        or float((state_a.v_i.values - state_b.v_i.values).max()) > order_tol
+        float((state_a.h_i.values - state_b.h_i.values).max()) > ORDER_TOL
+        or float((state_a.v_i.values - state_b.v_i.values).max()) > ORDER_TOL
     ):
         raise ValidationError("state_a must be <= state_b in (H_i, V_i) at t = 0")
 
@@ -811,7 +810,7 @@ def compare_trajectories(
         viol = float((new[0::4] - new[1::4]).max())
         if viol > report.max_violation:
             report.max_violation = viol
-        if viol > order_tol and report.first_violation_time is None:
+        if viol > ORDER_TOL and report.first_violation_time is None:
             report.first_violation_time = float(t[0])
             report.ordered = False
 

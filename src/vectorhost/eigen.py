@@ -155,17 +155,17 @@ class EndemicProblem:
             weight = field_from_constant(mesh, 1.0)
         if weight.mesh != mesh:
             raise MeshMismatchError("weight must share the coefficient mesh")
-        vb, ew = v_b.values[mesh.interior], eps * weight.values[mesh.interior]
-        # sigma2 (V_B + eps w) < 0 would make the block non-cooperative.
-        if np.min(vb - ew) <= 0 or np.min(vb + ew) < 0:
-            raise ValidationError(
-                "V_B - eps*weight must stay positive and V_B + eps*weight nonnegative "
-                "at interior nodes (perturbation too large)"
-            )
         self.mesh = mesh
         self.op1 = assemble(coeffs.d1, bc)
         self.op2 = assemble(coeffs.d2, bc)
         sl = self.op1.sl
+        vb, ew = v_b.values[sl], eps * weight.values[sl]
+        # sigma2 (V_B + eps w) < 0 would make the block non-cooperative.
+        if np.min(vb - ew) <= 0 or np.min(vb + ew) < 0:
+            raise ValidationError(
+                "V_B - eps*weight must stay positive and V_B + eps*weight nonnegative "
+                "at active nodes (perturbation too large)"
+            )
         self.rho = coeffs.rho.values[sl]
         self.s1hu = (coeffs.sigma1.values * coeffs.h_u.values)[sl]
         self.s2 = coeffs.sigma2.values[sl]

@@ -66,6 +66,8 @@ MAX_SWEEPS = 5000
 AGREEMENT_TOL = 2e-8
 RESIDUAL_TOL = 1e-8
 MAX_NEWTON = 60
+POLISH_TOL = 1e-12
+MAX_POLISH = 40
 DELTA_CANDIDATES = tuple(10.0 ** (-k) for k in range(1, 9))
 
 
@@ -98,11 +100,10 @@ class EndemicEquilibrium:
 
 @dataclass(frozen=True)
 class EndemicAbsent:
-    """No positive equilibrium (nonnegative system eigenvalue, or decoupled input)."""
+    """No positive equilibrium: the system eigenvalue is nonnegative."""
 
     lambda_system: float
     eps: float = 0.0
-    decoupled: bool = False
 
 
 def solve_logistic(
@@ -201,23 +202,20 @@ def check_eps_admissibility(
     Neumann/Robin:  eps^2 mu < beta V_B      at every node;
     Dirichlet:      (eps phi)^2 mu < beta V_D + eps phi (lambda + beta)
                     at interior nodes,
-    plus positivity V_B - |eps| weight > 0 on the interior in both cases.
+    plus positivity V_B - |eps| weight > 0 in both cases: all on the
+    active nodes, the interior for Dirichlet and every node otherwise.
     """
     if eps == 0.0:
         return
-    mesh = coeffs.mesh
-    interior = mesh.interior
-    ew = eps * weight.values
-    if np.min(v_b.values[interior] - np.abs(ew[interior])) <= 0:
-        raise AdmissibilityError(
-            "V_B - |eps|*weight > 0",
-            f"min over interior nodes is {np.min(v_b.values[interior] - np.abs(ew[interior])):.3e}",
-        )
-    mu = coeffs.mu.values
-    beta = coeffs.beta.values
+    sl = assemble(coeffs.d2, bc).sl
+    vb, ew = v_b.values[sl], eps * weight.values[sl]
+    low = float(np.min(vb - np.abs(ew)))
+    if low <= 0:
+        raise AdmissibilityError("V_B - |eps|*weight > 0", f"min over active nodes is {low:.3e}")
+    mu, beta = coeffs.mu.values[sl], coeffs.beta.values[sl]
     if bc.kind == DIRICHLET:
-        lhs = ew[interior] ** 2 * mu[interior]
-        rhs = beta[interior] * v_b.values[interior] + ew[interior] * (lambda_beta + beta[interior])
+        lhs = ew**2 * mu
+        rhs = beta * vb + ew * (lambda_beta + beta)
         if np.any(lhs >= rhs):
             raise AdmissibilityError(
                 "(eps*phi)^2 * mu < beta*V_B + eps*phi*(lambda_beta + beta)",
@@ -225,7 +223,7 @@ def check_eps_admissibility(
             )
     else:
         lhs = eps * eps * mu
-        rhs = beta * v_b.values
+        rhs = beta * vb
         if np.any(lhs >= rhs):
             raise AdmissibilityError(
                 "eps^2 * mu < beta*V_B",
@@ -258,8 +256,9 @@ def upper_solution_h(
 
 def _h_bar(op1, rho: np.ndarray, s1hu: np.ndarray, v_plus: np.ndarray) -> np.ndarray:
     """H_bar on the active nodes of op1, given rho, sigma1 h_u and
-    V_B + eps w there: the one solve behind upper_solution_h and the
-    default top of an upward monotone iteration."""
+    V_B + eps w there: the one solve behind upper_solution_h, the upper
+    pair of solve_endemic and the default top of an upward monotone
+    iteration."""
     return ShiftedSolve(op1, rho).solve_active(s1hu * v_plus)
 
 
@@ -412,38 +411,28 @@ def monotone_iterate(
         return run(2.0)
 
 
-def _newton_polish(
-    problem: EndemicProblem,
-    h: np.ndarray,
-    v: np.ndarray,
-    *,
-    box: tuple | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 40,
-):
+def _newton_polish(problem: EndemicProblem, h: np.ndarray, v: np.ndarray, box: tuple):
     """Drive the coupled residual to (near) round-off from a good start.
 
-    Newton stops at tol or once a step no longer lowers the sup residual.
-    box = ((h_lo, v_lo), (h_hi, v_hi)) clamps the iterates into an order
-    interval known to contain the target root; a strictly positive lower
-    bound keeps Newton out of the basin of the zero solution.
+    Newton stops at POLISH_TOL, after MAX_POLISH steps, or once a step no
+    longer lowers the sup residual.  box = ((h_lo, v_lo), (h_hi, v_hi))
+    clamps the iterates into an order interval known to contain the target
+    root; a strictly positive lower bound keeps Newton out of the basin of
+    the zero solution.
     """
+    (h_lo, v_lo), (h_hi, v_hi) = box
     r1, r2 = problem.residual(h, v)
     rn = float(max(np.abs(r1).max(), np.abs(r2).max()))
     m = problem.m
-    for _ in range(max_iter):
-        if rn <= tol:
+    for _ in range(MAX_POLISH):
+        if rn <= POLISH_TOL:
             break
         delta = problem.jacobian(h, v)(-np.concatenate([r1, r2]))
         alpha = 1.0
         improved = False
         while alpha > 2.0 ** -20:
-            h_t = h + alpha * delta[:m]
-            v_t = v + alpha * delta[m:]
-            if box is not None:
-                (h_lo, v_lo), (h_hi, v_hi) = box
-                h_t = np.clip(h_t, h_lo, h_hi)
-                v_t = np.clip(v_t, v_lo, v_hi)
+            h_t = np.clip(h + alpha * delta[:m], h_lo, h_hi)
+            v_t = np.clip(v + alpha * delta[m:], v_lo, v_hi)
             r1_t, r2_t = problem.residual(h_t, v_t)
             rn_t = float(max(np.abs(r1_t).max(), np.abs(r2_t).max()))
             if rn_t < rn:
@@ -466,18 +455,16 @@ def solve_endemic(
     eigenpair: SystemEigenpair | None = None,
     sweep_tol: float = SWEEP_TOL,
     max_sweeps: int = MAX_SWEEPS,
-    agreement_tol: float = AGREEMENT_TOL,
-    residual_tol: float = RESIDUAL_TOL,
 ) -> EndemicEquilibrium | EndemicAbsent:
     """Positive equilibrium of the perturbed infection system, or Absent.
 
     Absent exactly when the system principal eigenvalue is >= 0.  When it
     is negative the equilibrium is bracketed by a downward iteration from
     (H_bar, V_B + eps w) and an upward one from delta (phi1, phi2).  Both
-    polished limits must pass the residual gate max(residual_tol,
-    4 eps * stiffness * (1 + max |(H, V)|)), the larger of residual_tol and
+    polished limits must pass the residual gate max(RESIDUAL_TOL,
+    4 eps * stiffness * (1 + max |(H, V)|)), the larger of RESIDUAL_TOL and
     the round-off floor of the infection block, or ConvergenceError is
-    raised; two roots must then agree within agreement_tol (uniqueness),
+    raised; two roots must then agree within AGREEMENT_TOL (uniqueness),
     and their common value is returned.
     """
     if bc.kind == DIRICHLET and scalar_eig is None:
@@ -493,14 +480,6 @@ def solve_endemic(
     weight = default_weight(coeffs, bc, scalar_eig)
     check_eps_admissibility(coeffs, v_b, bc, eps, weight, logistic.lambda_beta)
 
-    if float(coeffs.h_u.values.max()) <= 0.0:
-        # Decoupled input: the infection block cannot be sourced at all.
-        neg_rho = ScalarField(coeffs.mesh, -coeffs.rho.values)
-        neg_muv = ScalarField(coeffs.mesh, -coeffs.mu.values * v_b.values)
-        lam1 = principal_eigen_scalar(coeffs.d1, neg_rho, bc).lam
-        lam2 = principal_eigen_scalar(coeffs.d2, neg_muv, bc).lam
-        return EndemicAbsent(min(lam1, lam2), eps, decoupled=True)
-
     if eigenpair is None:
         eigenpair = principal_eigen_system(coeffs, v_b, bc, eps, weight)
     lam = eigenpair.lam
@@ -508,11 +487,10 @@ def solve_endemic(
         return EndemicAbsent(lam, eps)
 
     problem = EndemicProblem(coeffs, bc, v_b, eps, weight)
-    h_bar = upper_solution_h(coeffs, v_b, bc, eps, weight)
-    v_up = ScalarField(coeffs.mesh, v_b.values + eps * weight.values)
-
-    upper_h = problem.op1.restrict(h_bar)
-    upper_v = problem.op2.restrict(v_up)
+    mesh = problem.mesh
+    # The upper-solution pair (H_bar, V_B + eps w).
+    upper_h = _h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
+    upper_v = problem.v_plus
     phi1 = problem.op1.restrict(eigenpair.phi1)
     phi2 = problem.op2.restrict(eigenpair.phi2)
     delta = None
@@ -530,15 +508,20 @@ def solve_endemic(
         )
 
     down = monotone_iterate(
-        problem, h_bar, v_up, "down", sweep_tol=sweep_tol, max_sweeps=max_sweeps
+        problem,
+        ScalarField(mesh, problem.op1.embed(upper_h)),
+        ScalarField(mesh, problem.op2.embed(upper_v)),
+        "down",
+        sweep_tol=sweep_tol,
+        max_sweeps=max_sweeps,
     )
     down_h = problem.op1.restrict(down.h)
     down_v = problem.op2.restrict(down.v)
     # The upward iterates stay below the minimal solution, hence below the
     # downward limit, which is a much lower top of their order interval
     # than H_bar: a smaller K2 and a far better contraction rate.
-    lo_h = ScalarField(coeffs.mesh, problem.op1.embed(delta * phi1))
-    lo_v = ScalarField(coeffs.mesh, problem.op2.embed(delta * phi2))
+    lo_h = ScalarField(mesh, problem.op1.embed(delta * phi1))
+    lo_v = ScalarField(mesh, problem.op2.embed(delta * phi2))
     up = monotone_iterate(
         problem, lo_h, lo_v, "up", h_top=down.h, sweep_tol=sweep_tol, max_sweeps=max_sweeps
     )
@@ -547,18 +530,16 @@ def solve_endemic(
 
     # Polish inside order intervals that bracket the positive root and
     # exclude zero, so Newton cannot drift to the trivial solution.
-    hd, vd, rd = _newton_polish(
-        problem, down_h, down_v, box=((up_h, up_v), (upper_h, upper_v))
-    )
+    hd, vd, rd = _newton_polish(problem, down_h, down_v, ((up_h, up_v), (upper_h, upper_v)))
     hu, vu_, ru = _newton_polish(
-        problem, up_h, up_v, box=((up_h, up_v), (np.maximum(down_h, hd), np.maximum(down_v, vd)))
+        problem, up_h, up_v, ((up_h, up_v), (np.maximum(down_h, hd), np.maximum(down_v, vd)))
     )
     res = max(rd, ru)
     # Evaluating -L u costs round-off that grows with the stencil.  Only
     # two limits that are both roots can speak against uniqueness.
-    roots = res <= max(residual_tol, problem.roundoff(hd, vd))
+    roots = res <= max(RESIDUAL_TOL, problem.roundoff(hd, vd))
     disagreement = max(float(np.abs(hd - hu).max()), float(np.abs(vd - vu_).max()))
-    if not roots or disagreement > agreement_tol:
+    if not roots or disagreement > AGREEMENT_TOL:
         capped = [name for name, it in (("downward", down), ("upward", up)) if not it.converged]
         if capped:  # a cap hit, not evidence against uniqueness
             raise ConvergenceError(
@@ -568,23 +549,22 @@ def solve_endemic(
         if not roots:
             raise ConvergenceError("endemic equilibrium residual above tolerance", residual=res)
         raise UniquenessViolation(
-            f"down/up limits disagree by {disagreement:.3e} (> {agreement_tol:g}); "
+            f"down/up limits disagree by {disagreement:.3e} (> {AGREEMENT_TOL:g}); "
             "this contradicts uniqueness of the positive equilibrium"
         )
 
-    interior = coeffs.mesh.interior
+    interior = mesh.interior
     h_full = problem.op1.embed(hd)
     v_full = problem.op2.embed(vd)
     if h_full[interior].min() <= 0 or v_full[interior].min() <= 0:
         raise ConvergenceError("endemic equilibrium lost interior positivity")
-    ceiling = v_b.values + eps * weight.values
-    if np.any(v_full[interior] >= ceiling[interior]):
+    if np.any(vd >= problem.v_plus):
         raise ConvergenceError("endemic V_i does not stay strictly below V_B + eps*weight")
 
     return EndemicEquilibrium(
-        h_i=ScalarField(coeffs.mesh, h_full),
-        v_i=ScalarField(coeffs.mesh, v_full),
-        v_u=ScalarField(coeffs.mesh, v_b.values - v_full),
+        h_i=ScalarField(mesh, h_full),
+        v_i=ScalarField(mesh, v_full),
+        v_u=ScalarField(mesh, v_b.values - v_full),
         lambda_system=lam,
         eps=eps,
         iterations_upper=down.sweeps,

@@ -51,6 +51,8 @@ ENDEMIC = "Endemic"
 DISEASE_FREE = "DiseaseFree"
 EXTINCT = "Extinct"
 SLOW_BAND = 1e-3
+ABSENCE_GATE = 1e-8
+COLLAPSE_TOL = 1e-6
 
 TrajectoryRow = namedtuple("TrajectoryRow", "t sup_dist sup_h_i sup_v_u sup_v_i")
 
@@ -245,9 +247,6 @@ def check_envelope_dirichlet(
 
     found: list[float | None] = [None]
     held = [True]
-    margins: list[tuple[float, float, float]] = []
-    mtimes = sorted(float(t) for t in margin_times) if margin_times is not None else []
-    midx = [0]
 
     def observer(t: float, values: np.ndarray):
         vi = values[interior]
@@ -256,13 +255,14 @@ def check_envelope_dirichlet(
             found[0] = t
         if not inside and found[0] is not None:
             held[0] = False
-        while midx[0] < len(mtimes) and t >= mtimes[midx[0]] - 1e-9:
-            margins.append((t, float((vi - lower).min()), float((upper - vi).min())))
-            midx[0] += 1
 
-    integrate_scalar_logistic(
-        v0, coeffs, bc, cfg, stop_at_steady=False, observer=observer
+    traj = integrate_scalar_logistic(
+        v0, coeffs, bc, cfg, snapshot_times=margin_times, stop_at_steady=False, observer=observer
     )
+    margins = [
+        (t, float((v.values[interior] - lower).min()), float((upper - v.values[interior]).min()))
+        for t, v in traj.snapshots
+    ]
     return EnvelopeReport(
         t_eps=found[0],
         held_until_end=held[0] if found[0] is not None else False,
@@ -287,23 +287,16 @@ class AbsenceReport:
     confirmed: bool | None = None
 
 
-def check_endemic_absence(
-    coeffs: CoefficientSet,
-    bc: BoundarySpec,
-    *,
-    gate: float = 1e-8,
-    collapse_tol: float = 1e-6,
-    max_sweeps: int = 5000,
-) -> AbsenceReport:
-    """When the system eigenvalue at the vector equilibrium is >= gate,
+def check_endemic_absence(coeffs: CoefficientSet, bc: BoundarySpec) -> AbsenceReport:
+    """When the system eigenvalue at the vector equilibrium is >= ABSENCE_GATE,
     confirm solve_endemic returns Absent and the down-iteration from the
-    upper pair collapses below collapse_tol in sup norm."""
+    upper pair collapses below COLLAPSE_TOL in sup norm."""
     scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
     if scalar_eig.lam >= 0:
         raise ValidationError("absence check requires lambda_beta < 0")
     logistic = solve_logistic(coeffs, bc, scalar_eig=scalar_eig)
     sys_eig = principal_eigen_system(coeffs, logistic.v_b, bc)
-    if sys_eig.lam < gate:
+    if sys_eig.lam < ABSENCE_GATE:
         return AbsenceReport(False, scalar_eig.lam, sys_eig.lam)
 
     res = solve_endemic(
@@ -314,12 +307,7 @@ def check_endemic_absence(
     problem = EndemicProblem(coeffs, bc, logistic.v_b, 0.0)
     h_bar = upper_solution_h(coeffs, logistic.v_b, bc)
     run = monotone_iterate(
-        problem,
-        h_bar,
-        logistic.v_b,
-        "down",
-        max_sweeps=max_sweeps,
-        stop_below_sup=0.5 * collapse_tol,
+        problem, h_bar, logistic.v_b, "down", stop_below_sup=0.5 * COLLAPSE_TOL
     )
     collapse_sup = max(float(np.abs(run.h.values).max()), float(np.abs(run.v.values).max()))
     return AbsenceReport(
@@ -328,7 +316,7 @@ def check_endemic_absence(
         lambda_system=sys_eig.lam,
         absent_confirmed=absent,
         collapse_sup=collapse_sup,
-        confirmed=absent and collapse_sup < collapse_tol,
+        confirmed=absent and collapse_sup < COLLAPSE_TOL,
     )
 
 

@@ -6,8 +6,9 @@ import pytest
 import vectorhost as vh
 from vectorhost import verify
 from vectorhost.dynamics import _rows, _state
-from vectorhost.errors import BlowUpError, StabilityError, ValidationError
+from vectorhost.errors import BlowUpError, MeshMismatchError, StabilityError, ValidationError
 from vectorhost.operators import ShiftedSolve
+from vectorhost.steady import default_weight
 
 from helpers import constants_coeffs, make_state
 
@@ -137,6 +138,23 @@ class TestIntegrate:
         for snap, (t, rows) in zip(traj.snapshots, traj.snapshot_rows, strict=True):
             assert isinstance(snap, vh.State) and snap.t == t
             assert _rows(snap).tobytes() == rows.tobytes()
+
+    def test_runs_start_at_time_zero(self, neumann):
+        """The stepping clock, snapshot times and t_end count from 0, so an
+        initial state at another time is rejected; integrate_many records the
+        error for that run only.  A single step keeps the state's time."""
+        mesh = vh.build_mesh(0, 1, 11)
+        coeffs = constants_coeffs(mesh)
+        late = make_state(mesh, 0.1, 0.8, 0.2, t=5.0)
+        cfg = vh.StepperConfig(dt=0.05, t_end=1.0)
+        with pytest.raises(ValidationError, match="t = 0"):
+            vh.integrate(late, coeffs, neumann, cfg, snapshot_times=[0.0, 0.5, 1.0])
+        batch = dict(vh.integrate_many([late, make_state(mesh, 0.1, 0.8, 0.2)], [coeffs] * 2,
+                                       [neumann] * 2, [cfg] * 2, snapshot_times=[0.0, 0.5, 1.0]))
+        assert isinstance(batch[0], ValidationError)
+        assert [t for t, _ in batch[1].snapshot_rows] == [0.0, 0.5, 1.0]
+        assert batch[1].final.t == 1.0
+        assert vh.step(late, coeffs, neumann, 0.05).t == 5.0 + 0.05
 
     def test_dirichlet_boundary_stays_zero(self, dirichlet):
         mesh = vh.build_mesh(0, np.pi, 101)
@@ -331,6 +349,21 @@ def _oracle_cases(n=41):
     return cases
 
 
+def _aux_oracle_step(h, v, coeffs, v_b, bc, dt, eps, w):
+    """One IMEX step of the auxiliary pair, its documented reactions
+    evaluated left to right, u / dt added, each component solved alone."""
+    c = coeffs
+    rho, s2, mu = c.rho.values, c.sigma2.values, c.mu.values
+    s1hu = c.sigma1.values * c.h_u.values
+    v_plus, v_minus = v_b + eps * w, v_b - eps * w
+    reactions = (-rho * h + s1hu * v, s2 * np.maximum(v_plus - v, 0.0) * h - mu * v_minus * v)
+    rows = []
+    for u, reaction, d in zip((h, v), reactions, (c.d1, c.d2)):
+        x = ShiftedSolve(vh.assemble(d, bc), 1.0 / dt).solve(u / dt + reaction)
+        rows.append(np.maximum(x, 0.0))
+    return rows
+
+
 class TestOneStepOracle:
     """The stepping core gives, bit for bit, the step written out by hand."""
 
@@ -357,6 +390,19 @@ class TestOneStepOracle:
             want = _oracle_step(state, co, bc, dts[r])
             for got, row in zip((snap.h_i, snap.v_u, snap.v_i), want):
                 assert np.array_equal(got.values, row)
+
+    @pytest.mark.parametrize("case", range(3), ids=["neumann", "dirichlet", "robin"])
+    def test_aux_pair_step(self, case):
+        state, coeffs, bc = _oracle_cases()[case]
+        v_b = vh.ScalarField(state.mesh, state.v_u.values + state.v_i.values)  # any frozen V_B
+        w = default_weight(coeffs, bc)
+        flow = vh.integrate_aux_pair(state.h_i, state.v_i, coeffs, v_b, bc,
+                                     vh.StepperConfig(dt=1e-3, t_end=1e-3), eps=0.01, weight=w)
+        assert flow.steps == 1 and flow.dt == 1e-3
+        want = _aux_oracle_step(state.h_i.values, state.v_i.values, coeffs, v_b.values, bc,
+                                1e-3, 0.01, w.values)
+        for got, row in zip((flow.h, flow.v), want):
+            assert np.array_equal(got.values, row)
 
 
 class TestErrorState:
@@ -533,6 +579,19 @@ class TestAuxPairFlow:
         assert flow.monotone_ok
         assert flow.max_violation <= 1e-10
         assert vh.sup_distance(flow.h, eq.h_i) < 1e-4
+
+    def test_rejects_inputs_the_endemic_problem_rejects(self, mesh201, neumann):
+        coeffs = constants_coeffs(mesh201)
+        v_b = vh.field_from_constant(mesh201, 1.0)
+        h0 = v0 = vh.field_from_constant(mesh201, 0.1)
+        cfg = vh.StepperConfig(dt=0.05, t_end=1.0)
+        other = vh.field_from_constant(vh.build_mesh(0, 1, 51), 1.0)
+        with pytest.raises(MeshMismatchError):
+            vh.integrate_aux_pair(h0, v0, coeffs, other, neumann, cfg)
+        with pytest.raises(MeshMismatchError):
+            vh.integrate_aux_pair(h0, v0, coeffs, v_b, neumann, cfg, eps=0.1, weight=other)
+        with pytest.raises(ValidationError, match=r"V_B - eps\*weight must stay positive"):
+            vh.integrate_aux_pair(h0, v0, coeffs, v_b, neumann, cfg, eps=1.0)
 
 
 class TestCompareTrajectories:

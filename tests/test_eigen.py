@@ -155,6 +155,19 @@ class TestSystemEigen:
         with pytest.raises(ValidationError):
             vh.principal_eigen_system(coeffs, vb, neumann, eps=1.5)
 
+    def test_perturbation_checked_at_neumann_walls(self, neumann):
+        """Neumann walls are unknowns too: V_B - eps w <= 0 at a wall would
+        make mu (V_B - eps w) negative there."""
+        mesh = vh.build_mesh(0, 1, 11)
+        coeffs = constants_coeffs(mesh)
+        values = np.ones(mesh.n)
+        values[0] = 0.1
+        vb = vh.ScalarField(mesh, values)
+        with pytest.raises(ValidationError, match=r"V_B - eps\*weight must stay positive"):
+            vh.EndemicProblem(coeffs, neumann, vb, eps=0.5)
+        with pytest.raises(ValidationError, match=r"V_B - eps\*weight must stay positive"):
+            vh.principal_eigen_system(coeffs, vb, neumann, eps=0.5)
+
     def test_noncooperative_perturbation_rejected(self, neumann):
         """eps = -1.5 makes sigma2 (V_B + eps w) negative: rejected up front."""
         mesh = vh.build_mesh(0, 1, 51)

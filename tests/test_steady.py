@@ -153,6 +153,18 @@ class TestAdmissibility:
             check_eps_admissibility(coeffs, vb, neumann, 1.2,
                                     default_weight(coeffs, neumann), -1.0)
 
+    def test_positivity_checked_at_neumann_walls(self, neumann):
+        """With beta large only the positivity clause fails, and only at
+        the wall node."""
+        mesh = vh.build_mesh(0, 1, 11)
+        coeffs = constants_coeffs(mesh, beta=10.0)
+        values = np.ones(mesh.n)
+        values[0] = 0.1
+        vb = vh.ScalarField(mesh, values)
+        with pytest.raises(AdmissibilityError, match="V_B - \\|eps\\|\\*weight > 0"):
+            check_eps_admissibility(coeffs, vb, neumann, 0.5,
+                                    default_weight(coeffs, neumann), -1.0)
+
     def test_zero_eps_always_fine(self, unit_mesh, neumann):
         coeffs = constants_coeffs(unit_mesh)
         vb = vh.field_from_constant(unit_mesh, 1.0)
@@ -202,18 +214,6 @@ class TestEndemicConstants:
         coeffs = constants_coeffs(mesh, beta=0.5)
         with pytest.raises(ValidationError):
             vh.solve_endemic(coeffs, vh.BoundarySpec.dirichlet())
-
-    def test_decoupled_input_flagged(self, unit_mesh, neumann):
-        """h_u identically zero cannot pass CoefficientSet validation, so the
-        defensive branch is reached through an unvalidated instance."""
-        coeffs = constants_coeffs(unit_mesh)
-        zero_hu = object.__new__(vh.CoefficientSet)
-        for name in ("d1", "d2", "rho", "sigma1", "sigma2", "beta", "mu"):
-            object.__setattr__(zero_hu, name, getattr(coeffs, name))
-        object.__setattr__(zero_hu, "h_u", vh.ScalarField(unit_mesh, np.zeros(unit_mesh.n)))
-        res = vh.solve_endemic(zero_hu, neumann)
-        assert isinstance(res, vh.EndemicAbsent)
-        assert res.decoupled
 
     def test_package_imports_no_sparse_module(self):
         """The infection block is factored as one LAPACK band matrix: no

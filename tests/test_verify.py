@@ -180,6 +180,32 @@ class TestEnvelope:
         assert env.t_eps is not None and env.t_eps > 0
         assert env.held_until_end
 
+    def test_margins_at_requested_times(self, dirichlet):
+        """Each margin row is the first state at or past its time (within
+        1e-9), with its least distance to each side of the envelope."""
+        mesh, coeffs = self._setup()
+        small = vh.ScalarField(mesh, 0.05 * np.sin(mesh.nodes))
+        init = vh.State(0.0, small, small, small)
+        cfg = vh.StepperConfig(dt=vh.stability_dt_max(coeffs, init), t_end=10.0)
+        times = np.linspace(0.0, cfg.t_end, 11)
+        env = verify.check_envelope_dirichlet(coeffs, init, 0.05, cfg, margin_times=times)
+
+        states = []
+        vh.integrate_scalar_logistic(
+            vh.ScalarField(mesh, 2 * small.values), coeffs, dirichlet, cfg, stop_at_steady=False,
+            observer=lambda t, values: states.append((t, values[1:-1].copy())),
+        )
+        eig = vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, dirichlet)
+        v_b = vh.solve_logistic(coeffs, dirichlet).v_b.values
+        lower = (v_b - 0.05 * eig.phi.values)[1:-1]
+        upper = (v_b + 0.05 * eig.phi.values)[1:-1]
+        want = []
+        for time in times:
+            t, v = next((t, v) for t, v in states if t >= time - 1e-9)
+            want.append((t, float((v - lower).min()), float((upper - v).min())))
+        assert env.margins == want
+        assert env.margins[0][0] == 0.0 and env.margins[-1][0] == cfg.t_end
+
     def test_inadmissible_eps_named(self, dirichlet):
         mesh, coeffs = self._setup()
         bump = np.sin(mesh.nodes)
