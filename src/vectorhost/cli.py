@@ -132,11 +132,9 @@ def _run_steady(config: RunConfig, out: Path, seed: int) -> int:
     report["lambda_beta"] = eig.lam
     report["eps"] = config.eps
     profiles: dict[str, np.ndarray] = {}
-    if eig.lam >= 0:
-        report["v_b_exists"] = False
-    else:
-        logistic = solve_logistic(coeffs, bc, scalar_eig=eig)
-        report["v_b_exists"] = True
+    logistic = solve_logistic(coeffs, bc, scalar_eig=eig)
+    report["v_b_exists"] = logistic.exists
+    if logistic.exists:
         report["v_b_max"] = float(logistic.v_b.values.max())
         profiles["V_B"] = logistic.v_b.values
         result = solve_endemic(coeffs, bc, config.eps, logistic=logistic, scalar_eig=eig)

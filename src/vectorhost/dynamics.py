@@ -700,7 +700,6 @@ def integrate_aux_pair(
     eps: float = 0.0,
     weight: ScalarField | None = None,
     monotone: str | None = None,
-    stop_at_steady: bool = True,
 ) -> AuxPairTrajectory:
     """Integrate the auxiliary two-component flow with frozen vector
     equilibrium and the positive-part infection term:
@@ -756,7 +755,7 @@ def integrate_aux_pair(
         [dt],
         [cfg.t_end],
         visit,
-        [cfg if stop_at_steady else None],
+        [cfg],
     )
     u, _, out.steps, out.steady = _unwrap(run)
     out.h = ScalarField(mesh, u[0])

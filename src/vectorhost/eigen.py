@@ -31,6 +31,7 @@ LAMBDA_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 MAX_ITERATIONS = 10_000
 REFACTOR_GAP = 1e-3
+STALL_FLOORS = 16.0
 
 
 def roundoff_floor(stiffness: float) -> float:
@@ -76,12 +77,15 @@ def _noda(matvec, dot, factor, m: int, stiffness: float, what: str):
     dot is the inner product of the Rayleigh quotient lam.  The loop stops on
     a closed bracket, or on the change in lam and the eigen-residual, with
     tolerances raised to the round-off floor of stiffness >= |A| row sums.
+    Once lam has settled it also stops on a residual below STALL_FLOORS
+    floors that no longer falls: on fine meshes the residual can stall just
+    above the floor while the bracket stays open.
     """
     floor = roundoff_floor(stiffness)
     lam_tol, res_tol = max(LAMBDA_TOL, floor), max(RESIDUAL_TOL, floor)
     x = np.ones(m)
     solve = None
-    lam_prev = residual = np.inf
+    lam_prev = res_prev = residual = np.inf
     for it in range(1, MAX_ITERATIONS + 1):
         ax = matvec(x)
         ratios = ax / x
@@ -90,7 +94,9 @@ def _noda(matvec, dot, factor, m: int, stiffness: float, what: str):
         residual = float(np.abs(ax - lam * x).max())
         # lam is a weighted mean of the ratios, so the bracket bounds its
         # error and the residual; once closed, lo would be a singular shift.
-        if hi - lo < LAMBDA_TOL or (abs(lam - lam_prev) < lam_tol and residual < res_tol):
+        settled = abs(lam - lam_prev) < lam_tol
+        stalled = residual < STALL_FLOORS * floor and residual >= res_prev
+        if hi - lo < LAMBDA_TOL or (settled and (residual < res_tol or stalled)):
             return x, lam, lo, hi, it
         if solve is None or hi - lo > REFACTOR_GAP * (1.0 + abs(lo)):
             solve = factor(lo)
@@ -98,7 +104,7 @@ def _noda(matvec, dot, factor, m: int, stiffness: float, what: str):
         if not y.min() > 0:
             raise ConvergenceError(f"{what} eigen-iterate lost positivity", residual, it)
         x = y / y.max()
-        lam_prev = lam
+        lam_prev, res_prev = lam, residual
     raise ConvergenceError(f"{what} principal eigenvalue iteration did not converge", residual, it)
 
 

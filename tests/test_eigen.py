@@ -250,6 +250,19 @@ class TestNodaIteration:
         with pytest.raises(ConvergenceError, match="positivity"):
             eigen._noda(lambda x: a @ x, np.dot, factor, 2, 4.0, "test")
 
+    @pytest.mark.parametrize("seed, n", [(58, 801), (5, 1601)])
+    def test_stalled_residual_above_the_floor_converges(self, dirichlet, seed, n):
+        """Criterion 4's Dirichlet [0, 5] streams on fine meshes, whose
+        residual stalls a few round-off floors up with the bracket still
+        open: once lambda has settled the iteration stops there."""
+        mesh = vh.build_mesh(0, 5, n)
+        rng = np.random.default_rng(np.random.SeedSequence([4, 1, seed]))
+        coeffs = verify.random_coefficients(mesh, rng)
+        eig = vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, dirichlet)
+        assert eig.iterations < 100
+        assert eig.lam_lo <= eig.lam <= eig.lam_hi
+        assert abs(eig.lam - dense_scalar_eig(coeffs.d2, coeffs.beta, dirichlet)) <= 1e-9
+
     @pytest.mark.parametrize("n", [201, 401, 801])
     def test_mesh_refinement_converges(self, neumann, n):
         """Criterion 4's Neumann seeds on finer meshes: the stopping tests'

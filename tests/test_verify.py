@@ -225,14 +225,72 @@ class TestEnvelope:
                                             vh.StepperConfig(dt=0.05, t_end=10.0))
 
 
+CLOSURES = (
+    (vh.BoundarySpec.neumann(), 1.0),
+    (vh.BoundarySpec.dirichlet(), 5.0),
+    (vh.BoundarySpec.robin(1.0, 0.5), 5.0),
+)
+
+
+class TestClassification:
+    @pytest.mark.parametrize("kind_index, seed, predicted", [
+        (0, 1, verify.ENDEMIC), (0, 3, verify.DISEASE_FREE),
+        (1, 1, verify.ENDEMIC), (1, 2, verify.EXTINCT), (1, 3, verify.DISEASE_FREE),
+        (2, 5, verify.ENDEMIC), (2, 3, verify.EXTINCT), (2, 1, verify.DISEASE_FREE),
+    ])
+    def test_equals_the_explicit_chain(self, kind_index, seed, predicted):
+        """classify_scenario takes its verdict from solve_endemic at eps = 0:
+        lambda_system, the prediction and the attractor are those of the
+        explicit chain principal_eigen_system -> solve_endemic(eigenpair=),
+        bit for bit (criterion 4's streams)."""
+        bc, b = CLOSURES[kind_index]
+        mesh = vh.build_mesh(0.0, b, 101)
+        rng = np.random.default_rng(np.random.SeedSequence([4, kind_index, seed]))
+        sc = verify.random_scenario(mesh, bc, rng)
+        got = verify.classify_scenario(sc.coeffs, bc, sc.initial)
+
+        eig = vh.principal_eigen_scalar(sc.coeffs.d2, sc.coeffs.beta, bc)
+        zero = np.zeros(mesh.n)
+        lam_sys = None
+        if eig.lam >= 0:
+            want, attractor = verify.EXTINCT, (zero, zero, zero)
+        else:
+            log = vh.solve_logistic(sc.coeffs, bc, scalar_eig=eig)
+            sys_eig = vh.principal_eigen_system(sc.coeffs, log.v_b, bc)
+            lam_sys = float.hex(sys_eig.lam)
+            res = vh.solve_endemic(sc.coeffs, bc, 0.0, logistic=log, scalar_eig=eig,
+                                   eigenpair=sys_eig)
+            if isinstance(res, vh.EndemicAbsent):
+                want, attractor = verify.DISEASE_FREE, (zero, log.v_b.values, zero)
+            else:
+                want, attractor = verify.ENDEMIC, (res.h_i.values, res.v_u.values, res.v_i.values)
+        assert want == predicted
+        assert got.predicted_attractor == want
+        assert float.hex(got.lambda_beta) == float.hex(eig.lam)
+        assert (None if got.lambda_system is None else float.hex(got.lambda_system)) == lam_sys
+        assert [f.values.tobytes() for f in got.attractor] == [a.tobytes() for a in attractor]
+        assert (got.equilibrium is not None) == (want == verify.ENDEMIC)
+
+
 class TestEndemicAbsence:
     def test_confirmed_for_weak_coupling(self, neumann):
         mesh = vh.build_mesh(0, 1, 101)
         rep = verify.check_endemic_absence(constants_coeffs(mesh, h_u=0.5), neumann)
         assert rep.applicable
-        assert rep.absent_confirmed
+        assert rep.lambda_system >= verify.ABSENCE_GATE
         assert rep.collapse_sup < 1e-6
         assert rep.confirmed
+
+    def test_not_confirmed_when_collapse_stops_at_its_cap(self, neumann):
+        """lambda_system = 1 - sqrt(h_u) = 1e-6 passes the gate, but the
+        down-iteration decays so slowly that it stops at its sweep cap
+        above COLLAPSE_TOL."""
+        mesh = vh.build_mesh(0, 1, 101)
+        rep = verify.check_endemic_absence(constants_coeffs(mesh, h_u=(1 - 1e-6) ** 2), neumann)
+        assert rep.applicable
+        assert rep.lambda_system == pytest.approx(1e-6, rel=1e-6)
+        assert rep.collapse_sup > verify.COLLAPSE_TOL
+        assert not rep.confirmed
 
     def test_not_applicable_for_strong_coupling(self, neumann):
         mesh = vh.build_mesh(0, 1, 101)
