@@ -47,7 +47,7 @@ from .grid import (
     field_from_constant,
     sup_distance,
 )
-from .operators import EllipticOperator, ShiftedSolve, assemble, solve
+from .operators import EllipticOperator, ShiftedSolve, assemble
 from .steady import (
     EndemicAbsent,
     EndemicEquilibrium,

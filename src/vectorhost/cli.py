@@ -35,35 +35,17 @@ from . import verify
 from .config import RunConfig, parse_config
 from .dynamics import StepperConfig, integrate_many, stability_dt_max
 from .eigen import principal_eigen_scalar, principal_eigen_system
-from .errors import (
-    ConvergenceError,
-    MonotonicityError,
-    UniquenessViolation,
-    ValidationError,
-    VectorHostError,
-)
+from .errors import MonotonicityError, UniquenessViolation, ValidationError, VectorHostError
 from .steady import EndemicEquilibrium, solve_endemic, solve_logistic
 
 # Errors that mean a prediction check failed (exit 2), not an operational error.
 PREDICTION_ERRORS = (UniquenessViolation, MonotonicityError)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, str)) or obj is None:
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def write_report(path: Path, report: dict):
-    path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    # np.float64 is a float, so json writes it with float.__repr__; other
+    # numpy scalars go through item().
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, default=np.generic.item) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows):
@@ -230,10 +212,8 @@ def _run_envelope(config: RunConfig, out: Path, seed: int) -> int:
 
 def _scenario_stepper(config: RunConfig, scenario: "verify.Scenario") -> StepperConfig:
     bound = stability_dt_max(scenario.coeffs, scenario.initial)
-    dt = bound if config.dt_spec == "auto" else min(float(config.dt_spec), bound)
-    return StepperConfig(
-        dt=dt, t_end=config.t_end, steady_tol=config.steady_tol, steady_window=config.steady_window
-    )
+    dt = bound if config.dt_spec == "auto" else min(config.dt_spec, bound)
+    return StepperConfig(dt=dt, **config.stepper)
 
 
 def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
@@ -264,7 +244,7 @@ def _run_sweep(config: RunConfig, out: Path, seed: int) -> int:
         [sc.coeffs for _, sc, _, _ in classified],
         [bc] * len(classified),
         [cfg for _, _, cfg, _ in classified],
-        snapshot_times=np.linspace(0.0, config.t_end, 51),
+        snapshot_times=np.linspace(0.0, config.stepper["t_end"], 51),
         references=[prediction.attractor for *_, prediction in classified],
         reference_tol=config.distance_tol,
     )
@@ -361,7 +341,7 @@ def main(argv=None) -> int:
     except PREDICTION_ERRORS as exc:
         print(f"prediction check failed: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, ConvergenceError, VectorHostError, OSError) as exc:
+    except (VectorHostError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

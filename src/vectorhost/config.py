@@ -52,9 +52,7 @@ class RunConfig:
     coefficients: dict[str, ScalarField]
     initial: dynamics.State | None
     dt_spec: float | str | None
-    t_end: float | None
-    steady_tol: float
-    steady_window: int
+    stepper: dict  # the StepperConfig keywords besides dt that the config gave
     eps: float
     seed: int
     count: int
@@ -68,13 +66,8 @@ class RunConfig:
 
     def make_stepper(self, coeffs: CoefficientSet, initial: dynamics.State) -> dynamics.StepperConfig:
         """Resolve dt="auto" against the explicit-reaction stability bound."""
-        if self.dt_spec == "auto":
-            dt = dynamics.stability_dt_max(coeffs, initial)
-        else:
-            dt = float(self.dt_spec)
-        return dynamics.StepperConfig(
-            dt=dt, t_end=self.t_end, steady_tol=self.steady_tol, steady_window=self.steady_window
-        )
+        dt = dynamics.stability_dt_max(coeffs, initial) if self.dt_spec == "auto" else self.dt_spec
+        return dynamics.StepperConfig(dt=dt, **self.stepper)
 
 
 def _reject_unknown(obj: dict, allowed: set, path: str):
@@ -181,11 +174,18 @@ def _parse_initial(obj, mesh: Mesh1D, bc: BoundarySpec, path: str) -> dynamics.S
     _reject_unknown(obj, set(_INITIAL_NAMES), path)
     comps = {}
     for name in _INITIAL_NAMES:
-        f = _parse_field(_require(obj, name, path), mesh, f"{path}.{name}")
+        where = f"{path}.{name}"
+        f = _parse_field(_require(obj, name, path), mesh, where)
         if f.values.min() < 0:
-            raise ConfigError(f"{path}.{name}", "initial data must be nonnegative")
-        if bc.kind == DIRICHLET and (f.values[0] != 0 or f.values[-1] != 0):
-            raise ConfigError(f"{path}.{name}", "Dirichlet runs need zero boundary values")
+            raise ConfigError(where, "initial data must be nonnegative")
+        if bc.kind == DIRICHLET:
+            # The integrators' wall rule: round-off residue is snapped to 0.
+            u = f.values[None].copy()
+            try:
+                dynamics._snap_walls(u, (name,))
+            except ValidationError as exc:
+                raise ConfigError(where, "Dirichlet runs need zero boundary values") from exc
+            f = ScalarField(mesh, u[0])
         comps[name] = f
     return dynamics.State(0.0, comps["h_i"], comps["v_u"], comps["v_i"])
 
@@ -224,26 +224,22 @@ def parse_config(text: str) -> RunConfig:
         initial = _parse_initial(raw["initial"], mesh, bc, "initial")
 
     dt_spec = None
-    t_end = None
-    steady_tol = 1e-9
-    steady_window = 50
+    stepper = {}
     if "stepper" in raw:
-        stepper = raw["stepper"]
-        if not isinstance(stepper, dict):
+        section = raw["stepper"]
+        if not isinstance(section, dict):
             raise ConfigError("stepper", "expected an object")
-        _reject_unknown(stepper, _STEPPER_KEYS, "stepper")
-        dt_raw = _require(stepper, "dt", "stepper")
+        _reject_unknown(section, _STEPPER_KEYS, "stepper")
+        dt_raw = _require(section, "dt", "stepper")
         if dt_raw == "auto":
             dt_spec = "auto"
         else:
             dt_spec = _number(dt_raw, "stepper.dt", positive=True)
-        t_end = _number(_require(stepper, "t_end", "stepper"), "stepper.t_end", positive=True)
-        if "steady_tol" in stepper:
-            steady_tol = _number(stepper["steady_tol"], "stepper.steady_tol", positive=True)
-        if "steady_window" in stepper:
-            steady_window = _number(
-                stepper["steady_window"], "stepper.steady_window", integer=True, positive=True
-            )
+        t_end = _require(section, "t_end", "stepper")
+        stepper["t_end"] = _number(t_end, "stepper.t_end", positive=True)
+        for key, integer in (("steady_tol", False), ("steady_window", True)):
+            if key in section:
+                stepper[key] = _number(section[key], f"stepper.{key}", integer=integer, positive=True)
 
     eps = 0.0
     if "eps" in experiment:
@@ -272,9 +268,7 @@ def parse_config(text: str) -> RunConfig:
         coefficients=coefficients,
         initial=initial,
         dt_spec=dt_spec,
-        t_end=t_end,
-        steady_tol=steady_tol,
-        steady_window=steady_window,
+        stepper=stepper,
         eps=eps,
         seed=seed,
         count=count,

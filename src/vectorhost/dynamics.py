@@ -110,9 +110,12 @@ class StepperConfig:
             raise ValidationError("steady_tol must be > 0 and steady_window >= 1")
 
 
-def reaction_bound(coeffs: CoefficientSet, v_hat: float) -> float:
-    """Nodewise Lipschitz bound of the reaction used for the dt limit."""
+def _dt_bound(coeffs: CoefficientSet, v_max: float) -> tuple[float, float]:
+    """(dt bound, v_hat) for a run whose V starts at or below v_max: V stays
+    below v_hat = max(v_max, max beta/mu), and the explicit-reaction bound is
+    0.5 over the max of the reaction's nodewise Lipschitz bound at v_hat."""
     c = coeffs
+    v_hat = max(float(v_max), float((c.beta.values / c.mu.values).max()))
     den = (
         c.rho.values
         + 2.0 * c.sigma2.values * v_hat
@@ -120,17 +123,12 @@ def reaction_bound(coeffs: CoefficientSet, v_hat: float) -> float:
         + 2.0 * c.mu.values * v_hat
         + c.sigma1.values * c.h_u.values
     )
-    return float(den.max())
-
-
-def v_hat_bound(coeffs: CoefficientSet, v_initial_max: float) -> float:
-    return max(float(v_initial_max), float((coeffs.beta.values / coeffs.mu.values).max()))
+    return 0.5 / float(den.max()), v_hat
 
 
 def stability_dt_max(coeffs: CoefficientSet, state: State) -> float:
     """Largest admissible dt for the 3-component system from this state."""
-    v0 = float((state.v_u.values + state.v_i.values).max())
-    return 0.5 / reaction_bound(coeffs, v_hat_bound(coeffs, v0))
+    return _dt_bound(coeffs, float((state.v_u.values + state.v_i.values).max()))[0]
 
 
 def _order_dt(coeffs: CoefficientSet, h_max: float, v_max) -> float:
@@ -648,7 +646,7 @@ def integrate_scalar_logistic(
     u0 = np.array([v0.values])
     if bc.kind == DIRICHLET:
         _snap_walls(u0, ("v0",))
-    _check_dt(cfg.dt, 0.5 / reaction_bound(coeffs, v_hat_bound(coeffs, float(u0.max()))))
+    _check_dt(cfg.dt, _dt_bound(coeffs, float(u0.max()))[0])
 
     clock = _SnapshotClock(snapshot_times, [cfg.dt])
     traj = ScalarTrajectory(final=v0, steady=False, steps=0, dt=cfg.dt)
@@ -795,12 +793,10 @@ def compare_trajectories(
     ):
         raise ValidationError("state_a must be <= state_b in (H_i, V_i) at t = 0")
 
-    v_hat = max(
-        v_hat_bound(coeffs, float((state_a.v_u.values + state_a.v_i.values).max())),
-        v_hat_bound(coeffs, float((state_b.v_u.values + state_b.v_i.values).max())),
-    )
+    v_max = max(float((s.v_u.values + s.v_i.values).max()) for s in (state_a, state_b))
+    bound, v_hat = _dt_bound(coeffs, v_max)
     h_max = max(float(state_a.h_i.values.max()), float(state_b.h_i.values.max()))
-    dt = min(cfg.dt, 0.5 / reaction_bound(coeffs, v_hat), _order_dt(coeffs, h_max, v_hat))
+    dt = min(cfg.dt, bound, _order_dt(coeffs, h_max, v_hat))
 
     report = ComparisonReport(True, None, 0.0, cfg.t_end, dt)
 

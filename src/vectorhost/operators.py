@@ -280,12 +280,3 @@ def _check_potential(c, singular: bool) -> None:
             "(-L + c) is singular: Neumann closure with c identically zero "
             "(constants span the kernel)"
         )
-
-
-def solve(op: EllipticOperator, c: ScalarField, f: ScalarField) -> ScalarField:
-    """Solve (-L + c) u = f; u is returned with Dirichlet zeros re-embedded.
-
-    With f >= 0 nontrivial and c >= 0 the discrete maximum principle makes
-    the solution strictly positive at interior nodes.
-    """
-    return ScalarField(op.mesh, ShiftedSolve(op, c).solve(f))

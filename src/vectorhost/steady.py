@@ -231,27 +231,17 @@ def check_eps_admissibility(
             )
 
 
-def upper_solution_h(
-    coeffs: CoefficientSet,
-    v_b: ScalarField,
-    bc: BoundarySpec,
-    eps: float = 0.0,
-    weight: ScalarField | None = None,
-) -> ScalarField:
-    """Solve (-L1 + rho) H = sigma1 h_u (V_B + eps weight).
+def upper_solution_h(coeffs: CoefficientSet, v_b: ScalarField, bc: BoundarySpec) -> ScalarField:
+    """Solve (-L1 + rho) H = sigma1 h_u V_B.
 
-    Together with V_B + eps*weight this is an upper-solution pair of the
-    perturbed infection system.
+    Together with V_B this is an upper-solution pair of the infection
+    system; solve_endemic takes the perturbed pair from its EndemicProblem.
     """
-    if weight is None:
-        weight = field_from_constant(coeffs.mesh, 1.0)
-    v_plus = v_b.values + eps * weight.values
-    if np.min(v_plus) < 0:
-        raise ValidationError("V_B + eps*weight must be nonnegative")
     op = assemble(coeffs.d1, bc)
     sl = op.sl
     s1hu = (coeffs.sigma1.values * coeffs.h_u.values)[sl]
-    return ScalarField(coeffs.mesh, op.embed(_h_bar(op, coeffs.rho.values[sl], s1hu, v_plus[sl])))
+    h_bar = _h_bar(op, coeffs.rho.values[sl], s1hu, v_b.values[sl])
+    return ScalarField(coeffs.mesh, op.embed(h_bar))
 
 
 def _h_bar(op1, rho: np.ndarray, s1hu: np.ndarray, v_plus: np.ndarray) -> np.ndarray:
@@ -280,9 +270,6 @@ def monotone_iterate(
     direction: str,
     *,
     h_top: ScalarField | None = None,
-    sweep_tol: float = SWEEP_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-    check_start: bool = True,
     keep_history: bool = False,
     stop_below_sup: float | None = None,
 ) -> MonotoneIteration:
@@ -299,19 +286,18 @@ def monotone_iterate(
     matching discrete inequalities; every sweep is checked to move nodewise
     in the declared direction (a violation doubles both potentials once and
     restarts, then fails).  Stops when the sweep-to-sweep sup change drops
-    below sweep_tol, when both components fall below stop_below_sup
-    (collapse runs), or at the sweep cap.
+    below SWEEP_TOL, when both components fall below stop_below_sup
+    (collapse runs), or at the cap of MAX_SWEEPS sweeps.
     """
     if direction not in ("down", "up"):
         raise ValidationError(f"direction must be 'down' or 'up', got {direction!r}")
     h_start = problem.op1.restrict(h0)
     v_start = problem.op2.restrict(v0)
-    if check_start:
-        ok = problem.is_upper(h_start, v_start) if direction == "down" else problem.is_lower(h_start, v_start)
-        if not ok:
-            raise ValidationError(
-                f"starting pair is not a valid {'upper' if direction == 'down' else 'lower'} solution"
-            )
+    is_valid = problem.is_upper if direction == "down" else problem.is_lower
+    if not is_valid(h_start, v_start):
+        raise ValidationError(
+            f"starting pair is not a valid {'upper' if direction == 'down' else 'lower'} solution"
+        )
     if h_top is not None:
         top = problem.op1.restrict(h_top)
         # A top below the start lets the first sweeps drop below the order
@@ -349,7 +335,7 @@ def monotone_iterate(
         history = [] if keep_history else None
         change = np.inf
         converged = False
-        for sweep in range(1, max_sweeps + 1):
+        for sweep in range(1, MAX_SWEEPS + 1):
             u, h, v = cur
             u_new, h_new, v_new = nxt
             # H half-sweep: sigma1 h_u V + (K1 - rho) H.
@@ -390,14 +376,14 @@ def monotone_iterate(
             collapsed = (
                 stop_below_sup is not None and float(u_new.max(initial=0.0)) < stop_below_sup
             )
-            converged = change < sweep_tol or collapsed
+            converged = change < SWEEP_TOL or collapsed
             if converged:
                 break
         _, h, v = cur
         return MonotoneIteration(
             ScalarField(problem.mesh, problem.op1.embed(h)),
             ScalarField(problem.mesh, problem.op2.embed(v)),
-            sweep if converged else max_sweeps,
+            sweep if converged else MAX_SWEEPS,
             converged,
             float(k2.max()),
             change,
@@ -453,8 +439,6 @@ def solve_endemic(
     logistic: LogisticSteady | None = None,
     scalar_eig: ScalarEigenpair | None = None,
     eigenpair: SystemEigenpair | None = None,
-    sweep_tol: float = SWEEP_TOL,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> EndemicEquilibrium | EndemicAbsent:
     """Positive equilibrium of the perturbed infection system, or Absent.
 
@@ -512,8 +496,6 @@ def solve_endemic(
         ScalarField(mesh, problem.op1.embed(upper_h)),
         ScalarField(mesh, problem.op2.embed(upper_v)),
         "down",
-        sweep_tol=sweep_tol,
-        max_sweeps=max_sweeps,
     )
     down_h = problem.op1.restrict(down.h)
     down_v = problem.op2.restrict(down.v)
@@ -522,9 +504,7 @@ def solve_endemic(
     # than H_bar: a smaller K2 and a far better contraction rate.
     lo_h = ScalarField(mesh, problem.op1.embed(delta * phi1))
     lo_v = ScalarField(mesh, problem.op2.embed(delta * phi2))
-    up = monotone_iterate(
-        problem, lo_h, lo_v, "up", h_top=down.h, sweep_tol=sweep_tol, max_sweeps=max_sweeps
-    )
+    up = monotone_iterate(problem, lo_h, lo_v, "up", h_top=down.h)
     up_h = problem.op1.restrict(up.h)
     up_v = problem.op2.restrict(up.v)
 
@@ -543,7 +523,7 @@ def solve_endemic(
         capped = [name for name, it in (("downward", down), ("upward", up)) if not it.converged]
         if capped:  # a cap hit, not evidence against uniqueness
             raise ConvergenceError(
-                f"{capped[0]} monotone iteration hit its cap of {max_sweeps} sweeps; "
+                f"{capped[0]} monotone iteration hit its cap of {MAX_SWEEPS} sweeps; "
                 f"polished limits disagree by {disagreement:.3e}"
             )
         if not roots:

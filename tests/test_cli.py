@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vectorhost.cli import main
+import vectorhost as vh
+from vectorhost import verify
+from vectorhost.cli import main, write_report
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -31,6 +33,27 @@ def threshold_config(h_u=2.0, t_end=100, n=101, kind="threshold"):
 
 def read_report(out_dir):
     return json.loads((Path(out_dir) / "report.json").read_text())
+
+
+class TestWriteReport:
+    def test_report_bytes(self, tmp_path):
+        """numpy scalars, nested tuples, None and bools, written with sorted
+        keys, two-space indent and shortest round-trip floats."""
+        path = tmp_path / "report.json"
+        write_report(path, {
+            "lambda": np.float64(1 / 3),
+            "steps": np.int64(7),
+            "rows": (1, (np.float64(2.5e-20), None), []),
+            "none": None,
+            "passed": True,
+            "a": {"x": np.float64(-0.0), "b": False},
+        })
+        assert path.read_text() == (
+            '{\n  "a": {\n    "b": false,\n    "x": -0.0\n  },\n'
+            '  "lambda": 0.3333333333333333,\n  "none": null,\n  "passed": true,\n'
+            '  "rows": [\n    1,\n    [\n      2.5e-20,\n      null\n    ],\n    []\n  ],\n'
+            '  "steps": 7\n}\n'
+        )
 
 
 class TestThresholdCommand:
@@ -193,6 +216,22 @@ class TestEnvelopeCommand:
         assert report["t_eps"] is not None
         assert report["held_until_end"] is True
 
+    def test_wall_residue_reads_as_zero(self, tmp_path):
+        """sin(pi) leaves about 6e-18 on the right wall.  The config reader
+        snaps it to 0 by the integrators' wall rule, so the artifacts are
+        those of the exact-zero data."""
+        bump = {"nodes": list(0.05 * np.sin(np.linspace(0, np.pi, 101)))}
+        assert bump["nodes"][-1] != 0.0
+        residue = self._config(0.05)
+        residue["initial"] = {"h_i": bump, "v_u": bump, "v_i": bump}
+        outs = []
+        for name, raw in (("exact", self._config(0.05)), ("residue", residue)):
+            outs.append(tmp_path / name)
+            cfg = write_config(tmp_path, raw, f"{name}.json")
+            assert main(["envelope", "--config", cfg, "--out", str(outs[-1])]) == 0
+        for artifact in ("report.json", "trajectory.csv"):
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
     def test_inadmissible_eps_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self._config(5.0))
         out = tmp_path / "out"
@@ -237,6 +276,26 @@ class TestSweepCommand:
         assert r1 == r2
         r3 = json.loads((out3 / "scenario_000" / "report.json").read_text())
         assert r3["lambda_beta"] != json.loads(r1)["lambda_beta"]
+
+    def test_fixed_dt_is_clipped_per_scenario(self, tmp_path):
+        """A fixed dt above a scenario's stability bound runs at that bound;
+        the others run at the given dt."""
+        mesh, bc = vh.build_mesh(0, 5, 51), vh.BoundarySpec.robin(1.0, 0.5)
+        cfg = write_config(tmp_path, {
+            "domain": {"a": 0, "b": 5, "n": 51},
+            "bc": {"kind": "robin", "b_left": 1, "b_right": 0.5},
+            "stepper": {"dt": 0.03, "t_end": 20},
+            "experiment": {"kind": "sweep", "seed": 5, "count": 8},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        dts = [read_report(out / f"scenario_{i:03d}")["dt"] for i in range(8)]
+        bounds = []
+        for child in np.random.SeedSequence(5).spawn(8):
+            scenario = verify.random_scenario(mesh, bc, np.random.default_rng(child))
+            bounds.append(vh.stability_dt_max(scenario.coeffs, scenario.initial))
+        assert dts == [min(0.03, bound) for bound in bounds]
+        assert sum(dt < 0.03 for dt in dts) == 5
 
     def test_failing_scenario_is_isolated(self, tmp_path, capsys):
         """Seed 15's scenario 8 raises BlowUpError (V_u turns negative); the

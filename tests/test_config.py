@@ -3,6 +3,7 @@ import json
 import pytest
 
 from vectorhost.config import parse_config
+from vectorhost.dynamics import StepperConfig
 from vectorhost.errors import ConfigError
 
 
@@ -146,6 +147,27 @@ class TestParseConfig:
         raw["bc"] = "dirichlet"
         with pytest.raises(ConfigError, match="zero boundary"):
             parse_config(json.dumps(raw))
+
+    def test_dirichlet_wall_residue_snapped_larger_values_rejected(self):
+        raw = full_threshold(n=5)
+        raw["bc"] = "dirichlet"
+        raw["initial"] = {k: {"nodes": [0.0, 0.1, 0.2, 0.1, 6e-18]} for k in ("h_i", "v_u", "v_i")}
+        cfg = parse_config(json.dumps(raw))
+        assert cfg.initial.h_i.values.tolist() == [0.0, 0.1, 0.2, 0.1, 0.0]
+        raw["initial"]["h_i"] = {"nodes": [0.0, 0.1, 0.2, 0.1, 1e-3]}
+        with pytest.raises(ConfigError, match="zero boundary") as info:
+            parse_config(json.dumps(raw))
+        assert info.value.path == "initial.h_i"
+
+    def test_stepper_keys_left_out_take_stepper_config_defaults(self):
+        raw = full_threshold()
+        cfg = parse_config(json.dumps(raw))
+        stepper = cfg.make_stepper(cfg.coefficient_set(), cfg.initial)
+        assert stepper == StepperConfig(dt=stepper.dt, t_end=10)
+        raw["stepper"].update(steady_tol=1e-7, steady_window=5)
+        cfg = parse_config(json.dumps(raw))
+        stepper = cfg.make_stepper(cfg.coefficient_set(), cfg.initial)
+        assert (stepper.steady_tol, stepper.steady_window) == (1e-7, 5)
 
     def test_negative_initial_rejected(self):
         raw = full_threshold()

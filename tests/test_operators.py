@@ -6,7 +6,7 @@ from scipy.linalg import solve_banded
 import vectorhost as vh
 from vectorhost.errors import SingularSystemError, ValidationError
 from vectorhost import verify
-from vectorhost.operators import ShiftedSolve, _block_stiffness, _factor, _factor_block, assemble, solve
+from vectorhost.operators import ShiftedSolve, _block_stiffness, _factor, _factor_block, assemble
 from vectorhost.steady import EndemicProblem
 
 from helpers import dense_matrix, dense_system_block
@@ -116,35 +116,32 @@ class TestApply:
 class TestSolve:
     def test_constant_solution(self, unit_mesh):
         op = assemble(unit_d(unit_mesh), vh.BoundarySpec.neumann())
-        u = solve(op, vh.field_from_constant(unit_mesh, 1.0),
-                  vh.field_from_constant(unit_mesh, 3.0))
-        assert np.allclose(u.values, 3.0, atol=1e-12)
+        u = ShiftedSolve(op, vh.field_from_constant(unit_mesh, 1.0)).solve(
+            vh.field_from_constant(unit_mesh, 3.0))
+        assert np.allclose(u, 3.0, atol=1e-12)
 
     def test_singular_neumann_reported(self, unit_mesh):
         op = assemble(unit_d(unit_mesh), vh.BoundarySpec.neumann())
         with pytest.raises(SingularSystemError):
-            solve(op, vh.field_from_constant(unit_mesh, 0.0),
-                  vh.field_from_constant(unit_mesh, 1.0))
+            ShiftedSolve(op, vh.field_from_constant(unit_mesh, 0.0))
         # Robin with b = 0 has the same kernel
         opr = assemble(unit_d(unit_mesh), vh.BoundarySpec.robin(0.0, 0.0))
         with pytest.raises(SingularSystemError):
-            solve(opr, vh.field_from_constant(unit_mesh, 0.0),
-                  vh.field_from_constant(unit_mesh, 1.0))
+            ShiftedSolve(opr, vh.field_from_constant(unit_mesh, 0.0))
 
     def test_negative_potential_rejected(self, unit_mesh):
         op = assemble(unit_d(unit_mesh), vh.BoundarySpec.neumann())
         with pytest.raises(ValidationError):
-            solve(op, vh.field_from_constant(unit_mesh, -1.0),
-                  vh.field_from_constant(unit_mesh, 1.0))
+            ShiftedSolve(op, vh.field_from_constant(unit_mesh, -1.0))
 
     def test_dirichlet_sine_analytic(self):
         # -u'' = sin on (0, pi) with zero walls has solution sin
         mesh = vh.build_mesh(0, np.pi, 201)
         op = assemble(unit_d(mesh), vh.BoundarySpec.dirichlet())
-        u = solve(op, vh.field_from_constant(mesh, 0.0),
-                  vh.ScalarField(mesh, np.sin(mesh.nodes)))
-        assert u.values[0] == 0.0 and u.values[-1] == 0.0
-        assert np.abs(u.values - np.sin(mesh.nodes)).max() < 1e-4
+        u = ShiftedSolve(op, vh.field_from_constant(mesh, 0.0)).solve(
+            vh.ScalarField(mesh, np.sin(mesh.nodes)))
+        assert u[0] == 0.0 and u[-1] == 0.0
+        assert np.abs(u - np.sin(mesh.nodes)).max() < 1e-4
 
     def test_solve_residual_random(self, unit_mesh):
         rng = np.random.default_rng(3)
@@ -164,20 +161,20 @@ class TestSolve:
         rng = np.random.default_rng(9)
         op = assemble(unit_d(unit_mesh), vh.BoundarySpec.dirichlet())
         f = np.abs(rng.normal(size=unit_mesh.n))
-        u = solve(op, vh.field_from_constant(unit_mesh, 1.0), vh.ScalarField(unit_mesh, f))
-        assert u.values[unit_mesh.interior].min() > 0
+        u = ShiftedSolve(op, vh.field_from_constant(unit_mesh, 1.0)).solve(f)
+        assert u[unit_mesh.interior].min() > 0
 
     def test_comparison_ordered_rhs(self, unit_mesh):
         rng = np.random.default_rng(21)
         d = vh.ScalarField(unit_mesh, 0.5 + rng.uniform(0, 1, unit_mesh.n))
         c = vh.ScalarField(unit_mesh, 0.2 + rng.uniform(0, 1, unit_mesh.n))
         for bc in (vh.BoundarySpec.neumann(), vh.BoundarySpec.dirichlet()):
-            op = assemble(d, bc)
+            shifted = ShiftedSolve(assemble(d, bc), c)
             for _ in range(10):
                 f1 = rng.normal(size=unit_mesh.n)
                 f2 = f1 + rng.uniform(0, 1, size=unit_mesh.n)
-                u1 = solve(op, c, vh.ScalarField(unit_mesh, f1)).values
-                u2 = solve(op, c, vh.ScalarField(unit_mesh, f2)).values
+                u1 = shifted.solve(f1)
+                u2 = shifted.solve(f2)
                 assert np.all(u2 - u1 >= -1e-12 * (1 + np.abs(u1).max()))
 
     def test_order_of_accuracy(self):
@@ -193,8 +190,8 @@ class TestSolve:
                 + u_exact
             )
             op = assemble(d, vh.BoundarySpec.neumann())
-            u = solve(op, vh.field_from_constant(mesh, 1.0), vh.ScalarField(mesh, f))
-            return np.abs(u.values - u_exact).max()
+            u = ShiftedSolve(op, vh.field_from_constant(mesh, 1.0)).solve(f)
+            return np.abs(u - u_exact).max()
 
         e1, e2 = solve_err(101), solve_err(201)
         assert 3.5 < e1 / e2 < 4.5, f"expected ~4x error reduction, got {e1 / e2:.2f}"

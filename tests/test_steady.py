@@ -93,18 +93,12 @@ class TestLogistic:
 
 
 class TestUpperSolution:
-    def test_constant_case(self, unit_mesh, neumann):
+    @pytest.mark.parametrize("v_b, expected", [(1.0, 2.0), (1.1, 2.2)])
+    def test_constant_case(self, unit_mesh, neumann, v_b, expected):
         coeffs = constants_coeffs(unit_mesh)
-        vb = vh.field_from_constant(unit_mesh, 1.0)
+        vb = vh.field_from_constant(unit_mesh, v_b)
         h_bar = vh.upper_solution_h(coeffs, vb, neumann)
-        assert np.allclose(h_bar.values, 2.0, atol=1e-11)
-
-    def test_perturbed_constant_case(self, unit_mesh, neumann):
-        coeffs = constants_coeffs(unit_mesh)
-        vb = vh.field_from_constant(unit_mesh, 1.0)
-        h_bar = vh.upper_solution_h(coeffs, vb, neumann, eps=0.1,
-                                    weight=vh.field_from_constant(unit_mesh, 1.0))
-        assert np.allclose(h_bar.values, 2.2, atol=1e-11)
+        assert np.allclose(h_bar.values, expected, atol=1e-11)
 
     def test_zero_source_gives_zero(self, unit_mesh, neumann):
         coeffs = constants_coeffs(unit_mesh)
@@ -287,7 +281,7 @@ class TestMonotoneIteration:
     def test_fixed_point_is_stationary(self, unit_mesh, neumann):
         coeffs, log, problem = self._problem(unit_mesh, neumann)
         eq = vh.solve_endemic(coeffs, neumann, logistic=log)
-        run = monotone_iterate(problem, eq.h_i, eq.v_i, "down", check_start=False)
+        run = monotone_iterate(problem, eq.h_i, eq.v_i, "down")
         assert run.sweeps <= 2
         assert vh.sup_distance(run.h, eq.h_i) < 1e-9
 
@@ -555,17 +549,22 @@ class TestMonotoneSweepOracle:
 
 
 class TestSweepCap:
-    """A monotone iteration that stops at max_sweeps is a convergence
+    """A monotone iteration that stops at MAX_SWEEPS is a convergence
     failure, not evidence against uniqueness, and is never silent."""
 
-    def test_cap_hit_with_disagreeing_limits_is_convergence_error(self, unit_mesh, neumann):
+    def test_cap_hit_with_disagreeing_limits_is_convergence_error(
+        self, unit_mesh, neumann, monkeypatch
+    ):
+        monkeypatch.setattr(steady, "MAX_SWEEPS", 3)
         expected = "downward monotone iteration hit its cap of 3 sweeps"
         with pytest.raises(ConvergenceError, match=expected):
-            vh.solve_endemic(constants_coeffs(unit_mesh), neumann, 0.0, max_sweeps=3)
+            vh.solve_endemic(constants_coeffs(unit_mesh), neumann, 0.0)
 
-    def test_cap_hit_rescued_by_polish_is_recorded(self, unit_mesh, neumann):
+    def test_cap_hit_rescued_by_polish_is_recorded(self, unit_mesh, neumann, monkeypatch):
         coeffs = constants_coeffs(unit_mesh)
-        capped = vh.solve_endemic(coeffs, neumann, 0.0, max_sweeps=20)
+        with monkeypatch.context() as patch:
+            patch.setattr(steady, "MAX_SWEEPS", 20)
+            capped = vh.solve_endemic(coeffs, neumann, 0.0)
         assert (capped.converged_upper, capped.converged_lower) == (False, False)
         assert (capped.iterations_upper, capped.iterations_lower) == (20, 20)
         full = vh.solve_endemic(coeffs, neumann, 0.0)
@@ -584,13 +583,14 @@ class TestSweepCap:
 
 class TestResidualGate:
     @pytest.mark.parametrize("kind_index, seed", [(2, 19), (1, 43), (2, 46)])
-    def test_unconverged_limits_are_not_a_uniqueness_violation(self, kind_index, seed):
-        """With sweep_tol=1e-3 the upward Newton polish of these criterion-4
+    def test_unconverged_limits_are_not_a_uniqueness_violation(self, kind_index, seed, monkeypatch):
+        """With SWEEP_TOL = 1e-3 the upward Newton polish of these criterion-4
         scenarios stalls far above the residual gate, and the two limits
         disagree: a convergence failure, not evidence against uniqueness."""
         coeffs, bc, log, _ = criterion4_scenario(kind_index, seed)
+        monkeypatch.setattr(steady, "SWEEP_TOL", 1e-3)
         with pytest.raises(ConvergenceError, match="residual above tolerance"):
-            vh.solve_endemic(coeffs, bc, logistic=log, sweep_tol=1e-3)
+            vh.solve_endemic(coeffs, bc, logistic=log)
 
 
 class TestExistenceIffSign:
