@@ -10,7 +10,8 @@ Three layers:
     cooperative system, constructed the classical way — a downward
     monotone iteration from an explicit upper-solution pair and an
     upward one from a small multiple of the principal eigenfunction —
-    then polished by damped Newton; each polished limit must meet the
+    then polished by damped Newton, whose line search stops at a trial
+    that is the current iterate; each polished limit must meet the
     residual gate before the two are held to the agreement tolerance;
   * monotone_iterate: the sweep engine itself, usable standalone.
 
@@ -31,10 +32,10 @@ The sweeps run on a stacked state: the iterate and its successor are two
 (2, m) arrays with rows (H, V), allocated once per run with the two
 factorizations.  Each half-sweep builds its right-hand side by ufunc calls
 into a row of the successor and solves it there in place (one dgttrs
-call); the direction check, the scale and the change are each one max or
-min over both rows.  Max and min are exact, and the arithmetic keeps the
-per-component order, so the iterates are those of separate H and V
-arrays bit for bit.
+call); one min and one max of the difference give the direction check
+and the change, and the scale max |u| is taken only for a wrong-way
+sweep.  Max and min are exact, and the arithmetic keeps the per-component
+order, so the iterates are those of separate H and V arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -285,7 +286,8 @@ def monotone_iterate(
     wrong way reveals it.  The starting pair is verified to satisfy the
     matching discrete inequalities; every sweep is checked to move nodewise
     in the declared direction (a violation doubles both potentials once and
-    restarts, then fails).  Stops when the sweep-to-sweep sup change drops
+    restarts, then fails; only such a sweep computes the positive round-off
+    tolerance of the check).  Stops when the sweep-to-sweep sup change drops
     below SWEEP_TOL, when both components fall below stop_below_sup
     (collapse runs), or at the cap of MAX_SWEEPS sweeps.
     """
@@ -354,17 +356,18 @@ def monotone_iterate(
             np.multiply(k2, v, out=row)
             np.add(v_new, row, out=v_new)
             solve2.solve_active(v_new, True)
-            u_scale = 1.0 + float(np.abs(u, out=d).max())
-            mono_tol = mono_coef * u_scale / k_min
             np.subtract(u_new, u, out=d)
-            # u - u_new is exactly -(u_new - u)
-            violation = float(d.max()) if direction == "down" else float(-d.min())
-            if violation > mono_tol:
-                raise MonotonicityError(
-                    f"sweep {sweep} moved {violation:.3e} against the declared direction "
-                    f"(max K2={float(k2.max()):g})"
-                )
-            change = float(np.abs(d, out=d).max())
+            d_lo, d_hi = float(d.min()), float(d.max())
+            # max(u - u_new) is exactly -d_lo; the tolerance is > 0, so <= 0 passes.
+            violation = d_hi if direction == "down" else -d_lo
+            if not violation <= 0.0:
+                u_scale = 1.0 + float(np.abs(u, out=d).max())
+                if violation > mono_coef * u_scale / k_min:
+                    raise MonotonicityError(
+                        f"sweep {sweep} moved {violation:.3e} against the declared direction "
+                        f"(max K2={float(k2.max()):g})"
+                    )
+            change = abs(max(d_hi, -d_lo))  # abs(d).max(), never -0.0
             cur, nxt = nxt, cur
             if history is not None:
                 history.append(
@@ -401,7 +404,10 @@ def _newton_polish(problem: EndemicProblem, h: np.ndarray, v: np.ndarray, box: t
     """Drive the coupled residual to (near) round-off from a good start.
 
     Newton stops at POLISH_TOL, after MAX_POLISH steps, or once a step no
-    longer lowers the sup residual.  box = ((h_lo, v_lo), (h_hi, v_hi))
+    longer lowers the sup residual.  The line search halves down to 2^-20
+    but stops at a clipped trial equal to the iterate: alpha is a power of
+    two and rounding and clipping are monotone, so each shorter trial is
+    that point too and is rejected.  box = ((h_lo, v_lo), (h_hi, v_hi))
     clamps the iterates into an order interval known to contain the target
     root; a strictly positive lower bound keeps Newton out of the basin of
     the zero solution.
@@ -419,6 +425,9 @@ def _newton_polish(problem: EndemicProblem, h: np.ndarray, v: np.ndarray, box: t
         while alpha > 2.0 ** -20:
             h_t = np.clip(h + alpha * delta[:m], h_lo, h_hi)
             v_t = np.clip(v + alpha * delta[m:], v_lo, v_hi)
+            # This trial and every shorter one are the iterate: all rejected.
+            if np.array_equal(h_t, h) and np.array_equal(v_t, v):
+                break
             r1_t, r2_t = problem.residual(h_t, v_t)
             rn_t = float(max(np.abs(r1_t).max(), np.abs(r2_t).max()))
             if rn_t < rn:

@@ -70,6 +70,24 @@ def dense_system_eig(coeffs, v_b, bc, eps=0.0, weight=None):
     return float(lam.real), float(abs(lam.imag)), vec
 
 
+def dense_r0(coeffs, v_b, bc):
+    """The basic reproduction number at eps = 0, from the next-generation
+    operator: R0^2 = r(A1^{-1} sigma1 h_u A2^{-1} sigma2 V_B) with
+    A1 = -L1 + rho and A2 = -L2 + mu V_B on the active nodes (Thieme,
+    SIAM J. Appl. Math. 70, 2009; Wang and Zhao, SIAM J. Appl. Dyn.
+    Syst. 11, 2012).  Built densely from dense_matrix, with no solver of
+    the package: lambda_system < 0 exactly when R0 > 1."""
+    op1, op2 = assemble(coeffs.d1, bc), assemble(coeffs.d2, bc)
+    sl = op1.sl
+    vb = v_b.values[sl]
+    a1 = dense_matrix(op1) + np.diag(coeffs.rho.values[sl])
+    a2 = dense_matrix(op2) + np.diag(coeffs.mu.values[sl] * vb)
+    s1hu = (coeffs.sigma1.values * coeffs.h_u.values)[sl]
+    infect = np.linalg.solve(a2, np.diag(coeffs.sigma2.values[sl] * vb))
+    ngo = np.linalg.solve(a1, s1hu[:, None] * infect)
+    return float(np.sqrt(np.abs(np.linalg.eigvals(ngo)).max()))
+
+
 def refined_system_lambda(coeffs, v_b, bc):
     """The principal eigenvalue of the dense block, refined: the two-sided
     Rayleigh quotient y.A v / y.v of its dense right and left eigenvectors,

@@ -5,7 +5,13 @@ import vectorhost as vh
 from vectorhost import eigen, verify
 from vectorhost.errors import ConvergenceError, ValidationError
 
-from helpers import constants_coeffs, dense_scalar_eig, dense_system_eig, refined_system_lambda
+from helpers import (
+    constants_coeffs,
+    dense_r0,
+    dense_scalar_eig,
+    dense_system_eig,
+    refined_system_lambda,
+)
 
 
 class TestScalarEigen:
@@ -341,3 +347,27 @@ class TestCriterion4Panel:
             lam = refined_system_lambda(coeffs, v_b, bc)
             assert eig.lam_lo - 1e-10 <= lam <= eig.lam_hi + 1e-10, bc.kind
             assert abs(eig.lam - lam) <= 1e-8
+
+
+class TestR0Oracle:
+    """The sign of lambda_system decides the threshold exactly as R0 - 1 does
+    (Thieme's theorem), with R0 from the dense next-generation operator."""
+
+    def test_closed_form_on_constants(self, unit_mesh, neumann):
+        """Constant coefficients under Neumann: R0^2 = sigma1 h_u sigma2 / (rho mu)
+        = 2, and the block's principal eigenvalue is 1 - sqrt(2)."""
+        coeffs = constants_coeffs(unit_mesh)
+        v_b = vh.solve_logistic(coeffs, neumann).v_b
+        assert dense_r0(coeffs, v_b, neumann) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        lam = vh.principal_eigen_system(coeffs, v_b, neumann).lam
+        assert lam == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-10)
+
+    def test_sign_agrees_with_r0_on_the_panel(self, criterion4_panel):
+        signs = [
+            (eig.lam < 0, dense_r0(coeffs, v_b, bc) > 1.0)
+            for coeffs, bc, _, v_b, eig in criterion4_panel
+            if eig is not None
+        ]
+        assert len(signs) == 150
+        assert all(endemic == above for endemic, above in signs)
+        assert 0 < sum(endemic for endemic, _ in signs) < 150  # both sides are covered

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,9 @@ from vectorhost.errors import (
 )
 from vectorhost.operators import ShiftedSolve
 from vectorhost.steady import (
+    MAX_POLISH,
     MAX_SWEEPS,
+    POLISH_TOL,
     SWEEP_TOL,
     EndemicProblem,
     check_eps_admissibility,
@@ -474,9 +477,8 @@ class TestMonotoneSweepOracle:
             problem, h0, v0, direction, **kwargs
         )
         run = monotone_iterate(problem, h0, v0, direction, keep_history=True, **kwargs)
-        assert (run.sweeps, run.converged, run.k_c, run.final_change) == (
-            sweeps, converged, k_c, change
-        )
+        assert (run.sweeps, run.converged, run.k_c) == (sweeps, converged, k_c)
+        assert run.final_change.hex() == change.hex()  # the sign of a zero too
         assert len(run.history) == len(history)
         for (h, v), (h_ref, v_ref) in zip(run.history, history):
             assert np.array_equal(h.values, problem.op1.embed(h_ref))
@@ -524,6 +526,49 @@ class TestMonotoneSweepOracle:
             monotone_iterate(problem, lo_h, lo_v, "up", h_top=low)
         assert str(got.value) == str(ref.value)
 
+    def test_down_failure_raises_the_same_error(self, monkeypatch):
+        """A K2 too small for the order interval makes a "down" sweep rise;
+        the doubled retry rises too, and the error names its sweep."""
+        coeffs, bc, log, problem = criterion4_scenario(0, 2)
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        weak = problem.sweep_potential
+        monkeypatch.setattr(problem, "sweep_potential", lambda top: 0.3 * weak(top))
+        with pytest.raises(MonotonicityError) as ref:
+            reference_monotone(problem, h_bar, log.v_b, "down")
+        with pytest.raises(MonotonicityError) as got:
+            monotone_iterate(problem, h_bar, log.v_b, "down")
+        assert str(got.value) == str(ref.value)
+
+    def test_small_rise_within_tolerance(self):
+        """A start a few ulps below the polished root: the one "down" sweep
+        rises at some node by less than the round-off tolerance, so the
+        tolerance is computed and passed, not skipped."""
+        coeffs, bc, log, problem = criterion4_scenario(0, 2)
+        eq = vh.solve_endemic(coeffs, bc, logistic=log)
+        h0, v0 = eq.h_i.values, eq.v_i.values
+        for _ in range(4):
+            h0, v0 = np.nextafter(h0, -np.inf), np.nextafter(v0, -np.inf)
+        h0, v0 = vh.ScalarField(eq.h_i.mesh, h0), vh.ScalarField(eq.v_i.mesh, v0)
+        run = self.assert_matches(problem, h0, v0, "down")
+        assert run.sweeps == 1
+        rise = max(float((run.h.values - h0.values).max()), float((run.v.values - v0.values).max()))
+        assert 0.0 < rise < 1e-12
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("h_zero, v_zero", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    def test_fixed_point_change_is_positive_zero(self, direction, h_zero, v_zero):
+        """From the trivial solution every sweep difference is a zero of
+        either sign; the final change is +0.0, as max |d| gives it."""
+        mesh = vh.build_mesh(0, 1, 101)
+        bc = vh.BoundarySpec.neumann()
+        coeffs = constants_coeffs(mesh)
+        problem = EndemicProblem(coeffs, bc, vh.solve_logistic(coeffs, bc).v_b)
+        h0 = vh.field_from_constant(mesh, h_zero)
+        v0 = vh.field_from_constant(mesh, v_zero)
+        run = self.assert_matches(problem, h0, v0, direction)
+        assert run.sweeps == 1 and run.converged
+        assert run.final_change == 0.0 and math.copysign(1.0, run.final_change) == 1.0
+
     def test_collapse_stop(self):
         """Neumann seed 3 has lambda_system > 0: the down run collapses to zero
         and stops on stop_below_sup before the change drops below tolerance."""
@@ -546,6 +591,134 @@ class TestMonotoneSweepOracle:
         assert run.sweeps > 1
         lo_h, lo_v = self.lower_pair(coeffs, log, bc)
         self.assert_matches(problem, lo_h, lo_v, "up", h_top=run.h)
+
+
+def reference_polish(problem, h, v, box):
+    """_newton_polish without its early exit: a rejected step is halved
+    until alpha reaches 2^-20, 20 trials in all.  Returns (h, v, rn) and,
+    per search, (accepted, trials, the first trial whose clipped point was
+    the current iterate, or None)."""
+    (h_lo, v_lo), (h_hi, v_hi) = box
+    r1, r2 = problem.residual(h, v)
+    rn = float(max(np.abs(r1).max(), np.abs(r2).max()))
+    m = problem.m
+    searches = []
+    for _ in range(MAX_POLISH):
+        if rn <= POLISH_TOL:
+            break
+        delta = problem.jacobian(h, v)(-np.concatenate([r1, r2]))
+        alpha, trials, still, improved = 1.0, 0, None, False
+        while alpha > 2.0 ** -20:
+            trials += 1
+            h_t = np.clip(h + alpha * delta[:m], h_lo, h_hi)
+            v_t = np.clip(v + alpha * delta[m:], v_lo, v_hi)
+            if still is None and np.array_equal(h_t, h) and np.array_equal(v_t, v):
+                still = trials
+            r1_t, r2_t = problem.residual(h_t, v_t)
+            rn_t = float(max(np.abs(r1_t).max(), np.abs(r2_t).max()))
+            if rn_t < rn:
+                h, v, r1, r2, rn = h_t, v_t, r1_t, r2_t, rn_t
+                improved = True
+                break
+            alpha *= 0.5
+        searches.append((improved, trials, still))
+        if not improved:
+            break
+    return (h, v, rn), searches
+
+
+class TestNewtonPolishOracle:
+    """The polish line search stops at a trial that is the current iterate,
+    and returns the bits of the search that tries every halving."""
+
+    @staticmethod
+    def polish_inputs(kind_index, seed, monkeypatch):
+        """The (problem, h, v, box) of both polishes of a criterion-4 solve."""
+        coeffs, bc, log, _ = criterion4_scenario(kind_index, seed)
+        calls = []
+        polish = steady._newton_polish
+
+        def spy(*args):
+            calls.append(args)
+            return polish(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(steady, "_newton_polish", spy)
+            vh.solve_endemic(coeffs, bc, logistic=log)
+        assert len(calls) == 2
+        return calls
+
+    @staticmethod
+    def counted_polish(problem, h, v, box, monkeypatch):
+        """_newton_polish and the number of residual calls it made."""
+        count = [0]
+        residual = EndemicProblem.residual
+
+        def spy(self, *args):
+            count[0] += 1
+            return residual(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EndemicProblem, "residual", spy)
+            out = steady._newton_polish(problem, h, v, box)
+        return out, count[0]
+
+    @staticmethod
+    def assert_same_bits(got, ref):
+        (h, v, rn), (h_ref, v_ref, rn_ref) = got, ref
+        assert h.tobytes() == h_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+        assert rn.hex() == rn_ref.hex()
+
+    # Neumann seed 16 stops at POLISH_TOL.  Neumann seed 1 and Dirichlet
+    # seed 5 accept steps after 6 or more halvings and end in a failed
+    # search; Neumann seed 11's failed search clips its first trial, the
+    # full Newton step, onto the iterate.
+    @pytest.mark.parametrize(
+        "kind_index, seed, stop, halvings",
+        [(0, 16, "tol", 0), (0, 1, "fail", 6), (1, 5, "fail", 6), (0, 11, "clipped", 0)],
+    )
+    def test_matches_the_full_search(self, kind_index, seed, stop, halvings, monkeypatch):
+        longest = 1
+        for args in self.polish_inputs(kind_index, seed, monkeypatch):
+            ref, searches = reference_polish(*args)
+            got, calls = self.counted_polish(*args, monkeypatch)
+            self.assert_same_bits(got, ref)
+            accepted, trials, still = searches[-1]
+            if stop == "tol":
+                assert accepted and ref[2] <= POLISH_TOL
+                assert calls == 1 + sum(t for _, t, _ in searches)
+            else:
+                # The failed search stops, without a residual, at its first
+                # trial that is the current iterate, not after all 20.
+                assert not accepted and trials == 20 and still is not None and still < 20
+                assert calls == 1 + sum(t for _, t, _ in searches[:-1]) + still - 1
+                assert still == 1 or stop == "fail"
+            longest = max([longest] + [t for ok, t, _ in searches if ok])
+        assert longest - 1 >= halvings  # the halvings before an accepted step
+
+    def test_search_that_never_reaches_the_iterate_runs_every_halving(self, monkeypatch):
+        """A box pinned to one point off the iterate clips every trial onto
+        it; when that point's residual is the larger, each of the 20 trials
+        is evaluated and rejected."""
+        (problem, h, v, _), _ = self.polish_inputs(0, 1, monkeypatch)
+        h0, v0 = h * (1.0 + 1e-6), v * (1.0 + 1e-6)
+        box = ((1.5 * h, 1.5 * v), (1.5 * h, 1.5 * v))
+        ref, searches = reference_polish(problem, h0, v0, box)
+        assert searches == [(False, 20, None)]
+        got, calls = self.counted_polish(problem, h0, v0, box, monkeypatch)
+        self.assert_same_bits(got, ref)
+        assert calls == 1 + 20
+        assert got[0] is h0 and got[1] is v0
+
+    def test_trial_at_the_iterate_in_one_component_only_goes_on(self, monkeypatch):
+        """A box that pins H at the iterate keeps every trial's H there, while
+        the V steps are still accepted: the exit needs both components."""
+        (problem, h, v, ((_, v_lo), (_, v_hi))), _ = self.polish_inputs(0, 1, monkeypatch)
+        v0 = v * (1.0 + 1e-6)
+        box = ((h, v_lo), (h, v_hi))
+        ref, searches = reference_polish(problem, h, v0, box)
+        assert searches[0] == (True, 1, None) and len(searches) > 2
+        self.assert_same_bits(steady._newton_polish(problem, h, v0, box), ref)
 
 
 class TestSweepCap:
