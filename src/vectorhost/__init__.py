@@ -58,11 +58,9 @@ from .steady import (
     upper_solution_h,
 )
 from .verify import (
-    AbsenceReport,
     EnvelopeReport,
     Scenario,
     ThresholdReport,
-    check_endemic_absence,
     check_envelope_dirichlet,
     random_coefficients,
     random_initial,

@@ -102,12 +102,13 @@ class StepperConfig:
     steady_window: int = 50
 
     def __post_init__(self):
-        if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.t_end > 0 and np.isfinite(self.t_end)):
-            raise ValidationError(f"t_end must be positive and finite, got {self.t_end}")
-        if self.steady_tol <= 0 or self.steady_window < 1:
-            raise ValidationError("steady_tol must be > 0 and steady_window >= 1")
+        for name in ("dt", "t_end", "steady_tol"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
+        window = self.steady_window
+        if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
+            raise ValidationError(f"steady_window must be an int >= 1, got {window!r}")
 
 
 def _dt_bound(coeffs: CoefficientSet, v_max: float) -> tuple[float, float]:
@@ -179,10 +180,13 @@ class _SnapshotClock:
     """Per run, how many of the requested times, taken in order, its state
     at time t stands for.  The initial state (t = 0) takes only times
     within round-off of zero; later states take every time they reach.
-    next[r] is the time from which run r's next state is due."""
+    next[r] is the time from which run r's next state is due.  A time that
+    is not finite is rejected: a NaN would void every comparison after it."""
 
     def __init__(self, snapshot_times, dts):
         self.times = sorted(float(s) for s in snapshot_times) if snapshot_times is not None else []
+        if not all(math.isfinite(s) for s in self.times):
+            raise ValidationError("snapshot times must be finite")
         self.scale = [max(1.0, float(dt)) for dt in dts]
         self.taken = [0] * len(self.scale)
         self.next = np.array([self._next(r) for r in range(len(self.scale))], dtype=float)
@@ -477,7 +481,6 @@ def integrate(
     snapshot_times=None,
     reference: tuple[ScalarField, ScalarField, ScalarField] | None = None,
     reference_tol: float | None = None,
-    stop_at_steady: bool = True,
 ) -> TrajectorySummary:
     """Step until t_end, or until the state has moved less than steady_tol
     (sup norm, all components) over the last steady_window steps; the
@@ -486,7 +489,7 @@ def integrate(
     first time it dips below reference_tol is recorded."""
     return _unwrap(integrate_many(
         [state0], [coeffs], [bc], [cfg], snapshot_times=snapshot_times,
-        references=[reference], reference_tol=reference_tol, stop_at_steady=stop_at_steady,
+        references=[reference], reference_tol=reference_tol,
     ))
 
 
@@ -516,7 +519,6 @@ def integrate_many(
     snapshot_times=None,
     references=None,
     reference_tol: float | None = None,
-    stop_at_steady: bool = True,
 ):
     """Integrate independent runs of the full system in lockstep.
 
@@ -595,7 +597,7 @@ def integrate_many(
         [cfgs[r].dt for r in index],
         [cfgs[r].t_end for r in index],
         visit,
-        [cfgs[r] if stop_at_steady else None for r in index],
+        [cfgs[r] for r in index],
         refs,
     )
     for b, outcome in outcomes:

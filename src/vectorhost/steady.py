@@ -6,13 +6,15 @@ Three layers:
     -L2 V = beta V - mu V^2 (exists iff the scalar principal eigenvalue
     of -L2 - beta is negative), computed by plain Newton from the
     constant upper bound max(beta/mu);
-  * solve_endemic: the infection equilibrium pair of the perturbed
-    cooperative system, constructed the classical way — a downward
-    monotone iteration from an explicit upper-solution pair and an
-    upward one from a small multiple of the principal eigenfunction —
-    then polished by damped Newton, whose line search stops at a trial
-    that is the current iterate; each polished limit must meet the
-    residual gate before the two are held to the agreement tolerance;
+  * solve_endemic: EndemicAbsent exactly when the system principal
+    eigenvalue is >= 0 (the package's one disease-free verdict), else the
+    infection equilibrium pair of the perturbed cooperative system, built
+    the classical way — a downward monotone iteration from an explicit
+    upper-solution pair and an upward one from a small multiple of the
+    principal eigenfunction — then polished by damped Newton, whose line
+    search stops at a trial that is the current iterate; each polished
+    limit must meet the residual gate before the two are held to the
+    agreement tolerance;
   * monotone_iterate: the sweep engine itself, usable standalone.
 
 Each monotone sweep is one block Gauss-Seidel step with nodewise damping
@@ -272,7 +274,6 @@ def monotone_iterate(
     *,
     h_top: ScalarField | None = None,
     keep_history: bool = False,
-    stop_below_sup: float | None = None,
 ) -> MonotoneIteration:
     """Run Gauss-Seidel monotone sweeps from an upper ("down") or lower ("up") pair.
 
@@ -288,8 +289,7 @@ def monotone_iterate(
     in the declared direction (a violation doubles both potentials once and
     restarts, then fails; only such a sweep computes the positive round-off
     tolerance of the check).  Stops when the sweep-to-sweep sup change drops
-    below SWEEP_TOL, when both components fall below stop_below_sup
-    (collapse runs), or at the cap of MAX_SWEEPS sweeps.
+    below SWEEP_TOL, or at the cap of MAX_SWEEPS sweeps.
     """
     if direction not in ("down", "up"):
         raise ValidationError(f"direction must be 'down' or 'up', got {direction!r}")
@@ -376,10 +376,7 @@ def monotone_iterate(
                         ScalarField(problem.mesh, problem.op2.embed(v_new)),
                     )
                 )
-            collapsed = (
-                stop_below_sup is not None and float(u_new.max(initial=0.0)) < stop_below_sup
-            )
-            converged = change < SWEEP_TOL or collapsed
+            converged = change < SWEEP_TOL
             if converged:
                 break
         _, h, v = cur

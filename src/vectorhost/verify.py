@@ -1,6 +1,6 @@
 """Experiment harness: threshold classification, attractor convergence,
-the moving-envelope check for Dirichlet runs, and the no-equilibrium
-collapse check.
+the moving-envelope check for Dirichlet runs, and the seeded scenario
+generator.
 
 Eigenvalues predict the attractor, simulations confirm it:
 
@@ -27,7 +27,7 @@ from .dynamics import (
     integrate,
     integrate_scalar_logistic,
 )
-from .eigen import EndemicProblem, principal_eigen_scalar, principal_eigen_system
+from .eigen import principal_eigen_scalar
 from .errors import ValidationError
 from .grid import (
     DIRICHLET,
@@ -41,18 +41,14 @@ from .steady import (
     EndemicAbsent,
     EndemicEquilibrium,
     check_eps_admissibility,
-    monotone_iterate,
     solve_endemic,
     solve_logistic,
-    upper_solution_h,
 )
 
 ENDEMIC = "Endemic"
 DISEASE_FREE = "DiseaseFree"
 EXTINCT = "Extinct"
 SLOW_BAND = 1e-3
-ABSENCE_GATE = 1e-8
-COLLAPSE_TOL = 1e-6
 
 TrajectoryRow = namedtuple("TrajectoryRow", "t sup_dist sup_h_i sup_v_u sup_v_i")
 
@@ -265,60 +261,24 @@ def check_envelope_dirichlet(
     )
 
 
-@dataclass
-class AbsenceReport:
-    """Outcome of the no-endemic-equilibrium check when the system
-    eigenvalue is nonnegative: the downward iteration from the upper pair
-    must collapse toward zero."""
-
-    applicable: bool
-    lambda_beta: float
-    lambda_system: float | None = None
-    collapse_sup: float | None = None
-    confirmed: bool | None = None
-
-
-def check_endemic_absence(coeffs: CoefficientSet, bc: BoundarySpec) -> AbsenceReport:
-    """When the system eigenvalue at the vector equilibrium is >= ABSENCE_GATE
-    (so solve_endemic reports Absent), confirm the down-iteration from the
-    upper pair collapses below COLLAPSE_TOL in sup norm."""
-    scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
-    if scalar_eig.lam >= 0:
-        raise ValidationError("absence check requires lambda_beta < 0")
-    logistic = solve_logistic(coeffs, bc, scalar_eig=scalar_eig)
-    sys_eig = principal_eigen_system(coeffs, logistic.v_b, bc)
-    if sys_eig.lam < ABSENCE_GATE:
-        return AbsenceReport(False, scalar_eig.lam, sys_eig.lam)
-
-    problem = EndemicProblem(coeffs, bc, logistic.v_b, 0.0)
-    h_bar = upper_solution_h(coeffs, logistic.v_b, bc)
-    run = monotone_iterate(
-        problem, h_bar, logistic.v_b, "down", stop_below_sup=0.5 * COLLAPSE_TOL
-    )
-    collapse_sup = max(float(np.abs(run.h.values).max()), float(np.abs(run.v.values).max()))
-    return AbsenceReport(
-        applicable=True,
-        lambda_beta=scalar_eig.lam,
-        lambda_system=sys_eig.lam,
-        collapse_sup=collapse_sup,
-        confirmed=collapse_sup < COLLAPSE_TOL,
-    )
-
-
 @dataclass(frozen=True)
 class Scenario:
     coeffs: CoefficientSet
     initial: State
 
 
-def wavy_field(mesh: Mesh1D, rng: np.random.Generator) -> ScalarField:
-    """c0 (1 + a sin(k pi xi)): c0 log-uniform in [0.2, 5.0], a uniform in
-    [0, 0.5], k in {1, 2, 3}; strictly positive by construction."""
-    c0 = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+def _wavy(xi: np.ndarray, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
+    """c0 (1 + a sin(k pi xi)), drawn in this order: c0 log-uniform in
+    [lo, hi], a uniform in [0, 0.5], k in {1, 2, 3}."""
+    c0 = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     a = float(rng.uniform(0.0, 0.5))
     k = int(rng.integers(1, 4))
-    xi = (mesh.nodes - mesh.a) / (mesh.b - mesh.a)
-    return ScalarField(mesh, c0 * (1.0 + a * np.sin(k * np.pi * xi)))
+    return c0 * (1.0 + a * np.sin(k * np.pi * xi))
+
+
+def wavy_field(mesh: Mesh1D, rng: np.random.Generator) -> ScalarField:
+    """A seeded wavy profile, c0 log-uniform in [0.2, 5.0]; positive by construction."""
+    return ScalarField(mesh, _wavy((mesh.nodes - mesh.a) / (mesh.b - mesh.a), rng, 0.2, 5.0))
 
 
 def random_coefficients(mesh: Mesh1D, rng: np.random.Generator) -> CoefficientSet:
@@ -328,20 +288,14 @@ def random_coefficients(mesh: Mesh1D, rng: np.random.Generator) -> CoefficientSe
 
 
 def random_initial(mesh: Mesh1D, bc: BoundarySpec, rng: np.random.Generator) -> State:
-    """Seeded positive-in-the-interior initial data (boundary zeros for Dirichlet)."""
+    """Seeded wavy initial data, c0 log-uniform in [0.1, 2.0]; zero walls for Dirichlet."""
     xi = (mesh.nodes - mesh.a) / (mesh.b - mesh.a)
     if bc.kind == DIRICHLET:
         bump = np.sin(np.pi * xi)
         bump[0] = bump[-1] = 0.0
     else:
         bump = np.ones(mesh.n)
-    comps = []
-    for _ in range(3):
-        c0 = float(np.exp(rng.uniform(np.log(0.1), np.log(2.0))))
-        a = float(rng.uniform(0.0, 0.5))
-        k = int(rng.integers(1, 4))
-        comps.append(ScalarField(mesh, c0 * (1.0 + a * np.sin(k * np.pi * xi)) * bump))
-    return State(0.0, comps[0], comps[1], comps[2])
+    return State(0.0, *(ScalarField(mesh, _wavy(xi, rng, 0.1, 2.0) * bump) for _ in range(3)))
 
 
 def random_scenario(mesh: Mesh1D, bc: BoundarySpec, rng: np.random.Generator) -> Scenario:

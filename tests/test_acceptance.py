@@ -243,7 +243,7 @@ def test_criterion_06_v_reduction_exactness(canonical_runs):
             v0 = vh.ScalarField(run["init"].mesh,
                                 run["init"].v_u.values + run["init"].v_i.values)
             full = vh.integrate(run["init"], run["coeffs"], run["bc"], run["cfg"],
-                                snapshot_times=times, stop_at_steady=True)
+                                snapshot_times=times)
             scalar = vh.integrate_scalar_logistic(
                 v0, run["coeffs"], run["bc"], run["cfg"],
                 snapshot_times=times, stop_at_steady=False)

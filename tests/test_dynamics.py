@@ -89,6 +89,20 @@ class TestStep:
             raise _clamp(np.array([[[1.0, -1e-13, 0.2]]]), ["V"])[0]
 
 
+@pytest.mark.parametrize("name, value", [
+    ("dt", 0.0), ("dt", np.nan), ("dt", np.inf),
+    ("t_end", -1.0), ("t_end", np.nan), ("t_end", np.inf),
+    ("steady_tol", 0.0), ("steady_tol", np.nan), ("steady_tol", np.inf),
+    ("steady_window", 0), ("steady_window", 2.5), ("steady_window", 50.0),
+    ("steady_window", True),
+])
+def test_stepper_config_rejects(name, value):
+    """A NaN steady_tol would turn the steady stop off, and a steady_window
+    of 2.5 would run as 2: each is rejected when the config is built."""
+    with pytest.raises(ValidationError, match=name):
+        vh.StepperConfig(**{"dt": 0.05, "t_end": 1.0, name: value})
+
+
 class TestIntegrate:
     def test_endemic_attractor(self, mesh201, neumann):
         coeffs = constants_coeffs(mesh201)
@@ -128,8 +142,8 @@ class TestIntegrate:
         coeffs = constants_coeffs(mesh201)
         init = make_state(mesh201, 0.1, 0.8, 0.2)
         cfg = vh.StepperConfig(dt=0.0625, t_end=5.0)
-        traj = vh.integrate(init, coeffs, neumann, cfg,
-                            snapshot_times=[0.0, 1.0, 2.5, 5.0], stop_at_steady=False)
+        traj = vh.integrate(init, coeffs, neumann, cfg, snapshot_times=[0.0, 1.0, 2.5, 5.0])
+        assert (traj.steady, traj.steps) == (False, 80)  # the run reaches t_end
         assert len(traj.snapshots) == 4
         assert traj.snapshots[0].t == 0.0
         for want, snap in zip([1.0, 2.5, 5.0], traj.snapshots[1:]):
@@ -138,6 +152,19 @@ class TestIntegrate:
         for snap, (t, rows) in zip(traj.snapshots, traj.snapshot_rows, strict=True):
             assert isinstance(snap, vh.State) and snap.t == t
             assert _rows(snap).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("times", [[1.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.0, np.inf]])
+    def test_non_finite_snapshot_time_rejected(self, neumann, times):
+        """A NaN among the times used to drop every snapshot after it."""
+        mesh = vh.build_mesh(0, 1, 11)
+        coeffs = constants_coeffs(mesh)
+        cfg = vh.StepperConfig(dt=0.05, t_end=2.0)
+        with pytest.raises(ValidationError, match="snapshot times must be finite"):
+            vh.integrate(make_state(mesh, 0.1, 0.8, 0.2), coeffs, neumann, cfg,
+                         snapshot_times=times)
+        with pytest.raises(ValidationError, match="snapshot times must be finite"):
+            vh.integrate_scalar_logistic(vh.field_from_constant(mesh, 0.5), coeffs, neumann, cfg,
+                                         snapshot_times=times)
 
     def test_runs_start_at_time_zero(self, neumann):
         """The stepping clock, snapshot times and t_end count from 0, so an
@@ -165,8 +192,7 @@ class TestIntegrate:
                         vh.ScalarField(mesh, 0.2 * bump),
                         vh.ScalarField(mesh, 0.1 * bump))
         dt = vh.stability_dt_max(coeffs, init)
-        traj = vh.integrate(init, coeffs, dirichlet,
-                            vh.StepperConfig(dt=dt, t_end=5.0), stop_at_steady=False)
+        traj = vh.integrate(init, coeffs, dirichlet, vh.StepperConfig(dt=dt, t_end=5.0))
         for f in (traj.final.h_i, traj.final.v_u, traj.final.v_i):
             assert f.values[0] == 0.0 and f.values[-1] == 0.0
 
@@ -382,8 +408,7 @@ class TestOneStepOracle:
                for f, (state, coeffs, _) in zip((1.0, 0.6, 0.35), cases)]
         cfgs = [vh.StepperConfig(dt=dt, t_end=3 * dt) for dt in dts]
         states, coeffs, bcs = (list(x) for x in zip(*cases))
-        batch = dict(vh.integrate_many(states, coeffs, bcs, cfgs,
-                                       snapshot_times=[0.5 * min(dts)], stop_at_steady=False))
+        batch = dict(vh.integrate_many(states, coeffs, bcs, cfgs, snapshot_times=[0.5 * min(dts)]))
         for r, (state, co, bc) in enumerate(cases):
             (snap,) = batch[r].snapshots
             assert snap.t == dts[r]
@@ -435,8 +460,7 @@ class TestErrorState:
         mesh = vh.build_mesh(0, 1, 21)
         init = make_state(mesh, 0.1, 0.8, 0.2)
         cfgs = [vh.StepperConfig(dt=0.05, t_end=t_end) for t_end in (0.5, 5.0)]
-        batch = vh.integrate_many([init] * 2, [constants_coeffs(mesh)] * 2, [neumann] * 2, cfgs,
-                                  stop_at_steady=False)
+        batch = vh.integrate_many([init] * 2, [constants_coeffs(mesh)] * 2, [neumann] * 2, cfgs)
         r, _ = next(batch)  # the other run is still stepping
         assert r == 0 and np.geterr() == self.CALLER
         batch.close()
@@ -512,8 +536,8 @@ class TestScalarLogistic:
         init = make_state(mesh201, 0.1, 0.8, 0.2)
         cfg = vh.StepperConfig(dt=0.0625, t_end=50.0)
         times = np.arange(0.0, 51.0, 1.0)
-        full = vh.integrate(init, coeffs, neumann, cfg,
-                            snapshot_times=times, stop_at_steady=False)
+        full = vh.integrate(init, coeffs, neumann, cfg, snapshot_times=times)
+        assert (full.steady, full.steps) == (False, 800)  # the run reaches t_end
         v0 = vh.ScalarField(mesh201, init.v_u.values + init.v_i.values)
         scalar = vh.integrate_scalar_logistic(v0, coeffs, neumann, cfg,
                                               snapshot_times=times, stop_at_steady=False)
@@ -538,7 +562,9 @@ class TestTemporalAccuracy:
         finals = {}
         for dt in (0.05, 0.025, 0.0125):
             cfg = vh.StepperConfig(dt=dt, t_end=10.0)
-            finals[dt] = vh.integrate(init, coeffs, neumann, cfg, stop_at_steady=False).final
+            traj = vh.integrate(init, coeffs, neumann, cfg)
+            assert not traj.steady  # each run reaches t_end
+            finals[dt] = traj.final
         d1 = max(vh.sup_distance(finals[0.05].h_i, finals[0.025].h_i),
                  vh.sup_distance(finals[0.05].v_i, finals[0.025].v_i))
         d2 = max(vh.sup_distance(finals[0.025].h_i, finals[0.0125].h_i),

@@ -362,6 +362,16 @@ class TestR0Oracle:
         lam = vh.principal_eigen_system(coeffs, v_b, neumann).lam
         assert lam == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-10)
 
+    def test_near_threshold_is_absent(self, unit_mesh, neumann):
+        """h_u = (1 - 1e-6)^2 gives R0 = sqrt(h_u) just below 1 and
+        lambda_system = 1 - sqrt(h_u) = 1e-6: solve_endemic reports Absent."""
+        coeffs = constants_coeffs(unit_mesh, h_u=(1 - 1e-6) ** 2)
+        res = vh.solve_endemic(coeffs, neumann)
+        assert isinstance(res, vh.EndemicAbsent)
+        assert res.lambda_system == pytest.approx(1e-6, rel=1e-6)
+        v_b = vh.solve_logistic(coeffs, neumann).v_b
+        assert dense_r0(coeffs, v_b, neumann) < 1.0
+
     def test_sign_agrees_with_r0_on_the_panel(self, criterion4_panel):
         signs = [
             (eig.lam < 0, dense_r0(coeffs, v_b, bc) > 1.0)

@@ -412,7 +412,7 @@ class TestNodewiseSweeps:
             monotone_iterate(problem, h_bar, log.v_b, "down", h_top=vh.field_from_constant(mesh, 0.0))
 
 
-def reference_monotone(problem, h0, v0, direction, *, h_top=None, stop_below_sup=None):
+def reference_monotone(problem, h0, v0, direction, *, h_top=None):
     """The sweeps of monotone_iterate written per component, with fresh
     arrays and separate H and V reductions: its active-node history, sweeps,
     converged, k_c and final change, or the MonotonicityError it raises."""
@@ -451,11 +451,7 @@ def reference_monotone(problem, h0, v0, direction, *, h_top=None, stop_below_sup
             change = max(float(np.abs(dh).max()), float(np.abs(dv).max()))
             h, v = h_new, v_new
             history.append((h, v))
-            collapsed = (
-                stop_below_sup is not None
-                and max(float(h.max(initial=0.0)), float(v.max(initial=0.0))) < stop_below_sup
-            )
-            converged = change < SWEEP_TOL or collapsed
+            converged = change < SWEEP_TOL
             if converged:
                 break
         return history, sweep if converged else MAX_SWEEPS, converged, float(k2.max()), change
@@ -568,14 +564,6 @@ class TestMonotoneSweepOracle:
         run = self.assert_matches(problem, h0, v0, direction)
         assert run.sweeps == 1 and run.converged
         assert run.final_change == 0.0 and math.copysign(1.0, run.final_change) == 1.0
-
-    def test_collapse_stop(self):
-        """Neumann seed 3 has lambda_system > 0: the down run collapses to zero
-        and stops on stop_below_sup before the change drops below tolerance."""
-        coeffs, bc, log, problem = criterion4_scenario(0, 3)
-        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
-        run = self.assert_matches(problem, h_bar, log.v_b, "down", stop_below_sup=2e-6)
-        assert run.converged and run.final_change >= SWEEP_TOL
 
     def test_padded_factor(self):
         """n = 4 under Dirichlet leaves m = 2 active nodes, which _factor pads
@@ -790,3 +778,21 @@ class TestExistenceIffSign:
                 assert res.residual <= 1e-8
             else:
                 assert isinstance(res, vh.EndemicAbsent)
+
+    def test_coupling_sweep_absent_on_positive_side(self, neumann):
+        mesh = vh.build_mesh(0, 1, 101)
+        rng = np.random.default_rng(13)
+        coeffs = verify.random_coefficients(mesh, rng)
+        log = vh.solve_logistic(coeffs, neumann)
+        for scale in (2.0, 1.0, 0.5, 0.25, 0.1, 0.02):
+            scaled = vh.CoefficientSet(
+                d1=coeffs.d1, d2=coeffs.d2, rho=coeffs.rho, sigma1=coeffs.sigma1,
+                sigma2=coeffs.sigma2, beta=coeffs.beta, mu=coeffs.mu,
+                h_u=vh.ScalarField(mesh, scale * coeffs.h_u.values),
+            )
+            eig = vh.principal_eigen_system(scaled, log.v_b, neumann)
+            res = vh.solve_endemic(scaled, neumann, logistic=log, eigenpair=eig)
+            if eig.lam > 1e-8:
+                assert isinstance(res, vh.EndemicAbsent)
+            elif eig.lam < -1e-8:
+                assert isinstance(res, vh.EndemicEquilibrium)

@@ -272,51 +272,6 @@ class TestClassification:
         assert (got.equilibrium is not None) == (want == verify.ENDEMIC)
 
 
-class TestEndemicAbsence:
-    def test_confirmed_for_weak_coupling(self, neumann):
-        mesh = vh.build_mesh(0, 1, 101)
-        rep = verify.check_endemic_absence(constants_coeffs(mesh, h_u=0.5), neumann)
-        assert rep.applicable
-        assert rep.lambda_system >= verify.ABSENCE_GATE
-        assert rep.collapse_sup < 1e-6
-        assert rep.confirmed
-
-    def test_not_confirmed_when_collapse_stops_at_its_cap(self, neumann):
-        """lambda_system = 1 - sqrt(h_u) = 1e-6 passes the gate, but the
-        down-iteration decays so slowly that it stops at its sweep cap
-        above COLLAPSE_TOL."""
-        mesh = vh.build_mesh(0, 1, 101)
-        rep = verify.check_endemic_absence(constants_coeffs(mesh, h_u=(1 - 1e-6) ** 2), neumann)
-        assert rep.applicable
-        assert rep.lambda_system == pytest.approx(1e-6, rel=1e-6)
-        assert rep.collapse_sup > verify.COLLAPSE_TOL
-        assert not rep.confirmed
-
-    def test_not_applicable_for_strong_coupling(self, neumann):
-        mesh = vh.build_mesh(0, 1, 101)
-        rep = verify.check_endemic_absence(constants_coeffs(mesh, h_u=2.0), neumann)
-        assert not rep.applicable
-        assert rep.lambda_system < 0
-
-    def test_coupling_sweep_absent_on_positive_side(self, neumann):
-        mesh = vh.build_mesh(0, 1, 101)
-        rng = np.random.default_rng(13)
-        coeffs = verify.random_coefficients(mesh, rng)
-        log = vh.solve_logistic(coeffs, neumann)
-        for scale in (2.0, 1.0, 0.5, 0.25, 0.1, 0.02):
-            scaled = vh.CoefficientSet(
-                d1=coeffs.d1, d2=coeffs.d2, rho=coeffs.rho, sigma1=coeffs.sigma1,
-                sigma2=coeffs.sigma2, beta=coeffs.beta, mu=coeffs.mu,
-                h_u=vh.ScalarField(mesh, scale * coeffs.h_u.values),
-            )
-            eig = vh.principal_eigen_system(scaled, log.v_b, neumann)
-            res = vh.solve_endemic(scaled, neumann, logistic=log, eigenpair=eig)
-            if eig.lam > 1e-8:
-                assert isinstance(res, vh.EndemicAbsent)
-            elif eig.lam < -1e-8:
-                assert isinstance(res, vh.EndemicEquilibrium)
-
-
 class TestScenarioGenerator:
     def test_deterministic_for_fixed_seed(self, unit_mesh, neumann):
         a = verify.random_scenario(unit_mesh, neumann, np.random.default_rng(42))
