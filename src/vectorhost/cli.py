@@ -63,11 +63,7 @@ def _write_profiles(path: Path, mesh, columns: dict[str, np.ndarray]):
 
 
 def _write_trajectory(path: Path, rows):
-    write_csv(
-        path,
-        ["t", "sup_dist_attractor", "sup_Hi", "sup_Vu", "sup_Vi"],
-        [(r.t, r.sup_dist, r.sup_h_i, r.sup_v_u, r.sup_v_i) for r in rows],
-    )
+    write_csv(path, ["t", "sup_dist_attractor", "sup_Hi", "sup_Vu", "sup_Vi"], rows)
 
 
 def _bc_dict(bc):
@@ -300,9 +296,11 @@ def _record_error(report: dict, exc: VectorHostError) -> int:
 
 def run(config: RunConfig, out_dir, seed: int | None = None) -> int:
     """Execute the configured experiment, writing artifacts into out_dir."""
+    effective_seed = config.seed if seed is None else int(seed)
+    if effective_seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {effective_seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    effective_seed = config.seed if seed is None else int(seed)
     if config.kind == "eigen":
         return _run_eigen(config, out, effective_seed)
     if config.kind == "steady":

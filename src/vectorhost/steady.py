@@ -261,7 +261,7 @@ class MonotoneIteration:
     v: ScalarField
     sweeps: int
     converged: bool
-    k_c: float  # max over nodes of the K2 used (after any doubling)
+    k_c: float  # max over nodes of the K2 used
     final_change: float
     history: list[tuple[ScalarField, ScalarField]] | None = None
 
@@ -286,10 +286,10 @@ def monotone_iterate(
     iterates voids the order guarantee, and only a sweep that moves the
     wrong way reveals it.  The starting pair is verified to satisfy the
     matching discrete inequalities; every sweep is checked to move nodewise
-    in the declared direction (a violation doubles both potentials once and
-    restarts, then fails; only such a sweep computes the positive round-off
-    tolerance of the check).  Stops when the sweep-to-sweep sup change drops
-    below SWEEP_TOL, or at the cap of MAX_SWEEPS sweeps.
+    in the declared direction, and one that moves the wrong way by more
+    than a positive round-off tolerance (computed only for such a sweep)
+    raises MonotonicityError.  Stops when the sweep-to-sweep sup change
+    drops below SWEEP_TOL, or at the cap of MAX_SWEEPS sweeps.
     """
     if direction not in ("down", "up"):
         raise ValidationError(f"direction must be 'down' or 'up', got {direction!r}")
@@ -311,90 +311,76 @@ def monotone_iterate(
         top = h_start
     else:  # H_bar, the H of the upper-solution pair
         top = _h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
-    k2_base = problem.sweep_potential(top)
-
-    def run(scale: float) -> MonotoneIteration:
-        k1 = scale * problem.rho
-        k2 = scale * k2_base
-        solve1 = ShiftedSolve(problem.op1, k1)
-        solve2 = ShiftedSolve(problem.op2, k2)
-        # f1 + K1 H = sigma1 h_u V + (K1 - rho) H, whose second term is 0 unless doubled.
-        k1_extra = k1 - problem.rho if scale != 1.0 else None
-        # Round-off floor of one sweep: evaluating the residual costs
-        # eps*stiffness*|u| and the sweep damps it by (M + K)^{-1} ~ 1/min K.
-        k_min = min(float(k1.min()), float(k2.min()))
-        stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
-        stiff += max(float(k1.max()), float(k2.max()))
-        mono_coef = 256.0 * np.finfo(float).eps * stiff
-        # u and its successor u_new hold rows (H, V) and swap after each
-        # sweep; d and row are scratch (see the module docstring).
-        u = np.stack([h_start, v_start])
-        u_new = np.empty_like(u)
-        cur, nxt = (u, *u), (u_new, *u_new)
-        d = np.empty_like(u)
-        row = np.empty(problem.m)
-        s1hu, s2, v_plus, muv = problem.s1hu, problem.s2, problem.v_plus, problem.muv
-        history = [] if keep_history else None
-        change = np.inf
-        converged = False
-        for sweep in range(1, MAX_SWEEPS + 1):
-            u, h, v = cur
-            u_new, h_new, v_new = nxt
-            # H half-sweep: sigma1 h_u V + (K1 - rho) H.
-            np.multiply(s1hu, v, out=h_new)
-            if k1_extra is not None:
-                np.multiply(k1_extra, h, out=row)
-                np.add(h_new, row, out=h_new)
-            solve1.solve_active(h_new, True)
-            # V half-sweep: f2(H_new, V) + K2 V, in the order of problem.reaction.
-            np.subtract(v_plus, v, out=v_new)
-            np.maximum(v_new, 0.0, out=v_new)
-            np.multiply(s2, v_new, out=v_new)
-            np.multiply(v_new, h_new, out=v_new)
-            np.multiply(muv, v, out=row)
-            np.subtract(v_new, row, out=v_new)
-            np.multiply(k2, v, out=row)
-            np.add(v_new, row, out=v_new)
-            solve2.solve_active(v_new, True)
-            np.subtract(u_new, u, out=d)
-            d_lo, d_hi = float(d.min()), float(d.max())
-            # max(u - u_new) is exactly -d_lo; the tolerance is > 0, so <= 0 passes.
-            violation = d_hi if direction == "down" else -d_lo
-            if not violation <= 0.0:
-                u_scale = 1.0 + float(np.abs(u, out=d).max())
-                if violation > mono_coef * u_scale / k_min:
-                    raise MonotonicityError(
-                        f"sweep {sweep} moved {violation:.3e} against the declared direction "
-                        f"(max K2={float(k2.max()):g})"
-                    )
-            change = abs(max(d_hi, -d_lo))  # abs(d).max(), never -0.0
-            cur, nxt = nxt, cur
-            if history is not None:
-                history.append(
-                    (
-                        ScalarField(problem.mesh, problem.op1.embed(h_new)),
-                        ScalarField(problem.mesh, problem.op2.embed(v_new)),
-                    )
+    k1 = problem.rho
+    k2 = problem.sweep_potential(top)
+    solve1 = ShiftedSolve(problem.op1, k1)
+    solve2 = ShiftedSolve(problem.op2, k2)
+    # Round-off floor of one sweep: evaluating the residual costs
+    # eps*stiffness*|u| and the sweep damps it by (M + K)^{-1} ~ 1/min K.
+    k_min = min(float(k1.min()), float(k2.min()))
+    stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
+    stiff += max(float(k1.max()), float(k2.max()))
+    mono_coef = 256.0 * np.finfo(float).eps * stiff
+    # u and its successor u_new hold rows (H, V) and swap after each
+    # sweep; d and row are scratch (see the module docstring).
+    u = np.stack([h_start, v_start])
+    u_new = np.empty_like(u)
+    cur, nxt = (u, *u), (u_new, *u_new)
+    d = np.empty_like(u)
+    row = np.empty(problem.m)
+    s1hu, s2, v_plus, muv = problem.s1hu, problem.s2, problem.v_plus, problem.muv
+    history = [] if keep_history else None
+    change = np.inf
+    converged = False
+    for sweep in range(1, MAX_SWEEPS + 1):
+        u, h, v = cur
+        u_new, h_new, v_new = nxt
+        # H half-sweep: f1 + K1 H = sigma1 h_u V, since K1 = rho.
+        np.multiply(s1hu, v, out=h_new)
+        solve1.solve_active(h_new, True)
+        # V half-sweep: f2(H_new, V) + K2 V, in the order of problem.reaction.
+        np.subtract(v_plus, v, out=v_new)
+        np.maximum(v_new, 0.0, out=v_new)
+        np.multiply(s2, v_new, out=v_new)
+        np.multiply(v_new, h_new, out=v_new)
+        np.multiply(muv, v, out=row)
+        np.subtract(v_new, row, out=v_new)
+        np.multiply(k2, v, out=row)
+        np.add(v_new, row, out=v_new)
+        solve2.solve_active(v_new, True)
+        np.subtract(u_new, u, out=d)
+        d_lo, d_hi = float(d.min()), float(d.max())
+        # max(u - u_new) is exactly -d_lo; the tolerance is > 0, so <= 0 passes.
+        violation = d_hi if direction == "down" else -d_lo
+        if not violation <= 0.0:
+            u_scale = 1.0 + float(np.abs(u, out=d).max())
+            if violation > mono_coef * u_scale / k_min:
+                raise MonotonicityError(
+                    f"sweep {sweep} moved {violation:.3e} against the declared direction "
+                    f"(max K2={float(k2.max()):g})"
                 )
-            converged = change < SWEEP_TOL
-            if converged:
-                break
-        _, h, v = cur
-        return MonotoneIteration(
-            ScalarField(problem.mesh, problem.op1.embed(h)),
-            ScalarField(problem.mesh, problem.op2.embed(v)),
-            sweep if converged else MAX_SWEEPS,
-            converged,
-            float(k2.max()),
-            change,
-            history,
-        )
-
-    try:
-        return run(1.0)
-    except MonotonicityError:
-        # h_top too low for this order interval; one doubling is allowed.
-        return run(2.0)
+        change = abs(max(d_hi, -d_lo))  # abs(d).max(), never -0.0
+        cur, nxt = nxt, cur
+        if history is not None:
+            history.append(
+                (
+                    ScalarField(problem.mesh, problem.op1.embed(h_new)),
+                    ScalarField(problem.mesh, problem.op2.embed(v_new)),
+                )
+            )
+        converged = change < SWEEP_TOL
+        if converged:
+            break
+    _, h, v = cur
+    return MonotoneIteration(
+        ScalarField(problem.mesh, problem.op1.embed(h)),
+        ScalarField(problem.mesh, problem.op2.embed(v)),
+        sweep if converged else MAX_SWEEPS,
+        converged,
+        float(k2.max()),
+        change,
+        history,
+    )
 
 
 def _newton_polish(problem: EndemicProblem, h: np.ndarray, v: np.ndarray, box: tuple):

@@ -170,19 +170,17 @@ def run_threshold_experiment(
     *,
     distance_tol: float = 1e-4,
     eps: float = 0.0,
-    snapshot_times=None,
 ) -> ThresholdReport:
-    """Classify the scenario by its eigenvalues, then integrate and record
-    how the trajectory approaches the predicted attractor."""
+    """Classify the scenario by its eigenvalues, then integrate and record, at
+    101 evenly spaced times on [0, t_end], how the trajectory approaches the
+    predicted attractor."""
     prediction = classify_scenario(coeffs, bc, initial)
-    if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, cfg.t_end, 101)
     traj = integrate(
         initial,
         coeffs,
         bc,
         cfg,
-        snapshot_times=snapshot_times,
+        snapshot_times=np.linspace(0.0, cfg.t_end, 101),
         reference=prediction.attractor,
         reference_tol=distance_tol,
     )

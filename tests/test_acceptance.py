@@ -202,11 +202,7 @@ def canonical_runs():
         dt = vh.stability_dt_max(coeffs, init)
         cfg = vh.StepperConfig(dt=dt, t_end=200.0)
         t0 = time.perf_counter()
-        report = verify.run_threshold_experiment(
-            coeffs, bc, init, cfg,
-            distance_tol=1e-4,
-            snapshot_times=np.arange(0.0, 202.0, 2.0),
-        )
+        report = verify.run_threshold_experiment(coeffs, bc, init, cfg, distance_tol=1e-4)
         elapsed = time.perf_counter() - t0
         runs[name] = dict(coeffs=coeffs, bc=bc, init=init, cfg=cfg,
                           report=report, predicted=predicted, elapsed=elapsed)

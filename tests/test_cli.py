@@ -277,6 +277,25 @@ class TestSweepCommand:
         r3 = json.loads((out3 / "scenario_000" / "report.json").read_text())
         assert r3["lambda_beta"] != json.loads(r1)["lambda_beta"]
 
+    @pytest.mark.parametrize(
+        "config_seed, extra, shown", [(-1, [], -1), (1, ["--seed", "-3"], -3)], ids=["config", "flag"]
+    )
+    def test_negative_seed_exits_one(self, tmp_path, capsys, config_seed, extra, shown):
+        """A negative seed from the config or from --seed is one error line,
+        not a traceback from np.random.SeedSequence."""
+        cfg = write_config(tmp_path, {
+            "domain": {"a": 0, "b": 1, "n": 51},
+            "bc": "neumann",
+            "stepper": {"dt": "auto", "t_end": 5},
+            "experiment": {"kind": "sweep", "seed": config_seed, "count": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be >= 0, got {shown}\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_fixed_dt_is_clipped_per_scenario(self, tmp_path):
         """A fixed dt above a scenario's stability bound runs at that bound;
         the others run at the given dt."""

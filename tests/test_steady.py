@@ -375,28 +375,20 @@ class TestNodewiseSweeps:
         eq = vh.solve_endemic(coeffs, bc, logistic=log, eigenpair=eig)
         assert vh.sup_distance(run.v, eq.v_i) < 1e-6
 
-    @pytest.mark.parametrize("frac, doubled", [(0.6, True), (0.3, False)])
-    def test_low_top_retries_once_with_doubled_potentials(self, frac, doubled):
+    @pytest.mark.parametrize("frac", [0.6, 0.3])
+    def test_low_top_raises(self, frac):
         """An h_top above the start but below the limit makes an "up" sweep
-        move the wrong way; the retry doubles both potentials, and a second
-        violation raises."""
+        move the wrong way, which raises at once with the K2 it was given."""
         coeffs, bc, log, problem = criterion4_scenario(2, 6)
         eig = vh.principal_eigen_system(coeffs, log.v_b, bc)
         lo_h = vh.ScalarField(log.v_b.mesh, 1e-2 * eig.phi1.values)
         lo_v = vh.ScalarField(log.v_b.mesh, 1e-2 * eig.phi2.values)
         h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
         low = vh.ScalarField(h_bar.mesh, frac * h_bar.values)
-        if not doubled:
-            with pytest.raises(MonotonicityError, match="against the declared direction"):
-                monotone_iterate(problem, lo_h, lo_v, "up", h_top=low)
-            return
-        run = monotone_iterate(problem, lo_h, lo_v, "up", h_top=low)
-        k2 = problem.sweep_potential(problem.op1.restrict(low))
-        assert run.k_c == float((2.0 * k2).max())
-        assert run.converged
-        ref = monotone_iterate(problem, lo_h, lo_v, "up")
-        assert vh.sup_distance(run.h, ref.h) < 1e-8
-        assert vh.sup_distance(run.v, ref.v) < 1e-8
+        k2 = float(problem.sweep_potential(problem.op1.restrict(low)).max())
+        with pytest.raises(MonotonicityError, match="against the declared direction") as err:
+            monotone_iterate(problem, lo_h, lo_v, "up", h_top=low)
+        assert str(err.value).endswith(f"(max K2={k2:g})")
 
     def test_top_below_start_rejected(self):
         """A top below the start gives no order interval.  A "down" run from
@@ -423,49 +415,41 @@ def reference_monotone(problem, h0, v0, direction, *, h_top=None):
         top = h_start
     else:
         top = ShiftedSolve(problem.op1, problem.rho).solve_active(problem.s1hu * problem.v_plus)
-    k2_base = problem.sweep_potential(top)
-
-    def run(scale):
-        k1, k2 = scale * problem.rho, scale * k2_base
-        s1, s2 = ShiftedSolve(problem.op1, k1), ShiftedSolve(problem.op2, k2)
-        k_min = min(float(k1.min()), float(k2.min()))
-        stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
-        stiff += max(float(k1.max()), float(k2.max()))
-        mono_coef = 256.0 * np.finfo(float).eps * stiff
-        h, v = h_start.copy(), v_start.copy()
-        history, change, converged = [], np.inf, False
-        for sweep in range(1, MAX_SWEEPS + 1):
-            h_new = s1.solve_active(problem.s1hu * v + (k1 - problem.rho) * h)
-            v_new = s2.solve_active(problem.reaction(h_new, v)[1] + k2 * v)
-            u_scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
-            dh, dv = h_new - h, v_new - v
-            if direction == "down":
-                violation = max(float(dh.max()), float(dv.max()))
-            else:
-                violation = max(float(-dh.min()), float(-dv.min()))
-            if violation > mono_coef * u_scale / k_min:
-                raise MonotonicityError(
-                    f"sweep {sweep} moved {violation:.3e} against the declared direction "
-                    f"(max K2={float(k2.max()):g})"
-                )
-            change = max(float(np.abs(dh).max()), float(np.abs(dv).max()))
-            h, v = h_new, v_new
-            history.append((h, v))
-            converged = change < SWEEP_TOL
-            if converged:
-                break
-        return history, sweep if converged else MAX_SWEEPS, converged, float(k2.max()), change
-
-    try:
-        return run(1.0)
-    except MonotonicityError:
-        return run(2.0)
+    k1, k2 = problem.rho, problem.sweep_potential(top)
+    s1, s2 = ShiftedSolve(problem.op1, k1), ShiftedSolve(problem.op2, k2)
+    k_min = min(float(k1.min()), float(k2.min()))
+    stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
+    stiff += max(float(k1.max()), float(k2.max()))
+    mono_coef = 256.0 * np.finfo(float).eps * stiff
+    h, v = h_start.copy(), v_start.copy()
+    history, change, converged = [], np.inf, False
+    for sweep in range(1, MAX_SWEEPS + 1):
+        h_new = s1.solve_active(problem.s1hu * v)  # f1 + K1 H, as K1 = rho
+        v_new = s2.solve_active(problem.reaction(h_new, v)[1] + k2 * v)
+        u_scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
+        dh, dv = h_new - h, v_new - v
+        if direction == "down":
+            violation = max(float(dh.max()), float(dv.max()))
+        else:
+            violation = max(float(-dh.min()), float(-dv.min()))
+        if violation > mono_coef * u_scale / k_min:
+            raise MonotonicityError(
+                f"sweep {sweep} moved {violation:.3e} against the declared direction "
+                f"(max K2={float(k2.max()):g})"
+            )
+        change = max(float(np.abs(dh).max()), float(np.abs(dv).max()))
+        h, v = h_new, v_new
+        history.append((h, v))
+        converged = change < SWEEP_TOL
+        if converged:
+            break
+    return history, sweep if converged else MAX_SWEEPS, converged, float(k2.max()), change
 
 
 class TestMonotoneSweepOracle:
     """The stacked, allocation-free sweep kernel reproduces the per-component
     sweeps bit for bit: every iterate, the sweep count, the stop reason,
-    K_c and the final change, and the error of a failed retry."""
+    K_c and the final change, and the error of a wrong-way sweep."""
 
     @staticmethod
     def assert_matches(problem, h0, v0, direction, **kwargs):
@@ -503,15 +487,7 @@ class TestMonotoneSweepOracle:
         self.assert_matches(problem, lo_h, lo_v, "up")
         self.assert_matches(problem, lo_h, lo_v, "up", h_top=down.h)
 
-    def test_doubling_retry(self):
-        coeffs, bc, log, problem = criterion4_scenario(2, 6)
-        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
-        lo_h, lo_v = self.lower_pair(coeffs, log, bc)
-        low = vh.ScalarField(h_bar.mesh, 0.6 * h_bar.values)
-        run = self.assert_matches(problem, lo_h, lo_v, "up", h_top=low)
-        assert run.k_c == float((2.0 * problem.sweep_potential(problem.op1.restrict(low))).max())
-
-    def test_failed_retry_raises_the_same_error(self):
+    def test_low_top_raises_the_same_error(self):
         coeffs, bc, log, problem = criterion4_scenario(2, 6)
         h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
         lo_h, lo_v = self.lower_pair(coeffs, log, bc)
@@ -523,8 +499,8 @@ class TestMonotoneSweepOracle:
         assert str(got.value) == str(ref.value)
 
     def test_down_failure_raises_the_same_error(self, monkeypatch):
-        """A K2 too small for the order interval makes a "down" sweep rise;
-        the doubled retry rises too, and the error names its sweep."""
+        """A K2 too small for the order interval makes a "down" sweep rise,
+        and the error names its sweep."""
         coeffs, bc, log, problem = criterion4_scenario(0, 2)
         h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
         weak = problem.sweep_potential

@@ -39,6 +39,8 @@ RUNS = (
     ("steady", "steady", "steady.json", (), None),  # an endemic equilibrium exists
     ("steady-hu", "steady", "steady-hu.json", (), None),  # lambda_system > 0
     ("steady-dir", "steady", "steady-dir.json", (), None),  # lambda_beta > 0
+    ("steady-dir-endemic", "steady", "steady-dir-endemic.json", (), 0),  # Dirichlet, eps 0.01
+    ("steady-robin", "steady", "steady-robin.json", (), 0),  # Robin, eps 0.01
     ("eigen", "eigen", "eigen.json", (), None),
     ("sweep", "sweep", "sweep.json", (), 0),  # seed 11
     ("sweep-seed4", "sweep", "sweep.json", ("--seed", "4"), None),
