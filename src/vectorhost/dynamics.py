@@ -15,24 +15,26 @@ remainder step landing exactly on t_end.  The steady window (the state
 moved less than steady_tol in sup norm over the last steady_window steps)
 is tested after full steps only.
 
-The core takes step k of every active run together.  It holds the rows of
-all runs as one C-contiguous (rows, runs, n) array.  The rows of a run are
-grouped by component: a comparison of two states stacks (H_i, H_i, V_u,
-V_u, V_i, V_i), so each component of all states and runs is one contiguous,
-flat block.  Whenever the active set changes, the core lays the runs'
-coefficient rows and 1/dt out in that order once, with a small workspace;
-each step then evaluates the reaction as 1-D ufunc calls on the blocks and
-solves every row of every run in one dgttrs call.  That system is block
-diagonal, one block -L_row + 1/dt_run per row, joined with zero coupling,
-so each run keeps its own dt and gets the bits it would get alone.  It is
-factored once per active set too.  A run retires when it settles, reaches
-t_end or fails; its remainder step onto t_end changes the set too.  Retired
-runs are compacted out of the arrays.  The steady window, snapshot clock,
-clamping and errors stay per run, vectorized over runs: after each step one
-abs and one max reduction over one buffer give every run's change over its
-steady window and its distance to its reference.  integrate_many keeps each
-snapshot as its time and rows; the States of TrajectorySummary.snapshots
-are built from them on access.
+The core takes the steps of all active runs together, B at a time.  The
+rows of all runs form one C-contiguous (rows, runs, n) array, grouped by
+component: a comparison of two states stacks (H_i, H_i, V_u, V_u, V_i, V_i),
+so each component of all states and runs is one flat block.  Per active
+set, the core lays the runs' coefficient rows and 1/dt out in that order
+and factors one joined tridiagonal system, block diagonal with one block
+-L_row + 1/dt_run per row, so each run keeps its own dt and gets the bits
+it would get alone.  A step is the reaction, as 1-D ufunc calls written
+straight into a slot of one preallocated state ring (the longest steady
+window plus one block of B states, about BLOCK_BYTES), and one in-place
+dgttrs call on that slot.  After each block one vectorized pass finds, per
+run, the first non-finite or negative step, the first settled step and
+the reference distances; the caller's visit gets the block to record order
+violations, observer calls, first times below a tolerance and snapshots,
+found by step index.  A non-finite or negative entry sends every run back
+to the last clean step, which is redone alone with the per-step checks
+below.  A run retires when it settles, reaches t_end (its remainder step
+is a block of one) or fails; its later steps in the block are dropped and
+it is compacted out.  integrate_many keeps each snapshot as its time and
+rows; TrajectorySummary.snapshots builds the States on access.
 
 The explicit reaction imposes the step bound
 
@@ -42,16 +44,17 @@ with Vhat = max(max V(0), max beta/mu), a crude Lipschitz bound that also
 keeps the update positivity-preserving.  Negative round-off in
 (-1e-14, 0) is clamped to zero; anything below that, or a right-hand side
 that overflows to a non-finite value, stops the run with BlowUpError.
-integrate_many records it for that run; the single-run integrators raise it.
-Overflow is silenced for each stretch of steps between retirements, never
-across a yield, so the caller's numpy error state holds whenever its code
-runs.
+integrate_many records it for that run; the single-run integrators raise
+it.  Overflow is silenced for each stretch of blocks between retirements,
+never across a yield, so the caller's numpy error state holds whenever its
+code runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -70,6 +73,8 @@ CLAMP_BAND = 1e-14
 # How far a monotone flow or an ordered pair may move the wrong way before
 # it counts as a violation.
 ORDER_TOL = 1e-10
+# The states of one block of lockstep steps fill about this many bytes.
+BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -176,84 +181,123 @@ def _snap_walls(u: np.ndarray, names) -> None:
     u[:, -1] = 0.0
 
 
-class _SnapshotClock:
-    """Per run, how many of the requested times, taken in order, its state
-    at time t stands for.  The initial state (t = 0) takes only times
-    within round-off of zero; later states take every time they reach.
-    next[r] is the time from which run r's next state is due.  A time that
-    is not finite is rejected: a NaN would void every comparison after it."""
+def _grid(dt, t_end):
+    """Each run's time grid: floor(t_end/dt) full steps (a float: t_end/dt
+    may exceed any int64), the remainder onto t_end, and the step count."""
+    n_full = np.floor(t_end / dt + 1e-12)
+    rem = t_end - n_full * dt
+    return n_full, rem, n_full + (rem > 1e-12 * dt)
 
-    def __init__(self, snapshot_times, dts):
-        self.times = sorted(float(s) for s in snapshot_times) if snapshot_times is not None else []
-        if not all(math.isfinite(s) for s in self.times):
-            raise ValidationError("snapshot times must be finite")
-        self.scale = [max(1.0, float(dt)) for dt in dts]
-        self.taken = [0] * len(self.scale)
-        self.next = np.array([self._next(r) for r in range(len(self.scale))], dtype=float)
 
-    def _next(self, r: int) -> float:
-        i = self.taken[r]
-        return self.times[i] - 1e-9 * self.scale[r] if i < len(self.times) else np.inf
+def _snapshot_steps(snapshot_times, dt, t_end) -> np.ndarray:
+    """For each run (dt and t_end given per run) and each requested time,
+    sorted, the index of the step whose state stands for it on the run's
+    grid: 0 for a time within round-off of zero, else the first step whose
+    time reaches it within 1e-9 max(1, dt), and inf for a time the grid never
+    reaches.  A time that is not finite is rejected: a NaN would void every
+    comparison after it."""
+    times = np.sort(np.asarray([] if snapshot_times is None else snapshot_times, dtype=float))
+    if not np.isfinite(times).all():
+        raise ValidationError("snapshot times must be finite")
+    dt, t_end = (np.asarray(x, dtype=float)[:, None] for x in (dt, t_end))
+    n_full, _, n_steps = _grid(dt, t_end)
+    scale = np.maximum(1.0, dt)
+    due = times - 1e-9 * scale
+    # The first k >= 1 with k * dt >= due as a step computes k * dt: below
+    # 2**52 steps the rounded quotient's ceiling is at most one off.
+    k = np.maximum(np.ceil(due / dt), 1.0)
+    k -= (k > 1.0) & ((k - 1.0) * dt >= due)
+    k += k * dt < due
+    k = np.where(k <= n_full, k, np.where((n_steps > n_full) & (t_end >= due), n_full + 1.0, np.inf))
+    k[times - 1e-12 * scale <= 0.0] = 0.0
+    return k
 
-    def take(self, r: int, t: float) -> int:
-        slack = (1e-12 if t == 0.0 else 1e-9) * self.scale[r]
-        start = self.taken[r]
-        while self.taken[r] < len(self.times) and t >= self.times[self.taken[r]] - slack:
-            self.taken[r] += 1
-        self.next[r] = self._next(r)
-        return self.taken[r] - start
+
+def _due(steps):
+    """Given each run's snapshot steps (runs, times), a function of (runs,
+    k, size) that gives the (active index, block position) of each snapshot
+    of the active runs due among steps k, ..., k + size - 1; a pair repeats
+    for each time its state stands for."""
+    every = np.append(np.unique(steps), np.inf)
+
+    def due(runs, k: int, size: int):
+        if every[np.searchsorted(every, k)] >= k + size:  # the common case: none
+            return ()
+        pos = steps[runs] - k
+        i, s = np.nonzero((pos >= 0) & (pos < size))
+        return zip(i.tolist(), pos[i, s].astype(int).tolist())
+
+    return due
 
 
 def _joined_solver(ops, h, n: int):
     """One ShiftedSolve for every row of the active runs against its
     -L + 1/h, blocks in the row-major order of the stacked rows (rows, runs,
-    n), and the flat indices of the active nodes there (None when every node
-    is active)."""
+    n), and the flat indices of the active and of the Dirichlet wall nodes
+    there (None, None when every node is active)."""
     flat = [run[j] for j in range(len(ops[0])) for run in ops]
     solver = ShiftedSolve(flat, np.tile(1.0 / h, len(ops[0])))
     if all(op.m == n for op in flat):
-        return solver, None
-    nodes = np.arange(n)
-    return solver, np.concatenate([b * n + nodes[op.sl] for b, op in enumerate(flat)])
+        return solver, None, None
+    inner = np.zeros((len(flat), n), dtype=bool)
+    for b, op in enumerate(flat):
+        inner[b, op.sl] = True
+    return solver, np.flatnonzero(inner), np.flatnonzero(~inner)
+
+
+def _spans(ring, start: int, count: int):
+    """Ring slots start, ..., start + count - 1, taken modulo the ring's
+    length, as (offset, view) pairs: one, or two where they wrap."""
+    head = ring[start % len(ring):][:count]
+    return [(0, head)] + [(len(head), ring[:count - len(head)])] * (len(head) < count)
+
+
+def _block_steps(values: int) -> int:
+    """B, the steps of one block of a march whose stacked rows hold `values`
+    floats: as many as fill BLOCK_BYTES with their states, at least one."""
+    return max(1, BLOCK_BYTES // (8 * values))
 
 
 def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     """Advance R independent runs in lockstep, each from t = 0 to its t_end
-    on its own time grid.
+    on its own time grid, B = _block_steps(u.size) steps at a time.
 
     u (rows, R, n) stacks the runs' rows, those of several states grouped by
     component (see _system): row j of run r diffuses under ops[r][j], and
     names[j] names it in errors.  Whenever the active set or its step sizes
     change, rhs(c, h, rows) gets the active runs' coefficient rows
     c = coef[:, active], their step sizes h (active,) and the row count, and
-    returns react(u): for the active runs' rows u (rows, active, n),
-    C-contiguous, a fresh array of their right-hand sides, u/h plus the
-    reaction.
-    Each row is then solved against -L + 1/h and clamped.
-    visit(t, new, old, runs, dist) runs after every step with the active
-    runs' indices, their times, their rows after and before the step and,
-    given ref (rows, R, n), each one's sup distance to its reference rows
-    ref[:, r] (else None); it runs under the error state that lets react
-    overflow.  Given a StepperConfig as steady[r], run r stops after the
-    first full step that moved less than steady_tol over the last
-    steady_window steps.
+    returns react(u, out), which writes the right-hand sides u/h + reaction
+    of the active runs' rows u (rows, active, n), C-contiguous, into out, a
+    ring slot where each row is then solved against -L + 1/h in place.
 
-    Both distances take one pass per step: the rows' change over each run's
-    window and their offset from its reference are written into planes of
-    one (planes, rows, active, n) buffer, allocated with each joined solver,
-    and one abs and one max reduction give them per run.  A run whose
-    window is not yet full, or that has none, keeps inf in the first plane.
+    State k >= 1 sits in ring slot (k - 1) % S and the initial state in slot
+    S - 1; S, a multiple of B, holds the longest steady window plus a block,
+    so a block never wraps.  A block with a non-finite or negative entry is
+    cut before that step, which is then redone as a block of one: there a
+    non-finite right-hand side fails its run (zeroed, so the joined solve
+    stays finite for the others), negatives in (-1e-14, 0) are clamped and
+    lower ones fail the run.  Remainder steps are blocks of one too.  Given
+    a StepperConfig as steady[r], run r stops after the first full step that
+    moved less than steady_tol over the last steady_window steps; given ref
+    (rows, R, n), each step's sup distance of each run to ref[:, r] is taken.
 
-    Yields (r, outcome) for each run r as it retires: its (rows, t, steps,
-    settled), or the BlowUpError that stopped it.  The error state is left
-    before each yield, so the caller's is in force whenever it runs.
+    visit(k, t, new, old, runs, dist) gets each block, split where runs
+    retire: k the step index of new[0], the times t (L, active), the states
+    after each step new (L, rows, active, n) and before the first old (rows,
+    active, n), the runs' indices and their distances dist (L, active) or
+    None.  new and old are valid during the call only.  visit runs under
+    the error state that lets react overflow.
+
+    Yields (r, outcome) for each run r as it retires, by step and then by
+    index: its (rows, t, steps, settled), or the BlowUpError that stopped
+    it.  The error state is left before each yield, so the caller's is in
+    force whenever it runs.
     """
     n = u.shape[2]
     dt = np.asarray(dt, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
-    n_full = np.floor(t_end / dt + 1e-12)  # float: t_end/dt may exceed any int64
-    rem = t_end - n_full * dt
-    n_steps = n_full + (rem > 1e-12 * dt)
+    n_full, rem, n_steps = _grid(dt, t_end)
     window = np.array([0 if s is None else s.steady_window for s in steady], dtype=int)
     # A run without a steady test never moves less than -inf.
     tol = np.array([-np.inf if s is None else s.steady_tol for s in steady])
@@ -261,6 +305,8 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
         yield r, (u[:, r], 0.0, 0, False)
 
     runs = np.flatnonzero(n_steps > 0)
+    if not runs.size:
+        return
     u, coef = u.take(runs, axis=1), coef.take(runs, axis=1)  # C-contiguous, unlike u[:, runs]
     if ref is not None:
         ref = ref.take(runs, axis=1)
@@ -268,103 +314,128 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
         x[runs] for x in (dt, t_end, n_full, rem, n_steps, window, tol)
     )
     w_max = int(window.max(initial=0))
-    ring = [u] * w_max  # u_j at slot j % w_max; the arrays are never written in place
-    planes = (w_max > 0) + (ref is not None)
-    ref_dist = settled = None
-    solver = None
+    block = _block_steps(u.size)
+    ring = np.empty((block * (-(-w_max // block) + 1), *u.shape))
+    ring[-1] = u
+    # Room for one block's distance terms, reshaped as runs retire.
+    room = np.empty(block * u.size) if w_max or ref is not None else None
+    redo = False
     k = 0
     while runs.size:
-        # One error state per stretch of steps between retirements: overflow
+        n_full_min = float(n_full.min())
+        windows = [(w, window == w) for w in np.unique(window[window > 0]).tolist()]
+        windows = [(w, slice(None) if m.all() else m) for w, m in windows]
+        scratch = None if room is None else room[:block * u.size].reshape(block, *u.shape)
+        h, solver = dt, None
+        # One error state per stretch of blocks between retirements: overflow
         # in react is reported as a BlowUpError instead.
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
-                k += 1
                 last = None
+                if k < n_full_min:
+                    size = 1 if redo else int(min(block, n_full_min - k, len(ring) - k % len(ring)))
+                    t = (k + 1 + np.arange(size))[:, None] * dt
+                else:  # some runs take their remainder step onto t_end
+                    size, last = 1, k + 1 > n_full
+                    h, solver, t = np.where(last, rem, dt), None, np.where(last, t_end, (k + 1) * dt)[None]
                 if solver is None:
-                    n_full_min, n_steps_min = float(n_full.min()), float(n_steps.min())
-                    # Runs sharing a window share the ring slot of their oldest state.
-                    # A window of all runs takes them by where=True: a mask costs more.
-                    windows = [(w, window == w) for w in np.unique(window[window > 0]).tolist()]
-                    windows = [(w, True if m.all() else m[:, None]) for w, m in windows]
-                    h = dt
-                if k > n_full_min:  # some runs take their remainder step onto t_end
-                    last = k > n_full
-                    h = np.where(last, rem, dt)
-                    t = np.where(last, t_end, k * dt)
-                    solver = None
-                else:
-                    t = k * dt
-                if solver is None:
-                    solver, active = _joined_solver([ops[r] for r in runs], h, n)
+                    solver, active, walls = _joined_solver([ops[r] for r in runs], h, n)
                     react = rhs(coef, h, u.shape[0])
-                    gap = np.full((planes, *u.shape), np.inf)
-
-                f = react(u)
+                new = ring[k % len(ring):][:size]
                 failed = {}
-                if not math.isfinite(f.sum()):
-                    bad = ~np.isfinite(f).all(axis=(0, 2))
-                    for i in np.flatnonzero(bad):
-                        failed[i] = BlowUpError(
-                            f"step {k} (to t={t[i]:g}) overflowed: non-finite right-hand side"
-                        )
-                    f[:, bad] = 0.0  # keeps the joined solve finite for the other runs
-                if active is None:
-                    new = solver.solve_active(f.reshape(-1)).reshape(u.shape)
-                else:
-                    new = np.zeros(u.shape)  # Dirichlet walls stay exactly 0
-                    new.reshape(-1)[active] = solver.solve_active(f.reshape(-1)[active])
-                if new.min() < 0.0:
-                    for i, err in _clamp(new, names).items():
-                        failed.setdefault(i, err)
-                if planes:
-                    for w, members in windows:
-                        if k >= w:
-                            np.subtract(new, ring[(k - w) % w_max], out=gap[0], where=members)
-                    if ref is not None:
-                        np.subtract(new, ref, out=gap[-1])
-                    dist = np.maximum.reduce(np.abs(gap, out=gap), axis=(1, 3))
-                    ref_dist = dist[-1] if ref is not None else None
-                if failed:
-                    ok = np.ones(runs.size, dtype=bool)
-                    ok[list(failed)] = False
-                    if ok.any():
-                        visit(t[ok], new[:, ok], u[:, ok], runs[ok],
-                              None if ref_dist is None else ref_dist[ok])
-                else:
-                    visit(t, new, u, runs, ref_dist)
+                for j in range(size):
+                    f = new[j]
+                    react(new[j - 1] if j else u, f)
+                    if size == 1 and not math.isfinite(f.sum()):
+                        bad = ~np.isfinite(f).all(axis=(0, 2))
+                        for i in np.flatnonzero(bad):
+                            failed[i] = BlowUpError(
+                                f"step {k + 1} (to t={t[0, i]:g}) overflowed: non-finite right-hand side"
+                            )
+                        f[:, bad] = 0.0  # keeps the joined solve finite for the other runs
+                    if active is None:
+                        solver.solve_active(f.reshape(-1), True)
+                    else:
+                        flat = f.reshape(-1)
+                        flat[active] = solver.solve_active(flat[active], True)
+                        flat[walls] = 0.0
+                if size == 1:
+                    redo = False
+                    if new.min() < 0.0:
+                        for i, err in _clamp(new[0], names).items():
+                            failed.setdefault(i, err)
+                elif not (math.isfinite(new.sum()) and new.min() >= 0.0):
+                    clean = np.isfinite(new).all(axis=(1, 2, 3)) & (new.min(axis=(1, 2, 3)) >= 0.0)
+                    if not clean.all():
+                        size = int(clean.argmin())  # the steps before the first unclean one
+                        new, t, redo = new[:size], t[:size], True
+                        if not size:
+                            continue
 
+                win = dist = None
                 if w_max:
-                    settled = dist[0] < tol
+                    win = np.full((size, runs.size), np.inf)
+                    for w, members in windows:
+                        j = max(0, w - k - 1)  # step k + 1 + j is the first with a full window
+                        if j < size:
+                            for o, old in _spans(ring, k + j - w, size - j):
+                                o += j
+                                np.subtract(new[o:o + len(old)], old, out=scratch[o:o + len(old)])
+                            d = np.abs(scratch[j:size], out=scratch[j:size])
+                            win[j:, members] = d.max(axis=(1, 3))[:, members]
+                if ref is not None:
+                    d = np.subtract(new, ref, out=scratch[:size])
+                    dist = np.abs(d, out=d).max(axis=(1, 3))
+                stop = np.full(runs.size, size)  # the steps of this block each run keeps
+                settled = np.zeros(runs.size, dtype=bool)
+                if win is not None:
+                    hit = win < tol
                     if last is not None:
-                        settled &= ~last
-                    ring[k % w_max] = new
-                # count_nonzero is the cheapest any() on these small masks.
-                any_settled = settled is not None and np.count_nonzero(settled)
-                if k >= n_steps_min or failed or any_settled:
+                        hit &= ~last
+                    settled = hit.any(axis=0)
+                    stop[settled] = hit.argmax(axis=0)[settled] + 1
+                if failed:
+                    stop[list(failed)] = 0
+                b = 0
+                for e in sorted(set(stop.tolist()) - {0}):  # one visit per stretch of one active set
+                    keep, seg = stop >= e, new[b:e]
+                    if keep.all():
+                        keep = slice(None)
+                    else:  # the survivors' columns, packed into the scratch the distances are done with
+                        shape = (e - b, seg.shape[1], np.count_nonzero(keep), n)
+                        out = None if room is None else room[:math.prod(shape)].reshape(shape)
+                        seg = np.compress(keep, seg, axis=2, out=out)
+                    visit(k + b + 1, t[b:e, keep], seg, (new[b - 1] if b else u)[:, keep],
+                          runs[keep], None if dist is None else dist[b:e, keep])
+                    b = e
+                k += size
+                np.copyto(u, new[-1])
+                done = settled | (k >= n_steps)
+                if failed:
+                    done[list(failed)] = True
+                if done.any():
                     break
-                u = new
 
-        done = k >= n_steps
-        if settled is not None:
-            done |= settled
-        if failed:
-            done[list(failed)] = True
-        for i in np.flatnonzero(done):
+        # Runs retire in the order of their last step, by index within a step.
+        for i in sorted(np.flatnonzero(done), key=lambda i: size if i in failed else stop[i]):
             if i in failed:
                 yield runs[i], failed[i]
             else:
-                rows = new[:, i].copy()  # not a view that keeps the whole batch alive
-                yield runs[i], (rows, float(t[i]), k, settled is not None and bool(settled[i]))
+                j = stop[i] - 1  # rows: not a view that keeps the ring alive
+                yield runs[i], (new[j, :, i].copy(), float(t[j, i]), int(k - size + stop[i]), bool(settled[i]))
         keep = ~done
-        u, coef = new.compress(keep, axis=1), coef.compress(keep, axis=1)
+        u, coef = u.compress(keep, axis=1), coef.compress(keep, axis=1)
+        # Compacted in place, slot by slot, so the ring is never held twice:
+        # slot s of the narrower ring ends before slot s + 1 of the wider one.
+        packed = ring.reshape(-1)[:len(ring) * u.size].reshape(len(ring), *u.shape)
+        for s in range(len(ring)):
+            packed[s] = ring[s].compress(keep, axis=1)
+        ring = packed
         if ref is not None:
             ref = ref.compress(keep, axis=1)
         runs, dt, t_end, n_full, rem, n_steps, window, tol = (
             x[keep] for x in (runs, dt, t_end, n_full, rem, n_steps, window, tol)
         )
-        for s in range(w_max):  # one slot at a time, so the ring is never held twice
-            ring[s] = ring[s].compress(keep, axis=1)
-        solver = None
 
 
 def _system(coeffs: CoefficientSet, bc: BoundarySpec, copies: int = 1):
@@ -392,8 +463,7 @@ def _system_rhs(c, h, rows):
 
     Each component is one contiguous block of u, so the reaction runs as
     1-D ufunc calls (the third argument is out) against coefficients, 1/h
-    and a workspace laid out here once; a step allocates only the
-    right-hand side it returns.
+    and a workspace laid out here once; a step allocates nothing.
     """
     shape = (rows, *c.shape[1:])
     # Each coefficient row once per state, in the order of a component block.
@@ -403,7 +473,7 @@ def _system_rhs(c, h, rows):
     reaction = np.empty(shape)
     r_hi, r_vu, cross = reaction.reshape(3, -1)
 
-    def react(u):
+    def react(u, out):
         hi, vu, vi = u.reshape(3, -1)
         np.add(vu, vi, v)
         np.multiply(mu, v, muv)
@@ -415,8 +485,8 @@ def _system_rhs(c, h, rows):
         np.subtract(r_vu, cross, r_vu)
         np.subtract(r_vu, np.multiply(muv, vu, tmp), r_vu)
         np.subtract(cross, np.multiply(muv, vi, tmp), cross)
-        f = np.multiply(u, inv_h)
-        return np.add(f, reaction, f)
+        np.multiply(u, inv_h, out)
+        np.add(out, reaction, out)
 
     return react
 
@@ -493,7 +563,7 @@ def integrate(
     ))
 
 
-def _start(state0: State, coeffs: CoefficientSet, bc: BoundarySpec, cfg: StepperConfig):
+def _start(state0: State, coeffs: CoefficientSet, bc: BoundarySpec):
     """The checked initial state of a full-system run and its rows, with
     Dirichlet walls snapped to zero.  Runs start at t = 0: the stepping
     clock, the snapshot times and t_end all count from there."""
@@ -506,7 +576,6 @@ def _start(state0: State, coeffs: CoefficientSet, bc: BoundarySpec, cfg: Stepper
     if bc.kind == DIRICHLET:
         _snap_walls(u0, ("h_i", "v_u", "v_i"))
         state0 = _state(state0.t, u0, mesh)
-    _check_dt(cfg.dt, stability_dt_max(coeffs, state0))
     return state0, u0
 
 
@@ -538,7 +607,9 @@ def integrate_many(
     batch = []
     for r, args in enumerate(zip(states, coeffs, bcs, cfgs, references, strict=True)):
         try:
-            batch.append((r, *_start(*args[:4])))
+            state0, u0 = _start(*args[:3])
+            _check_dt(args[3].dt, stability_dt_max(args[1], state0))
+            batch.append((r, state0, u0))
         except VectorHostError as exc:
             yield r, exc
     if not batch:
@@ -558,35 +629,26 @@ def integrate_many(
     if reference_tol is not None:
         limit[has_ref] = reference_tol
     first = np.full(len(batch), np.nan)
-    clock = _SnapshotClock(snapshot_times, [cfgs[r].dt for r in index])
+    due = _due(_snapshot_steps(snapshot_times, [cfgs[r].dt for r in index], [cfgs[r].t_end for r in index]))
     summaries = [TrajectorySummary(state0, False, 0, cfgs[r].dt) for r, state0, _ in batch]
     for b in np.flatnonzero(has_ref):
         summaries[b].snapshot_distances = []
 
-    # Per active set: its runs, their limits and when their next snapshot is due.
-    active = limit_a = next_a = None
-
-    def visit(t, new, old, runs, dist):
-        nonlocal active, limit_a, next_a
-        if runs is not active:
-            active, limit_a, next_a = runs, limit[runs], clock.next[runs]
+    def visit(k, t, new, old, runs, dist):
         if dist is not None:
-            hit = dist < limit_a
-            if np.count_nonzero(hit):
-                first[runs[hit]] = t[hit]
-                limit[runs[hit]] = limit_a[hit] = -np.inf
-        due = t >= next_a
-        if np.count_nonzero(due):
-            for i in np.flatnonzero(due):
-                b = runs[i]
-                count = clock.take(b, t[i])
-                next_a[i] = clock.next[b]
-                summaries[b].snapshot_rows += [(float(t[i]), new[:, i].copy())] * count
-                if has_ref[b]:
-                    summaries[b].snapshot_distances += [float(dist[i])] * count
+            hit = dist < limit[runs]
+            if hit.any():
+                i = np.flatnonzero(hit.any(axis=0))
+                first[runs[i]] = t[hit[:, i].argmax(axis=0), i]
+                limit[runs[i]] = -np.inf
+        for (i, j), same in groupby(due(runs, k, len(t))):
+            b, count = runs[i], len(list(same))
+            summaries[b].snapshot_rows += [(float(t[j, i]), new[j, :, i].copy())] * count
+            if has_ref[b]:
+                summaries[b].snapshot_distances += [float(dist[j, i])] * count
 
-    dist0 = None if refs is None else np.abs(u - refs).max(axis=(0, 2))
-    visit(np.zeros(len(batch)), u, None, np.arange(len(batch)), dist0)
+    dist0 = None if refs is None else np.abs(u - refs).max(axis=(0, 2))[None]
+    visit(0, np.zeros((1, len(batch))), u[None], None, np.arange(len(batch)), dist0)
     systems = [_system(coeffs[r], bcs[r]) for r in index]
     outcomes = _march(
         u,
@@ -638,7 +700,8 @@ def integrate_scalar_logistic(
     with the same IMEX splitting as the full system (so V_u + V_i of the
     3-component run and this trajectory agree to round-off).
 
-    observer(t, values) is called on the initial data and after every step.
+    observer(t, values) is called on the initial data and after every step,
+    in order; values is valid during the call only.
     """
     mesh = coeffs.mesh
     if v0.mesh != mesh:
@@ -650,23 +713,24 @@ def integrate_scalar_logistic(
         _snap_walls(u0, ("v0",))
     _check_dt(cfg.dt, _dt_bound(coeffs, float(u0.max()))[0])
 
-    clock = _SnapshotClock(snapshot_times, [cfg.dt])
+    due = _due(_snapshot_steps(snapshot_times, [cfg.dt], [cfg.t_end]))
     traj = ScalarTrajectory(final=v0, steady=False, steps=0, dt=cfg.dt)
     caller = np.geterr()  # the core silences overflow; the observer runs under this
 
-    def visit(t, new, old, runs, dist):
+    def visit(k, t, new, old, runs, dist):
         if observer is not None:
             with np.errstate(**caller):
-                observer(float(t[0]), new[0, 0])
-        if t[0] >= clock.next[0]:
-            traj.snapshots += [(float(t[0]), ScalarField(mesh, new[0, 0]))] * clock.take(0, t[0])
+                for j in range(len(t)):
+                    observer(float(t[j, 0]), new[j, 0, 0])
+        for (_, j), same in groupby(due([0], k, len(t))):
+            traj.snapshots += [(float(t[j, 0]), ScalarField(mesh, new[j, 0, 0]))] * len(list(same))
 
     def rhs(c, dt, rows):
         beta, mu = c
         dt = dt[:, None]
-        return lambda v: v / dt + beta * v - mu * v * v
+        return lambda v, out: np.subtract(v / dt + beta * v, mu * v * v, out)
 
-    visit(np.zeros(1), u0[:, None], None, None, None)
+    visit(0, np.zeros((1, 1)), u0[None, :, None], None, None, None)
     out = _march(
         u0[:, None], [[assemble(coeffs.d2, bc)]], ("V",), rhs,
         np.array([coeffs.beta.values, coeffs.mu.values])[:, None],
@@ -675,6 +739,16 @@ def integrate_scalar_logistic(
     u, _, traj.steps, traj.steady = _unwrap(out)
     traj.final = ScalarField(mesh, u[0])
     return traj
+
+
+def _record_violations(report, diff, t) -> None:
+    """Fold the wrong-way moves diff (L, ...) of a block's steps, at times
+    t (L, 1), into report.max_violation and report.first_violation_time, the
+    first time a move exceeded ORDER_TOL."""
+    per_step = diff.max(axis=tuple(range(1, diff.ndim)))
+    report.max_violation = max(report.max_violation, float(per_step.max()))
+    if report.first_violation_time is None and report.max_violation > ORDER_TOL:
+        report.first_violation_time = float(t[int(np.argmax(per_step > ORDER_TOL)), 0])
 
 
 @dataclass
@@ -721,42 +795,32 @@ def integrate_aux_pair(
         raise ValidationError(f"unknown monotone mode {monotone!r}")
     problem = EndemicProblem(coeffs, bc, v_b, eps, weight)
     sl = problem.op1.sl
+    u0 = np.array([h0.values, v0.values])
+    if bc.kind == DIRICHLET:
+        _snap_walls(u0, ("h0", "v0"))
     # V_B + |eps| w bounds both V and V_B - eps w.
     dt = min(cfg.dt, _order_dt(coeffs, float(h0.values.max()), v_b.values + abs(eps) * weight.values))
 
     def rhs(c, dt, rows):
         dt = dt[:, None]
 
-        def react(u):
-            f = u / dt  # Dirichlet walls are not solved for
-            f[:, 0, sl] += problem.reaction(u[0, 0, sl], u[1, 0, sl])
-            return f
+        def react(u, out):
+            np.divide(u, dt, out)  # Dirichlet walls are not solved for
+            out[:, 0, sl] += problem.reaction(u[0, 0, sl], u[1, 0, sl])
 
         return react
 
     out = AuxPairTrajectory(h0, v0, False, 0, dt, monotone_ok=None if monotone is None else True)
 
-    def visit(t, new, old, runs, dist):
-        if monotone is None:
-            return
-        viol = float((new - old if monotone == "nonincreasing" else old - new).max())
-        if viol > out.max_violation:
-            out.max_violation = viol
-        if viol > ORDER_TOL and out.first_violation_time is None:
-            out.first_violation_time = float(t[0])
-            out.monotone_ok = False
+    def visit(k, t, new, old, runs, dist):
+        if monotone is not None:
+            step = np.diff(new, axis=0, prepend=old[None])
+            _record_violations(out, step if monotone == "nonincreasing" else -step, t)
+            out.monotone_ok = out.first_violation_time is None
 
-    run = _march(
-        np.array([h0.values, v0.values])[:, None],
-        [[problem.op1, problem.op2]],
-        ("H", "V"),
-        rhs,
-        np.empty((0, 1)),  # the reaction's coefficients live in problem
-        [dt],
-        [cfg.t_end],
-        visit,
-        [cfg],
-    )
+    # The reaction's coefficients live in problem.
+    run = _march(u0[:, None], [[problem.op1, problem.op2]], ("H", "V"), rhs, np.empty((0, 1)),
+                 [dt], [cfg.t_end], visit, [cfg])
     u, _, out.steps, out.steady = _unwrap(run)
     out.h = ScalarField(mesh, u[0])
     out.v = ScalarField(mesh, u[1])
@@ -789,10 +853,8 @@ def compare_trajectories(
     """
     if state_a.mesh != state_b.mesh or state_a.mesh != coeffs.mesh:
         raise MeshMismatchError("states and coefficients must share one mesh")
-    if (
-        float((state_a.h_i.values - state_b.h_i.values).max()) > ORDER_TOL
-        or float((state_a.v_i.values - state_b.v_i.values).max()) > ORDER_TOL
-    ):
+    (state_a, u_a), (state_b, u_b) = (_start(s, coeffs, bc) for s in (state_a, state_b))
+    if float((u_a[0::2] - u_b[0::2]).max()) > ORDER_TOL:  # rows H_i and V_i
         raise ValidationError("state_a must be <= state_b in (H_i, V_i) at t = 0")
 
     v_max = max(float((s.v_u.values + s.v_i.values).max()) for s in (state_a, state_b))
@@ -802,17 +864,13 @@ def compare_trajectories(
 
     report = ComparisonReport(True, None, 0.0, cfg.t_end, dt)
 
-    def visit(t, new, old, runs, dist):
+    def visit(k, t, new, old, runs, dist):
         # Rows (H_i, V_i) of state_a are 0 and 4, those of state_b 1 and 5.
-        viol = float((new[0::4] - new[1::4]).max())
-        if viol > report.max_violation:
-            report.max_violation = viol
-        if viol > ORDER_TOL and report.first_violation_time is None:
-            report.first_violation_time = float(t[0])
-            report.ordered = False
+        _record_violations(report, new[:, 0::4] - new[:, 1::4], t)
+        report.ordered = report.first_violation_time is None
 
     ops, coef = _system(coeffs, bc, copies=2)
-    u0 = np.stack([_rows(state_a), _rows(state_b)], axis=1)  # (H_i, V_u, V_i) x (a, b)
+    u0 = np.stack([u_a, u_b], axis=1)  # (H_i, V_u, V_i) x (a, b)
     names = tuple(name for name in SYSTEM_ROWS for _ in "ab")
     _unwrap(_march(
         u0.reshape(6, 1, -1), [ops], names, _system_rhs, coef[:, None], [dt], [cfg.t_end], visit,

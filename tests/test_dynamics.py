@@ -5,7 +5,7 @@ import pytest
 
 import vectorhost as vh
 from vectorhost import verify
-from vectorhost.dynamics import _rows, _state
+from vectorhost.dynamics import ORDER_TOL, _block_steps, _rows, _state
 from vectorhost.errors import BlowUpError, MeshMismatchError, StabilityError, ValidationError
 from vectorhost.operators import ShiftedSolve
 from vectorhost.steady import default_weight
@@ -205,6 +205,49 @@ class TestIntegrate:
             vh.integrate(init, coeffs, vh.BoundarySpec.neumann(), cfg)
 
 
+# Run lengths around the block length B of the stepping core: B - 1, B,
+# B + 1 and 2B + 1 full steps, each with and without a remainder step.
+LENGTHS = [(name, rem) for name in ("B-1", "B", "B+1", "2B+1") for rem in (False, True)]
+
+
+def _grid(name, remainder, block, dt):
+    """The step sizes of a run of the named length, and the time each of its
+    states stands at: k * dt, and t_end (the last) after a remainder step."""
+    n_full = {"B-1": block - 1, "B": block, "B+1": block + 1, "2B+1": 2 * block + 1}[name]
+    t_end = (n_full + 0.5 * remainder) * dt
+    dts = [dt] * n_full + [t_end - n_full * dt] * remainder
+    return dts, [k * dt for k in range(n_full + 1)] + [t_end] * remainder
+
+
+def _chain(state, coeffs, bc, dts):
+    """The rows after each step of a vh.step chain, from the initial ones."""
+    rows = [_rows(state)]
+    for h in dts:
+        state = vh.step(state, coeffs, bc, h)
+        rows.append(_rows(state))
+    return rows
+
+
+def _due_steps(times, step_times, dt):
+    """For each requested time, sorted, the step whose state a run takes for
+    it: the first step time reaching it within 1e-9 max(1, dt), or within
+    1e-12 max(1, dt) for the initial state."""
+    scale, due = max(1.0, dt), []
+    for s in sorted(times):
+        hits = [k for k, t in enumerate(step_times) if t >= s - (1e-12 if k == 0 else 1e-9) * scale]
+        if hits:
+            due.append(hits[0])
+    return due
+
+
+def _settling_tol(rows, w, step):
+    """A steady_tol under which a run whose states are rows first settles
+    after `step` on a window of w steps."""
+    moves = [np.abs(rows[k] - rows[k - w]).max() for k in range(w, step + 1)]
+    assert min(moves[:-1]) > moves[-1], "the run does not settle first at this step"
+    return (moves[-1] + min(moves[:-1])) / 2
+
+
 def _batch_runs():
     """Four runs on 51 nodes with different dt: Neumann random coefficients
     (settles on a 10-step window while a run on a 50-step window still
@@ -297,6 +340,36 @@ class TestIntegrateMany:
         assert _rows(got.final).tobytes() == rows[k].tobytes()
         assert got.final_sup_distance == np.abs(rows[k] - ref_rows).max()
 
+    @pytest.mark.parametrize("length, remainder", LENGTHS)
+    def test_retirement_within_and_across_blocks(self, length, remainder):
+        """Two runs settle in the first block (the later-indexed one first),
+        one in the second, and one reaches t_end on a grid around the block
+        length: each gets its solo summary, bit for bit, and the runs leave
+        in the order of their last step."""
+        cases = _oracle_cases(n=51)
+        block = _block_steps(3 * 4 * 51)
+        states, coeffs, bcs, cfgs, refs = [], [], [], [], []
+        for (state, co, bc), settle in zip(cases, (12, 7, block + 3)):
+            dt = vh.stability_dt_max(co, state)
+            rows = _chain(state, co, bc, [dt] * settle)
+            cfgs.append(vh.StepperConfig(dt=dt, t_end=100 * dt, steady_window=5,
+                                         steady_tol=_settling_tol(rows, 5, settle)))
+            states.append(state), coeffs.append(co), bcs.append(bc)
+            refs.append(tuple(vh.ScalarField(state.mesh, r) for r in rows[settle // 2]))
+        dt = 0.6 * cfgs[0].dt
+        dts, times = _grid(length, remainder, block, dt)
+        cfgs.append(vh.StepperConfig(dt=dt, t_end=times[-1], steady_tol=1e-300))
+        states.append(states[0]), coeffs.append(coeffs[0]), bcs.append(bcs[0]), refs.append(None)
+        kw = dict(snapshot_times=[0.0, 5 * dt, 13 * dt, 30 * dt, 60 * dt], reference_tol=1e-3)
+
+        finished = list(vh.integrate_many(states, coeffs, bcs, cfgs, references=refs, **kw))
+        steps = [12, 7, block + 3, len(dts)]
+        assert [r for r, _ in finished] == sorted(range(4), key=lambda r: steps[r])
+        for r, got in finished:
+            alone = vh.integrate(states[r], coeffs[r], bcs[r], cfgs[r], reference=refs[r], **kw)
+            assert _fields(got) == _fields(alone)
+            assert (got.steps, got.steady) == (steps[r], r < 3)
+
     def test_rejected_input_is_recorded(self, neumann):
         mesh = vh.build_mesh(0, 1, 21)
         coeffs = constants_coeffs(mesh)
@@ -321,7 +394,8 @@ class TestMarchClamp:
         u0 = np.ones((3, mesh.n))
 
         def rhs(c, h, rows):  # (-L + 1/h) maps constants c/h to c: rows 1, -5e-15, scale
-            return lambda u: u * np.array([1.0, -5e-15, scale])[:, None, None] / h[:, None]
+            return lambda u, out: np.divide(u * np.array([1.0, -5e-15, scale])[:, None, None],
+                                            h[:, None], out)
 
         names = ("H_i", "V_u", "V_i")
         ((_, out),) = _march(u0[:, None], [[op] * 3], names, rhs, np.empty((0, 1, mesh.n)),
@@ -338,6 +412,107 @@ class TestMarchClamp:
     def test_blowup_names_the_row(self):
         with pytest.raises(BlowUpError, match="^V_i dropped to"):
             self._march(-1e-3)
+
+    @staticmethod
+    def _steps(u0, coef, rhs, steps):
+        """_march over `steps` unit steps of the runs u0 (rows, R, n) under
+        a weak diffusion: the outcomes by run, and each state it visited as
+        (step, run, rows bytes), in the order visited."""
+        from vectorhost.dynamics import _march
+
+        rows, n_runs, n = u0.shape
+        op = vh.assemble(vh.field_from_constant(vh.build_mesh(0, 1, n), 1e-6),
+                         vh.BoundarySpec.neumann())
+        seen = []
+
+        def visit(k, t, new, old, runs, dist):
+            assert np.array_equal(t, k + np.arange(len(t))[:, None] + np.zeros(len(runs)))
+            seen.extend((k + j, r, new[j, :, i].tobytes())
+                        for j in range(len(t)) for i, r in enumerate(runs.tolist()))
+
+        out = _march(u0, [[op] * rows] * n_runs, ("H_i", "V_u", "V_i"), rhs, coef,
+                     [1.0] * n_runs, [float(steps)] * n_runs, visit, [None] * n_runs)
+        return dict(out), seen
+
+    def _one_by_one(self, u0, coef, rhs, steps):
+        """The same runs taken one step at a time, each alone; a run that
+        fails has (step, error) as its outcome."""
+        out, seen = {}, []
+        for r in range(u0.shape[1]):
+            u = u0[:, r:r + 1]
+            for k in range(1, steps + 1):
+                outcome, step_seen = self._steps(u, coef[:, r:r + 1], rhs, 1)
+                res = outcome[0]
+                if isinstance(res, Exception):
+                    out[r] = k, res
+                    break
+                u = res[0][:, None]
+                seen.append((k, r, step_seen[0][2]))
+            else:
+                out[r] = res
+        return out, sorted(seen)
+
+    @staticmethod
+    def _drop(c, h, rows):
+        """V_u falls by c per unit step while positive; H_i and V_i stay."""
+        def react(u, out):
+            np.divide(u, h[:, None], out)
+            out[1] -= c[0] * (u[1] > 0) / h[:, None]
+
+        return react
+
+    @pytest.mark.parametrize("at", ["3", "B+2"])
+    @pytest.mark.parametrize("drop, fails", [(1e-14, False), (1e-3, True)])
+    def test_negative_inside_a_block(self, at, drop, fails):
+        """V_u turns negative at step j, inside a block: within the round-off
+        band it is clamped to 0 and the run steps on, below it the run stops
+        with a BlowUpError naming V_u.  Every state visited, and the outcome,
+        are those of the run taken one step at a time."""
+        block = _block_steps(3 * 201)
+        j = 3 if at == "3" else block + 2
+        u0 = np.ones((3, 1, 201))
+        u0[1] = (j - 0.5) * drop
+        coef = np.full((1, 1, 1), drop)
+        out, seen = self._steps(u0, coef, self._drop, j + 3)
+        want_out, want_seen = self._one_by_one(u0, coef, self._drop, j + 3)
+        assert seen == want_seen
+        if fails:
+            assert want_out[0][0] == j
+            assert str(out[0]) == str(want_out[0][1]) == (
+                "V_u dropped to -5.000e-04, below the -1e-14 round-off band"
+            )
+            assert [k for k, _, _ in seen] == list(range(1, j))
+        else:
+            rows = out[0][0]
+            assert rows.tobytes() == want_out[0][0].tobytes() and out[0][2] == j + 3
+            assert np.all(rows[1] == 0.0) and np.allclose(rows[[0, 2]], 1.0, rtol=1e-12)
+            assert [k for k, _, _ in seen] == list(range(1, j + 4))
+
+    @pytest.mark.parametrize("at", ["3", "B+2"])
+    def test_overflow_inside_a_block(self, at):
+        """Run 1 of three grows tenfold a step and its right-hand side
+        overflows at step j, inside a block: it stops with the BlowUpError
+        for step j, and the other runs get their solo results bit for bit."""
+        n = 201
+        block = _block_steps(3 * 3 * n)
+        j = 3 if at == "3" else block + 2
+        x = np.linspace(0, 1, n)
+        u0 = np.repeat(np.stack([1.0 + 0.5 * np.sin(3 * x), 0.5 + x, 2.0 - x])[:, None], 3, axis=1)
+        u0[:, 1] = 2e307 / 10.0 ** (j - 1)  # reaches 2e307 at step j - 1
+        coef = np.array([0.97, 10.0, 1.02])[None, :, None]
+
+        def grow(c, h, rows):
+            return lambda u, out: np.divide(u * c[0], h[:, None], out)
+
+        out, seen = self._steps(u0, coef, grow, 2 * block + 1)
+        assert isinstance(out[1], BlowUpError)
+        assert str(out[1]) == f"step {j} (to t={j}) overflowed: non-finite right-hand side"
+        want_out, want_seen = self._one_by_one(u0, coef, grow, 2 * block + 1)
+        assert want_out[1][0] == j
+        for r in (0, 2):
+            assert out[r][0].tobytes() == want_out[r][0].tobytes()
+            assert out[r][1:] == (2 * block + 1, 2 * block + 1, False)
+        assert sorted(seen) == want_seen
 
 
 def _oracle_step(state, coeffs, bc, dt):
@@ -506,6 +681,35 @@ class TestTimeGrid:
         assert (full.steady, full.steps) == (steady, 5)
         assert (scalar.steady, scalar.steps) == (steady, 5)
 
+    @pytest.mark.parametrize("length, remainder", LENGTHS)
+    def test_block_boundaries_match_stepping(self, length, remainder):
+        """integrate with a steady window, a reference and snapshots over
+        block boundaries: every summary field is that of a vh.step chain,
+        bit for bit."""
+        state, coeffs, bc = _oracle_cases(n=201)[0]
+        dt = vh.stability_dt_max(coeffs, state)
+        dts, times = _grid(length, remainder, _block_steps(3 * 201), dt)
+        t_end = times[-1]
+        rows = _chain(state, coeffs, bc, dts)
+        ref = rows[-1] + 0.01
+        dist = [np.abs(r - ref).max() for r in rows]
+        tol = (dist[len(dts) // 2] + dist[len(dts) // 2 + 1]) / 2
+        snaps = [0.0, 0.3 * t_end, 0.5 * t_end, 0.5 * t_end, 7 * dt, t_end, 2 * t_end]
+        cfg = vh.StepperConfig(dt=dt, t_end=t_end, steady_tol=1e-300, steady_window=5)
+        got = vh.integrate(state, coeffs, bc, cfg, snapshot_times=snaps,
+                           reference=tuple(vh.ScalarField(state.mesh, r) for r in ref),
+                           reference_tol=tol)
+        assert (got.steps, got.steady, got.final.t) == (len(dts), False, times[-1])
+        assert _rows(got.final).tobytes() == rows[-1].tobytes()
+        due = _due_steps(snaps, times, dt)
+        assert len(due) == 6
+        assert [(t, r.tobytes()) for t, r in got.snapshot_rows] == [
+            (times[k], rows[k].tobytes()) for k in due
+        ]
+        assert got.snapshot_distances == [dist[k] for k in due]
+        assert got.first_time_below == times[next(k for k, d in enumerate(dist) if d < tol)]
+        assert got.final_sup_distance == dist[-1]
+
 
 class TestScalarLogistic:
     def test_constant_equilibrium_stationary(self, mesh201, neumann):
@@ -546,6 +750,27 @@ class TestScalarLogistic:
             assert abs(st.t - t) < 1e-12
             gap = np.abs(st.v_u.values + st.v_i.values - vf.values).max()
             assert gap <= 1e-8, f"t={t}: V-reduction gap {gap:.2e}"
+
+    @pytest.mark.parametrize("length, remainder", LENGTHS)
+    def test_observer_per_step(self, length, remainder):
+        """The observer sees the initial data and then every step once, in
+        order, over block boundaries, with the values of one-step runs."""
+        state, coeffs, bc = _oracle_cases(n=201)[0]
+        v = vh.ScalarField(state.mesh, state.v_u.values + state.v_i.values)
+        dt = vh.stability_dt_max(coeffs, state)
+        dts, times = _grid(length, remainder, _block_steps(201), dt)
+        want = [(0.0, v.values.tobytes())]
+        for h, t in zip(dts, times[1:]):
+            v = vh.integrate_scalar_logistic(v, coeffs, bc, vh.StepperConfig(dt=h, t_end=h)).final
+            want.append((t, v.values.tobytes()))
+        seen = []
+        traj = vh.integrate_scalar_logistic(
+            vh.ScalarField(state.mesh, state.v_u.values + state.v_i.values), coeffs, bc,
+            vh.StepperConfig(dt=dt, t_end=times[-1], steady_tol=1e-300),
+            observer=lambda t, values: seen.append((t, values.tobytes())),
+        )
+        assert seen == want
+        assert (traj.steps, traj.final.values.tobytes()) == (len(dts), want[-1][1])
 
     def test_requires_positive_interior(self, mesh201, neumann):
         coeffs = constants_coeffs(mesh201)
@@ -606,7 +831,43 @@ class TestAuxPairFlow:
         assert flow.max_violation <= 1e-10
         assert vh.sup_distance(flow.h, eq.h_i) < 1e-4
 
-    def test_rejects_inputs_the_endemic_problem_rejects(self, mesh201, neumann):
+    @pytest.mark.parametrize("monotone", ["nonincreasing", "nondecreasing"])
+    @pytest.mark.parametrize("length, remainder", LENGTHS)
+    def test_block_boundaries_match_stepping(self, length, remainder, monotone):
+        """A down-flow over block boundaries: its rows and its largest
+        wrong-way move, with the first time one exceeds ORDER_TOL, are those
+        of a chain of one-step flows, bit for bit."""
+        mesh = vh.build_mesh(0, 1, 201)
+        bc = vh.BoundarySpec.neumann()
+        coeffs = constants_coeffs(mesh)
+        log = vh.solve_logistic(coeffs, bc)
+        eq = vh.solve_endemic(coeffs, bc, 0.01, logistic=log)
+        dts, times = _grid(length, remainder, _block_steps(2 * 201), 0.05)
+        kw = dict(eps=0.01, weight=default_weight(coeffs, bc))
+        h, v = (vh.ScalarField(mesh, 3 * f.values) for f in (eq.h_i, eq.v_i))
+        rows, worst, first = [np.array([h.values, v.values])], 0.0, None
+        for dt, t in zip(dts, times[1:]):
+            one = vh.integrate_aux_pair(h, v, coeffs, log.v_b, bc,
+                                        vh.StepperConfig(dt=dt, t_end=dt), **kw)
+            assert one.dt == dt
+            h, v = one.h, one.v
+            rows.append(np.array([h.values, v.values]))
+            move = (rows[-1] - rows[-2] if monotone == "nonincreasing" else rows[-2] - rows[-1]).max()
+            worst = max(worst, move)
+            if first is None and move > ORDER_TOL:
+                first = t
+        flow = vh.integrate_aux_pair(vh.ScalarField(mesh, 3 * eq.h_i.values),
+                                     vh.ScalarField(mesh, 3 * eq.v_i.values), coeffs, log.v_b, bc,
+                                     vh.StepperConfig(dt=0.05, t_end=times[-1], steady_tol=1e-300),
+                                     monotone=monotone, **kw)
+        assert flow.steps == len(dts)
+        assert (flow.h.values.tobytes(), flow.v.values.tobytes()) == (h.values.tobytes(),
+                                                                      v.values.tobytes())
+        assert (flow.max_violation, flow.first_violation_time) == (worst, first)
+        assert flow.monotone_ok == (first is None) == (monotone == "nonincreasing")
+
+    def test_rejects_inputs_the_endemic_problem_rejects(self, mesh201, neumann, dirichlet):
+        """And, as integrate does, initial data off zero on Dirichlet walls."""
         coeffs = constants_coeffs(mesh201)
         v_b = vh.field_from_constant(mesh201, 1.0)
         h0 = v0 = vh.field_from_constant(mesh201, 0.1)
@@ -618,6 +879,11 @@ class TestAuxPairFlow:
             vh.integrate_aux_pair(h0, v0, coeffs, v_b, neumann, cfg, eps=0.1, weight=other)
         with pytest.raises(ValidationError, match=r"V_B - eps\*weight must stay positive"):
             vh.integrate_aux_pair(h0, v0, coeffs, v_b, neumann, cfg, eps=1.0)
+        bump = vh.ScalarField(mesh201, np.sin(np.pi * mesh201.nodes))  # sin(pi) residue is snapped
+        vh.integrate_aux_pair(bump, bump, coeffs, bump, dirichlet, cfg)
+        with pytest.raises(ValidationError, match="zero boundary values in h0"):
+            vh.integrate_aux_pair(vh.field_from_constant(mesh201, 0.3), bump, coeffs, bump,
+                                  dirichlet, cfg)
 
 
 class TestCompareTrajectories:
@@ -639,10 +905,40 @@ class TestCompareTrajectories:
         assert rep.ordered, f"violated at t={rep.first_violation_time}"
         assert rep.max_violation <= 1e-10
 
-    def test_rejects_unordered_start(self, mesh201, neumann):
+    def test_rejects_unordered_start(self, mesh201, neumann, dirichlet):
+        """And, as integrate does, states at t != 0 or off zero on Dirichlet
+        walls."""
         coeffs = constants_coeffs(mesh201)
         a = make_state(mesh201, 0.3, 0.8, 0.2)
         b = make_state(mesh201, 0.1, 0.8, 0.2)
-        with pytest.raises(ValidationError):
-            vh.compare_trajectories(a, b, coeffs, neumann,
-                                    vh.StepperConfig(dt=0.05, t_end=1.0))
+        cfg = vh.StepperConfig(dt=0.05, t_end=1.0)
+        with pytest.raises(ValidationError, match="state_a must be <= state_b"):
+            vh.compare_trajectories(a, b, coeffs, neumann, cfg)
+        late = make_state(mesh201, 0.1, 0.8, 0.2, t=5.0)
+        with pytest.raises(ValidationError, match="t = 0"):
+            vh.compare_trajectories(late, late, coeffs, neumann, cfg)
+        bump = vh.ScalarField(mesh201, np.sin(np.pi * mesh201.nodes))
+        walled = make_state(mesh201, 0.3, bump, bump)
+        with pytest.raises(ValidationError, match="zero boundary values in h_i"):
+            vh.compare_trajectories(walled, walled, coeffs, dirichlet, cfg)
+        ok = make_state(mesh201, bump, bump, bump)
+        assert vh.compare_trajectories(ok, ok, coeffs, dirichlet, cfg).ordered
+
+    @pytest.mark.parametrize("length, remainder", LENGTHS)
+    def test_first_violation_inside_a_block(self, length, remainder):
+        """state_a starts below state_b in (H_i, V_i) but carries more V_u, so
+        its V_i overtakes at step 24, inside the first block.  The report is
+        that of two vh.step chains, bit for bit."""
+        b, coeffs, bc = _oracle_cases(n=101)[0]
+        a = vh.State(0.0, b.h_i, vh.ScalarField(b.mesh, b.v_u.values + 0.05),
+                     vh.ScalarField(b.mesh, b.v_i.values - 1e-3))
+        dt = vh.compare_trajectories(a, b, coeffs, bc, vh.StepperConfig(dt=1.0, t_end=1e-9)).dt
+        block = _block_steps(6 * 101)
+        dts, times = _grid(length, remainder, block, dt)
+        moves = [max((x[0] - y[0]).max(), (x[2] - y[2]).max())
+                 for x, y in zip(_chain(a, coeffs, bc, dts), _chain(b, coeffs, bc, dts))][1:]
+        first = next(k for k, m in enumerate(moves, 1) if m > ORDER_TOL)
+        assert first == 24 and 0 < (first - 1) % block < block - 1
+        rep = vh.compare_trajectories(a, b, coeffs, bc, vh.StepperConfig(dt=dt, t_end=times[-1]))
+        assert (rep.ordered, rep.dt, rep.t_end) == (False, dt, times[-1])
+        assert (rep.first_violation_time, rep.max_violation) == (times[first], max(moves))
