@@ -25,7 +25,7 @@ and factors one joined tridiagonal system, block diagonal with one block
 it would get alone.  A step is the reaction, as 1-D ufunc calls written
 straight into a slot of one preallocated state ring (the longest steady
 window plus one block of B states, about BLOCK_BYTES), and one in-place
-dgttrs call on that slot.  After each block one vectorized pass finds, per
+dpttrs call on that slot.  After each block one vectorized pass finds, per
 run, the first non-finite or negative step, the first settled step and
 the reference distances; the caller's visit gets the block to record order
 violations, observer calls, first times below a tolerance and snapshots,
@@ -789,6 +789,8 @@ def integrate_aux_pair(
     over the run.
     """
     mesh = coeffs.mesh
+    if h0.mesh != mesh or v0.mesh != mesh:
+        raise MeshMismatchError("h0, v0 and coefficients must share one mesh")
     if weight is None:
         weight = ScalarField(mesh, np.ones(mesh.n))
     if monotone not in (None, "nonincreasing", "nondecreasing"):
@@ -863,10 +865,12 @@ def compare_trajectories(
     dt = min(cfg.dt, bound, _order_dt(coeffs, h_max, v_hat))
 
     report = ComparisonReport(True, None, 0.0, cfg.t_end, dt)
+    n = coeffs.mesh.n
+    gaps = np.empty((_block_steps(6 * n), 2, 1, n))  # one block's (H_i, V_i) order gaps
 
     def visit(k, t, new, old, runs, dist):
         # Rows (H_i, V_i) of state_a are 0 and 4, those of state_b 1 and 5.
-        _record_violations(report, new[:, 0::4] - new[:, 1::4], t)
+        _record_violations(report, np.subtract(new[:, 0::4], new[:, 1::4], out=gaps[:len(t)]), t)
         report.ordered = report.first_violation_time is None
 
     ops, coef = _system(coeffs, bc, copies=2)

@@ -13,26 +13,25 @@ with face coefficients d_{j+1/2} = (d_j + d_{j+1}) / 2.  Boundary closures:
   * Dirichlet: boundary unknowns eliminated (u = 0 there); solves return
     fields re-embedded with explicit zeros.
 
-Shifted systems (-L + c) are LU-factored once by LAPACK dgttrf and solved by
-dgttrs, into a fresh array or in place; dgtsv, which pivots the same way,
-gives bit-identical solutions.
+The matrix of -L is symmetric for Dirichlet and symmetrizable for
+Neumann/Robin: with W the nodal weights (1/2 at Neumann/Robin walls), W(-L)
+is symmetric positive semidefinite (definite unless pure Neumann or Robin
+with b = 0 on both ends).  So the shifted systems (-L + c) u = f, c >= 0,
+are solved as W(-L + c) u = W f: LDL^T-factored once without pivoting
+(LAPACK dpttrf), then one dpttrs call per solve.  Tridiagonal matrices
+whose shift may be negative are LU-factored with pivoting (dgttrf/dgttrs).
 
 The 2m x 2m infection block [[T1, D12], [D21, T2]] (two tridiagonal blocks
 coupled through diagonals) is a band matrix with two sub- and two
 super-diagonals once its unknowns are interleaved as (h_0, v_0, h_1, v_1,
 ...): it is LU-factored once by LAPACK dgbtrf and solved by dgbtrs, on
 right-hand sides given and returned in the concatenated [h; v] order.
-
-The matrix of -L is symmetric for Dirichlet and symmetrizable for
-Neumann/Robin under the nodal inner product with half-weights at the
-endpoints; it is positive semidefinite (definite unless pure Neumann or
-Robin with b = 0 on both ends).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import SingularSystemError, ValidationError
 from .grid import DIRICHLET, ROBIN, BoundarySpec, ScalarField
@@ -131,34 +130,22 @@ def assemble(d: ScalarField, bc: BoundarySpec) -> EllipticOperator:
 
 
 def _factor(lower, diag, upper):
-    """LU-factor the tridiagonal matrix (lower, diag, upper) once (dgttrf) and
-    return solve(f, overwrite_f=False): one dgttrs call on the read-only
-    factors.  By default it leaves f untouched and may run concurrently
-    with other solves; with overwrite_f=True it writes the solution into f,
-    a contiguous float64 array, and returns f itself."""
+    """LU-factor the tridiagonal matrix (lower, diag, upper), which need not
+    be definite, once with partial pivoting (dgttrf), and return solve(f):
+    one dgttrs call on the factors, into a fresh array."""
     n = diag.size
     pad = np.zeros(max(0, 3 - n))  # scipy's wrappers need n >= 3: add decoupled unit rows
     if pad.size:
         lower, diag, upper = np.append(lower, pad), np.append(diag, 1.0 + pad), np.append(upper, pad)
-    # dgttrf copies its inputs (overwrite_* defaults to False).
-    *lu, info = dgttrf(lower, diag, upper)
+    *lu, info = dgttrf(lower, diag, upper)  # copies its inputs (overwrite_* default to False)
     if info != 0:
         raise SingularSystemError(f"tridiagonal system is singular: zero pivot in row {info}")
-    for a in lu:
-        a.setflags(write=False)
 
-    def solve(f, overwrite_f=False):
-        b = np.append(f, pad) if pad.size else f
-        x, info = dgttrs(*lu, b, overwrite_b=overwrite_f or b is not f)
+    def solve(f):
+        x, info = dgttrs(*lu, np.append(f, pad) if pad.size else f, overwrite_b=pad.size > 0)
         if info != 0:
             raise ValueError(f"dgttrs rejected argument {-info}")
-        if not overwrite_f:
-            return x[:n] if pad.size else x
-        if b is not f:
-            f[:] = x[:n]
-        elif x is not f:
-            raise RuntimeError("dgttrs solved into a copy of the array it was to overwrite")
-        return f
+        return x[:n]
 
     return solve
 
@@ -213,17 +200,17 @@ class ShiftedSolve:
     potentials instead, it solves their block-diagonal system: the
     (-L_k + c_k) on their active nodes, joined in order with zero coupling,
     so f and u are the concatenated active parts.  The constants are
-    checked together, as one potential is.  With zero off-diagonals at the
-    joins dgttrf neither pivots nor eliminates across blocks, and each block
-    solves bit-identically to its own ShiftedSolve.
+    checked together, as one potential is.  At a zero coupling dpttrf's
+    multiplier 0/D and dpttrs's b - 0*x are exact, so each block solves
+    bit-identically to its own ShiftedSolve.
 
-    The system is LU-factored once, here (dgttrf); each solve is one dgttrs
-    call on the read-only factors, leaves its input untouched and may run
-    concurrently.  The exception is solve_active(f, overwrite_f=True),
-    which writes the solution into f (a contiguous float64 array, such as
-    one row of a C-ordered 2-D array) and returns f itself, so a loop of
-    solves allocates nothing.  solve (single-operator form) checks that f
-    is finite; solve_active does not.
+    S = W(-L + c), W the operators' weights, is LDL^T-factored once, here
+    (dpttrf; a nonpositive pivot raises SingularSystemError), and each solve
+    is one dpttrs call for S u = W f on the read-only factors: it leaves f
+    untouched and may run concurrently, except solve_active(f, True), which
+    writes the solution into f (a contiguous float64 array, such as one row
+    of a C-ordered 2-D array) and returns f, so a loop of solves allocates
+    nothing.  solve (single-operator form), not solve_active, checks f finite.
     """
 
     def __init__(self, op, c):
@@ -232,19 +219,32 @@ class ShiftedSolve:
             _check_potential(cs, any(o.has_constant_kernel and cv == 0.0 for o, cv in zip(ops, cs)))
         else:
             ops, cs = (op,), (_potential(op, c),)
-        join = np.zeros(1)
-        lower, diag, upper = [], [], []
-        for o, cv in zip(ops, cs, strict=True):
-            diag.append(o.diag + cv)
-            lower += [o.lower, join]
-            upper += [o.upper, join]
-        self.op = op
-        self._solve = _factor(
-            np.concatenate(lower[:-1]), np.concatenate(diag), np.concatenate(upper[:-1])
-        )
+        w = np.concatenate([o.weights for o in ops])
+        diag = w * np.concatenate([o.diag + cv for o, cv in zip(ops, cs, strict=True)])
+        # S[i, i+1] = w_i upper_i = w_{i+1} lower_i exactly: each weight is 1 or 1/2.
+        off = w[:-1] * np.concatenate([x for o in ops for x in (o.upper, [0.0])][:-1])
+        self._pad = diag.size == 1  # one Dirichlet node, W = 1: scipy's dpttrf needs n >= 2
+        *self._factors, info = dpttrf(*((np.append(diag, 1.0), np.zeros(1)) if self._pad else (diag, off)))
+        if info != 0:
+            raise SingularSystemError(f"(-L + c) is not positive definite: pivot {info} is not positive")
+        for a in self._factors:
+            a.setflags(write=False)
+        self.op, self._w = op, None if w.min() == 1.0 else w  # W f = f: no scaling
 
     def solve_active(self, f_active: np.ndarray, overwrite_f: bool = False) -> np.ndarray:
-        return self._solve(f_active, overwrite_f)
+        f, w = f_active, self._w
+        b = f if w is None else np.multiply(f, w, out=f if overwrite_f else None)
+        x, info = dpttrs(*self._factors, np.append(b, 0.0) if self._pad else b,
+                         overwrite_b=overwrite_f or self._pad or b is not f)
+        if info != 0:
+            raise ValueError(f"dpttrs rejected argument {-info}")
+        if not overwrite_f:
+            return x[:f.size]
+        if self._pad:
+            f[:] = x[:1]
+        elif x is not f:
+            raise RuntimeError("dpttrs solved into a copy of the array it was to overwrite")
+        return f
 
     def solve(self, f) -> np.ndarray:
         """Solve from full-length right-hand side, return full-length values."""

@@ -33,7 +33,7 @@ order-preserving and the iterates nodewise monotone.
 The sweeps run on a stacked state: the iterate and its successor are two
 (2, m) arrays with rows (H, V), allocated once per run with the two
 factorizations.  Each half-sweep builds its right-hand side by ufunc calls
-into a row of the successor and solves it there in place (one dgttrs
+into a row of the successor and solves it there in place (one dpttrs
 call); one min and one max of the difference give the direction check
 and the change, and the scale max |u| is taken only for a wrong-way
 sweep.  Max and min are exact, and the arithmetic keeps the per-component

@@ -355,7 +355,7 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--seed", "4"]) == 1
         error = {"type": "BlowUpError",
-                 "message": "V_u dropped to -1.013e-01, below the -1e-14 round-off band"}
+                 "message": "V_u dropped to -3.336e-02, below the -1e-14 round-off band"}
         failed = json.loads((out / "scenario_009" / "report.json").read_text())
         assert failed["error"] == error and failed["passed"] is False
         assert not (out / "scenario_009" / "trajectory.csv").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vectorhost as vh
-from vectorhost import verify
+from vectorhost import dynamics, verify
 from vectorhost.dynamics import ORDER_TOL, _block_steps, _rows, _state
 from vectorhost.errors import BlowUpError, MeshMismatchError, StabilityError, ValidationError
 from vectorhost.operators import ShiftedSolve
@@ -884,6 +884,21 @@ class TestAuxPairFlow:
         with pytest.raises(ValidationError, match="zero boundary values in h0"):
             vh.integrate_aux_pair(vh.field_from_constant(mesh201, 0.3), bump, coeffs, bump,
                                   dirichlet, cfg)
+
+    @pytest.mark.parametrize("a, b, n", [(0, 2, 21), (0, 1, 31)])
+    @pytest.mark.parametrize("which", ["h0", "v0"])
+    def test_rejects_fields_off_the_coefficients_mesh(self, a, b, n, which, monkeypatch):
+        """21-node [0, 2] or 31-node [0, 1] fields on 21-node [0, 1]
+        coefficients raise before any step."""
+        mesh = vh.build_mesh(0, 1, 21)
+        coeffs = constants_coeffs(mesh)
+        v_b = vh.field_from_constant(mesh, 1.0)
+        fields = {"h0": vh.field_from_constant(mesh, 0.1), "v0": vh.field_from_constant(mesh, 0.1)}
+        fields[which] = vh.field_from_constant(vh.build_mesh(a, b, n), 0.1)
+        monkeypatch.setattr(dynamics, "_march", None)  # stepping would raise TypeError
+        with pytest.raises(MeshMismatchError, match="one mesh"):
+            vh.integrate_aux_pair(fields["h0"], fields["v0"], coeffs, v_b, vh.BoundarySpec.neumann(),
+                                  vh.StepperConfig(dt=0.05, t_end=0.5))
 
 
 class TestCompareTrajectories:

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 import vectorhost as vh
 from vectorhost.errors import SingularSystemError, ValidationError
@@ -10,6 +13,8 @@ from vectorhost.operators import ShiftedSolve, _block_stiffness, _factor, _facto
 from vectorhost.steady import EndemicProblem
 
 from helpers import dense_matrix, dense_system_block
+
+EPS = np.finfo(float).eps
 
 
 def unit_d(mesh):
@@ -246,9 +251,31 @@ def banded(lower, diag, upper):
     return ab
 
 
+def dptsv_oracle(op, c, f):
+    """dptsv on the symmetrized system W(-L + c) u = W f, with a decoupled
+    unit row added at m = 1 (scipy's wrapper rejects an empty off-diagonal)."""
+    w = op.weights
+    d, e, b = w * (op.diag + c), w[:-1] * op.upper, w * f
+    if op.m == 1:
+        d, e, b = np.append(d, 1.0), np.zeros(1), np.append(b, 0.0)
+    *_, x, info = dptsv(d, e, b)
+    assert info == 0
+    return x[:op.m]
+
+
+def assert_backward_stable(op, c, f, u):
+    """u and solve_banded's pivoted-LU solution both leave a relative
+    residual |(-L + c) x - f| / (|-L + c| |x|) of a few eps (sup norms)."""
+    a_norm = np.abs(dense_matrix(op) + np.diag(np.broadcast_to(c, op.m))).sum(axis=1).max()
+    for x in (u, solve_banded((1, 1), banded(op.lower, op.diag + c, op.upper), f)):
+        res = op.matvec(x) + c * x - f
+        assert np.abs(res).max() <= 4 * EPS * a_norm * np.abs(x).max()
+
+
 class TestFactoredKernel:
-    """ShiftedSolve factors once (dgttrf) and solves by dgttrs; its results
-    must equal scipy's solve_banded (dgtsv) bit for bit."""
+    """ShiftedSolve LDL^T-factors W(-L + c) once (dpttrf) and solves by
+    dpttrs; its results must equal scipy's dptsv on the same symmetrized
+    system bit for bit, and be as accurate as pivoted LU (solve_banded)."""
 
     BCS = {
         "neumann": vh.BoundarySpec.neumann(),
@@ -259,6 +286,8 @@ class TestFactoredKernel:
     @pytest.mark.parametrize("n", [3, 4, 101])
     @pytest.mark.parametrize("kind", sorted(BCS))
     def test_bit_identical_to_solve_banded(self, kind, n):
+        """Bit for bit dptsv's solution of the symmetrized system, as
+        accurate as solve_banded's pivoted LU, and the input untouched."""
         rng = np.random.default_rng([n, len(kind)])
         mesh = vh.build_mesh(0, 1, n)
         op = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), self.BCS[kind])
@@ -268,31 +297,29 @@ class TestFactoredKernel:
         if not op.has_constant_kernel:
             shifts.append(np.zeros(op.m))
         for c in shifts:
-            ab = banded(op.lower, op.diag + c, op.upper)
             shifted = ShiftedSolve(op, c)
             for _ in range(3):
                 f = rng.normal(size=op.m)
                 f_before = f.copy()
                 u = shifted.solve_active(f)
-                assert np.array_equal(u, solve_banded((1, 1), ab, f))
+                assert np.array_equal(u, dptsv_oracle(op, c, f))
                 assert np.array_equal(f, f_before)
                 assert np.array_equal(shifted.solve_active(f), u)
+                assert_backward_stable(op, c, f, u)
 
     @pytest.mark.parametrize("n, kind", [(3, "dirichlet"), (4, "dirichlet"), (101, "neumann")])
     def test_in_place_solve_matches_solve_active(self, n, kind):
         """overwrite_f=True writes the solution into the given row of a
-        (2, m) array, bit for bit what solve_active returns; m = 1 and 2
-        run through the padded factor."""
+        (2, m) array, bit for bit what solve_active returns; m = 1 runs
+        through the padded factor, and the factors are read-only."""
         rng = np.random.default_rng([n, 7])
         mesh = vh.build_mesh(0, 1, n)
         op = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), self.BCS[kind])
         assert op.m == {3: 1, 4: 2, 101: 101}[n]
         c = rng.uniform(0, 5, op.m)
-        ab = banded(op.lower, op.diag + c, op.upper)
         shifted = ShiftedSolve(op, c)
-        solve = shifted._solve
-        lu = dict(zip(solve.__code__.co_freevars, (x.cell_contents for x in solve.__closure__)))["lu"]
-        factors = [a.copy() for a in lu]
+        factors = shifted._factors
+        before = [a.copy() for a in factors]
         u = np.empty((2, op.m))
         rows = tuple(u)
         for k in range(3):
@@ -305,13 +332,21 @@ class TestFactoredKernel:
             assert shifted.solve_active(rows[i], True) is rows[i]
             assert np.array_equal(rows[i], expected)
             assert np.array_equal(rows[1 - i], other)
-            assert np.array_equal(expected, solve_banded((1, 1), ab, f))
-        for a, before in zip(lu, factors):
+            assert np.array_equal(expected, dptsv_oracle(op, c, f))
+            assert_backward_stable(op, c, f, expected)
+        for a, b in zip(factors, before):
             assert not a.flags.writeable
-            assert np.array_equal(a, before)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_not_positive_definite_is_singular(self, m):
+        zero = SimpleNamespace(diag=np.zeros(m), upper=np.zeros(m - 1), weights=np.ones(m),
+                               has_constant_kernel=False)
+        with pytest.raises(SingularSystemError, match="positive definite"):
+            ShiftedSolve([zero], [0.0])
 
     def test_in_place_solve_rejects_a_copy(self, unit_mesh):
-        """A right-hand side dgttrs cannot overwrite (strided, or not
+        """A right-hand side dpttrs cannot overwrite (strided, or not
         float64) is copied by the wrapper; the in-place solve raises instead
         of returning a solution that never reached the caller's array."""
         op = assemble(unit_d(unit_mesh), vh.BoundarySpec.neumann())

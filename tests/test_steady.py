@@ -542,8 +542,9 @@ class TestMonotoneSweepOracle:
         assert run.final_change == 0.0 and math.copysign(1.0, run.final_change) == 1.0
 
     def test_padded_factor(self):
-        """n = 4 under Dirichlet leaves m = 2 active nodes, which _factor pads
-        to the three rows scipy's wrappers need."""
+        """n = 4 under Dirichlet leaves m = 2 active nodes: logistic Newton's
+        _factor pads them to the three rows dgttrf needs, and the sweeps'
+        LDL^T factor takes the two rows as they are."""
         mesh = vh.build_mesh(0, 5, 4)
         bc = vh.BoundarySpec.dirichlet()
         coeffs = constants_coeffs(mesh, d1=0.1, d2=0.1, h_u=5.0)
@@ -634,12 +635,13 @@ class TestNewtonPolishOracle:
         assert rn.hex() == rn_ref.hex()
 
     # Neumann seed 16 stops at POLISH_TOL.  Neumann seed 1 and Dirichlet
-    # seed 5 accept steps after 6 or more halvings and end in a failed
-    # search; Neumann seed 11's failed search clips its first trial, the
-    # full Newton step, onto the iterate.
+    # seed 101 accept steps after 6 or more halvings and end in a failed
+    # search; Neumann seed 71's failed search clips its first trial, the
+    # full Newton step, onto the iterate.  Each is the first seed of its
+    # closure that takes its path.
     @pytest.mark.parametrize(
         "kind_index, seed, stop, halvings",
-        [(0, 16, "tol", 0), (0, 1, "fail", 6), (1, 5, "fail", 6), (0, 11, "clipped", 0)],
+        [(0, 16, "tol", 0), (0, 1, "fail", 6), (1, 101, "fail", 6), (0, 71, "clipped", 0)],
     )
     def test_matches_the_full_search(self, kind_index, seed, stop, halvings, monkeypatch):
         longest = 1
@@ -676,8 +678,9 @@ class TestNewtonPolishOracle:
 
     def test_trial_at_the_iterate_in_one_component_only_goes_on(self, monkeypatch):
         """A box that pins H at the iterate keeps every trial's H there, while
-        the V steps are still accepted: the exit needs both components."""
-        (problem, h, v, ((_, v_lo), (_, v_hi))), _ = self.polish_inputs(0, 1, monkeypatch)
+        the V steps are still accepted: the exit needs both components.
+        Neumann seed 5 is the first whose first polish takes that path."""
+        (problem, h, v, ((_, v_lo), (_, v_hi))), _ = self.polish_inputs(0, 5, monkeypatch)
         v0 = v * (1.0 + 1e-6)
         box = ((h, v_lo), (h, v_hi))
         ref, searches = reference_polish(problem, h, v0, box)
