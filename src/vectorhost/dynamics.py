@@ -680,7 +680,6 @@ def integrate_many(
 @dataclass
 class ScalarTrajectory:
     final: ScalarField
-    steady: bool
     steps: int
     dt: float
     snapshots: list[tuple[float, ScalarField]] = field(default_factory=list)
@@ -693,12 +692,11 @@ def integrate_scalar_logistic(
     cfg: StepperConfig,
     *,
     snapshot_times=None,
-    stop_at_steady: bool = True,
     observer=None,
 ) -> ScalarTrajectory:
     """Integrate the summed vector equation d V/dt - L2 V = beta V - mu V^2
     with the same IMEX splitting as the full system (so V_u + V_i of the
-    3-component run and this trajectory agree to round-off).
+    3-component run and this trajectory agree to round-off), always to t_end.
 
     observer(t, values) is called on the initial data and after every step,
     in order; values is valid during the call only.
@@ -714,7 +712,7 @@ def integrate_scalar_logistic(
     _check_dt(cfg.dt, _dt_bound(coeffs, float(u0.max()))[0])
 
     due = _due(_snapshot_steps(snapshot_times, [cfg.dt], [cfg.t_end]))
-    traj = ScalarTrajectory(final=v0, steady=False, steps=0, dt=cfg.dt)
+    traj = ScalarTrajectory(final=v0, steps=0, dt=cfg.dt)
     caller = np.geterr()  # the core silences overflow; the observer runs under this
 
     def visit(k, t, new, old, runs, dist):
@@ -734,9 +732,9 @@ def integrate_scalar_logistic(
     out = _march(
         u0[:, None], [[assemble(coeffs.d2, bc)]], ("V",), rhs,
         np.array([coeffs.beta.values, coeffs.mu.values])[:, None],
-        [cfg.dt], [cfg.t_end], visit, [cfg if stop_at_steady else None],
+        [cfg.dt], [cfg.t_end], visit, [None],
     )
-    u, _, traj.steps, traj.steady = _unwrap(out)
+    u, _, traj.steps, _ = _unwrap(out)
     traj.final = ScalarField(mesh, u[0])
     return traj
 

@@ -12,8 +12,10 @@ irreducible Z-matrix A bracket its principal eigenvalue: min r <= lambda
 <= max r (Collatz-Wielandt; R. S. Varga, Matrix Iterative Analysis, ch. 2).
 Solving (A - min r) y = x keeps y positive and converges quadratically
 (L. Elsner, Linear Algebra Appl. 15, 1976).  The reported eigenvalue is the
-Rayleigh quotient, with the bracket of the final iterate.  The system's
-shifted solves factor the infection block as one LAPACK band matrix
+Rayleigh quotient, with the bracket of the final iterate.  A scalar shift
+sigma < lambda leaves W(-L2 - beta - sigma) definite for the LDL^T factor
+of every tridiagonal solve (operators._factor); the system's shifted
+solves factor the infection block as one LAPACK band matrix
 (operators._factor_block), as the endemic Newton polish does.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MeshMismatchError, ValidationError
 from .grid import BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import _block_stiffness, _factor, _factor_block, assemble
+from .operators import _block_stiffness, _factor, _factor_block, _stiffness, assemble
 
 LAMBDA_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -123,9 +125,9 @@ def principal_eigen_scalar(
     x, lam, *bracket = _noda(
         lambda z: op.matvec(z) - beta_a * z,
         lambda a, b: (w * a * b).sum(),
-        lambda sigma: _factor(op.lower, op.diag - beta_a - sigma, op.upper),
+        lambda sigma: _factor(op, op.diag - beta_a - sigma),
         op.m,
-        float(np.abs(op.diag - beta_a).max() + np.abs(op.lower).max() + np.abs(op.upper).max()),
+        _stiffness(op, op.diag - beta_a),
         "scalar",
     )
     return ScalarEigenpair(lam, ScalarField(op.mesh, op.embed(x)), *bracket)
@@ -252,7 +254,11 @@ def principal_eigen_system(
     invade the vector equilibrium v_b; eps/weight perturb the coupling
     fields to sigma2 (V_B + eps w) and mu (V_B - eps w).
     """
-    problem = EndemicProblem(coeffs, bc, v_b, eps, weight)
+    return _system_eigenpair(EndemicProblem(coeffs, bc, v_b, eps, weight))
+
+
+def _system_eigenpair(problem: EndemicProblem) -> SystemEigenpair:
+    """principal_eigen_system of the block that problem linearizes at zero."""
     m = problem.m
     x, lam, *bracket = _noda(
         lambda z: np.concatenate(problem.linear_matvec(z[:m], z[m:])),

@@ -38,7 +38,7 @@ class AdmissibilityError(ValidationError):
 
 
 class SingularSystemError(VectorHostError):
-    """A tridiagonal system is singular (zero pivot, or pure Neumann with zero potential)."""
+    """A system is singular, or not positive definite for LDL^T (bad pivot, or Neumann with c = 0)."""
 
 
 class ConvergenceError(VectorHostError):

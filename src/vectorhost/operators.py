@@ -16,10 +16,11 @@ with face coefficients d_{j+1/2} = (d_j + d_{j+1}) / 2.  Boundary closures:
 The matrix of -L is symmetric for Dirichlet and symmetrizable for
 Neumann/Robin: with W the nodal weights (1/2 at Neumann/Robin walls), W(-L)
 is symmetric positive semidefinite (definite unless pure Neumann or Robin
-with b = 0 on both ends).  So the shifted systems (-L + c) u = f, c >= 0,
-are solved as W(-L + c) u = W f: LDL^T-factored once without pivoting
-(LAPACK dpttrf), then one dpttrs call per solve.  Tridiagonal matrices
-whose shift may be negative are LU-factored with pivoting (dgttrf/dgttrs).
+with b = 0 on both ends).  So the shifted systems (-L + c) u = f are
+solved as W(-L + c) u = W f: LDL^T-factored once without pivoting (LAPACK
+dpttrf), then one dpttrs call per solve.  Where c is negative in places
+(the scalar eigensolver's shifts, logistic Newton) W(-L + c) must still be
+definite: a pivot that is not positive raises SingularSystemError.
 
 The 2m x 2m infection block [[T1, D12], [D21, T2]] (two tridiagonal blocks
 coupled through diagonals) is a band matrix with two sub- and two
@@ -31,7 +32,7 @@ right-hand sides given and returned in the concatenated [h; v] order.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 
 from .errors import SingularSystemError, ValidationError
 from .grid import DIRICHLET, ROBIN, BoundarySpec, ScalarField
@@ -129,25 +130,19 @@ def assemble(d: ScalarField, bc: BoundarySpec) -> EllipticOperator:
     return EllipticOperator(d, bc)
 
 
-def _factor(lower, diag, upper):
-    """LU-factor the tridiagonal matrix (lower, diag, upper), which need not
-    be definite, once with partial pivoting (dgttrf), and return solve(f):
-    one dgttrs call on the factors, into a fresh array."""
-    n = diag.size
-    pad = np.zeros(max(0, 3 - n))  # scipy's wrappers need n >= 3: add decoupled unit rows
-    if pad.size:
-        lower, diag, upper = np.append(lower, pad), np.append(diag, 1.0 + pad), np.append(upper, pad)
-    *lu, info = dgttrf(lower, diag, upper)  # copies its inputs (overwrite_* default to False)
-    if info != 0:
-        raise SingularSystemError(f"tridiagonal system is singular: zero pivot in row {info}")
+def _factor(op, diag):
+    """ShiftedSolve's solve_active for T u = f, T the tridiagonal matrix with
+    op's off-diagonals and main diagonal diag: -L plus a shift of either sign,
+    which skips __init__'s checks on c but must leave W T positive definite."""
+    w = op.weights
+    return ShiftedSolve.__new__(ShiftedSolve)._ldlt(w, w * diag, w[:-1] * op.upper).solve_active
 
-    def solve(f):
-        x, info = dgttrs(*lu, np.append(f, pad) if pad.size else f, overwrite_b=pad.size > 0)
-        if info != 0:
-            raise ValueError(f"dgttrs rejected argument {-info}")
-        return x[:n]
 
-    return solve
+def _stiffness(op, diag) -> float:
+    """max |diag| + max |lower| + max |upper|, a bound on the |row| sums of the
+    matrix _factor(op, diag) factors; with one active node there are no off-diagonals."""
+    off = [np.abs(x).max(initial=0.0) for x in (op.lower, op.upper)]
+    return float(np.abs(diag).max() + off[0] + off[1])
 
 
 def _block_stiffness(op1, op2, diag1, off12, off21, diag2) -> float:
@@ -222,14 +217,19 @@ class ShiftedSolve:
         w = np.concatenate([o.weights for o in ops])
         diag = w * np.concatenate([o.diag + cv for o, cv in zip(ops, cs, strict=True)])
         # S[i, i+1] = w_i upper_i = w_{i+1} lower_i exactly: each weight is 1 or 1/2.
-        off = w[:-1] * np.concatenate([x for o in ops for x in (o.upper, [0.0])][:-1])
+        self._ldlt(w, diag, w[:-1] * np.concatenate([x for o in ops for x in (o.upper, [0.0])][:-1]))
+        self.op = op
+
+    def _ldlt(self, w, diag, off):
+        """Factor S with main diagonal diag and off-diagonal off, for the weights w; returns self."""
         self._pad = diag.size == 1  # one Dirichlet node, W = 1: scipy's dpttrf needs n >= 2
         *self._factors, info = dpttrf(*((np.append(diag, 1.0), np.zeros(1)) if self._pad else (diag, off)))
         if info != 0:
             raise SingularSystemError(f"(-L + c) is not positive definite: pivot {info} is not positive")
         for a in self._factors:
             a.setflags(write=False)
-        self.op, self._w = op, None if w.min() == 1.0 else w  # W f = f: no scaling
+        self._w = None if w.min() == 1.0 else w  # W f = f: no scaling
+        return self
 
     def solve_active(self, f_active: np.ndarray, overwrite_f: bool = False) -> np.ndarray:
         f, w = f_active, self._w

@@ -57,12 +57,12 @@ from .eigen import (
     EndemicProblem,
     ScalarEigenpair,
     SystemEigenpair,
+    _system_eigenpair,
     principal_eigen_scalar,
-    principal_eigen_system,
     roundoff_floor,
 )
 from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import ShiftedSolve, _factor, assemble
+from .operators import ShiftedSolve, _factor, _stiffness, assemble
 
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 5000
@@ -124,7 +124,8 @@ def solve_logistic(
     1992).  Newton stops at a sup residual of 1e-12 scale or once a step
     no longer lowers it.  ConvergenceError is raised for an iterate that
     loses positivity, for one that rises by more than 1e-10 max v while
-    the residual is above its round-off floor, and at MAX_NEWTON steps.
+    the residual is above its round-off floor, and at MAX_NEWTON steps
+    (SingularSystemError for a Jacobian that is not definite).
     """
     if scalar_eig is None:
         scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
@@ -146,20 +147,16 @@ def solve_logistic(
         # Quadratic convergence bottoms out at the evaluation round-off of
         # -L v, which grows with the stencil: accept a stall below 1e-9
         # (1 + max v) or below the round-off floor of the Jacobian's |row| sums.
-        stiffness = float(
-            np.abs(op.diag - beta + 2.0 * mu * u).max()
-            + np.abs(op.lower).max()
-            + np.abs(op.upper).max()
-        )
-        return max(1e-12 * scale, 1e-9 * (1.0 + float(u.max())), roundoff_floor(stiffness) * scale)
+        floor = roundoff_floor(_stiffness(op, op.diag - beta + 2.0 * mu * u))
+        return max(1e-12 * scale, 1e-9 * (1.0 + float(u.max())), floor * scale)
 
     r = residual(v)
     rn = float(np.abs(r).max())
     for _ in range(MAX_NEWTON):
         if rn <= 1e-12 * scale:
             break
-        # The shift -beta + 2 mu v may be negative: no ShiftedSolve here.
-        trial = v + _factor(op.lower, op.diag - beta + 2.0 * mu * v, op.upper)(-r)
+        # -beta + 2 mu v may be negative, but v >= V_B keeps W F'(v) definite.
+        trial = v + _factor(op, op.diag - beta + 2.0 * mu * v)(-r)
         # Once the residual is at round-off, so is the step, and it may rise.
         rise = float((trial - v).max())
         if rise > 1e-10 * float(v.max()) and rn > accept_tol(v):
@@ -456,13 +453,13 @@ def solve_endemic(
     weight = default_weight(coeffs, bc, scalar_eig)
     check_eps_admissibility(coeffs, v_b, bc, eps, weight, logistic.lambda_beta)
 
+    problem = None if eigenpair and eigenpair.lam >= 0 else EndemicProblem(coeffs, bc, v_b, eps, weight)
     if eigenpair is None:
-        eigenpair = principal_eigen_system(coeffs, v_b, bc, eps, weight)
+        eigenpair = _system_eigenpair(problem)
     lam = eigenpair.lam
     if lam >= 0:
         return EndemicAbsent(lam, eps)
 
-    problem = EndemicProblem(coeffs, bc, v_b, eps, weight)
     mesh = problem.mesh
     # The upper-solution pair (H_bar, V_B + eps w).
     upper_h = _h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)

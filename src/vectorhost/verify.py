@@ -242,9 +242,7 @@ def check_envelope_dirichlet(
         if not inside and found[0] is not None:
             held[0] = False
 
-    traj = integrate_scalar_logistic(
-        v0, coeffs, bc, cfg, snapshot_times=margin_times, stop_at_steady=False, observer=observer
-    )
+    traj = integrate_scalar_logistic(v0, coeffs, bc, cfg, snapshot_times=margin_times, observer=observer)
     margins = [
         (t, float((v.values[interior] - lower).min()), float((upper - v.values[interior]).min()))
         for t, v in traj.snapshots

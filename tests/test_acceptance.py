@@ -242,7 +242,7 @@ def test_criterion_06_v_reduction_exactness(canonical_runs):
                                 snapshot_times=times)
             scalar = vh.integrate_scalar_logistic(
                 v0, run["coeffs"], run["bc"], run["cfg"],
-                snapshot_times=times, stop_at_steady=False)
+                snapshot_times=times)
             scalar_by_t = {t: f for t, f in scalar.snapshots}
             compared = 0
             for st in full.snapshots:

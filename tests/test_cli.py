@@ -10,6 +10,9 @@ from vectorhost import verify
 from vectorhost.cli import main, write_report
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "tools" / "artifacts"
+
+
 def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -159,6 +162,15 @@ class TestEigenCommand:
         report = read_report(out)
         assert report["lambda_system"] == pytest.approx(1 - np.sqrt(2), abs=1e-8)
 
+    def test_dirichlet_one_node(self, tmp_path):
+        """The committed eigen config under Dirichlet with n = 3: one active
+        node, where lambda_beta = 2 d2 / h^2 - beta = 8 - 1."""
+        raw = json.loads((CONFIGS / "eigen.json").read_text())
+        raw["bc"], raw["domain"]["n"] = "dirichlet", 3
+        out = tmp_path / "out"
+        assert main(["eigen", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+        assert read_report(out)["lambda_beta"] == pytest.approx(7.0, rel=1e-14)
+
 
 class TestSteadyCommand:
     def test_endemic_profiles(self, tmp_path):
@@ -186,6 +198,17 @@ class TestSteadyCommand:
         assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
         report = read_report(out)
         assert report["endemic_exists"] is False
+
+    def test_dirichlet_one_node(self, tmp_path):
+        """The committed one-node steady config: V_B = -lambda_beta / mu at
+        the node, with lambda_beta = 2 d2 / h^2 - beta, and an endemic pair."""
+        out = tmp_path / "out"
+        assert main(["steady", "--config", str(CONFIGS / "steady-dir-node.json"), "--out", str(out)]) == 0
+        report = read_report(out)
+        lam = 2 * 0.1 / (np.pi / 2) ** 2 - 2.0
+        assert report["lambda_beta"] == pytest.approx(lam, rel=1e-14)
+        assert report["v_b_max"] == pytest.approx(-lam, rel=1e-12)
+        assert report["endemic_exists"] is True
 
 
 class TestEnvelopeCommand:

@@ -677,9 +677,7 @@ class TestTimeGrid:
         dt = 0.05
         cfg = vh.StepperConfig(dt=dt, t_end=n_dt * dt, steady_window=5)
         full = vh.integrate(make_state(mesh, 0.0, v_b, 0.0), coeffs, neumann, cfg)
-        scalar = vh.integrate_scalar_logistic(v_b, coeffs, neumann, cfg)
         assert (full.steady, full.steps) == (steady, 5)
-        assert (scalar.steady, scalar.steps) == (steady, 5)
 
     @pytest.mark.parametrize("length, remainder", LENGTHS)
     def test_block_boundaries_match_stepping(self, length, remainder):
@@ -716,8 +714,8 @@ class TestScalarLogistic:
         coeffs = constants_coeffs(mesh201)
         v0 = vh.field_from_constant(mesh201, 1.0)  # beta/mu
         traj = vh.integrate_scalar_logistic(v0, coeffs, neumann,
-                                            vh.StepperConfig(dt=0.05, t_end=2.0),
-                                            stop_at_steady=False)
+                                            vh.StepperConfig(dt=0.05, t_end=2.0))
+        assert traj.steps == 40  # a stationary run still reaches t_end
         assert vh.sup_distance(traj.final, v0) < 1e-11
 
     def test_nodal_logistic_closed_form(self, mesh201, neumann):
@@ -727,8 +725,7 @@ class TestScalarLogistic:
         dt = 0.05
         traj = vh.integrate_scalar_logistic(v0, coeffs, neumann,
                                             vh.StepperConfig(dt=dt, t_end=10.0),
-                                            snapshot_times=np.arange(0.0, 10.5, 0.5),
-                                            stop_at_steady=False)
+                                            snapshot_times=np.arange(0.0, 10.5, 0.5))
         exact_final = 1.0 / (1.0 + 9.0 * np.exp(-10.0))
         assert np.abs(traj.final.values - exact_final).max() < 3 * dt
         values = [s.values[0] for _, s in traj.snapshots]
@@ -744,7 +741,7 @@ class TestScalarLogistic:
         assert (full.steady, full.steps) == (False, 800)  # the run reaches t_end
         v0 = vh.ScalarField(mesh201, init.v_u.values + init.v_i.values)
         scalar = vh.integrate_scalar_logistic(v0, coeffs, neumann, cfg,
-                                              snapshot_times=times, stop_at_steady=False)
+                                              snapshot_times=times)
         assert len(full.snapshots) == len(scalar.snapshots)
         for st, (t, vf) in zip(full.snapshots, scalar.snapshots):
             assert abs(st.t - t) < 1e-12
@@ -766,7 +763,7 @@ class TestScalarLogistic:
         seen = []
         traj = vh.integrate_scalar_logistic(
             vh.ScalarField(state.mesh, state.v_u.values + state.v_i.values), coeffs, bc,
-            vh.StepperConfig(dt=dt, t_end=times[-1], steady_tol=1e-300),
+            vh.StepperConfig(dt=dt, t_end=times[-1]),
             observer=lambda t, values: seen.append((t, values.tobytes())),
         )
         assert seen == want

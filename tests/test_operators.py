@@ -12,7 +12,7 @@ from vectorhost import verify
 from vectorhost.operators import ShiftedSolve, _block_stiffness, _factor, _factor_block, assemble
 from vectorhost.steady import EndemicProblem
 
-from helpers import dense_matrix, dense_system_block
+from helpers import dense_matrix, dense_scalar_eig, dense_system_block
 
 EPS = np.finfo(float).eps
 
@@ -357,21 +357,39 @@ class TestFactoredKernel:
         with pytest.raises(RuntimeError, match="copy"):
             shifted.solve_active(np.ones(op.m, dtype=np.float32), True)
 
-    @pytest.mark.parametrize("n", [3, 101])
-    def test_negative_shift_bit_identical(self, n):
-        # logistic Newton factors -L - beta + 2 mu v, which may be indefinite
-        rng = np.random.default_rng(n)
+    @staticmethod
+    def shifted_below(kind, n, theta):
+        """op and a shift c = p - theta * lambda_1(-L + p), p >= 0 sparse and
+        random: W(-L + c) is definite for theta < 1, indefinite for theta > 1,
+        and c is negative where p is zero."""
+        rng = np.random.default_rng([n, len(kind), 11])
         mesh = vh.build_mesh(0, 1, n)
-        op = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), self.BCS["dirichlet"])
-        diag = op.diag - rng.uniform(0, 2, op.m) * op.diag.max()
-        f = rng.normal(size=op.m)
-        u = _factor(op.lower, diag, op.upper)(f)
-        assert np.array_equal(u, solve_banded((1, 1), banded(op.lower, diag, op.upper), f))
+        d = vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n))
+        p = rng.uniform(0, 5, n) * (rng.random(n) < 0.5)
+        p[n // 2] = 1.0
+        bc = TestFactoredKernel.BCS[kind]
+        op = assemble(d, bc)
+        lam1 = dense_scalar_eig(d, vh.ScalarField(mesh, -p), bc)
+        assert lam1 > 0
+        return op, op.restrict(p) - theta * lam1, rng
 
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_zero_pivot_is_singular(self, m):
-        with pytest.raises(SingularSystemError):
-            _factor(np.zeros(m - 1), np.zeros(m), np.zeros(m - 1))
+    @pytest.mark.parametrize("n", [3, 4, 101])
+    @pytest.mark.parametrize("kind", sorted(BCS))
+    def test_negative_definite_shift_matches_dense(self, kind, n):
+        """The eigensolver's shifts and the logistic Jacobian are -L plus a
+        shift that is negative in places but keeps W(-L + c) definite:
+        _factor solves them as a dense solve does (m = 1 is padded)."""
+        op, c, rng = self.shifted_below(kind, n, 0.9)
+        assert op.m == (n - 2 if kind == "dirichlet" else n)
+        assert c.min() < 0
+        assert_solves_dense(_factor(op, op.diag + c), dense_matrix(op) + np.diag(c), rng)
+
+    @pytest.mark.parametrize("n", [3, 4, 101])
+    @pytest.mark.parametrize("kind", sorted(BCS))
+    def test_indefinite_shift_is_singular(self, kind, n):
+        op, c, _ = self.shifted_below(kind, n, 1.1)
+        with pytest.raises(SingularSystemError, match="not positive definite"):
+            _factor(op, op.diag + c)
 
 
 def dense_block(op1, op2, diag1, off12, off21, diag2):

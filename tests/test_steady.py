@@ -82,7 +82,7 @@ class TestLogistic:
         positive; a step that rises or crosses zero is a failure."""
         mesh = vh.build_mesh(0, np.pi, 101)
         coeffs = constants_coeffs(mesh, beta=2.0)
-        monkeypatch.setattr(steady, "_factor", lambda lower, diag, upper: lambda f: np.full_like(f, step))
+        monkeypatch.setattr(steady, "_factor", lambda op, diag: lambda f: np.full_like(f, step))
         with pytest.raises(ConvergenceError, match=match):
             vh.solve_logistic(coeffs, vh.BoundarySpec.dirichlet())
 
@@ -542,9 +542,9 @@ class TestMonotoneSweepOracle:
         assert run.final_change == 0.0 and math.copysign(1.0, run.final_change) == 1.0
 
     def test_padded_factor(self):
-        """n = 4 under Dirichlet leaves m = 2 active nodes: logistic Newton's
-        _factor pads them to the three rows dgttrf needs, and the sweeps'
-        LDL^T factor takes the two rows as they are."""
+        """n = 4 under Dirichlet leaves m = 2 active nodes, the fewest that
+        scipy's dpttrf takes unpadded: logistic Newton and the sweeps factor
+        the two rows as they are (m = 1 is padded: TestDirichletOneNode)."""
         mesh = vh.build_mesh(0, 5, 4)
         bc = vh.BoundarySpec.dirichlet()
         coeffs = constants_coeffs(mesh, d1=0.1, d2=0.1, h_u=5.0)
@@ -634,14 +634,14 @@ class TestNewtonPolishOracle:
         assert h.tobytes() == h_ref.tobytes() and v.tobytes() == v_ref.tobytes()
         assert rn.hex() == rn_ref.hex()
 
-    # Neumann seed 16 stops at POLISH_TOL.  Neumann seed 1 and Dirichlet
-    # seed 101 accept steps after 6 or more halvings and end in a failed
+    # Neumann seed 16 stops at POLISH_TOL.  Neumann seed 0 and Dirichlet
+    # seed 5 accept steps after 6 or more halvings and end in a failed
     # search; Neumann seed 71's failed search clips its first trial, the
     # full Newton step, onto the iterate.  Each is the first seed of its
     # closure that takes its path.
     @pytest.mark.parametrize(
         "kind_index, seed, stop, halvings",
-        [(0, 16, "tol", 0), (0, 1, "fail", 6), (1, 101, "fail", 6), (0, 71, "clipped", 0)],
+        [(0, 16, "tol", 0), (0, 0, "fail", 6), (1, 5, "fail", 6), (0, 71, "clipped", 0)],
     )
     def test_matches_the_full_search(self, kind_index, seed, stop, halvings, monkeypatch):
         longest = 1
@@ -679,8 +679,8 @@ class TestNewtonPolishOracle:
     def test_trial_at_the_iterate_in_one_component_only_goes_on(self, monkeypatch):
         """A box that pins H at the iterate keeps every trial's H there, while
         the V steps are still accepted: the exit needs both components.
-        Neumann seed 5 is the first whose first polish takes that path."""
-        (problem, h, v, ((_, v_lo), (_, v_hi))), _ = self.polish_inputs(0, 5, monkeypatch)
+        Neumann seed 2 is the first whose first polish takes that path."""
+        (problem, h, v, ((_, v_lo), (_, v_hi))), _ = self.polish_inputs(0, 2, monkeypatch)
         v0 = v * (1.0 + 1e-6)
         box = ((h, v_lo), (h, v_hi))
         ref, searches = reference_polish(problem, h, v0, box)
@@ -731,6 +731,45 @@ class TestResidualGate:
         monkeypatch.setattr(steady, "SWEEP_TOL", 1e-3)
         with pytest.raises(ConvergenceError, match="residual above tolerance"):
             vh.solve_endemic(coeffs, bc, logistic=log)
+
+
+class TestDirichletOneNode:
+    """n = 3 under Dirichlet leaves one active node, where every solve has a
+    closed form: lambda_beta = 2 d2 / h^2 - beta, V_B = -lambda_beta / mu,
+    lambda_system is the smaller eigenvalue of the 2 x 2 block, and the
+    endemic pair solves two scalar equations.  Logistic Newton factors
+    through the padded one-node LDL^T."""
+
+    @staticmethod
+    def setup_case():
+        mesh = vh.build_mesh(0, np.pi, 3)
+        return mesh, vh.BoundarySpec.dirichlet(), constants_coeffs(mesh, d1=0.1, d2=0.1, beta=2.0)
+
+    def test_lambda_beta_and_v_b(self):
+        mesh, bc, coeffs = self.setup_case()
+        eig = vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
+        lam = 2 * 0.1 / mesh.h**2 - 2.0
+        assert lam == pytest.approx(-1.91894305, abs=1e-8)
+        assert eig.lam == pytest.approx(lam, rel=1e-14)
+        assert eig.phi.values.tolist() == [0.0, 1.0, 0.0]
+        log = vh.solve_logistic(coeffs, bc, scalar_eig=eig)
+        assert log.v_b.values[[0, 2]].tolist() == [0.0, 0.0]
+        assert log.v_b.values[1] == pytest.approx(-lam / 1.0, rel=1e-12)
+
+    def test_endemic_equilibrium(self):
+        mesh, bc, coeffs = self.setup_case()
+        k = 2 * 0.1 / mesh.h**2  # -L1 = -L2 = k at the node
+        v_b = 2.0 - k  # -lambda_beta / mu
+        a, s = k + 1.0, 1.0 * 2.0  # k + rho, sigma1 h_u
+        result = vh.solve_endemic(coeffs, bc)
+        assert isinstance(result, vh.EndemicEquilibrium)
+        block = np.array([[a, -s], [-1.0 * v_b, k + 1.0 * v_b]])  # sigma2 V_B, mu V_B
+        assert result.lambda_system == pytest.approx(np.linalg.eigvals(block).real.min(), abs=1e-12)
+        # a H = s V and k V = sigma2 (V_B - V) H - mu V_B V, with V > 0.
+        v = v_b - a * (k + v_b) / s
+        assert result.v_i.values[1] == pytest.approx(v, rel=1e-10)
+        assert result.h_i.values[1] == pytest.approx(s * v / a, rel=1e-10)
+        assert result.v_i.values[[0, 2]].tolist() == [0.0, 0.0]
 
 
 class TestExistenceIffSign:

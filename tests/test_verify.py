@@ -192,7 +192,7 @@ class TestEnvelope:
 
         states = []
         vh.integrate_scalar_logistic(
-            vh.ScalarField(mesh, 2 * small.values), coeffs, dirichlet, cfg, stop_at_steady=False,
+            vh.ScalarField(mesh, 2 * small.values), coeffs, dirichlet, cfg,
             observer=lambda t, values: states.append((t, values[1:-1].copy())),
         )
         eig = vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, dirichlet)
@@ -270,6 +270,24 @@ class TestClassification:
         assert (None if got.lambda_system is None else float.hex(got.lambda_system)) == lam_sys
         assert [f.values.tobytes() for f in got.attractor] == [a.tobytes() for a in attractor]
         assert (got.equilibrium is not None) == (want == verify.ENDEMIC)
+
+    @pytest.mark.parametrize("seed, predicted", [(1, verify.ENDEMIC), (3, verify.DISEASE_FREE)])
+    def test_one_endemic_problem_per_classification(self, seed, predicted, monkeypatch):
+        """solve_endemic runs the system eigensolve on the EndemicProblem it
+        goes on to solve, so one classification builds the block once."""
+        bc, b = CLOSURES[0]
+        rng = np.random.default_rng(np.random.SeedSequence([4, 0, seed]))
+        sc = verify.random_scenario(vh.build_mesh(0.0, b, 101), bc, rng)
+        built = []
+        init = vh.EndemicProblem.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(vh.EndemicProblem, "__init__", counted)
+        assert verify.classify_scenario(sc.coeffs, bc, sc.initial).predicted_attractor == predicted
+        assert len(built) == 1
 
 
 class TestScenarioGenerator:

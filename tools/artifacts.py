@@ -52,6 +52,7 @@ RUNS = (
     ("steady-dir", "steady", "steady-dir.json", (), None),  # lambda_beta > 0
     ("steady-dir-endemic", "steady", "steady-dir-endemic.json", (), 0),  # Dirichlet, eps 0.01
     ("steady-robin", "steady", "steady-robin.json", (), 0),  # Robin, eps 0.01
+    ("steady-dir-node", "steady", "steady-dir-node.json", (), None),  # Dirichlet n = 3: one active node
     ("eigen", "eigen", "eigen.json", (), None),
     ("sweep", "sweep", "sweep.json", (), 0),  # seed 11
     ("sweep-seed4", "sweep", "sweep.json", ("--seed", "4"), None),
