@@ -29,7 +29,7 @@ dpttrs call on that slot.  After each block one vectorized pass finds, per
 run, the first non-finite or negative step, the first settled step and
 the reference distances; the caller's visit gets the block to record order
 violations, observer calls, first times below a tolerance and snapshots,
-found by step index.  A non-finite or negative entry sends every run back
+chosen by step time.  A non-finite or negative entry sends every run back
 to the last clean step, which is redone alone with the per-step checks
 below.  A run retires when it settles, reaches t_end (its remainder step
 is a block of one) or fails; its later steps in the block are dropped and
@@ -53,8 +53,8 @@ code runs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -189,45 +189,41 @@ def _grid(dt, t_end):
     return n_full, rem, n_full + (rem > 1e-12 * dt)
 
 
-def _snapshot_steps(snapshot_times, dt, t_end) -> np.ndarray:
-    """For each run (dt and t_end given per run) and each requested time,
-    sorted, the index of the step whose state stands for it on the run's
-    grid: 0 for a time within round-off of zero, else the first step whose
-    time reaches it within 1e-9 max(1, dt), and inf for a time the grid never
-    reaches.  A time that is not finite is rejected: a NaN would void every
-    comparison after it."""
-    times = np.sort(np.asarray([] if snapshot_times is None else snapshot_times, dtype=float))
+def _snapshots(snapshot_times, dt):
+    """Given the requested times and each run's dt, a function take(runs, t)
+    that gives, for the times t (L, active) of a visit's states, the (active
+    index, position) of the state each newly due time takes, once per time.
+    A time is due at the first state whose time reaches it within 1e-9
+    max(1, dt); the initial state (t = 0) takes exactly the times within
+    1e-12 max(1, dt) of zero.  A time that is not finite is rejected: a NaN
+    would void every comparison after it."""
+    times = np.asarray([] if snapshot_times is None else snapshot_times, dtype=float)
+    if times.ndim != 1:
+        raise ValidationError("snapshot times must be a 1-D sequence of finite numbers")
     if not np.isfinite(times).all():
         raise ValidationError("snapshot times must be finite")
-    dt, t_end = (np.asarray(x, dtype=float)[:, None] for x in (dt, t_end))
-    n_full, _, n_steps = _grid(dt, t_end)
-    scale = np.maximum(1.0, dt)
+    times = np.sort(times)
+    scale = np.maximum(1.0, np.asarray(dt, dtype=float))[:, None]
     due = times - 1e-9 * scale
-    # The first k >= 1 with k * dt >= due as a step computes k * dt: below
-    # 2**52 steps the rounded quotient's ceiling is at most one off.
-    k = np.maximum(np.ceil(due / dt), 1.0)
-    k -= (k > 1.0) & ((k - 1.0) * dt >= due)
-    k += k * dt < due
-    k = np.where(k <= n_full, k, np.where((n_steps > n_full) & (t_end >= due), n_full + 1.0, np.inf))
-    k[times - 1e-12 * scale <= 0.0] = 0.0
-    return k
+    # Clamped to the smallest positive float, the other times stay off step 0.
+    due = np.where(times - 1e-12 * scale <= 0.0, due, np.maximum(due, np.nextafter(0.0, 1.0)))
+    # Per run: its times, then inf, the count taken and its next time (in an
+    # array, to test the active runs at once).
+    due = [row + [math.inf] for row in due.tolist()]
+    taken, nxt = [0] * len(due), np.array([row[0] for row in due])
 
+    def take(runs, t):
+        pairs = []
+        for i in np.flatnonzero(t[-1] >= nxt[runs]).tolist():
+            r = runs[i]
+            col, row, n = t[:, i].tolist(), due[r], taken[r]
+            while row[n] <= col[-1]:
+                pairs.append((i, bisect_left(col, row[n])))
+                n += 1
+            taken[r], nxt[r] = n, row[n]
+        return pairs
 
-def _due(steps):
-    """Given each run's snapshot steps (runs, times), a function of (runs,
-    k, size) that gives the (active index, block position) of each snapshot
-    of the active runs due among steps k, ..., k + size - 1; a pair repeats
-    for each time its state stands for."""
-    every = np.append(np.unique(steps), np.inf)
-
-    def due(runs, k: int, size: int):
-        if every[np.searchsorted(every, k)] >= k + size:  # the common case: none
-            return ()
-        pos = steps[runs] - k
-        i, s = np.nonzero((pos >= 0) & (pos < size))
-        return zip(i.tolist(), pos[i, s].astype(int).tolist())
-
-    return due
+    return take
 
 
 def _joined_solver(ops, h, n: int):
@@ -283,11 +279,11 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     (rows, R, n), each step's sup distance of each run to ref[:, r] is taken.
 
     visit(k, t, new, old, runs, dist) gets each block, split where runs
-    retire: k the step index of new[0], the times t (L, active), the states
-    after each step new (L, rows, active, n) and before the first old (rows,
-    active, n), the runs' indices and their distances dist (L, active) or
-    None.  new and old are valid during the call only.  visit runs under
-    the error state that lets react overflow.
+    retire: k the step index of new[0], the times t (L, active) (snapshots
+    are chosen by these), the states after each step new (L, rows, active,
+    n) and before the first old (rows, active, n), the runs' indices and
+    their distances dist (L, active) or None.  new and old are valid during
+    the call only.  visit runs under the error state that lets react overflow.
 
     Yields (r, outcome) for each run r as it retires, by step and then by
     index: its (rows, t, steps, settled), or the BlowUpError that stopped
@@ -603,6 +599,8 @@ def integrate_many(
     input, or a BlowUpError at some step): one failing run does not stop
     the others.
     """
+    if reference_tol is not None and not (reference_tol > 0 and np.isfinite(reference_tol)):
+        raise ValidationError(f"reference_tol must be positive and finite, got {reference_tol}")
     references = [None] * len(states) if references is None else references
     batch = []
     for r, args in enumerate(zip(states, coeffs, bcs, cfgs, references, strict=True)):
@@ -629,7 +627,7 @@ def integrate_many(
     if reference_tol is not None:
         limit[has_ref] = reference_tol
     first = np.full(len(batch), np.nan)
-    due = _due(_snapshot_steps(snapshot_times, [cfgs[r].dt for r in index], [cfgs[r].t_end for r in index]))
+    take = _snapshots(snapshot_times, [cfgs[r].dt for r in index])
     summaries = [TrajectorySummary(state0, False, 0, cfgs[r].dt) for r, state0, _ in batch]
     for b in np.flatnonzero(has_ref):
         summaries[b].snapshot_distances = []
@@ -641,11 +639,11 @@ def integrate_many(
                 i = np.flatnonzero(hit.any(axis=0))
                 first[runs[i]] = t[hit[:, i].argmax(axis=0), i]
                 limit[runs[i]] = -np.inf
-        for (i, j), same in groupby(due(runs, k, len(t))):
-            b, count = runs[i], len(list(same))
-            summaries[b].snapshot_rows += [(float(t[j, i]), new[j, :, i].copy())] * count
+        for i, j in take(runs, t):
+            b = runs[i]
+            summaries[b].snapshot_rows.append((float(t[j, i]), new[j, :, i].copy()))
             if has_ref[b]:
-                summaries[b].snapshot_distances += [float(dist[j, i])] * count
+                summaries[b].snapshot_distances.append(float(dist[j, i]))
 
     dist0 = None if refs is None else np.abs(u - refs).max(axis=(0, 2))[None]
     visit(0, np.zeros((1, len(batch))), u[None], None, np.arange(len(batch)), dist0)
@@ -711,7 +709,7 @@ def integrate_scalar_logistic(
         _snap_walls(u0, ("v0",))
     _check_dt(cfg.dt, _dt_bound(coeffs, float(u0.max()))[0])
 
-    due = _due(_snapshot_steps(snapshot_times, [cfg.dt], [cfg.t_end]))
+    take = _snapshots(snapshot_times, [cfg.dt])
     traj = ScalarTrajectory(final=v0, steps=0, dt=cfg.dt)
     caller = np.geterr()  # the core silences overflow; the observer runs under this
 
@@ -720,8 +718,8 @@ def integrate_scalar_logistic(
             with np.errstate(**caller):
                 for j in range(len(t)):
                     observer(float(t[j, 0]), new[j, 0, 0])
-        for (_, j), same in groupby(due([0], k, len(t))):
-            traj.snapshots += [(float(t[j, 0]), ScalarField(mesh, new[j, 0, 0]))] * len(list(same))
+        for _, j in take([0], t):
+            traj.snapshots.append((float(t[j, 0]), ScalarField(mesh, new[j, 0, 0])))
 
     def rhs(c, dt, rows):
         beta, mu = c

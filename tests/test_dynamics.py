@@ -166,6 +166,39 @@ class TestIntegrate:
             vh.integrate_scalar_logistic(vh.field_from_constant(mesh, 0.5), coeffs, neumann, cfg,
                                          snapshot_times=times)
 
+    @pytest.mark.parametrize("times", [0.5, [[0.0, 0.5]]], ids=["scalar", "2-D"])
+    @pytest.mark.parametrize("entry", ["integrate", "integrate_many", "integrate_scalar_logistic"])
+    def test_snapshot_times_not_1d_rejected(self, neumann, entry, times):
+        """A bare number used to raise numpy's AxisError, and [[0.0, 0.5]]
+        was silently taken as one flat list."""
+        mesh = vh.build_mesh(0, 1, 11)
+        coeffs = constants_coeffs(mesh)
+        state = make_state(mesh, 0.1, 0.8, 0.2)
+        cfg = vh.StepperConfig(dt=0.05, t_end=1.0)
+        run = {
+            "integrate": lambda: vh.integrate(state, coeffs, neumann, cfg, snapshot_times=times),
+            "integrate_many": lambda: list(vh.integrate_many([state], [coeffs], [neumann], [cfg],
+                                                             snapshot_times=times)),
+            "integrate_scalar_logistic": lambda: vh.integrate_scalar_logistic(
+                vh.field_from_constant(mesh, 0.5), coeffs, neumann, cfg, snapshot_times=times),
+        }[entry]
+        with pytest.raises(ValidationError, match="snapshot times must be a 1-D sequence"):
+            run()
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_reference_tol_must_be_positive_and_finite(self, neumann, tol):
+        """Such a tolerance used to be accepted, and first_time_below was
+        then never recorded."""
+        mesh = vh.build_mesh(0, 1, 11)
+        coeffs = constants_coeffs(mesh)
+        state = make_state(mesh, 0.1, 0.8, 0.2)
+        cfg = vh.StepperConfig(dt=0.05, t_end=1.0)
+        with pytest.raises(ValidationError, match="reference_tol must be positive and finite"):
+            vh.integrate(state, coeffs, neumann, cfg, reference=(state.h_i, state.v_u, state.v_i),
+                         reference_tol=tol)
+        with pytest.raises(ValidationError, match="reference_tol must be positive and finite"):
+            verify.run_threshold_experiment(coeffs, neumann, state, cfg, distance_tol=tol)
+
     def test_runs_start_at_time_zero(self, neumann):
         """The stepping clock, snapshot times and t_end count from 0, so an
         initial state at another time is rejected; integrate_many records the
@@ -707,6 +740,59 @@ class TestTimeGrid:
         assert got.snapshot_distances == [dist[k] for k in due]
         assert got.first_time_below == times[next(k for k, d in enumerate(dist) if d < tol)]
         assert got.final_sup_distance == dist[-1]
+
+
+def _rule_times(dt, t_end):
+    """Requested times at the edges of the snapshot rule on a grid of four
+    full steps, with s = max(1, dt): below zero, inside and just past the
+    1e-12 s band of the initial state, 5e-10 s on either side of step times
+    and of t_end, 2e-9 s past t_end, a duplicate and one no grid reaches."""
+    s = max(1.0, dt)
+    e = 5e-10 * s
+    return [-1.0, 5e-13 * s, 2e-12 * s, e, dt - e, 2 * dt - e, 2 * dt + e, 2 * dt + e,
+            3 * dt - e, 3 * dt + e, t_end - e, t_end + e, t_end + 2e-9 * s, 1e300]
+
+
+class TestSnapshotRule:
+    """A requested time takes the first state whose time reaches it within
+    1e-9 max(1, dt); the initial state takes exactly the times within
+    1e-12 max(1, dt) of zero.  Every integrator that records snapshots
+    follows it, for dt below and above 1, with and without a remainder
+    step."""
+
+    @pytest.mark.parametrize("remainder", [False, True])
+    @pytest.mark.parametrize("dt", [0.3, 1.25])
+    def test_edges(self, neumann, dt, remainder):
+        mesh = vh.build_mesh(0, 1, 21)
+        coeffs = constants_coeffs(mesh, d1=0.05, d2=0.05, rho=0.05, sigma1=0.05, sigma2=0.05,
+                                  beta=0.05, mu=0.05, h_u=0.1)
+        bump = np.cos(np.pi * mesh.nodes)
+        state = make_state(mesh, *(vh.ScalarField(mesh, a + 0.05 * bump) for a in (0.1, 0.4, 0.2)))
+        runs = []  # (cfg, step sizes, the time of each state) of a two-dt batch
+        for h in (dt, 0.75 * dt):
+            t_end = (4 + 0.5 * remainder) * h
+            runs.append((vh.StepperConfig(dt=h, t_end=t_end), [h] * 4 + [t_end - 4 * h] * remainder,
+                         [k * h for k in range(5)] + [t_end] * remainder))
+            last = 4 + remainder
+            assert _due_steps(_rule_times(h, t_end), runs[-1][2], h) == [
+                0, 0, 1, 1, 1, 2, 2, 2, 3, 3, last, last]
+        times = [t for cfg, *_ in runs for t in _rule_times(cfg.dt, cfg.t_end)]
+        batch = dict(vh.integrate_many([state] * 2, [coeffs] * 2, [neumann] * 2,
+                                       [cfg for cfg, *_ in runs], snapshot_times=times))
+        v0 = vh.ScalarField(mesh, state.v_u.values + state.v_i.values)
+        for r, (cfg, dts, step_times) in enumerate(runs):
+            due = _due_steps(times, step_times, cfg.dt)
+            rows = _chain(state, coeffs, neumann, dts)
+            want = [(step_times[k], rows[k].tobytes()) for k in due]
+            alone = vh.integrate(state, coeffs, neumann, cfg, snapshot_times=times)
+            for got in (alone, batch[r]):
+                assert [(t, u.tobytes()) for t, u in got.snapshot_rows] == want
+            seen = []
+            scalar = vh.integrate_scalar_logistic(
+                v0, coeffs, neumann, cfg, snapshot_times=times,
+                observer=lambda t, values: seen.append((t, values.tobytes())))
+            assert [t for t, _ in seen] == step_times
+            assert [(t, v.values.tobytes()) for t, v in scalar.snapshots] == [seen[k] for k in due]
 
 
 class TestScalarLogistic:

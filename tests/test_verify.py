@@ -206,6 +206,15 @@ class TestEnvelope:
         assert env.margins == want
         assert env.margins[0][0] == 0.0 and env.margins[-1][0] == cfg.t_end
 
+    @pytest.mark.parametrize("times", [0.5, [[0.0, 0.5]]], ids=["scalar", "2-D"])
+    def test_margin_times_not_1d_rejected(self, dirichlet, times):
+        mesh, coeffs = self._setup()
+        small = vh.ScalarField(mesh, 0.05 * np.sin(mesh.nodes))
+        init = vh.State(0.0, small, small, small)
+        cfg = vh.StepperConfig(dt=vh.stability_dt_max(coeffs, init), t_end=1.0)
+        with pytest.raises(ValidationError, match="snapshot times must be a 1-D sequence"):
+            verify.check_envelope_dirichlet(coeffs, init, 0.05, cfg, margin_times=times)
+
     def test_inadmissible_eps_named(self, dirichlet):
         mesh, coeffs = self._setup()
         bump = np.sin(mesh.nodes)
