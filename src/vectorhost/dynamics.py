@@ -189,20 +189,24 @@ def _grid(dt, t_end):
     return n_full, rem, n_full + (rem > 1e-12 * dt)
 
 
-def _snapshots(snapshot_times, dt):
-    """Given the requested times and each run's dt, a function take(runs, t)
-    that gives, for the times t (L, active) of a visit's states, the (active
-    index, position) of the state each newly due time takes, once per time.
-    A time is due at the first state whose time reaches it within 1e-9
-    max(1, dt); the initial state (t = 0) takes exactly the times within
-    1e-12 max(1, dt) of zero.  A time that is not finite is rejected: a NaN
-    would void every comparison after it."""
+def _snapshot_times(snapshot_times) -> np.ndarray:
+    """The requested snapshot times, checked and sorted.  A time that is not
+    finite is rejected: a NaN would void every comparison after it."""
     times = np.asarray([] if snapshot_times is None else snapshot_times, dtype=float)
     if times.ndim != 1:
         raise ValidationError("snapshot times must be a 1-D sequence of finite numbers")
     if not np.isfinite(times).all():
         raise ValidationError("snapshot times must be finite")
-    times = np.sort(times)
+    return np.sort(times)
+
+
+def _snapshots(times, dt):
+    """Given the sorted times of _snapshot_times and each run's dt, a function
+    take(runs, t) that gives, for the times t (L, active) of a visit's
+    states, the (active index, position) of the state each newly due time
+    takes, once per time.  A time is due at the first state whose time
+    reaches it within 1e-9 max(1, dt); the initial state (t = 0) takes
+    exactly the times within 1e-12 max(1, dt) of zero."""
     scale = np.maximum(1.0, np.asarray(dt, dtype=float))[:, None]
     due = times - 1e-9 * scale
     # Clamped to the smallest positive float, the other times stay off step 0.
@@ -601,6 +605,8 @@ def integrate_many(
     """
     if reference_tol is not None and not (reference_tol > 0 and np.isfinite(reference_tol)):
         raise ValidationError(f"reference_tol must be positive and finite, got {reference_tol}")
+    # Checked before the runs: a bad time is the batch's error, not one run's.
+    times = _snapshot_times(snapshot_times)
     references = [None] * len(states) if references is None else references
     batch = []
     for r, args in enumerate(zip(states, coeffs, bcs, cfgs, references, strict=True)):
@@ -627,7 +633,7 @@ def integrate_many(
     if reference_tol is not None:
         limit[has_ref] = reference_tol
     first = np.full(len(batch), np.nan)
-    take = _snapshots(snapshot_times, [cfgs[r].dt for r in index])
+    take = _snapshots(times, [cfgs[r].dt for r in index])
     summaries = [TrajectorySummary(state0, False, 0, cfgs[r].dt) for r, state0, _ in batch]
     for b in np.flatnonzero(has_ref):
         summaries[b].snapshot_distances = []
@@ -709,7 +715,7 @@ def integrate_scalar_logistic(
         _snap_walls(u0, ("v0",))
     _check_dt(cfg.dt, _dt_bound(coeffs, float(u0.max()))[0])
 
-    take = _snapshots(snapshot_times, [cfg.dt])
+    take = _snapshots(_snapshot_times(snapshot_times), [cfg.dt])
     traj = ScalarTrajectory(final=v0, steps=0, dt=cfg.dt)
     caller = np.geterr()  # the core silences overflow; the observer runs under this
 

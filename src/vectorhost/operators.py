@@ -48,6 +48,7 @@ class EllipticOperator:
     m        : number of active nodes
     lower, diag, upper : the three diagonals of -L on active nodes
     weights  : inner-product weights that symmetrize -L (half at Neumann/Robin walls)
+    unit_weights : True when every weight is 1 (Dirichlet), so W f = f
     """
 
     def __init__(self, d: ScalarField, bc: BoundarySpec):
@@ -95,6 +96,7 @@ class EllipticOperator:
         self.diag = diag
         self.upper = upper
         self.weights = weights
+        self.unit_weights = bc.kind == DIRICHLET
 
     @property
     def has_constant_kernel(self) -> bool:
@@ -134,8 +136,8 @@ def _factor(op, diag):
     """ShiftedSolve's solve_active for T u = f, T the tridiagonal matrix with
     op's off-diagonals and main diagonal diag: -L plus a shift of either sign,
     which skips __init__'s checks on c but must leave W T positive definite."""
-    w = op.weights
-    return ShiftedSolve.__new__(ShiftedSolve)._ldlt(w, w * diag, w[:-1] * op.upper).solve_active
+    w = None if op.unit_weights else op.weights
+    return ShiftedSolve.__new__(ShiftedSolve)._ldlt(w, diag, op.upper).solve_active
 
 
 def _stiffness(op, diag) -> float:
@@ -214,21 +216,24 @@ class ShiftedSolve:
             _check_potential(cs, any(o.has_constant_kernel and cv == 0.0 for o, cv in zip(ops, cs)))
         else:
             ops, cs = (op,), (_potential(op, c),)
-        w = np.concatenate([o.weights for o in ops])
-        diag = w * np.concatenate([o.diag + cv for o, cv in zip(ops, cs, strict=True)])
-        # S[i, i+1] = w_i upper_i = w_{i+1} lower_i exactly: each weight is 1 or 1/2.
-        self._ldlt(w, diag, w[:-1] * np.concatenate([x for o in ops for x in (o.upper, [0.0])][:-1]))
+        w = None if all(o.unit_weights for o in ops) else np.concatenate([o.weights for o in ops])
+        diag = np.concatenate([o.diag + cv for o, cv in zip(ops, cs, strict=True)])
+        self._ldlt(w, diag, np.concatenate([x for o in ops for x in (o.upper, [0.0])][:-1]))
         self.op = op
 
     def _ldlt(self, w, diag, off):
-        """Factor S with main diagonal diag and off-diagonal off, for the weights w; returns self."""
+        """Factor S = W T, T with main diagonal diag and off-diagonal off, for
+        the weights w, or W = I when w is None; returns self."""
+        if w is not None:
+            # S[i, i+1] = w_i upper_i = w_{i+1} lower_i exactly: each weight is 1 or 1/2.
+            diag, off = w * diag, w[:-1] * off
         self._pad = diag.size == 1  # one Dirichlet node, W = 1: scipy's dpttrf needs n >= 2
         *self._factors, info = dpttrf(*((np.append(diag, 1.0), np.zeros(1)) if self._pad else (diag, off)))
         if info != 0:
             raise SingularSystemError(f"(-L + c) is not positive definite: pivot {info} is not positive")
         for a in self._factors:
             a.setflags(write=False)
-        self._w = None if w.min() == 1.0 else w  # W f = f: no scaling
+        self._w = w
         return self
 
     def solve_active(self, f_active: np.ndarray, overwrite_f: bool = False) -> np.ndarray:

@@ -12,9 +12,10 @@ Three layers:
     the classical way — a downward monotone iteration from an explicit
     upper-solution pair and an upward one from a small multiple of the
     principal eigenfunction — then polished by damped Newton, whose line
-    search stops at a trial that is the current iterate; each polished
-    limit must meet the residual gate before the two are held to the
-    agreement tolerance;
+    search stops at a trial that is the current iterate and, from a
+    residual already at its round-off floor, tries the full step only;
+    each polished limit must meet the residual gate before the two are
+    held to the agreement tolerance;
   * monotone_iterate: the sweep engine itself, usable standalone.
 
 Each monotone sweep is one block Gauss-Seidel step with nodewise damping
@@ -28,10 +29,14 @@ K2 = sigma2 h_top + mu (V_B - eps w) bounds -df2/dV over the order
 interval, where h_top is the H component at its top, so f2 + K2 V is
 non-decreasing in V there.  f2 is non-decreasing in H (the system is
 cooperative), so taking V's reaction at the new H keeps the sweep map
-order-preserving and the iterates nodewise monotone.
+order-preserving and the iterates nodewise monotone.  A downward run's
+iterates fall, so its latest H tops the rest of the run: after sweeps 1,
+2, 4, 8, ... it re-damps with K2 from that H, a smaller K2 that contracts
+faster (Pao allows K to vary from sweep to sweep as long as it bounds
+-df2/dV on the current order interval).
 
 The sweeps run on a stacked state: the iterate and its successor are two
-(2, m) arrays with rows (H, V), allocated once per run with the two
+(2, m) arrays with rows (H, V), allocated once per run with the first two
 factorizations.  Each half-sweep builds its right-hand side by ufunc calls
 into a row of the successor and solves it there in place (one dpttrs
 call); one min and one max of the difference give the direction check
@@ -258,7 +263,7 @@ class MonotoneIteration:
     v: ScalarField
     sweeps: int
     converged: bool
-    k_c: float  # max over nodes of the K2 used
+    k_c: float  # max over nodes and sweeps of the K2 used
     final_change: float
     history: list[tuple[ScalarField, ScalarField]] | None = None
 
@@ -275,7 +280,10 @@ def monotone_iterate(
     """Run Gauss-Seidel monotone sweeps from an upper ("down") or lower ("up") pair.
 
     The damping potentials are K1 = rho and K2 = problem.sweep_potential(h_top),
-    each factored once; the sweeps then allocate nothing but the history.
+    each factored once, except that a "down" run re-damps K2 from its latest
+    H after sweeps 1, 2, 4, 8, ... (see the module docstring; at most 13
+    times before the cap); in between, the sweeps allocate nothing but the
+    history.
     h_top is the H component at the top of the order interval; by default
     the starting H for "down", and for "up" the H_bar solving
     (-L1 + rho) H_bar = sigma1 h_u (V_B + eps w).  An h_top below
@@ -309,15 +317,21 @@ def monotone_iterate(
     else:  # H_bar, the H of the upper-solution pair
         top = _h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
     k1 = problem.rho
-    k2 = problem.sweep_potential(top)
     solve1 = ShiftedSolve(problem.op1, k1)
-    solve2 = ShiftedSolve(problem.op2, k2)
-    # Round-off floor of one sweep: evaluating the residual costs
-    # eps*stiffness*|u| and the sweep damps it by (M + K)^{-1} ~ 1/min K.
-    k_min = min(float(k1.min()), float(k2.min()))
-    stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
-    stiff += max(float(k1.max()), float(k2.max()))
-    mono_coef = 256.0 * np.finfo(float).eps * stiff
+
+    def damp(top):
+        """K2 for the H top, its factor, and mono_coef and k_min of the
+        wrong-way tolerance, the round-off floor of one sweep: evaluating the
+        residual costs eps*stiffness*|u| and the sweep damps it by
+        (M + K)^{-1} ~ 1/min K."""
+        k2 = problem.sweep_potential(top)
+        k_min = min(float(k1.min()), float(k2.min()))
+        stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
+        stiff += max(float(k1.max()), float(k2.max()))
+        return k2, ShiftedSolve(problem.op2, k2), 256.0 * np.finfo(float).eps * stiff, k_min
+
+    k2, solve2, mono_coef, k_min = damp(top)
+    k_c = float(k2.max())
     # u and its successor u_new hold rows (H, V) and swap after each
     # sweep; d and row are scratch (see the module docstring).
     u = np.stack([h_start, v_start])
@@ -368,13 +382,16 @@ def monotone_iterate(
         converged = change < SWEEP_TOL
         if converged:
             break
+        if direction == "down" and sweep & (sweep - 1) == 0:  # sweep is a power of 2
+            k2, solve2, mono_coef, k_min = damp(h_new)
+            k_c = max(k_c, float(k2.max()))
     _, h, v = cur
     return MonotoneIteration(
         ScalarField(problem.mesh, problem.op1.embed(h)),
         ScalarField(problem.mesh, problem.op2.embed(v)),
         sweep if converged else MAX_SWEEPS,
         converged,
-        float(k2.max()),
+        k_c,
         change,
         history,
     )
@@ -387,10 +404,13 @@ def _newton_polish(problem: EndemicProblem, h: np.ndarray, v: np.ndarray, box: t
     longer lowers the sup residual.  The line search halves down to 2^-20
     but stops at a clipped trial equal to the iterate: alpha is a power of
     two and rounding and clipping are monotone, so each shorter trial is
-    that point too and is rejected.  box = ((h_lo, v_lo), (h_hi, v_hi))
-    clamps the iterates into an order interval known to contain the target
-    root; a strictly positive lower bound keeps Newton out of the basin of
-    the zero solution.
+    that point too and is rejected.  From a residual at or below
+    problem.roundoff(h, v) it tries the full step only, and a rejected full
+    step ends the polish: below that floor a shorter step lowers the
+    residual only by the luck of its rounding.  box = ((h_lo, v_lo),
+    (h_hi, v_hi)) clamps the iterates into an order interval known to
+    contain the target root; a strictly positive lower bound keeps Newton
+    out of the basin of the zero solution.
     """
     (h_lo, v_lo), (h_hi, v_hi) = box
     r1, r2 = problem.residual(h, v)
@@ -401,8 +421,9 @@ def _newton_polish(problem: EndemicProblem, h: np.ndarray, v: np.ndarray, box: t
             break
         delta = problem.jacobian(h, v)(-np.concatenate([r1, r2]))
         alpha = 1.0
+        stop = 0.5 if rn <= problem.roundoff(h, v) else 2.0 ** -20  # 1 or 20 trials
         improved = False
-        while alpha > 2.0 ** -20:
+        while alpha > stop:
             h_t = np.clip(h + alpha * delta[:m], h_lo, h_hi)
             v_t = np.clip(v + alpha * delta[m:], v_lo, v_hi)
             # This trial and every shorter one are the iterate: all rejected.

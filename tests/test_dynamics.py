@@ -165,6 +165,13 @@ class TestIntegrate:
         with pytest.raises(ValidationError, match="snapshot times must be finite"):
             vh.integrate_scalar_logistic(vh.field_from_constant(mesh, 0.5), coeffs, neumann, cfg,
                                          snapshot_times=times)
+        # A run that fails its own checks used to hide the batch's bad times.
+        batch = ([make_state(mesh, 0.1, 0.8, 0.2)], [coeffs], [neumann],
+                 [vh.StepperConfig(dt=100.0, t_end=200.0)])
+        [(_, err)] = vh.integrate_many(*batch)
+        assert isinstance(err, StabilityError)
+        with pytest.raises(ValidationError, match="snapshot times must be finite"):
+            list(vh.integrate_many(*batch, snapshot_times=times))
 
     @pytest.mark.parametrize("times", [0.5, [[0.0, 0.5]]], ids=["scalar", "2-D"])
     @pytest.mark.parametrize("entry", ["integrate", "integrate_many", "integrate_scalar_logistic"])

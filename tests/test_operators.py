@@ -70,6 +70,7 @@ class TestAssembly:
         for bc in (vh.BoundarySpec.neumann(), vh.BoundarySpec.robin(1.0, 0.5),
                    vh.BoundarySpec.dirichlet()):
             op = assemble(d, bc)
+            assert op.unit_weights == bool(np.all(op.weights == 1.0))
             wa = op.weights[:, None] * dense_matrix(op)
             assert np.allclose(wa, wa.T, atol=1e-10)
             eigs = np.linalg.eigvalsh(0.5 * (wa + wa.T))
@@ -341,7 +342,7 @@ class TestFactoredKernel:
     @pytest.mark.parametrize("m", [1, 3])
     def test_not_positive_definite_is_singular(self, m):
         zero = SimpleNamespace(diag=np.zeros(m), upper=np.zeros(m - 1), weights=np.ones(m),
-                               has_constant_kernel=False)
+                               unit_weights=True, has_constant_kernel=False)
         with pytest.raises(SingularSystemError, match="positive definite"):
             ShiftedSolve([zero], [0.0])
 

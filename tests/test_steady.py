@@ -361,6 +361,32 @@ class TestNodewiseSweeps:
         assert_monotone((h_bar.values, log.v_b.values), run.history, 1.0)
 
     @pytest.mark.parametrize("kind_index, seed", CASES)
+    def test_down_runs_re_damp_from_their_h(self, kind_index, seed, monkeypatch):
+        """After sweeps 1, 2, 4, 8, ... a "down" run factors K2 anew from the
+        H it just computed, which tops every later iterate; K_c stays the
+        first, largest K2."""
+        coeffs, bc, log, problem = criterion4_scenario(kind_index, seed)
+        potentials = []
+
+        def spy(op, c):
+            if op is problem.op2:
+                potentials.append(c)
+            return ShiftedSolve(op, c)
+
+        monkeypatch.setattr(steady, "ShiftedSolve", spy)
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        run = monotone_iterate(problem, h_bar, log.v_b, "down", keep_history=True)
+        assert run.converged and run.sweeps > 8
+        redamped = [2**j for j in range(run.sweeps.bit_length()) if 2**j < run.sweeps]
+        assert len(potentials) == 1 + len(redamped)
+        assert np.array_equal(potentials[0], problem.sweep_potential(problem.op1.restrict(h_bar)))
+        for k2, sweep in zip(potentials[1:], redamped, strict=True):
+            h = problem.op1.restrict(run.history[sweep - 1][0])
+            assert np.array_equal(k2, problem.sweep_potential(h))
+        assert run.k_c == float(potentials[0].max())
+        assert_monotone((h_bar.values, log.v_b.values), run.history, 1.0)
+
+    @pytest.mark.parametrize("kind_index, seed", CASES)
     def test_standalone_up_sweeps_increase_everywhere(self, kind_index, seed):
         """Without h_top, "up" takes H_bar of upper_solution_h as the top."""
         coeffs, bc, log, problem = criterion4_scenario(kind_index, seed)
@@ -406,7 +432,8 @@ class TestNodewiseSweeps:
 
 def reference_monotone(problem, h0, v0, direction, *, h_top=None):
     """The sweeps of monotone_iterate written per component, with fresh
-    arrays and separate H and V reductions: its active-node history, sweeps,
+    arrays and separate H and V reductions, re-damping a "down" run from its
+    H after sweeps 1, 2, 4, 8, ...: its active-node history, sweeps,
     converged, k_c and final change, or the MonotonicityError it raises."""
     h_start, v_start = problem.op1.restrict(h0), problem.op2.restrict(v0)
     if h_top is not None:
@@ -415,15 +442,20 @@ def reference_monotone(problem, h0, v0, direction, *, h_top=None):
         top = h_start
     else:
         top = ShiftedSolve(problem.op1, problem.rho).solve_active(problem.s1hu * problem.v_plus)
-    k1, k2 = problem.rho, problem.sweep_potential(top)
-    s1, s2 = ShiftedSolve(problem.op1, k1), ShiftedSolve(problem.op2, k2)
-    k_min = min(float(k1.min()), float(k2.min()))
-    stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
-    stiff += max(float(k1.max()), float(k2.max()))
-    mono_coef = 256.0 * np.finfo(float).eps * stiff
+    k1 = problem.rho
+    s1 = ShiftedSolve(problem.op1, k1)
+    k_c = -np.inf
     h, v = h_start.copy(), v_start.copy()
     history, change, converged = [], np.inf, False
     for sweep in range(1, MAX_SWEEPS + 1):
+        if sweep == 1 or (direction == "down" and math.log2(sweep - 1).is_integer()):
+            k2 = problem.sweep_potential(top if sweep == 1 else h)
+            s2 = ShiftedSolve(problem.op2, k2)
+            k_c = max(k_c, float(k2.max()))
+            k_min = min(float(k1.min()), float(k2.min()))
+            stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
+            stiff += max(float(k1.max()), float(k2.max()))
+            mono_coef = 256.0 * np.finfo(float).eps * stiff
         h_new = s1.solve_active(problem.s1hu * v)  # f1 + K1 H, as K1 = rho
         v_new = s2.solve_active(problem.reaction(h_new, v)[1] + k2 * v)
         u_scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
@@ -443,7 +475,7 @@ def reference_monotone(problem, h0, v0, direction, *, h_top=None):
         converged = change < SWEEP_TOL
         if converged:
             break
-    return history, sweep if converged else MAX_SWEEPS, converged, float(k2.max()), change
+    return history, sweep if converged else MAX_SWEEPS, converged, k_c, change
 
 
 class TestMonotoneSweepOracle:
@@ -560,9 +592,10 @@ class TestMonotoneSweepOracle:
 
 def reference_polish(problem, h, v, box):
     """_newton_polish without its early exit: a rejected step is halved
-    until alpha reaches 2^-20, 20 trials in all.  Returns (h, v, rn) and,
-    per search, (accepted, trials, the first trial whose clipped point was
-    the current iterate, or None)."""
+    until alpha reaches 2^-20, 20 trials in all, except that a search from
+    a residual at or below its round-off floor tries the full step only.
+    Returns (h, v, rn) and, per search, (accepted, trials, the first trial
+    whose clipped point was the current iterate or None, below the floor)."""
     (h_lo, v_lo), (h_hi, v_hi) = box
     r1, r2 = problem.residual(h, v)
     rn = float(max(np.abs(r1).max(), np.abs(r2).max()))
@@ -572,9 +605,11 @@ def reference_polish(problem, h, v, box):
         if rn <= POLISH_TOL:
             break
         delta = problem.jacobian(h, v)(-np.concatenate([r1, r2]))
-        alpha, trials, still, improved = 1.0, 0, None, False
-        while alpha > 2.0 ** -20:
-            trials += 1
+        scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
+        below = rn <= roundoff_floor(problem.stiffness) * scale
+        still, improved = None, False
+        for trials in range(1, 2 if below else 21):
+            alpha = 2.0 ** (1 - trials)
             h_t = np.clip(h + alpha * delta[:m], h_lo, h_hi)
             v_t = np.clip(v + alpha * delta[m:], v_lo, v_hi)
             if still is None and np.array_equal(h_t, h) and np.array_equal(v_t, v):
@@ -585,8 +620,7 @@ def reference_polish(problem, h, v, box):
                 h, v, r1, r2, rn = h_t, v_t, r1_t, r2_t, rn_t
                 improved = True
                 break
-            alpha *= 0.5
-        searches.append((improved, trials, still))
+        searches.append((improved, trials, still, below))
         if not improved:
             break
     return (h, v, rn), searches
@@ -594,7 +628,8 @@ def reference_polish(problem, h, v, box):
 
 class TestNewtonPolishOracle:
     """The polish line search stops at a trial that is the current iterate,
-    and returns the bits of the search that tries every halving."""
+    and returns the bits of the search that tries every halving, or only
+    the full step from a residual at its round-off floor."""
 
     @staticmethod
     def polish_inputs(kind_index, seed, monkeypatch):
@@ -634,33 +669,52 @@ class TestNewtonPolishOracle:
         assert h.tobytes() == h_ref.tobytes() and v.tobytes() == v_ref.tobytes()
         assert rn.hex() == rn_ref.hex()
 
-    # Neumann seed 16 stops at POLISH_TOL.  Neumann seed 0 and Dirichlet
-    # seed 5 accept steps after 6 or more halvings and end in a failed
-    # search; Neumann seed 71's failed search clips its first trial, the
-    # full Newton step, onto the iterate.  Each is the first seed of its
-    # closure that takes its path.
+    # A search from a residual at or below its round-off floor tries the
+    # full step only, and on these scenarios no accepted step is halved.
+    # Neumann seed 16 stops at POLISH_TOL.  Neumann seeds 0 and 71 end both
+    # polishes in a search below the floor whose full step clips onto the
+    # iterate, which costs no residual call; Dirichlet seed 5 ends both in
+    # one whose full step is evaluated and rejected.  Seeds 0 and 5 are the
+    # first of their closure on those paths.  Halvings above the floor,
+    # which seeds 0 and 5 used to take, no longer occur on criterion 4's
+    # scenarios (seeds 0-200 of each closure); the two tests below cover
+    # that code.
     @pytest.mark.parametrize(
         "kind_index, seed, stop, halvings",
-        [(0, 16, "tol", 0), (0, 0, "fail", 6), (1, 5, "fail", 6), (0, 71, "clipped", 0)],
+        [(0, 16, "tol", 0), (0, 0, "clipped", 0), (1, 5, "rejected", 0), (0, 71, "clipped", 0)],
     )
     def test_matches_the_full_search(self, kind_index, seed, stop, halvings, monkeypatch):
-        longest = 1
+        longest = 0
         for args in self.polish_inputs(kind_index, seed, monkeypatch):
             ref, searches = reference_polish(*args)
             got, calls = self.counted_polish(*args, monkeypatch)
             self.assert_same_bits(got, ref)
-            accepted, trials, still = searches[-1]
+            accepted, trials, still, below = searches[-1]
             if stop == "tol":
                 assert accepted and ref[2] <= POLISH_TOL
-                assert calls == 1 + sum(t for _, t, _ in searches)
+                assert calls == 1 + sum(t for _, t, _, _ in searches)
             else:
-                # The failed search stops, without a residual, at its first
-                # trial that is the current iterate, not after all 20.
-                assert not accepted and trials == 20 and still is not None and still < 20
-                assert calls == 1 + sum(t for _, t, _ in searches[:-1]) + still - 1
-                assert still == 1 or stop == "fail"
-            longest = max([longest] + [t for ok, t, _ in searches if ok])
-        assert longest - 1 >= halvings  # the halvings before an accepted step
+                # The failed search is below the floor and tries the full
+                # step alone; a trial clipped onto the iterate is not evaluated.
+                assert not accepted and below and trials == 1
+                assert still == (1 if stop == "clipped" else None)
+                assert calls == 1 + sum(t for _, t, _, _ in searches[:-1]) + (still is None)
+            longest = max([longest] + [t - 1 for ok, t, _, _ in searches if ok])
+        assert longest == halvings  # the halvings before an accepted step
+
+    def test_stall_below_the_floor_costs_one_residual(self, monkeypatch):
+        """Restarted at the point where it stalled, the polish's one search
+        starts below the round-off floor: its full step is evaluated once
+        and rejected, where the halving search made 20 residual calls."""
+        (problem, h, v, box), _ = self.polish_inputs(1, 5, monkeypatch)
+        (h1, v1, rn), _ = self.counted_polish(problem, h, v, box, monkeypatch)
+        assert POLISH_TOL < rn <= problem.roundoff(h1, v1)
+        got, calls = self.counted_polish(problem, h1, v1, box, monkeypatch)
+        assert calls == 1 + 1  # the starting residual, then the full step
+        assert got[0] is h1 and got[1] is v1 and got[2] == rn
+        ref, searches = reference_polish(problem, h1, v1, box)
+        assert searches == [(False, 1, None, True)]
+        self.assert_same_bits(got, ref)
 
     def test_search_that_never_reaches_the_iterate_runs_every_halving(self, monkeypatch):
         """A box pinned to one point off the iterate clips every trial onto
@@ -670,7 +724,7 @@ class TestNewtonPolishOracle:
         h0, v0 = h * (1.0 + 1e-6), v * (1.0 + 1e-6)
         box = ((1.5 * h, 1.5 * v), (1.5 * h, 1.5 * v))
         ref, searches = reference_polish(problem, h0, v0, box)
-        assert searches == [(False, 20, None)]
+        assert searches == [(False, 20, None, False)]
         got, calls = self.counted_polish(problem, h0, v0, box, monkeypatch)
         self.assert_same_bits(got, ref)
         assert calls == 1 + 20
@@ -684,7 +738,7 @@ class TestNewtonPolishOracle:
         v0 = v * (1.0 + 1e-6)
         box = ((h, v_lo), (h, v_hi))
         ref, searches = reference_polish(problem, h, v0, box)
-        assert searches[0] == (True, 1, None) and len(searches) > 2
+        assert searches[0] == (True, 1, None, False) and len(searches) > 2
         self.assert_same_bits(steady._newton_polish(problem, h, v0, box), ref)
 
 
