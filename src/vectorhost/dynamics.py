@@ -15,26 +15,28 @@ remainder step landing exactly on t_end.  The steady window (the state
 moved less than steady_tol in sup norm over the last steady_window steps)
 is tested after full steps only.
 
-The core takes the steps of all active runs together, B at a time.  The
-rows of all runs form one C-contiguous (rows, runs, n) array, grouped by
+The core takes the steps of all active runs together, B at a time.  The rows
+of all runs form one C-contiguous (rows, runs, n) array, grouped by
 component: a comparison of two states stacks (H_i, H_i, V_u, V_u, V_i, V_i),
-so each component of all states and runs is one flat block.  Per active
-set, the core lays the runs' coefficient rows and 1/dt out in that order
-and factors one joined tridiagonal system, block diagonal with one block
--L_row + 1/dt_run per row, so each run keeps its own dt and gets the bits
-it would get alone.  A step is the reaction, as 1-D ufunc calls written
-straight into a slot of one preallocated state ring (the longest steady
-window plus one block of B states, about BLOCK_BYTES), and one in-place
-dpttrs call on that slot.  After each block one vectorized pass finds, per
-run, the first non-finite or negative step, the first settled step and
-the reference distances; the caller's visit gets the block to record order
-violations, observer calls, first times below a tolerance and snapshots,
-chosen by step time.  A non-finite or negative entry sends every run back
-to the last clean step, which is redone alone with the per-step checks
-below.  A run retires when it settles, reaches t_end (its remainder step
-is a block of one) or fails; its later steps in the block are dropped and
-it is compacted out.  integrate_many keeps each snapshot as its time and
-rows; TrajectorySummary.snapshots builds the States on access.
+so each component of all states and runs is one flat block.  Per active set,
+the core lays the runs' coefficient rows and 1/dt out in that order and
+factors one joined tridiagonal system, block diagonal with one block
+-L_row + 1/dt_run per row, so each run keeps its own dt and gets the bits it
+would get alone.  A step writes W times the right-hand side, W the operators'
+weights (1, or 1/2 at Neumann and Robin walls), straight into a slot of one
+preallocated state ring (the longest steady window plus one block of B
+states, about BLOCK_BYTES), for the full system in 12 contiguous 1-D calls
+with W folded into the coefficients, and solves that slot in place with one
+bare dpttrs call.  After each block one vectorized pass finds, per run, the
+first non-finite or negative step, the first settled step and the reference
+distances; the caller's visit gets the block to record order violations,
+observer calls, first times below a tolerance and snapshots, chosen by step
+time.  A non-finite or negative entry sends every run back to the last clean
+step, which is redone alone with the per-step checks below.  A run retires
+when it settles, reaches t_end (its remainder step is a block of one) or
+fails; its later steps in the block are dropped and it is compacted
+out.  integrate_many keeps each snapshot as its time and rows;
+TrajectorySummary.snapshots builds the States on access.
 
 The explicit reaction imposes the step bound
 
@@ -267,9 +269,12 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     names[j] names it in errors.  Whenever the active set or its step sizes
     change, rhs(c, h, rows) gets the active runs' coefficient rows
     c = coef[:, active], their step sizes h (active,) and the row count, and
-    returns react(u, out), which writes the right-hand sides u/h + reaction
-    of the active runs' rows u (rows, active, n), C-contiguous, into out, a
-    ring slot where each row is then solved against -L + 1/h in place.
+    returns react(u, out), which writes W (u/h + reaction) into out, W the
+    operators' weights (ones under Dirichlet).  u, the state before the
+    step, and out, its ring slot, are flat views of the active runs' rows
+    (rows, active, n), C-contiguous, made once per block; out is then solved
+    in place against W(-L + 1/h), row by row, by one bare dpttrs call
+    (ShiftedSolve.solve_weighted).
 
     State k >= 1 sits in ring slot (k - 1) % S and the initial state in slot
     S - 1; S, a multiple of B, holds the longest steady window plus a block,
@@ -326,6 +331,7 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
         windows = [(w, window == w) for w in np.unique(window[window > 0]).tolist()]
         windows = [(w, slice(None) if m.all() else m) for w, m in windows]
         scratch = None if room is None else room[:block * u.size].reshape(block, *u.shape)
+        u_flat = u.reshape(-1)
         h, solver = dt, None
         # One error state per stretch of blocks between retirements: overflow
         # in react is reported as a BlowUpError instead.
@@ -343,22 +349,23 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
                     react = rhs(coef, h, u.shape[0])
                 new = ring[k % len(ring):][:size]
                 failed = {}
-                for j in range(size):
-                    f = new[j]
-                    react(new[j - 1] if j else u, f)
+                prev = u_flat
+                for f in new.reshape(size, -1):  # the block's slots, flat
+                    react(prev, f)
                     if size == 1 and not math.isfinite(f.sum()):
-                        bad = ~np.isfinite(f).all(axis=(0, 2))
+                        rows = f.reshape(u.shape)
+                        bad = ~np.isfinite(rows).all(axis=(0, 2))
                         for i in np.flatnonzero(bad):
                             failed[i] = BlowUpError(
                                 f"step {k + 1} (to t={t[0, i]:g}) overflowed: non-finite right-hand side"
                             )
-                        f[:, bad] = 0.0  # keeps the joined solve finite for the other runs
+                        rows[:, bad] = 0.0  # keeps the joined solve finite for the other runs
                     if active is None:
-                        solver.solve_active(f.reshape(-1), True)
+                        solver.solve_weighted(f)
                     else:
-                        flat = f.reshape(-1)
-                        flat[active] = solver.solve_active(flat[active], True)
-                        flat[walls] = 0.0
+                        f[active] = solver.solve_weighted(f[active])
+                        f[walls] = 0.0
+                    prev = f
                 if size == 1:
                     redo = False
                     if new.min() < 0.0:
@@ -438,55 +445,71 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
         )
 
 
+def _weights(op, n: int) -> np.ndarray:
+    """op's weights W on all n nodes: ones under Dirichlet, whose walls are
+    not solved for."""
+    return np.ones(n) if op.unit_weights else op.weights
+
+
 def _system(coeffs: CoefficientSet, bc: BoundarySpec, copies: int = 1):
-    """Operators and coefficient rows of the full system for `copies` states
-    stacked as rows grouped by component, (H_i x copies, V_u x copies,
-    V_i x copies); _system_rhs is its right-hand side."""
+    """Operators and coefficient rows (rho, sigma1 h_u, sigma2, beta, mu, W)
+    of the full system for `copies` states stacked as rows grouped by
+    component, (H_i x copies, V_u x copies, V_i x copies); _system_rhs is
+    its right-hand side."""
     c = coeffs
     op1 = assemble(c.d1, bc)
     op2 = assemble(c.d2, bc)
-    rows = np.array(
-        [c.rho.values, c.sigma1.values * c.h_u.values, c.sigma2.values, c.beta.values, c.mu.values]
-    )
+    rows = np.array([
+        c.rho.values, c.sigma1.values * c.h_u.values, c.sigma2.values, c.beta.values, c.mu.values,
+        _weights(op1, c.mesh.n),
+    ])
     return [op1] * copies + [op2] * (2 * copies), rows
 
 
 def _system_rhs(c, h, rows):
-    """The right-hand side u * (1/h) + reaction of the full system for
-    `rows` stacked rows grouped by component, given the coefficient rows
-    c = (rho, sigma1 h_u, sigma2, beta, mu) and step sizes h of the runs.
-    The reactions are, evaluated left to right,
+    """W (u * (1/h) + reaction) of the full system for `rows` stacked rows
+    grouped by component, given the coefficient rows c = (rho, sigma1 h_u,
+    sigma2, beta, mu, W) and step sizes h of the runs.  The reactions are,
+    evaluated left to right,
 
         H_i: -rho H_i + sigma1 h_u V_i
         V_u: -sigma2 V_u H_i + beta V - mu V V_u
         V_i:  sigma2 V_u H_i - mu V V_i,    V = V_u + V_i.
 
-    Each component is one contiguous block of u, so the reaction runs as
-    1-D ufunc calls (the third argument is out) against coefficients, 1/h
-    and a workspace laid out here once; a step allocates nothing.
+    W, each weight 1 or 1/2, is folded into the coefficients and 1/h, which
+    is exact: every entry gets the bits of W times the unweighted one.  Each
+    component is one contiguous block of the flat u, so a step is 12 1-D
+    calls (ufuncs, whose third argument is out, and one copyto) against
+    coefficients, W/h and a workspace laid out here once: the loss terms
+    (W rho H_i, W mu V V_u, W mu V V_i) in one call, the gains less the
+    losses in another.
     """
     shape = (rows, *c.shape[1:])
+    k = rows // 3 * c[0].size  # the values of one component block
     # Each coefficient row once per state, in the order of a component block.
-    rho, s1hu, s2, beta, mu = (np.broadcast_to(x, (rows // 3, *x.shape)).ravel() for x in c)
-    inv_h = np.broadcast_to((1.0 / h)[:, None], shape).copy()
-    v, muv, tmp = np.empty((3, rho.size))
-    reaction = np.empty(shape)
-    r_hi, r_vu, cross = reaction.reshape(3, -1)
+    rho, s1hu, s2, beta, mu = (np.broadcast_to(x * c[5], (rows // 3, *x.shape)).ravel() for x in c[:5])
+    w_h = np.broadcast_to(c[5] * (1.0 / h)[:, None], shape).ravel()
+    v = np.empty(k)
+    loss_coef = np.empty(3 * k)  # (W rho, W mu V, W mu V)
+    loss_coef[:k] = rho
+    mu_v, mu_v2 = loss_coef[k:2 * k], loss_coef[2 * k:]
+    loss, gain = np.empty((2, 3 * k))
+    g_hi, g_vu, cross = gain[:k], gain[k:2 * k], gain[2 * k:]
 
     def react(u, out):
-        hi, vu, vi = u.reshape(3, -1)
+        hi, vu, vi = u[:k], u[k:2 * k], u[2 * k:]
         np.add(vu, vi, v)
-        np.multiply(mu, v, muv)
+        np.multiply(mu, v, mu_v)
+        np.copyto(mu_v2, mu_v)
+        np.multiply(loss_coef, u, loss)
         np.multiply(s2, vu, cross)
         np.multiply(cross, hi, cross)
-        np.multiply(s1hu, vi, r_hi)
-        np.subtract(r_hi, np.multiply(rho, hi, tmp), r_hi)
-        np.multiply(beta, v, r_vu)
-        np.subtract(r_vu, cross, r_vu)
-        np.subtract(r_vu, np.multiply(muv, vu, tmp), r_vu)
-        np.subtract(cross, np.multiply(muv, vi, tmp), cross)
-        np.multiply(u, inv_h, out)
-        np.add(out, reaction, out)
+        np.multiply(s1hu, vi, g_hi)
+        np.multiply(beta, v, g_vu)
+        np.subtract(g_vu, cross, g_vu)
+        np.subtract(gain, loss, gain)
+        np.multiply(u, w_h, out)
+        np.add(out, gain, out)
 
     return react
 
@@ -727,14 +750,16 @@ def integrate_scalar_logistic(
         for _, j in take([0], t):
             traj.snapshots.append((float(t[j, 0]), ScalarField(mesh, new[j, 0, 0])))
 
+    op = assemble(coeffs.d2, bc)
+    w = _weights(op, mesh.n)
+
     def rhs(c, dt, rows):
-        beta, mu = c
-        dt = dt[:, None]
-        return lambda v, out: np.subtract(v / dt + beta * v, mu * v * v, out)
+        beta, mu = c[:, 0]
+        return lambda v, out: np.multiply(v / dt + beta * v - mu * v * v, w, out)
 
     visit(0, np.zeros((1, 1)), u0[None, :, None], None, None, None)
     out = _march(
-        u0[:, None], [[assemble(coeffs.d2, bc)]], ("V",), rhs,
+        u0[:, None], [[op]], ("V",), rhs,
         np.array([coeffs.beta.values, coeffs.mu.values])[:, None],
         [cfg.dt], [cfg.t_end], visit, [None],
     )
@@ -805,12 +830,14 @@ def integrate_aux_pair(
     # V_B + |eps| w bounds both V and V_B - eps w.
     dt = min(cfg.dt, _order_dt(coeffs, float(h0.values.max()), v_b.values + abs(eps) * weight.values))
 
-    def rhs(c, dt, rows):
-        dt = dt[:, None]
+    w = _weights(problem.op1, mesh.n)
 
+    def rhs(c, dt, rows):
         def react(u, out):
-            np.divide(u, dt, out)  # Dirichlet walls are not solved for
-            out[:, 0, sl] += problem.reaction(u[0, 0, sl], u[1, 0, sl])
+            u, f = u.reshape(2, -1), out.reshape(2, -1)
+            np.divide(u, dt, f)  # Dirichlet walls are not solved for
+            f[:, sl] += problem.reaction(u[0, sl], u[1, sl])
+            np.multiply(f, w, f)
 
         return react
 

@@ -203,11 +203,14 @@ class ShiftedSolve:
 
     S = W(-L + c), W the operators' weights, is LDL^T-factored once, here
     (dpttrf; a nonpositive pivot raises SingularSystemError), and each solve
-    is one dpttrs call for S u = W f on the read-only factors: it leaves f
-    untouched and may run concurrently, except solve_active(f, True), which
-    writes the solution into f (a contiguous float64 array, such as one row
-    of a C-ordered 2-D array) and returns f, so a loop of solves allocates
-    nothing.  solve (single-operator form), not solve_active, checks f finite.
+    is one dpttrs call for S u = W f on the read-only factors.  The bare
+    solve_weighted(b) takes b = W f, already weighted, and writes u into b
+    (a contiguous float64 array, such as one row of a C-ordered 2-D array),
+    so a loop of solves allocates nothing: the stepping core and the
+    monotone sweeps build W f themselves, from W-scaled coefficients.
+    solve_active(f) returns u in a fresh array, W f, and leaves f untouched.
+    Solves into different arrays may run concurrently.  solve
+    (single-operator form), not solve_active, checks f finite.
     """
 
     def __init__(self, op, c):
@@ -236,20 +239,21 @@ class ShiftedSolve:
         self._w = w
         return self
 
-    def solve_active(self, f_active: np.ndarray, overwrite_f: bool = False) -> np.ndarray:
-        f, w = f_active, self._w
-        b = f if w is None else np.multiply(f, w, out=f if overwrite_f else None)
-        x, info = dpttrs(*self._factors, np.append(b, 0.0) if self._pad else b,
-                         overwrite_b=overwrite_f or self._pad or b is not f)
+    def solve_active(self, f_active: np.ndarray) -> np.ndarray:
+        w = self._w
+        return self.solve_weighted(np.array(f_active, dtype=float) if w is None else f_active * w)
+
+    def solve_weighted(self, b: np.ndarray) -> np.ndarray:
+        """Solve S u = b in place and return b, for b = W f already weighted
+        (a contiguous float64 array): one dpttrs call on the factors."""
+        x, info = dpttrs(*self._factors, np.append(b, 0.0) if self._pad else b, overwrite_b=True)
         if info != 0:
             raise ValueError(f"dpttrs rejected argument {-info}")
-        if not overwrite_f:
-            return x[:f.size]
         if self._pad:
-            f[:] = x[:1]
-        elif x is not f:
+            b[:] = x[:1]
+        elif x is not b:
             raise RuntimeError("dpttrs solved into a copy of the array it was to overwrite")
-        return f
+        return b
 
     def solve(self, f) -> np.ndarray:
         """Solve from full-length right-hand side, return full-length values."""

@@ -37,11 +37,12 @@ faster (Pao allows K to vary from sweep to sweep as long as it bounds
 
 The sweeps run on a stacked state: the iterate and its successor are two
 (2, m) arrays with rows (H, V), allocated once per run with the first two
-factorizations.  Each half-sweep builds its right-hand side by ufunc calls
-into a row of the successor and solves it there in place (one dpttrs
-call); one min and one max of the difference give the direction check
-and the change, and the scale max |u| is taken only for a wrong-way
-sweep.  Max and min are exact, and the arithmetic keeps the per-component
+factorizations.  Each half-sweep builds its right-hand side W f, W the
+operators' weights, by ufunc calls on W-scaled coefficients into a row of
+the successor (each weight is 1 or 1/2, so W f has the bits of f times
+W) and solves it there in place (one dpttrs call); one min and one max of
+the difference give the direction check and the change, and the scale
+max |u| is taken only for a wrong-way sweep.  Max and min are exact, and the arithmetic keeps the per-component
 order, so the iterates are those of separate H and V arrays bit for bit.
 """
 
@@ -318,19 +319,20 @@ def monotone_iterate(
         top = _h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
     k1 = problem.rho
     solve1 = ShiftedSolve(problem.op1, k1)
+    w = problem.op1.weights
 
     def damp(top):
-        """K2 for the H top, its factor, and mono_coef and k_min of the
-        wrong-way tolerance, the round-off floor of one sweep: evaluating the
-        residual costs eps*stiffness*|u| and the sweep damps it by
+        """K2 for the H top, W K2, K2's factor, and mono_coef and k_min of
+        the wrong-way tolerance, the round-off floor of one sweep: evaluating
+        the residual costs eps*stiffness*|u| and the sweep damps it by
         (M + K)^{-1} ~ 1/min K."""
         k2 = problem.sweep_potential(top)
         k_min = min(float(k1.min()), float(k2.min()))
         stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
         stiff += max(float(k1.max()), float(k2.max()))
-        return k2, ShiftedSolve(problem.op2, k2), 256.0 * np.finfo(float).eps * stiff, k_min
+        return k2, w * k2, ShiftedSolve(problem.op2, k2), 256.0 * np.finfo(float).eps * stiff, k_min
 
-    k2, solve2, mono_coef, k_min = damp(top)
+    k2, w_k2, solve2, mono_coef, k_min = damp(top)
     k_c = float(k2.max())
     # u and its successor u_new hold rows (H, V) and swap after each
     # sweep; d and row are scratch (see the module docstring).
@@ -339,7 +341,8 @@ def monotone_iterate(
     cur, nxt = (u, *u), (u_new, *u_new)
     d = np.empty_like(u)
     row = np.empty(problem.m)
-    s1hu, s2, v_plus, muv = problem.s1hu, problem.s2, problem.v_plus, problem.muv
+    s1hu, s2, muv = w * problem.s1hu, w * problem.s2, w * problem.muv
+    v_plus = problem.v_plus
     history = [] if keep_history else None
     change = np.inf
     converged = False
@@ -348,7 +351,7 @@ def monotone_iterate(
         u_new, h_new, v_new = nxt
         # H half-sweep: f1 + K1 H = sigma1 h_u V, since K1 = rho.
         np.multiply(s1hu, v, out=h_new)
-        solve1.solve_active(h_new, True)
+        solve1.solve_weighted(h_new)
         # V half-sweep: f2(H_new, V) + K2 V, in the order of problem.reaction.
         np.subtract(v_plus, v, out=v_new)
         np.maximum(v_new, 0.0, out=v_new)
@@ -356,9 +359,9 @@ def monotone_iterate(
         np.multiply(v_new, h_new, out=v_new)
         np.multiply(muv, v, out=row)
         np.subtract(v_new, row, out=v_new)
-        np.multiply(k2, v, out=row)
+        np.multiply(w_k2, v, out=row)
         np.add(v_new, row, out=v_new)
-        solve2.solve_active(v_new, True)
+        solve2.solve_weighted(v_new)
         np.subtract(u_new, u, out=d)
         d_lo, d_hi = float(d.min()), float(d.max())
         # max(u - u_new) is exactly -d_lo; the tolerance is > 0, so <= 0 passes.
@@ -383,7 +386,7 @@ def monotone_iterate(
         if converged:
             break
         if direction == "down" and sweep & (sweep - 1) == 0:  # sweep is a power of 2
-            k2, solve2, mono_coef, k_min = damp(h_new)
+            k2, w_k2, solve2, mono_coef, k_min = damp(h_new)
             k_c = max(k_c, float(k2.max()))
     _, h, v = cur
     return MonotoneIteration(

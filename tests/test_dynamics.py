@@ -422,6 +422,24 @@ class TestIntegrateMany:
         assert isinstance(err, StabilityError)
 
 
+def _core_rhs(rhs, op):
+    """rhs in the stepping core's protocol, from one whose react(u, out)
+    writes u/h + reaction into (rows, runs, n) arrays: react gets the flat
+    slots reshaped, and W, the weights of op, is applied after it."""
+    def core(c, h, rows):
+        react = rhs(c, h, rows)
+        shape = (rows, h.size, op.mesh.n)
+
+        def flat(u, out):
+            f = out.reshape(shape)
+            react(u.reshape(shape), f)
+            np.multiply(f, op.weights, f)
+
+        return flat
+
+    return core
+
+
 class TestMarchClamp:
     """The stepping core clamps round-off negatives row by row and names the
     row that drops below the band."""
@@ -438,8 +456,8 @@ class TestMarchClamp:
                                             h[:, None], out)
 
         names = ("H_i", "V_u", "V_i")
-        ((_, out),) = _march(u0[:, None], [[op] * 3], names, rhs, np.empty((0, 1, mesh.n)),
-                             [1.0], [1.0], lambda *args: None, [None])
+        ((_, out),) = _march(u0[:, None], [[op] * 3], names, _core_rhs(rhs, op),
+                             np.empty((0, 1, mesh.n)), [1.0], [1.0], lambda *args: None, [None])
         if isinstance(out, Exception):
             raise out
         return out[0]
@@ -470,8 +488,8 @@ class TestMarchClamp:
             seen.extend((k + j, r, new[j, :, i].tobytes())
                         for j in range(len(t)) for i, r in enumerate(runs.tolist()))
 
-        out = _march(u0, [[op] * rows] * n_runs, ("H_i", "V_u", "V_i"), rhs, coef,
-                     [1.0] * n_runs, [float(steps)] * n_runs, visit, [None] * n_runs)
+        out = _march(u0, [[op] * rows] * n_runs, ("H_i", "V_u", "V_i"), _core_rhs(rhs, op),
+                     coef, [1.0] * n_runs, [float(steps)] * n_runs, visit, [None] * n_runs)
         return dict(out), seen
 
     def _one_by_one(self, u0, coef, rhs, steps):
@@ -643,6 +661,24 @@ class TestOneStepOracle:
                                 1e-3, 0.01, w.values)
         for got, row in zip((flow.h, flow.v), want):
             assert np.array_equal(got.values, row)
+
+
+class TestMultiStepOracle:
+    """integrate, past one block of the stepping core and onto a remainder
+    step, gives the chain of hand-written steps bit for bit."""
+
+    @pytest.mark.parametrize("case", range(3), ids=["neumann", "dirichlet", "robin"])
+    def test_chain_past_a_block(self, case):
+        state, coeffs, bc = _oracle_cases()[case]
+        dt = vh.stability_dt_max(coeffs, state)
+        n_full = _block_steps(3 * state.mesh.n) + 3
+        t_end = (n_full + 0.5) * dt
+        run = vh.integrate(state, coeffs, bc, vh.StepperConfig(dt=dt, t_end=t_end, steady_tol=1e-300))
+        assert (run.steps, run.steady, run.final.t) == (n_full + 1, False, t_end)
+        rows = _rows(state)
+        for h in [dt] * n_full + [t_end - n_full * dt]:
+            rows = np.array(_oracle_step(_state(0.0, rows, state.mesh), coeffs, bc, h))
+        assert _rows(run.final).tobytes() == rows.tobytes()
 
 
 class TestErrorState:

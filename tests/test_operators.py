@@ -310,9 +310,10 @@ class TestFactoredKernel:
 
     @pytest.mark.parametrize("n, kind", [(3, "dirichlet"), (4, "dirichlet"), (101, "neumann")])
     def test_in_place_solve_matches_solve_active(self, n, kind):
-        """overwrite_f=True writes the solution into the given row of a
-        (2, m) array, bit for bit what solve_active returns; m = 1 runs
-        through the padded factor, and the factors are read-only."""
+        """solve_weighted writes the solution into the given row of a
+        (2, m) array holding W f, bit for bit what solve_active returns for
+        f; m = 1 runs through the padded factor, and the factors are
+        read-only."""
         rng = np.random.default_rng([n, 7])
         mesh = vh.build_mesh(0, 1, n)
         op = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), self.BCS[kind])
@@ -327,10 +328,10 @@ class TestFactoredKernel:
             f = rng.normal(size=op.m)
             other = rng.normal(size=op.m)
             i = k % 2
-            rows[i][:] = f
+            rows[i][:] = op.weights * f
             rows[1 - i][:] = other
             expected = shifted.solve_active(f)
-            assert shifted.solve_active(rows[i], True) is rows[i]
+            assert shifted.solve_weighted(rows[i]) is rows[i]
             assert np.array_equal(rows[i], expected)
             assert np.array_equal(rows[1 - i], other)
             assert np.array_equal(expected, dptsv_oracle(op, c, f))
@@ -338,6 +339,27 @@ class TestFactoredKernel:
         for a, b in zip(factors, before):
             assert not a.flags.writeable
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["neumann", "robin", "dirichlet", "dirichlet-1", "joined"])
+    def test_weighted_solve_matches_solve_active(self, case):
+        """solve_weighted, in place on W f, gives solve_active(f) bit for bit:
+        one operator under each closure, the padded one-node Dirichlet
+        system, and operators joined with constant potentials."""
+        rng = np.random.default_rng([len(case), 5])
+        mesh = vh.build_mesh(0, 1, 3 if case == "dirichlet-1" else 101)
+        d = vh.ScalarField(mesh, rng.uniform(0.5, 2.0, mesh.n))
+        if case == "joined":
+            ops = [assemble(d, bc) for bc in self.BCS.values()]
+            shifted = ShiftedSolve(ops, [2.0, 0.0, 0.5])
+        else:
+            ops = [assemble(d, self.BCS[case.split("-")[0]])]
+            shifted = ShiftedSolve(ops[0], rng.uniform(0, 5, ops[0].m))
+        w = np.concatenate([op.weights for op in ops])
+        for _ in range(3):
+            f = rng.normal(size=w.size)
+            b = w * f
+            assert shifted.solve_weighted(b) is b
+            assert np.array_equal(b, shifted.solve_active(f))
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_not_positive_definite_is_singular(self, m):
@@ -354,9 +376,9 @@ class TestFactoredKernel:
         shifted = ShiftedSolve(op, 1.0)
         strided = np.ones((op.m, 2))[:, 0]
         with pytest.raises(RuntimeError, match="copy"):
-            shifted.solve_active(strided, True)
+            shifted.solve_weighted(strided)
         with pytest.raises(RuntimeError, match="copy"):
-            shifted.solve_active(np.ones(op.m, dtype=np.float32), True)
+            shifted.solve_weighted(np.ones(op.m, dtype=np.float32))
 
     @staticmethod
     def shifted_below(kind, n, theta):
