@@ -10,10 +10,10 @@ right-hand side they hand the core and in what they record per step.
 `integrate_many` runs many full systems at once; every other integrator is
 a batch of one.
 
-Each run keeps its own time grid: floor(t_end/dt) full steps, then one
-remainder step landing exactly on t_end.  The steady window (the state
-moved less than steady_tol in sup norm over the last steady_window steps)
-is tested after full steps only.
+Each run keeps its own clock, state k at t0 + (k - k0) h: h = dt from
+k0 = t0 = 0 for floor(t_end/dt) full steps, then a remainder re-grids it to
+one step onto t_end.  The steady window (a sup-norm move below steady_tol
+over the last steady_window steps) is tested after full steps only.
 
 The core takes the steps of all active runs together, B at a time.  The rows
 of all runs form one C-contiguous (rows, runs, n) array, grouped by
@@ -24,8 +24,8 @@ factors one joined tridiagonal system, block diagonal with one block
 -L_row + 1/dt_run per row, so each run keeps its own dt and gets the bits it
 would get alone.  A step writes W times the right-hand side, W the operators'
 weights (1, or 1/2 at Neumann and Robin walls), straight into a slot of one
-preallocated state ring (the longest steady window plus one block of B
-states, about BLOCK_BYTES), for the full system in 12 contiguous 1-D calls
+preallocated state ring (the longest closable steady window plus a block
+of B states, about BLOCK_BYTES), for the full system in 12 contiguous 1-D calls
 with W folded into the coefficients, and solves that slot in place with one
 bare dpttrs call.  After each block one vectorized pass finds, per run, the
 first non-finite or negative step, the first settled step and the reference
@@ -183,14 +183,6 @@ def _snap_walls(u: np.ndarray, names) -> None:
     u[:, -1] = 0.0
 
 
-def _grid(dt, t_end):
-    """Each run's time grid: floor(t_end/dt) full steps (a float: t_end/dt
-    may exceed any int64), the remainder onto t_end, and the step count."""
-    n_full = np.floor(t_end / dt + 1e-12)
-    rem = t_end - n_full * dt
-    return n_full, rem, n_full + (rem > 1e-12 * dt)
-
-
 def _snapshot_times(snapshot_times) -> np.ndarray:
     """The requested snapshot times, checked and sorted.  A time that is not
     finite is rejected: a NaN would void every comparison after it."""
@@ -261,13 +253,19 @@ def _block_steps(values: int) -> int:
 
 
 def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
-    """Advance R independent runs in lockstep, each from t = 0 to its t_end
-    on its own time grid, B = _block_steps(u.size) steps at a time.
+    """Advance R independent runs in lockstep from t = 0 to their t_end, each
+    on its own clock, B = _block_steps(u.size) steps at a time.
+
+    Run r's clock puts state k at t0 + (k - k0) h up to state `end`, then rem
+    is due (0 if no step is): at first k0 = t0 = 0, h = dt[r] and end =
+    floor(t_end/dt + 1e-12).  Blocks stop at the nearest end.  At the top of
+    a block a run at its end with rem > 0 re-grids to h = rem, k0 = end =
+    k + 1, t0 = t_end, rem = 0 and no steady test: one step onto t_end.
 
     u (rows, R, n) stacks the runs' rows, those of several states grouped by
     component (see _system): row j of run r diffuses under ops[r][j], and
-    names[j] names it in errors.  Whenever the active set or its step sizes
-    change, rhs(c, h, rows) gets the active runs' coefficient rows
+    names[j] names it in errors.  Whenever the active set or a clock's h
+    changes, rhs(c, h, rows) gets the active runs' coefficient rows
     c = coef[:, active], their step sizes h (active,) and the row count, and
     returns react(u, out), which writes W (u/h + reaction) into out, W the
     operators' weights (ones under Dirichlet).  u, the state before the
@@ -277,15 +275,15 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     (ShiftedSolve.solve_weighted).
 
     State k >= 1 sits in ring slot (k - 1) % S and the initial state in slot
-    S - 1; S, a multiple of B, holds the longest steady window plus a block,
-    so a block never wraps.  A block with a non-finite or negative entry is
-    cut before that step, which is then redone as a block of one: there a
-    non-finite right-hand side fails its run (zeroed, so the joined solve
-    stays finite for the others), negatives in (-1e-14, 0) are clamped and
-    lower ones fail the run.  Remainder steps are blocks of one too.  Given
-    a StepperConfig as steady[r], run r stops after the first full step that
-    moved less than steady_tol over the last steady_window steps; given ref
-    (rows, R, n), each step's sup distance of each run to ref[:, r] is taken.
+    S - 1; S, a multiple of B, holds the longest steady window that can close
+    plus a block, so a block never wraps.  A block with a non-finite or
+    negative entry is cut before that step, which is then redone as a block
+    of one: there a non-finite right-hand side fails its run (zeroed, so the
+    joined solve stays finite for the others), negatives in (-1e-14, 0) are
+    clamped and lower ones fail the run.  Given a StepperConfig as
+    steady[r], run r stops after the first full step that moved less than
+    steady_tol over the last steady_window steps; given ref (rows, R, n),
+    each step's sup distance of each run to ref[:, r] is taken.
 
     visit(k, t, new, old, runs, dist) gets each block, split where runs
     retire: k the step index of new[0], the times t (L, active) (snapshots
@@ -300,24 +298,28 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     force whenever it runs.
     """
     n = u.shape[2]
-    dt = np.asarray(dt, dtype=float)
+    h = np.asarray(dt, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
-    n_full, rem, n_steps = _grid(dt, t_end)
+    end = np.floor(t_end / h + 1e-12)  # a float: t_end/h may exceed any int64
+    rem = t_end - end * h
+    rem[rem <= 1e-12 * h] = 0.0
     window = np.array([0 if s is None else s.steady_window for s in steady], dtype=int)
+    window[window > end] = 0  # never closes: a window closes at a full-step state k >= its length
     # A run without a steady test never moves less than -inf.
     tol = np.array([-np.inf if s is None else s.steady_tol for s in steady])
-    for r in np.flatnonzero(n_steps == 0):
+    idle = (end == 0) & (rem == 0)
+    for r in np.flatnonzero(idle):
         yield r, (u[:, r], 0.0, 0, False)
 
-    runs = np.flatnonzero(n_steps > 0)
+    runs = np.flatnonzero(~idle)
     if not runs.size:
         return
     u, coef = u.take(runs, axis=1), coef.take(runs, axis=1)  # C-contiguous, unlike u[:, runs]
     if ref is not None:
         ref = ref.take(runs, axis=1)
-    dt, t_end, n_full, rem, n_steps, window, tol = (
-        x[runs] for x in (dt, t_end, n_full, rem, n_steps, window, tol)
-    )
+    # The clock of each run, its own copies: state k stands at t0 + (k - k0) h.
+    h, t_end, end, rem, window, tol = (x[runs] for x in (h, t_end, end, rem, window, tol))
+    k0, t0 = np.zeros((2, runs.size))
     w_max = int(window.max(initial=0))
     block = _block_steps(u.size)
     ring = np.empty((block * (-(-w_max // block) + 1), *u.shape))
@@ -327,26 +329,26 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     redo = False
     k = 0
     while runs.size:
-        n_full_min = float(n_full.min())
         windows = [(w, window == w) for w in np.unique(window[window > 0]).tolist()]
         windows = [(w, slice(None) if m.all() else m) for w, m in windows]
         scratch = None if room is None else room[:block * u.size].reshape(block, *u.shape)
         u_flat = u.reshape(-1)
-        h, solver = dt, None
+        solver = None
         # One error state per stretch of blocks between retirements: overflow
         # in react is reported as a BlowUpError instead.
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
-                last = None
-                if k < n_full_min:
-                    size = 1 if redo else int(min(block, n_full_min - k, len(ring) - k % len(ring)))
-                    t = (k + 1 + np.arange(size))[:, None] * dt
-                else:  # some runs take their remainder step onto t_end
-                    size, last = 1, k + 1 > n_full
-                    h, solver, t = np.where(last, rem, dt), None, np.where(last, t_end, (k + 1) * dt)[None]
+                gap = (end - k).min()
+                if not gap:  # remainder steps: each a grid of one step onto t_end, untested
+                    regrid = end == k
+                    h[regrid], k0[regrid], t0[regrid], end[regrid], rem[regrid], tol[regrid] = (
+                        rem[regrid], k + 1, t_end[regrid], k + 1, 0.0, -np.inf)
+                    solver, gap = None, 1
                 if solver is None:
                     solver, active, walls = _joined_solver([ops[r] for r in runs], h, n)
                     react = rhs(coef, h, u.shape[0])
+                size = 1 if redo else int(min(block, gap, len(ring) - k % len(ring)))
+                t = t0 + ((k + 1 + np.arange(size))[:, None] - k0) * h
                 new = ring[k % len(ring):][:size]
                 failed = {}
                 prev = u_flat
@@ -397,8 +399,6 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
                 settled = np.zeros(runs.size, dtype=bool)
                 if win is not None:
                     hit = win < tol
-                    if last is not None:
-                        hit &= ~last
                     settled = hit.any(axis=0)
                     stop[settled] = hit.argmax(axis=0)[settled] + 1
                 if failed:
@@ -417,7 +417,7 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
                     b = e
                 k += size
                 np.copyto(u, new[-1])
-                done = settled | (k >= n_steps)
+                done = settled | ((k >= end) & (rem == 0))
                 if failed:
                     done[list(failed)] = True
                 if done.any():
@@ -440,8 +440,8 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
         ring = packed
         if ref is not None:
             ref = ref.compress(keep, axis=1)
-        runs, dt, t_end, n_full, rem, n_steps, window, tol = (
-            x[keep] for x in (runs, dt, t_end, n_full, rem, n_steps, window, tol)
+        runs, h, k0, t0, end, rem, t_end, window, tol = (
+            x[keep] for x in (runs, h, k0, t0, end, rem, t_end, window, tol)
         )
 
 

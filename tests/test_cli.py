@@ -319,6 +319,18 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_window_longer_than_the_run(self, tmp_path):
+        """A steady window no run can close allocates nothing for it."""
+        cfg = write_config(tmp_path, {
+            "domain": {"a": 0, "b": 1, "n": 51},
+            "bc": "neumann",
+            "stepper": {"dt": "auto", "t_end": 1, "steady_tol": 1e-7, "steady_window": 10**11},
+            "experiment": {"kind": "sweep", "seed": 11, "count": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert read_report(out)["count"] == 2
+
     def test_fixed_dt_is_clipped_per_scenario(self, tmp_path):
         """A fixed dt above a scenario's stability bound runs at that bound;
         the others run at the given dt."""

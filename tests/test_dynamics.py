@@ -410,6 +410,29 @@ class TestIntegrateMany:
             assert _fields(got) == _fields(alone)
             assert (got.steps, got.steady) == (steps[r], r < 3)
 
+    def test_remainder_steps_beside_full_steps(self):
+        """Runs that take only a remainder step, no step at all, or a
+        remainder step after a few full ones, while another still takes full
+        steps: each gets its solo summary, bit for bit."""
+        cases = _oracle_cases(n=41)
+        dt = min(vh.stability_dt_max(coeffs, state) for state, coeffs, _ in cases)
+        cfgs = [vh.StepperConfig(dt=dt, t_end=0.3 * dt),
+                vh.StepperConfig(dt=dt, t_end=1e-14 * dt),
+                vh.StepperConfig(dt=dt, t_end=7.5 * dt, steady_window=3),
+                vh.StepperConfig(dt=dt / 2, t_end=11.25 * dt)]
+        states, coeffs, bcs = zip(*[cases[r % 3] for r in range(4)])
+        kw = dict(snapshot_times=[0.0, 0.3 * dt, dt, 7.5 * dt, 11.25 * dt])
+
+        finished = list(vh.integrate_many(states, coeffs, bcs, cfgs, **kw))
+        assert [r for r, _ in finished] == [1, 0, 2, 3]
+        for r, got in finished:
+            alone = vh.integrate(states[r], coeffs[r], bcs[r], cfgs[r], **kw)
+            assert _fields(got) == _fields(alone)
+        got = dict(finished)
+        assert [got[r].steps for r in range(4)] == [1, 0, 8, 23]
+        assert [got[r].final.t for r in (0, 2, 3)] == [cfgs[r].t_end for r in (0, 2, 3)]
+        assert _rows(got[1].final).tobytes() == _rows(states[1]).tobytes()
+
     def test_rejected_input_is_recorded(self, neumann):
         mesh = vh.build_mesh(0, 1, 21)
         coeffs = constants_coeffs(mesh)
@@ -754,6 +777,19 @@ class TestTimeGrid:
         cfg = vh.StepperConfig(dt=dt, t_end=n_dt * dt, steady_window=5)
         full = vh.integrate(make_state(mesh, 0.0, v_b, 0.0), coeffs, neumann, cfg)
         assert (full.steady, full.steps) == (steady, 5)
+
+    def test_window_longer_than_the_grid(self, neumann):
+        """A window longer than the run's full steps never closes, and it
+        sizes nothing: 10**12 steps run as 11 do."""
+        mesh = vh.build_mesh(0, 1, 21)
+        coeffs = constants_coeffs(mesh)
+        init = make_state(mesh, 0.1, 0.8, 0.2)
+        got = [vh.integrate(init, coeffs, neumann,
+                            vh.StepperConfig(dt=0.05, t_end=0.5, steady_tol=1.0, steady_window=w),
+                            snapshot_times=[0.25, 0.5])
+               for w in (11, 10**12)]
+        assert _fields(got[0]) == _fields(got[1])
+        assert (got[1].steps, got[1].steady) == (10, False)
 
     @pytest.mark.parametrize("length, remainder", LENGTHS)
     def test_block_boundaries_match_stepping(self, length, remainder):

@@ -5,15 +5,19 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "artifacts.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def artifacts():
-    spec = importlib.util.spec_from_file_location("artifacts", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("artifacts")
 
 
 def write_tree(root, report, rows, extra=()):
@@ -48,3 +52,13 @@ class TestCompare:
     def test_rejects_a_missing_directory(self, artifacts, tmp_path, capsys):
         assert artifacts.main(["--compare", str(tmp_path), str(tmp_path / "absent")]) == 2
         assert "must both be directories" in capsys.readouterr().err
+
+
+class TestSize:
+    def test_counts_lines_and_defaults(self, tmp_path, capsys):
+        package = tmp_path / "src" / "vectorhost"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text("def f(a, b=1, *, c=2):\n    return a + b + c\n\n")
+        assert load("size").main([str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out == f"{tmp_path}: 3 lines in src/vectorhost, 2 parameters with defaults\n"
