@@ -8,6 +8,7 @@ Unknown keys are rejected everywhere.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +86,12 @@ def _require(obj: dict, key: str, path: str):
 def _number(value, path: str, *, integer=False, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities and integers beyond the float range
+        raise ConfigError(path, "must be finite")
     if integer and int(value) != value:
         raise ConfigError(path, f"expected an integer, got {value!r}")
-    if not np.isfinite(value):
-        raise ConfigError(path, "must be finite")
+    if integer and value >= 2**63:
+        raise ConfigError(path, f"must be < 2**63, got {value!r}")
     if positive and value <= 0:
         raise ConfigError(path, f"must be > 0, got {value!r}")
     return int(value) if integer else float(value)

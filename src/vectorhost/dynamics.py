@@ -24,18 +24,20 @@ factors one joined tridiagonal system, block diagonal with one block
 -L_row + 1/dt_run per row, so each run keeps its own dt and gets the bits it
 would get alone.  A step writes W times the right-hand side, W the operators'
 weights (1, or 1/2 at Neumann and Robin walls), straight into a slot of one
-preallocated state ring (the longest closable steady window plus a block
-of B states, about BLOCK_BYTES), for the full system in 12 contiguous 1-D calls
-with W folded into the coefficients, and solves that slot in place with one
-bare dpttrs call.  After each block one vectorized pass finds, per run, the
-first non-finite or negative step, the first settled step and the reference
-distances; the caller's visit gets the block to record order violations,
-observer calls, first times below a tolerance and snapshots, chosen by step
-time.  A non-finite or negative entry sends every run back to the last clean
-step, which is redone alone with the per-step checks below.  A run retires
-when it settles, reaches t_end (its remainder step is a block of one) or
-fails; its later steps in the block are dropped and it is compacted
-out.  integrate_many keeps each snapshot as its time and rows;
+state ring (the longest closable steady window plus a block of B states,
+about BLOCK_BYTES), for the full system in 12 contiguous 1-D calls with W
+folded into the coefficients, and solves that slot in place with one bare
+dpttrs call.  The ring's buffer is allocated once; as runs retire, the ring
+is re-laid inside it with B sized by the runs still marching, so the last
+runs step in longer blocks.  After each block one vectorized pass finds, per
+run, the first non-finite or negative step, the first settled step and the
+reference distances; the caller's visit gets the block to record order
+violations, observer calls, first times below a tolerance and snapshots,
+chosen by step time.  A non-finite or negative entry sends every run back
+to the last clean step, which is redone alone with the per-step checks
+below.  A run retires when it settles, reaches t_end (its remainder step is
+a block of one) or fails; its later steps in the block are dropped and it is
+compacted out.  integrate_many keeps each snapshot as its time and rows;
 TrajectorySummary.snapshots builds the States on access.
 
 The explicit reaction imposes the step bound
@@ -114,8 +116,8 @@ class StepperConfig:
             if not (value > 0 and np.isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
         window = self.steady_window
-        if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
-            raise ValidationError(f"steady_window must be an int >= 1, got {window!r}")
+        if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or not 1 <= window < 2**63:
+            raise ValidationError(f"steady_window must be an int in [1, 2**63), got {window!r}")
 
 
 def _dt_bound(coeffs: CoefficientSet, v_max: float) -> tuple[float, float]:
@@ -274,9 +276,14 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     in place against W(-L + 1/h), row by row, by one bare dpttrs call
     (ShiftedSolve.solve_weighted).
 
-    State k >= 1 sits in ring slot (k - 1) % S and the initial state in slot
-    S - 1; S, a multiple of B, holds the longest steady window that can close
-    plus a block, so a block never wraps.  A block with a non-finite or
+    State k sits in ring slot (k - o) % S, o = 1 at first (the initial state
+    in slot S - 1).  S holds the longest steady window that can close plus a
+    block, and a block stops at the ring's end.  The ring's buffer is
+    allocated once, at the full width; as runs retire, their columns are
+    compacted out and the ring is re-laid in it: B = _block_steps(width), S
+    grown to the longest open window plus B as far as the buffer holds, o
+    moved so the oldest state a window still needs keeps its slot, and the
+    later states past the old end moved on.  A block with a non-finite or
     negative entry is cut before that step, which is then redone as a block
     of one: there a non-finite right-hand side fails its run (zeroed, so the
     joined solve stays finite for the others), negatives in (-1e-14, 0) are
@@ -322,10 +329,12 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     k0, t0 = np.zeros((2, runs.size))
     w_max = int(window.max(initial=0))
     block = _block_steps(u.size)
-    ring = np.empty((block * (-(-w_max // block) + 1), *u.shape))
+    buf = np.empty(block * (-(-w_max // block) + 1) * u.size)  # the ring's one buffer
+    ring = buf.reshape(-1, *u.shape)
+    origin = 1  # state st sits in ring slot (st - origin) % len(ring)
     ring[-1] = u
-    # Room for one block's distance terms, reshaped as runs retire.
-    room = np.empty(block * u.size) if w_max or ref is not None else None
+    # Room for the distance terms of any block, reshaped as runs retire.
+    room = np.empty(max(block * u.size, BLOCK_BYTES // 8)) if w_max or ref is not None else None
     redo = False
     k = 0
     while runs.size:
@@ -347,9 +356,10 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
                 if solver is None:
                     solver, active, walls = _joined_solver([ops[r] for r in runs], h, n)
                     react = rhs(coef, h, u.shape[0])
-                size = 1 if redo else int(min(block, gap, len(ring) - k % len(ring)))
+                at = (k + 1 - origin) % len(ring)
+                size = 1 if redo else int(min(block, gap, len(ring) - at))
                 t = t0 + ((k + 1 + np.arange(size))[:, None] - k0) * h
-                new = ring[k % len(ring):][:size]
+                new = ring[at:][:size]
                 failed = {}
                 prev = u_flat
                 for f in new.reshape(size, -1):  # the block's slots, flat
@@ -373,7 +383,7 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
                     if new.min() < 0.0:
                         for i, err in _clamp(new[0], names).items():
                             failed.setdefault(i, err)
-                elif not (math.isfinite(new.sum()) and new.min() >= 0.0):
+                elif not (new.min() >= 0.0 and new.max() < math.inf):
                     clean = np.isfinite(new).all(axis=(1, 2, 3)) & (new.min(axis=(1, 2, 3)) >= 0.0)
                     if not clean.all():
                         size = int(clean.argmin())  # the steps before the first unclean one
@@ -387,7 +397,7 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
                     for w, members in windows:
                         j = max(0, w - k - 1)  # step k + 1 + j is the first with a full window
                         if j < size:
-                            for o, old in _spans(ring, k + j - w, size - j):
+                            for o, old in _spans(ring, k + 1 + j - w - origin, size - j):
                                 o += j
                                 np.subtract(new[o:o + len(old)], old, out=scratch[o:o + len(old)])
                             d = np.abs(scratch[j:size], out=scratch[j:size])
@@ -431,18 +441,35 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
                 j = stop[i] - 1  # rows: not a view that keeps the ring alive
                 yield runs[i], (new[j, :, i].copy(), float(t[j, i]), int(k - size + stop[i]), bool(settled[i]))
         keep = ~done
+        if not keep.any():
+            return
         u, coef = u.compress(keep, axis=1), coef.compress(keep, axis=1)
         # Compacted in place, slot by slot, so the ring is never held twice:
         # slot s of the narrower ring ends before slot s + 1 of the wider one.
-        packed = ring.reshape(-1)[:len(ring) * u.size].reshape(len(ring), *u.shape)
-        for s in range(len(ring)):
+        old = len(ring)
+        packed = buf[:old * u.size].reshape(old, *u.shape)
+        for s in range(old):
             packed[s] = ring[s].compress(keep, axis=1)
-        ring = packed
         if ref is not None:
             ref = ref.compress(keep, axis=1)
         runs, h, k0, t0, end, rem, t_end, window, tol = (
             x[keep] for x in (runs, h, k0, t0, end, rem, t_end, window, tol)
         )
+        # Re-laid in buf for the narrower width: B sized by it, the ring grown
+        # to hold the longest window and a block, and a, the oldest state a
+        # window can still need, kept in its slot p.  States a + 1..k past the
+        # old ring's end (its slots 0..spill - 1) move shift slots on, up into
+        # new slots, then wrapping down to 0.., chunk by chunk in increasing
+        # order, so each target is free or its state has already moved.
+        w_max, block = int(window.max(initial=0)), _block_steps(u.size)
+        ring = buf[:min(len(buf) // u.size, max(old, w_max + block)) * u.size].reshape(-1, *u.shape)
+        block = min(block, len(ring) - w_max)
+        a = max(0, k + 1 - w_max)
+        p = (a - origin) % old
+        origin, spill, shift = a - p, p + k - a + 1 - old, len(ring) - old
+        for s in range(0, spill, shift) if shift else ():  # a ring that kept its length keeps its slots
+            e, d = min(spill, s + shift), (old + s) % len(ring)
+            ring[d:d + e - s] = ring[s:e]
 
 
 def _weights(op, n: int) -> np.ndarray:

@@ -331,6 +331,21 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert read_report(out)["count"] == 2
 
+    def test_window_beyond_int64_exits_one(self, tmp_path, capsys):
+        """A steady window beyond int64 is one error line, not a traceback."""
+        cfg = write_config(tmp_path, {
+            "domain": {"a": 0, "b": 1, "n": 51},
+            "bc": "neumann",
+            "stepper": {"dt": "auto", "t_end": 1, "steady_tol": 1e-7, "steady_window": 10**20},
+            "experiment": {"kind": "sweep", "seed": 11, "count": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_fixed_dt_is_clipped_per_scenario(self, tmp_path):
         """A fixed dt above a scenario's stability bound runs at that bound;
         the others run at the given dt."""

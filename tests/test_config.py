@@ -186,3 +186,36 @@ class TestParseConfig:
         raw["experiment"]["kind"] = "wizardry"
         with pytest.raises(ConfigError, match="unknown kind"):
             parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("path, text, message", [
+    ("domain.b", "100000000000000000000", None),
+    ("domain.b", "1e400", "must be finite"),
+    ("domain.b", "1" + "0" * 400, "must be finite"),
+    ("domain.n", "Infinity", "must be finite"),
+    ("domain.n", "NaN", "must be finite"),
+    ("domain.n", "1e400", "must be finite"),
+    ("domain.n", "1e20", "must be < 2\\*\\*63"),
+    ("stepper.steady_window", "100000000000000000000", "must be < 2\\*\\*63"),
+    ("stepper.steady_window", str(2**63), "must be < 2\\*\\*63"),
+    ("stepper.steady_window", str(2**63 - 1), None),
+    ("experiment.count", "1" + "0" * 400, "must be finite"),
+    ("experiment.seed", "100000000000000000000", "must be < 2\\*\\*63"),
+], ids=["float-20-digits", "float-1e400", "float-400-digits", "int-Infinity", "int-NaN",
+        "int-1e400", "int-1e20", "int-20-digits", "int-2**63", "int-2**63-1",
+        "count-400-digits", "seed-20-digits"])
+def test_huge_and_non_finite_numbers(path, text, message):
+    """Numbers beyond int64 or the float range, Infinity and NaN are one
+    ConfigError naming their path, never a TypeError, OverflowError or
+    ValueError; a float key takes a 20-digit integer as a float."""
+    raw = full_threshold()
+    raw["experiment"]["count"] = 2
+    section, key = path.split(".")
+    raw[section][key] = "@"
+    text = json.dumps(raw).replace('"@"', text)
+    if message is None:
+        parse_config(text)
+        return
+    with pytest.raises(ConfigError, match=message) as info:
+        parse_config(text)
+    assert info.value.path == path

@@ -94,7 +94,7 @@ class TestStep:
     ("t_end", -1.0), ("t_end", np.nan), ("t_end", np.inf),
     ("steady_tol", 0.0), ("steady_tol", np.nan), ("steady_tol", np.inf),
     ("steady_window", 0), ("steady_window", 2.5), ("steady_window", 50.0),
-    ("steady_window", True),
+    ("steady_window", True), ("steady_window", 2**63),
 ])
 def test_stepper_config_rejects(name, value):
     """A NaN steady_tol would turn the steady stop off, and a steady_window
@@ -594,6 +594,62 @@ class TestMarchClamp:
             assert out[r][0].tobytes() == want_out[r][0].tobytes()
             assert out[r][1:] == (2 * block + 1, 2 * block + 1, False)
         assert sorted(seen) == want_seen
+
+
+class TestRelay:
+    """As runs retire, the state ring is re-laid for the narrower width."""
+
+    def test_blocks_sized_by_the_runs_still_marching(self):
+        """Once the short run retires, the long one steps in blocks longer
+        than B at the width of both runs, and none longer than B at its own."""
+        state, coeffs, bc = _oracle_cases(n=51)[0]
+        dt = vh.stability_dt_max(coeffs, state)
+        ops, rows = dynamics._system(coeffs, bc)
+        lengths = []
+
+        def visit(k, t, new, old, runs, dist):
+            lengths.append((len(runs), len(t)))
+
+        out = dynamics._march(np.repeat(_rows(state)[:, None], 2, axis=1), [ops] * 2,
+                              dynamics.SYSTEM_ROWS, dynamics._system_rhs, np.stack([rows] * 2, axis=1),
+                              [dt] * 2, [5 * dt, 400 * dt], visit, [None] * 2)
+        assert [(r, steps) for r, (_, _, steps, _) in out] == [(0, 5), (1, 400)]
+        assert max(length for runs, length in lengths if runs == 1) > _block_steps(2 * 153)
+        assert max(length for _, length in lengths) <= _block_steps(153)
+
+    # The step at which each run retires: at t_end, or, for the runs in
+    # `settle`, as its steady window closes.  Each settling run's last window
+    # reaches back to a state that a re-lay moved (counted once with a spy in
+    # the re-lay): down to the ring's start, or up into slots the grown ring
+    # gained.  The other re-lays find the states a window needs in place.
+    @pytest.mark.parametrize("ends, settle", [
+        ([20, 40, 60, 80, 300, 550, 700.5, 850], {5, 7}),
+        ([20, 40, 60, 80, 300.5, 500, 700, 850], {6, 7}),
+    ], ids=["stay-down-reads-moved-down", "stay-down-up-reads-moved-up"])
+    def test_relaid_batch_matches_separate_runs(self, ends, settle):
+        """Eight runs at n = 5 on steady windows of 300 steps (200 for the
+        last) retire one by one: each gets its solo summary, bit for bit."""
+        cases = _oracle_cases(n=5)
+        states, coeffs, bcs, cfgs, refs = [], [], [], [], []
+        for r, end in enumerate(ends):
+            state, co, bc = cases[r % 3]
+            dt, w = vh.stability_dt_max(co, state), 200 if r == len(ends) - 1 else 300
+            cfg = vh.StepperConfig(dt=dt, t_end=end * dt, steady_tol=1e-300, steady_window=w)
+            if r in settle:
+                rows = [x for _, x in vh.integrate(state, co, bc, cfg,
+                                                   snapshot_times=np.arange(end + 1) * dt).snapshot_rows]
+                cfg = vh.StepperConfig(dt=dt, t_end=2 * end * dt, steady_window=w,
+                                       steady_tol=_settling_tol(rows, w, end))
+            states.append(state), coeffs.append(co), bcs.append(bc), cfgs.append(cfg)
+            refs.append(None if r % 2 else (state.h_i, state.v_u, state.v_i))
+        kw = dict(snapshot_times=[0.0, 1.0, 5.0, 20.0], reference_tol=1e-3)
+
+        finished = list(vh.integrate_many(states, coeffs, bcs, cfgs, references=refs, **kw))
+        assert [r for r, _ in finished] == list(range(len(ends)))
+        for r, got in finished:
+            assert (got.steps, got.steady) == (np.ceil(ends[r]), r in settle)
+            alone = vh.integrate(states[r], coeffs[r], bcs[r], cfgs[r], reference=refs[r], **kw)
+            assert _fields(got) == _fields(alone)
 
 
 def _oracle_step(state, coeffs, bc, dt):
