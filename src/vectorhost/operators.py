@@ -205,7 +205,8 @@ class ShiftedSolve:
     (dpttrf; a nonpositive pivot raises SingularSystemError), and each solve
     is one dpttrs call for S u = W f on the read-only factors.  The bare
     solve_weighted(b) takes b = W f, already weighted, and writes u into b
-    (a contiguous float64 array, such as one row of a C-ordered 2-D array),
+    (a contiguous float64 array, such as one row of a C-ordered 2-D array,
+    or an F-ordered block of columns, each solved as its own row would be),
     so a loop of solves allocates nothing: the stepping core and the
     monotone sweeps build W f themselves, from W-scaled coefficients.
     solve_active(f) returns u in a fresh array, W f, and leaves f untouched.
@@ -244,9 +245,12 @@ class ShiftedSolve:
         return self.solve_weighted(np.array(f_active, dtype=float) if w is None else f_active * w)
 
     def solve_weighted(self, b: np.ndarray) -> np.ndarray:
-        """Solve S u = b in place and return b, for b = W f already weighted
-        (a contiguous float64 array): one dpttrs call on the factors."""
-        x, info = dpttrs(*self._factors, np.append(b, 0.0) if self._pad else b, overwrite_b=True)
+        """Solve S u = b in place and return b, for b = W f already weighted:
+        a contiguous float64 array of length m, or an F-ordered (m, R) block
+        of R right-hand sides (such as the transpose of a C-ordered (R, m)
+        array), solved column by column in one dpttrs call on the factors."""
+        padded = np.concatenate([b, np.zeros_like(b[:1])]) if self._pad else b
+        x, info = dpttrs(*self._factors, padded, overwrite_b=True)
         if info != 0:
             raise ValueError(f"dpttrs rejected argument {-info}")
         if self._pad:

@@ -11,12 +11,12 @@ Three layers:
     infection equilibrium pair of the perturbed cooperative system, built
     the classical way — a downward monotone iteration from an explicit
     upper-solution pair and an upward one from a small multiple of the
-    principal eigenfunction — then polished by damped Newton, whose line
-    search stops at a trial that is the current iterate and, from a
-    residual already at its round-off floor, tries the full step only;
-    each polished limit must meet the residual gate before the two are
-    held to the agreement tolerance;
-  * monotone_iterate: the sweep engine itself, usable standalone.
+    principal eigenfunction, swept in lockstep — then polished by damped
+    Newton, whose line search stops at a trial that is the current iterate
+    and, from a residual already at its round-off floor, tries the full
+    step only; each polished limit must meet the residual gate before the
+    two are held to the agreement tolerance;
+  * monotone_iterate: one run of the sweep kernel, usable standalone.
 
 Each monotone sweep is one block Gauss-Seidel step with nodewise damping
 potentials (C. V. Pao, Numer. Math. 72, 1995, and 79, 1998):
@@ -35,15 +35,29 @@ iterates fall, so its latest H tops the rest of the run: after sweeps 1,
 faster (Pao allows K to vary from sweep to sweep as long as it bounds
 -df2/dV on the current order interval).
 
-The sweeps run on a stacked state: the iterate and its successor are two
-(2, m) arrays with rows (H, V), allocated once per run with the first two
-factorizations.  Each half-sweep builds its right-hand side W f, W the
-operators' weights, by ufunc calls on W-scaled coefficients into a row of
-the successor (each weight is 1 or 1/2, so W f has the bits of f times
-W) and solves it there in place (one dpttrs call); one min and one max of
-the difference give the direction check and the change, and the scale
-max |u| is taken only for a wrong-way sweep.  Max and min are exact, and the arithmetic keeps the per-component
-order, so the iterates are those of separate H and V arrays bit for bit.
+solve_endemic computes the upper and lower sequences together, as Pao's
+method does (C. V. Pao, Nonlinear Parabolic and Elliptic Equations, 1992):
+one pass sweeps both runs under one K2, and the downward run leads it.
+Every upward iterate lies below the minimal solution, hence below every
+downward iterate, so the downward run's latest H also tops the upward run,
+and the K2 it gives bounds -df2/dV for both: after passes 1, 2, 4, 8, ...
+K2 is re-damped from it, and from the downward limit once that run
+converges, after which the upward run goes on alone.  The downward run is
+thus the standalone one, bit for bit; only the upward run's passes before
+that get a larger K2 than the limit's.
+
+The sweeps run on a stacked (component, run, m) state: the iterate and its
+successor are two (2, R, m) arrays with component rows H and V of shape
+(R, m), laid out with the first two factorizations and again when a run
+retires.  Each half-sweep builds its right-hand side W f, W the operators'
+weights, by ufunc calls on W-scaled coefficients into a component row of
+the successor (each weight is 1 or 1/2, so W f has the bits of f times W)
+and solves all its runs there in place (one dpttrs call on R right-hand
+sides); one min and one max of each run's difference give its direction
+check and its change, and the scale max |u| is taken only for a wrong-way
+sweep.  Max and min are exact, and the arithmetic keeps the per-component
+order, so each run's iterates are those of separate H and V arrays bit
+for bit.
 """
 
 from __future__ import annotations
@@ -280,10 +294,13 @@ def monotone_iterate(
 ) -> MonotoneIteration:
     """Run Gauss-Seidel monotone sweeps from an upper ("down") or lower ("up") pair.
 
-    The damping potentials are K1 = rho and K2 = problem.sweep_potential(h_top),
-    each factored once, except that a "down" run re-damps K2 from its latest
-    H after sweeps 1, 2, 4, 8, ... (see the module docstring; at most 13
-    times before the cap); in between, the sweeps allocate nothing but the
+    The one-run call of the sweep kernel that solve_endemic runs its two
+    iterations through in lockstep; a "down" run is the downward run of
+    solve_endemic bit for bit.  The damping potentials are K1 = rho and
+    K2 = problem.sweep_potential(h_top), each factored once, except that a
+    "down" run re-damps K2 from its latest H after sweeps 1, 2, 4, 8, ...
+    (see the module docstring; at most 13 times before the cap); in
+    between, the sweeps allocate no array of the mesh's size but the
     history.
     h_top is the H component at the top of the order interval; by default
     the starting H for "down", and for "up" the H_bar solving
@@ -317,41 +334,82 @@ def monotone_iterate(
         top = h_start
     else:  # H_bar, the H of the upper-solution pair
         top = _h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
+    (run,) = _monotone_runs(problem, [(h_start, v_start, direction)], top, keep_history)
+    return run
+
+
+def _monotone_runs(problem: EndemicProblem, runs, top: np.ndarray, keep_history: bool):
+    """The sweep kernel: the monotone runs (h0, v0, direction), given on the
+    active nodes, swept in lockstep on one stacked state, with K2 first
+    damped from top; a MonotoneIteration per run, in order.  Each start must
+    be an upper ("down") or lower ("up") solution, checked by the caller.
+
+    Every pass solves the H rows of all runs against one K1 factor and their
+    V rows against one K2 factor.  The first "down" run, if any, leads the
+    damping: after passes 1, 2, 4, 8, ... K2 is re-damped from its latest H,
+    and once it retires from its limit; then no run leads.  Each run keeps
+    its own direction check, change, cap and retirement, and a retired run
+    leaves the state, which is re-laid for the runs still sweeping.
+    """
     k1 = problem.rho
     solve1 = ShiftedSolve(problem.op1, k1)
     w = problem.op1.weights
+    # The coefficient rows once per run, so that each ufunc call of a pass
+    # works on flat arrays of one length: broadcasting costs more.
+    node_coef = (w * problem.s1hu, w * problem.s2, w * problem.muv, problem.v_plus)
+    coef = [np.tile(c, len(runs)) for c in node_coef]
 
     def damp(top):
-        """K2 for the H top, W K2, K2's factor, and mono_coef and k_min of
-        the wrong-way tolerance, the round-off floor of one sweep: evaluating
-        the residual costs eps*stiffness*|u| and the sweep damps it by
-        (M + K)^{-1} ~ 1/min K."""
+        """K2 for the H top, W K2 once per run, K2's factor, and mono_coef
+        and k_min of the wrong-way tolerance, the round-off floor of one
+        sweep: evaluating the residual costs eps*stiffness*|u| and the sweep
+        damps it by (M + K)^{-1} ~ 1/min K."""
         k2 = problem.sweep_potential(top)
         k_min = min(float(k1.min()), float(k2.min()))
         stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
         stiff += max(float(k1.max()), float(k2.max()))
-        return k2, w * k2, ShiftedSolve(problem.op2, k2), 256.0 * np.finfo(float).eps * stiff, k_min
+        w_k2 = np.tile(w * k2, len(runs))
+        return k2, w_k2, ShiftedSolve(problem.op2, k2), 256.0 * np.finfo(float).eps * stiff, k_min
+
+    def lay(u):
+        """The iterate u, a (2, R, m) array with component rows H and V of
+        shape (R, m), and its successor, each as (u, H, V, H^T, V^T) with H
+        and V flat; the difference d, the scratch row and the coefficients
+        for the R runs."""
+        cur, nxt = ((x, x[0].reshape(-1), x[1].reshape(-1), x[0].T, x[1].T) for x in (u, np.empty_like(u)))
+        return cur, nxt, np.empty_like(u), np.empty(u[0].size), (c[: u[0].size] for c in coef)
 
     k2, w_k2, solve2, mono_coef, k_min = damp(top)
-    k_c = float(k2.max())
-    # u and its successor u_new hold rows (H, V) and swap after each
-    # sweep; d and row are scratch (see the module docstring).
-    u = np.stack([h_start, v_start])
-    u_new = np.empty_like(u)
-    cur, nxt = (u, *u), (u_new, *u_new)
-    d = np.empty_like(u)
-    row = np.empty(problem.m)
-    s1hu, s2, muv = w * problem.s1hu, w * problem.s2, w * problem.muv
-    v_plus = problem.v_plus
-    history = [] if keep_history else None
-    change = np.inf
-    converged = False
+    down = [direction == "down" for *_, direction in runs]
+    lead = down.index(True) if any(down) else None  # its index in the state
+    k_c = [float(k2.max())] * len(runs)
+    change = [np.inf] * len(runs)
+    history = [[] if keep_history else None for _ in runs]
+    done = [None] * len(runs)
+    active = list(range(len(runs)))  # the runs still sweeping, in state order
+    start = np.array([[h for h, _, _ in runs], [v for _, v, _ in runs]])
+    cur, nxt, d, row, (s1hu, s2, muv, v_plus) = lay(start)
+    w_k = w_k2[: row.size]  # W K2 for the runs in the state
+
+    def result(r, i, converged):
+        """Run r, at row i of the current iterate, as a MonotoneIteration."""
+        u = cur[0]
+        return MonotoneIteration(
+            ScalarField(problem.mesh, problem.op1.embed(u[0, i])),
+            ScalarField(problem.mesh, problem.op2.embed(u[1, i])),
+            sweep if converged else MAX_SWEEPS,
+            converged,
+            k_c[r],
+            change[r],
+            history[r],
+        )
+
     for sweep in range(1, MAX_SWEEPS + 1):
-        u, h, v = cur
-        u_new, h_new, v_new = nxt
+        u, h, v, _, _ = cur
+        u_new, h_new, v_new, h_cols, v_cols = nxt
         # H half-sweep: f1 + K1 H = sigma1 h_u V, since K1 = rho.
         np.multiply(s1hu, v, out=h_new)
-        solve1.solve_weighted(h_new)
+        solve1.solve_weighted(h_cols)
         # V half-sweep: f2(H_new, V) + K2 V, in the order of problem.reaction.
         np.subtract(v_plus, v, out=v_new)
         np.maximum(v_new, 0.0, out=v_new)
@@ -359,45 +417,56 @@ def monotone_iterate(
         np.multiply(v_new, h_new, out=v_new)
         np.multiply(muv, v, out=row)
         np.subtract(v_new, row, out=v_new)
-        np.multiply(w_k2, v, out=row)
+        np.multiply(w_k, v, out=row)
         np.add(v_new, row, out=v_new)
-        solve2.solve_weighted(v_new)
+        solve2.solve_weighted(v_cols)
         np.subtract(u_new, u, out=d)
-        d_lo, d_hi = float(d.min()), float(d.max())
-        # max(u - u_new) is exactly -d_lo; the tolerance is > 0, so <= 0 passes.
-        violation = d_hi if direction == "down" else -d_lo
-        if not violation <= 0.0:
-            u_scale = 1.0 + float(np.abs(u, out=d).max())
-            if violation > mono_coef * u_scale / k_min:
-                raise MonotonicityError(
-                    f"sweep {sweep} moved {violation:.3e} against the declared direction "
-                    f"(max K2={float(k2.max()):g})"
+        # One min and one max per run: max(u - u_new) is exactly -d_lo.
+        d_lo, d_hi = d.min(axis=(0, 2)).tolist(), d.max(axis=(0, 2)).tolist()
+        retired = []
+        for i, r in enumerate(active):
+            # The tolerance is > 0, so a violation <= 0 passes.
+            violation = d_hi[i] if down[r] else -d_lo[i]
+            if not violation <= 0.0:
+                u_scale = 1.0 + float(np.abs(u[:, i]).max())
+                if violation > mono_coef * u_scale / k_min:
+                    raise MonotonicityError(
+                        f"sweep {sweep} moved {violation:.3e} against the declared direction "
+                        f"(max K2={float(k2.max()):g})"
+                    )
+            change[r] = abs(max(d_hi[i], -d_lo[i]))  # abs(d).max(), never -0.0
+            if change[r] < SWEEP_TOL:
+                retired.append(i)
+            if history[r] is not None:
+                history[r].append(
+                    (
+                        ScalarField(problem.mesh, problem.op1.embed(u_new[0, i])),
+                        ScalarField(problem.mesh, problem.op2.embed(u_new[1, i])),
+                    )
                 )
-        change = abs(max(d_hi, -d_lo))  # abs(d).max(), never -0.0
         cur, nxt = nxt, cur
-        if history is not None:
-            history.append(
-                (
-                    ScalarField(problem.mesh, problem.op1.embed(h_new)),
-                    ScalarField(problem.mesh, problem.op2.embed(v_new)),
-                )
-            )
-        converged = change < SWEEP_TOL
-        if converged:
+        for i in retired:
+            done[active[i]] = result(active[i], i, True)
+        if len(retired) == len(active):
             break
-        if direction == "down" and sweep & (sweep - 1) == 0:  # sweep is a power of 2
-            k2, w_k2, solve2, mono_coef, k_min = damp(h_new)
-            k_c = max(k_c, float(k2.max()))
-    _, h, v = cur
-    return MonotoneIteration(
-        ScalarField(problem.mesh, problem.op1.embed(h)),
-        ScalarField(problem.mesh, problem.op2.embed(v)),
-        sweep if converged else MAX_SWEEPS,
-        converged,
-        k_c,
-        change,
-        history,
-    )
+        # The leader's latest H re-damps K2 after a power-of-2 pass, and its
+        # limit once it retires.
+        if lead is not None and (lead in retired or sweep & (sweep - 1) == 0):
+            k2, w_k2, solve2, mono_coef, k_min = damp(u_new[0, lead])
+            w_k = w_k2[: row.size]
+            for r in active:  # a retired run's result already holds its k_c
+                k_c[r] = max(k_c[r], float(k2.max()))
+            lead = None if lead in retired else lead
+        if retired:
+            keep = [i for i in range(len(active)) if i not in retired]
+            lead = None if lead is None else keep.index(lead)
+            active = [active[i] for i in keep]
+            cur, nxt, d, row, (s1hu, s2, muv, v_plus) = lay(u_new[:, keep])
+            w_k = w_k2[: row.size]
+    else:  # the cap
+        for i, r in enumerate(active):
+            done[r] = result(r, i, False)
+    return done
 
 
 def _newton_polish(problem: EndemicProblem, h: np.ndarray, v: np.ndarray, box: tuple):
@@ -457,12 +526,13 @@ def solve_endemic(
 
     Absent exactly when the system principal eigenvalue is >= 0.  When it
     is negative the equilibrium is bracketed by a downward iteration from
-    (H_bar, V_B + eps w) and an upward one from delta (phi1, phi2).  Both
-    polished limits must pass the residual gate max(RESIDUAL_TOL,
-    4 eps * stiffness * (1 + max |(H, V)|)), the larger of RESIDUAL_TOL and
-    the round-off floor of the infection block, or ConvergenceError is
-    raised; two roots must then agree within AGREEMENT_TOL (uniqueness),
-    and their common value is returned.
+    (H_bar, V_B + eps w) and an upward one from delta (phi1, phi2), swept
+    in lockstep under one K2 that the downward run's latest H sets (see
+    the module docstring).  Both polished limits must pass the residual
+    gate max(RESIDUAL_TOL, 4 eps * stiffness * (1 + max |(H, V)|)), the
+    larger of RESIDUAL_TOL and the round-off floor of the infection block,
+    or ConvergenceError is raised; two roots must then agree within
+    AGREEMENT_TOL (uniqueness), and their common value is returned.
     """
     if bc.kind == DIRICHLET and scalar_eig is None:
         scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
@@ -490,34 +560,26 @@ def solve_endemic(
     upper_v = problem.v_plus
     phi1 = problem.op1.restrict(eigenpair.phi1)
     phi2 = problem.op2.restrict(eigenpair.phi2)
-    delta = None
-    for cand in DELTA_CANDIDATES:
-        lh, lv = cand * phi1, cand * phi2
+    for delta in DELTA_CANDIDATES:
+        lh, lv = delta * phi1, delta * phi2
         fits = bool(
             np.all(lh <= upper_h * (1.0 + 1e-12)) and np.all(lv <= upper_v * (1.0 + 1e-12))
         )
         if fits and problem.is_lower(lh, lv):
-            delta = cand
             break
-    if delta is None:
+    else:
         raise ConvergenceError(
             "no amplitude in {1e-1..1e-8} makes delta*(phi1, phi2) an admissible lower solution"
         )
 
-    down = monotone_iterate(
-        problem,
-        ScalarField(mesh, problem.op1.embed(upper_h)),
-        ScalarField(mesh, problem.op2.embed(upper_v)),
-        "down",
-    )
+    if not problem.is_upper(upper_h, upper_v):
+        raise ValidationError("starting pair is not a valid upper solution")
+    # The downward run from the upper pair leads the shared damping: its H
+    # tops every upward iterate (module docstring).  The delta search
+    # checked the lower pair.
+    down, up = _monotone_runs(problem, [(upper_h, upper_v, "down"), (lh, lv, "up")], upper_h, False)
     down_h = problem.op1.restrict(down.h)
     down_v = problem.op2.restrict(down.v)
-    # The upward iterates stay below the minimal solution, hence below the
-    # downward limit, which is a much lower top of their order interval
-    # than H_bar: a smaller K2 and a far better contraction rate.
-    lo_h = ScalarField(mesh, problem.op1.embed(delta * phi1))
-    lo_v = ScalarField(mesh, problem.op2.embed(delta * phi2))
-    up = monotone_iterate(problem, lo_h, lo_v, "up", h_top=down.h)
     up_h = problem.op1.restrict(up.h)
     up_v = problem.op2.restrict(up.v)
 

@@ -11,8 +11,11 @@ import numpy as np
 import scipy.linalg
 
 import vectorhost as vh
+from vectorhost import verify
+from vectorhost.eigen import EndemicProblem
 from vectorhost.operators import assemble
 
+CLOSURES = (vh.BoundarySpec.neumann(), vh.BoundarySpec.dirichlet(), vh.BoundarySpec.robin(1.0, 0.5))
 CONSTANTS = dict(d1=1.0, d2=1.0, rho=1.0, sigma1=1.0, sigma2=1.0, beta=1.0, mu=1.0, h_u=2.0)
 
 
@@ -20,6 +23,18 @@ def constants_coeffs(mesh, **overrides):
     values = dict(CONSTANTS)
     values.update(overrides)
     return vh.CoefficientSet.from_constants(mesh, **values)
+
+
+def criterion4_scenario(kind_index, seed):
+    """Scenario `seed` of criterion 4's stream for Neumann (0) on [0, 1], or
+    Dirichlet (1) or Robin (2) on [0, 5]: (coeffs, bc, logistic, problem),
+    with problem None when there is no vector equilibrium V_B."""
+    bc = CLOSURES[kind_index]
+    mesh = vh.build_mesh(0, 1.0 if kind_index == 0 else 5.0, 101)
+    rng = np.random.default_rng(np.random.SeedSequence([4, kind_index, seed]))
+    coeffs = verify.random_coefficients(mesh, rng)
+    log = vh.solve_logistic(coeffs, bc)
+    return coeffs, bc, log, EndemicProblem(coeffs, bc, log.v_b) if log.exists else None
 
 
 def make_state(mesh, h, vu, vi, t=0.0):

@@ -361,6 +361,25 @@ class TestFactoredKernel:
             assert shifted.solve_weighted(b) is b
             assert np.array_equal(b, shifted.solve_active(f))
 
+    @pytest.mark.parametrize("n, kind", [(3, "dirichlet"), (4, "dirichlet"), (101, "robin")])
+    def test_block_solve_matches_column_solves(self, n, kind):
+        """solve_weighted on an F-ordered (m, R) block, the transpose of a
+        C-ordered (R, m) array, solves it in place, each column bit for bit
+        as its own 1-D solve; m = 1 runs through the padded factor."""
+        rng = np.random.default_rng([n, 9])
+        mesh = vh.build_mesh(0, 1, n)
+        op = assemble(vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n)), self.BCS[kind])
+        assert op.m == {3: 1, 4: 2, 101: 101}[n]
+        shifted = ShiftedSolve(op, rng.uniform(0, 5, op.m))
+        for runs in (1, 3):
+            rows = rng.normal(size=(runs, op.m))
+            expected = [shifted.solve_weighted(row.copy()) for row in rows]
+            block = rows.T
+            assert block.flags.f_contiguous
+            assert shifted.solve_weighted(block) is block
+            for row, solved in zip(rows, expected, strict=True):
+                assert np.array_equal(row, solved)
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_not_positive_definite_is_singular(self, m):
         zero = SimpleNamespace(diag=np.zeros(m), upper=np.zeros(m - 1), weights=np.ones(m),
