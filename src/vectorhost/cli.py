@@ -120,8 +120,8 @@ def _run_steady(config: RunConfig, out: Path, seed: int) -> int:
         if isinstance(result, EndemicEquilibrium):
             report["endemic_exists"] = True
             report["residual"] = result.residual
-            report["iterations_upper"] = result.iterations_upper
-            report["iterations_lower"] = result.iterations_lower
+            report["passes"] = result.passes
+            report["bracket_width"] = result.bracket_width
             profiles["H_i_star"] = result.h_i.values
             profiles["V_i_star"] = result.v_i.values
         else:

@@ -16,7 +16,7 @@ Rayleigh quotient, with the bracket of the final iterate.  A scalar shift
 sigma < lambda leaves W(-L2 - beta - sigma) definite for the LDL^T factor
 of every tridiagonal solve (operators._factor); the system's shifted
 solves factor the infection block as one LAPACK band matrix
-(operators._factor_block), as the endemic Newton polish does.
+(operators._factor_block), as each pass of the endemic bracket does.
 """
 
 from __future__ import annotations
@@ -232,12 +232,17 @@ class EndemicProblem:
 
     def jacobian(self, h: np.ndarray, v: np.ndarray, shift: float = 0.0):
         """Factor of the residual's Jacobian at (h, v) plus shift on the
-        diagonal: solve(f) on concatenated [h; v] vectors."""
+        diagonal: solve(f) on concatenated [h; v] vectors.  At the kink
+        V = V_B + eps w of (V_B + eps w - V)^+ it is the left derivative,
+        with sigma2 H on the V diagonal wherever V <= V_B + eps w: the one
+        for which the residual's convexity inequality holds from above,
+        where solve_endemic's upper pair starts.  Noda calls it at zero
+        infection, where both one-sided derivatives agree."""
         gap = np.maximum(self.v_plus - v, 0.0)
         return _factor_block(
             self.op1, self.op2,
             self.op1.diag + self.rho + shift, -self.s1hu, -self.s2 * gap,
-            self.op2.diag + (self.muv + self.s2 * h * (gap > 0.0)) + shift,
+            self.op2.diag + (self.muv + self.s2 * h * (v <= self.v_plus)) + shift,
         )
 
 

@@ -56,11 +56,12 @@ class ConvergenceError(VectorHostError):
 
 
 class MonotonicityError(VectorHostError):
-    """A monotone sweep moved the wrong way at some node."""
+    """A monotone sweep moved the wrong way at some node, or a pass of the
+    endemic bracket broke the order its upper and lower pairs must keep."""
 
 
 class UniquenessViolation(VectorHostError):
-    """Downward and upward iteration limits disagree beyond tolerance."""
+    """The upper and lower limits of the endemic bracket disagree beyond tolerance."""
 
 
 class StabilityError(ValidationError):

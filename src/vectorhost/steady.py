@@ -8,15 +8,33 @@ Three layers:
     constant upper bound max(beta/mu);
   * solve_endemic: EndemicAbsent exactly when the system principal
     eigenvalue is >= 0 (the package's one disease-free verdict), else the
-    infection equilibrium pair of the perturbed cooperative system, built
-    the classical way — a downward monotone iteration from an explicit
-    upper-solution pair and an upward one from a small multiple of the
-    principal eigenfunction, swept in lockstep — then polished by damped
-    Newton, whose line search stops at a trial that is the current iterate
-    and, from a residual already at its round-off floor, tries the full
-    step only; each polished limit must meet the residual gate before the
+    infection equilibrium pair of the perturbed cooperative system,
+    enclosed between an upper and a lower solution by monotone Newton;
+    both limits of the enclosure must meet the residual gate before the
     two are held to the agreement tolerance;
-  * monotone_iterate: one run of the sweep kernel, usable standalone.
+  * monotone_iterate: Pao's monotone sweeps from an upper or a lower
+    solution, usable standalone.
+
+The bracket.  G(u) = -L u - f(u), u = (H, V), is EndemicProblem.residual.
+On the order interval 0 <= V <= V_B + eps w its Jacobian is isotone:
+dG2/dH = -sigma2 (V_B + eps w - V) rises with V and dG2/dV = -L2 +
+sigma2 H + mu (V_B - eps w) rises with H.  So G is order-convex, and its
+Jacobian at the positive root is a nonsingular M-matrix.  From the upper
+pair x = (H_bar, V_B + eps w) and the lower pair y = delta (phi1, phi2),
+each pass factors G'(x) once and takes
+
+    x <- x - G'(x)^{-1} G(x)      (Newton)
+    y <- y - G'(x)^{-1} G(y)      (Newton-Fourier)
+
+which keeps y_k <= y_{k+1} <= u* <= x_{k+1} <= x_k and closes the
+enclosure quadratically (J. M. Ortega and W. C. Rheinboldt, Iterative
+Solution of Nonlinear Equations in Several Variables, 1970, 13.3.4 and
+13.3.7).  x starts on the kink V = V_B + eps w of the reaction, where
+the convexity inequality needs the left derivative: EndemicProblem.jacobian
+takes it.  Each pass checks what the theory promises, G(x) >= 0 and
+G(y) <= 0 up to the slack of is_upper/is_lower and y <= x up to the
+round-off that G'(x)^{-1} carries from the residual, and raises
+MonotonicityError where it fails.
 
 Each monotone sweep is one block Gauss-Seidel step with nodewise damping
 potentials (C. V. Pao, Numer. Math. 72, 1995, and 79, 1998):
@@ -35,29 +53,15 @@ iterates fall, so its latest H tops the rest of the run: after sweeps 1,
 faster (Pao allows K to vary from sweep to sweep as long as it bounds
 -df2/dV on the current order interval).
 
-solve_endemic computes the upper and lower sequences together, as Pao's
-method does (C. V. Pao, Nonlinear Parabolic and Elliptic Equations, 1992):
-one pass sweeps both runs under one K2, and the downward run leads it.
-Every upward iterate lies below the minimal solution, hence below every
-downward iterate, so the downward run's latest H also tops the upward run,
-and the K2 it gives bounds -df2/dV for both: after passes 1, 2, 4, 8, ...
-K2 is re-damped from it, and from the downward limit once that run
-converges, after which the upward run goes on alone.  The downward run is
-thus the standalone one, bit for bit; only the upward run's passes before
-that get a larger K2 than the limit's.
-
-The sweeps run on a stacked (component, run, m) state: the iterate and its
-successor are two (2, R, m) arrays with component rows H and V of shape
-(R, m), laid out with the first two factorizations and again when a run
-retires.  Each half-sweep builds its right-hand side W f, W the operators'
-weights, by ufunc calls on W-scaled coefficients into a component row of
-the successor (each weight is 1 or 1/2, so W f has the bits of f times W)
-and solves all its runs there in place (one dpttrs call on R right-hand
-sides); one min and one max of each run's difference give its direction
-check and its change, and the scale max |u| is taken only for a wrong-way
+The sweeps run on a stacked state: the iterate and its successor are two
+(2, m) arrays with rows (H, V), allocated once per run.  Each half-sweep
+builds its right-hand side W f, W the operators' weights, by ufunc calls
+on W-scaled coefficients into a row of the successor (each weight is 1 or
+1/2, so W f has the bits of f times W) and solves it there in place (one
+dpttrs call); one min and one max of the difference give the direction
+check and the change, and the scale max |u| is taken only for a wrong-way
 sweep.  Max and min are exact, and the arithmetic keeps the per-component
-order, so each run's iterates are those of separate H and V arrays bit
-for bit.
+order, so the iterates are those of separate H and V arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -89,8 +93,6 @@ MAX_SWEEPS = 5000
 AGREEMENT_TOL = 2e-8
 RESIDUAL_TOL = 1e-8
 MAX_NEWTON = 60
-POLISH_TOL = 1e-12
-MAX_POLISH = 40
 DELTA_CANDIDATES = tuple(10.0 ** (-k) for k in range(1, 9))
 
 
@@ -113,12 +115,11 @@ class EndemicEquilibrium:
     v_u: ScalarField
     lambda_system: float
     eps: float
-    iterations_upper: int
-    iterations_lower: int
+    passes: int
+    # max(x - y) of the final enclosure y <= u* <= x: below the agreement
+    # tolerance, and <= 0 where the two limits cross by round-off.
+    bracket_width: float
     residual: float
-    # False when that monotone iteration hit its cap and Newton polish rescued it.
-    converged_upper: bool
-    converged_lower: bool
 
 
 @dataclass(frozen=True)
@@ -294,14 +295,12 @@ def monotone_iterate(
 ) -> MonotoneIteration:
     """Run Gauss-Seidel monotone sweeps from an upper ("down") or lower ("up") pair.
 
-    The one-run call of the sweep kernel that solve_endemic runs its two
-    iterations through in lockstep; a "down" run is the downward run of
-    solve_endemic bit for bit.  The damping potentials are K1 = rho and
-    K2 = problem.sweep_potential(h_top), each factored once, except that a
-    "down" run re-damps K2 from its latest H after sweeps 1, 2, 4, 8, ...
-    (see the module docstring; at most 13 times before the cap); in
-    between, the sweeps allocate no array of the mesh's size but the
-    history.
+    Pao's constructive route to the equilibrium that solve_endemic brackets
+    by Newton (see the module docstring).  The damping potentials are
+    K1 = rho and K2 = problem.sweep_potential(h_top), each factored once,
+    except that a "down" run re-damps K2 from its latest H after sweeps 1,
+    2, 4, 8, ... (at most 13 times before the cap); in between, the sweeps
+    allocate nothing but the history.
     h_top is the H component at the top of the order interval; by default
     the starting H for "down", and for "up" the H_bar solving
     (-L1 + rho) H_bar = sigma1 h_u (V_B + eps w).  An h_top below
@@ -334,82 +333,41 @@ def monotone_iterate(
         top = h_start
     else:  # H_bar, the H of the upper-solution pair
         top = _h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
-    (run,) = _monotone_runs(problem, [(h_start, v_start, direction)], top, keep_history)
-    return run
-
-
-def _monotone_runs(problem: EndemicProblem, runs, top: np.ndarray, keep_history: bool):
-    """The sweep kernel: the monotone runs (h0, v0, direction), given on the
-    active nodes, swept in lockstep on one stacked state, with K2 first
-    damped from top; a MonotoneIteration per run, in order.  Each start must
-    be an upper ("down") or lower ("up") solution, checked by the caller.
-
-    Every pass solves the H rows of all runs against one K1 factor and their
-    V rows against one K2 factor.  The first "down" run, if any, leads the
-    damping: after passes 1, 2, 4, 8, ... K2 is re-damped from its latest H,
-    and once it retires from its limit; then no run leads.  Each run keeps
-    its own direction check, change, cap and retirement, and a retired run
-    leaves the state, which is re-laid for the runs still sweeping.
-    """
     k1 = problem.rho
     solve1 = ShiftedSolve(problem.op1, k1)
     w = problem.op1.weights
-    # The coefficient rows once per run, so that each ufunc call of a pass
-    # works on flat arrays of one length: broadcasting costs more.
-    node_coef = (w * problem.s1hu, w * problem.s2, w * problem.muv, problem.v_plus)
-    coef = [np.tile(c, len(runs)) for c in node_coef]
 
     def damp(top):
-        """K2 for the H top, W K2 once per run, K2's factor, and mono_coef
-        and k_min of the wrong-way tolerance, the round-off floor of one
-        sweep: evaluating the residual costs eps*stiffness*|u| and the sweep
-        damps it by (M + K)^{-1} ~ 1/min K."""
+        """K2 for the H top, W K2, K2's factor, and mono_coef and k_min of
+        the wrong-way tolerance, the round-off floor of one sweep: evaluating
+        the residual costs eps*stiffness*|u| and the sweep damps it by
+        (M + K)^{-1} ~ 1/min K."""
         k2 = problem.sweep_potential(top)
         k_min = min(float(k1.min()), float(k2.min()))
         stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
         stiff += max(float(k1.max()), float(k2.max()))
-        w_k2 = np.tile(w * k2, len(runs))
-        return k2, w_k2, ShiftedSolve(problem.op2, k2), 256.0 * np.finfo(float).eps * stiff, k_min
-
-    def lay(u):
-        """The iterate u, a (2, R, m) array with component rows H and V of
-        shape (R, m), and its successor, each as (u, H, V, H^T, V^T) with H
-        and V flat; the difference d, the scratch row and the coefficients
-        for the R runs."""
-        cur, nxt = ((x, x[0].reshape(-1), x[1].reshape(-1), x[0].T, x[1].T) for x in (u, np.empty_like(u)))
-        return cur, nxt, np.empty_like(u), np.empty(u[0].size), (c[: u[0].size] for c in coef)
+        return k2, w * k2, ShiftedSolve(problem.op2, k2), 256.0 * np.finfo(float).eps * stiff, k_min
 
     k2, w_k2, solve2, mono_coef, k_min = damp(top)
-    down = [direction == "down" for *_, direction in runs]
-    lead = down.index(True) if any(down) else None  # its index in the state
-    k_c = [float(k2.max())] * len(runs)
-    change = [np.inf] * len(runs)
-    history = [[] if keep_history else None for _ in runs]
-    done = [None] * len(runs)
-    active = list(range(len(runs)))  # the runs still sweeping, in state order
-    start = np.array([[h for h, _, _ in runs], [v for _, v, _ in runs]])
-    cur, nxt, d, row, (s1hu, s2, muv, v_plus) = lay(start)
-    w_k = w_k2[: row.size]  # W K2 for the runs in the state
-
-    def result(r, i, converged):
-        """Run r, at row i of the current iterate, as a MonotoneIteration."""
-        u = cur[0]
-        return MonotoneIteration(
-            ScalarField(problem.mesh, problem.op1.embed(u[0, i])),
-            ScalarField(problem.mesh, problem.op2.embed(u[1, i])),
-            sweep if converged else MAX_SWEEPS,
-            converged,
-            k_c[r],
-            change[r],
-            history[r],
-        )
-
+    k_c = float(k2.max())
+    # u and its successor u_new hold rows (H, V) and swap after each
+    # sweep; d and row are scratch (see the module docstring).
+    u = np.stack([h_start, v_start])
+    u_new = np.empty_like(u)
+    cur, nxt = (u, *u), (u_new, *u_new)
+    d = np.empty_like(u)
+    row = np.empty(problem.m)
+    s1hu, s2, muv = w * problem.s1hu, w * problem.s2, w * problem.muv
+    v_plus = problem.v_plus
+    history = [] if keep_history else None
+    change = np.inf
+    converged = False
     for sweep in range(1, MAX_SWEEPS + 1):
-        u, h, v, _, _ = cur
-        u_new, h_new, v_new, h_cols, v_cols = nxt
+        u, h, v = cur
+        u_new, h_new, v_new = nxt
         # H half-sweep: f1 + K1 H = sigma1 h_u V, since K1 = rho.
         np.multiply(s1hu, v, out=h_new)
-        solve1.solve_weighted(h_cols)
+        solve1.solve_weighted(h_new)
         # V half-sweep: f2(H_new, V) + K2 V, in the order of problem.reaction.
         np.subtract(v_plus, v, out=v_new)
         np.maximum(v_new, 0.0, out=v_new)
@@ -417,100 +375,92 @@ def _monotone_runs(problem: EndemicProblem, runs, top: np.ndarray, keep_history:
         np.multiply(v_new, h_new, out=v_new)
         np.multiply(muv, v, out=row)
         np.subtract(v_new, row, out=v_new)
-        np.multiply(w_k, v, out=row)
+        np.multiply(w_k2, v, out=row)
         np.add(v_new, row, out=v_new)
-        solve2.solve_weighted(v_cols)
+        solve2.solve_weighted(v_new)
         np.subtract(u_new, u, out=d)
-        # One min and one max per run: max(u - u_new) is exactly -d_lo.
-        d_lo, d_hi = d.min(axis=(0, 2)).tolist(), d.max(axis=(0, 2)).tolist()
-        retired = []
-        for i, r in enumerate(active):
-            # The tolerance is > 0, so a violation <= 0 passes.
-            violation = d_hi[i] if down[r] else -d_lo[i]
-            if not violation <= 0.0:
-                u_scale = 1.0 + float(np.abs(u[:, i]).max())
-                if violation > mono_coef * u_scale / k_min:
-                    raise MonotonicityError(
-                        f"sweep {sweep} moved {violation:.3e} against the declared direction "
-                        f"(max K2={float(k2.max()):g})"
-                    )
-            change[r] = abs(max(d_hi[i], -d_lo[i]))  # abs(d).max(), never -0.0
-            if change[r] < SWEEP_TOL:
-                retired.append(i)
-            if history[r] is not None:
-                history[r].append(
-                    (
-                        ScalarField(problem.mesh, problem.op1.embed(u_new[0, i])),
-                        ScalarField(problem.mesh, problem.op2.embed(u_new[1, i])),
-                    )
+        d_lo, d_hi = float(d.min()), float(d.max())
+        # max(u - u_new) is exactly -d_lo; the tolerance is > 0, so <= 0 passes.
+        violation = d_hi if direction == "down" else -d_lo
+        if not violation <= 0.0:
+            u_scale = 1.0 + float(np.abs(u, out=d).max())
+            if violation > mono_coef * u_scale / k_min:
+                raise MonotonicityError(
+                    f"sweep {sweep} moved {violation:.3e} against the declared direction "
+                    f"(max K2={float(k2.max()):g})"
                 )
+        change = abs(max(d_hi, -d_lo))  # abs(d).max(), never -0.0
         cur, nxt = nxt, cur
-        for i in retired:
-            done[active[i]] = result(active[i], i, True)
-        if len(retired) == len(active):
+        if history is not None:
+            history.append(
+                (
+                    ScalarField(problem.mesh, problem.op1.embed(h_new)),
+                    ScalarField(problem.mesh, problem.op2.embed(v_new)),
+                )
+            )
+        converged = change < SWEEP_TOL
+        if converged:
             break
-        # The leader's latest H re-damps K2 after a power-of-2 pass, and its
-        # limit once it retires.
-        if lead is not None and (lead in retired or sweep & (sweep - 1) == 0):
-            k2, w_k2, solve2, mono_coef, k_min = damp(u_new[0, lead])
-            w_k = w_k2[: row.size]
-            for r in active:  # a retired run's result already holds its k_c
-                k_c[r] = max(k_c[r], float(k2.max()))
-            lead = None if lead in retired else lead
-        if retired:
-            keep = [i for i in range(len(active)) if i not in retired]
-            lead = None if lead is None else keep.index(lead)
-            active = [active[i] for i in keep]
-            cur, nxt, d, row, (s1hu, s2, muv, v_plus) = lay(u_new[:, keep])
-            w_k = w_k2[: row.size]
-    else:  # the cap
-        for i, r in enumerate(active):
-            done[r] = result(r, i, False)
-    return done
+        if direction == "down" and sweep & (sweep - 1) == 0:  # sweep is a power of 2
+            k2, w_k2, solve2, mono_coef, k_min = damp(h_new)
+            k_c = max(k_c, float(k2.max()))
+    _, h, v = cur
+    return MonotoneIteration(
+        ScalarField(problem.mesh, problem.op1.embed(h)),
+        ScalarField(problem.mesh, problem.op2.embed(v)),
+        sweep if converged else MAX_SWEEPS,
+        converged,
+        k_c,
+        change,
+        history,
+    )
 
 
-def _newton_polish(problem: EndemicProblem, h: np.ndarray, v: np.ndarray, box: tuple):
-    """Drive the coupled residual to (near) round-off from a good start.
+def _bracket(problem: EndemicProblem, x: np.ndarray, y: np.ndarray):
+    """Close the enclosure y <= u* <= x of the positive root by monotone
+    Newton (module docstring), from an upper pair x and a lower pair y
+    below it, each the concatenated [H; V] on the active nodes.
 
-    Newton stops at POLISH_TOL, after MAX_POLISH steps, or once a step no
-    longer lowers the sup residual.  The line search halves down to 2^-20
-    but stops at a clipped trial equal to the iterate: alpha is a power of
-    two and rounding and clipping are monotone, so each shorter trial is
-    that point too and is rejected.  From a residual at or below
-    problem.roundoff(h, v) it tries the full step only, and a rejected full
-    step ends the polish: below that floor a shorter step lowers the
-    residual only by the luck of its rounding.  box = ((h_lo, v_lo),
-    (h_hi, v_hi)) clamps the iterates into an order interval known to
-    contain the target root; a strictly positive lower bound keeps Newton
-    out of the basin of the zero solution.
+    Returns (x, y, passes, width, residual): the final pairs, the number of
+    passes (block factors), the width max(x - y) and the larger sup
+    residual of the two.  Stops once the width is <= 1e-13 (1 + max |x|),
+    or after a pass that moved neither pair.  An upper pair with a residual
+    below -slack, a lower pair with one above slack (the slack of
+    is_upper/is_lower) or a lower pair above the upper by more than the
+    round-off roundoff(x) * max(G'(x)^{-1} 1), taken only for such an
+    overlap, raises MonotonicityError; MAX_NEWTON passes raise
+    ConvergenceError.
     """
-    (h_lo, v_lo), (h_hi, v_hi) = box
-    r1, r2 = problem.residual(h, v)
-    rn = float(max(np.abs(r1).max(), np.abs(r2).max()))
     m = problem.m
-    for _ in range(MAX_POLISH):
-        if rn <= POLISH_TOL:
-            break
-        delta = problem.jacobian(h, v)(-np.concatenate([r1, r2]))
-        alpha = 1.0
-        stop = 0.5 if rn <= problem.roundoff(h, v) else 2.0 ** -20  # 1 or 20 trials
-        improved = False
-        while alpha > stop:
-            h_t = np.clip(h + alpha * delta[:m], h_lo, h_hi)
-            v_t = np.clip(v + alpha * delta[m:], v_lo, v_hi)
-            # This trial and every shorter one are the iterate: all rejected.
-            if np.array_equal(h_t, h) and np.array_equal(v_t, v):
-                break
-            r1_t, r2_t = problem.residual(h_t, v_t)
-            rn_t = float(max(np.abs(r1_t).max(), np.abs(r2_t).max()))
-            if rn_t < rn:
-                h, v, r1, r2, rn = h_t, v_t, r1_t, r2_t, rn_t
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            break
-    return h, v, rn
+    still = False
+    for passes in range(MAX_NEWTON + 1):
+        gx = np.concatenate(problem.residual(x[:m], x[m:]))
+        gy = np.concatenate(problem.residual(y[:m], y[m:]))
+        low, high = float(gx.min()), float(gy.max())
+        if low < 0.0 and low < -problem._slack(x[:m], x[m:], gx[:m], gx[m:]):
+            raise MonotonicityError(f"bracket pass {passes}: the upper pair has a residual of {low:.3e}")
+        if high > 0.0 and high > problem._slack(y[:m], y[m:], gy[:m], gy[m:]):
+            raise MonotonicityError(f"bracket pass {passes}: the lower pair has a residual of {high:.3e}")
+        width = float((x - y).max())
+        if still or width <= 1e-13 * (1.0 + float(np.abs(x).max())):
+            return x, y, passes, width, float(max(np.abs(gx).max(), np.abs(gy).max()))
+        if passes == MAX_NEWTON:
+            raise ConvergenceError(
+                f"endemic bracket hit its cap of {MAX_NEWTON} passes at width {width:.3e}",
+                residual=float(max(np.abs(gx).max(), np.abs(gy).max())),
+            )
+        solve = problem.jacobian(x[:m], x[m:])
+        x_new, y_new = x - solve(gx), y - solve(gy)
+        overlap = float((y_new - x_new).max())
+        if overlap > 0.0:
+            # G'(x) is an M-matrix, so G'(x)^{-1} 1 >= 0 gives its sup norm.
+            tol = problem.roundoff(x_new[:m], x_new[m:]) * float(solve(np.ones(2 * m)).max())
+            if overlap > tol:
+                raise MonotonicityError(
+                    f"bracket pass {passes + 1}: the lower pair tops the upper by {overlap:.3e}"
+                )
+        still = np.array_equal(x_new, x) and np.array_equal(y_new, y)
+        x, y = x_new, y_new
 
 
 def solve_endemic(
@@ -525,14 +475,15 @@ def solve_endemic(
     """Positive equilibrium of the perturbed infection system, or Absent.
 
     Absent exactly when the system principal eigenvalue is >= 0.  When it
-    is negative the equilibrium is bracketed by a downward iteration from
-    (H_bar, V_B + eps w) and an upward one from delta (phi1, phi2), swept
-    in lockstep under one K2 that the downward run's latest H sets (see
-    the module docstring).  Both polished limits must pass the residual
-    gate max(RESIDUAL_TOL, 4 eps * stiffness * (1 + max |(H, V)|)), the
-    larger of RESIDUAL_TOL and the round-off floor of the infection block,
-    or ConvergenceError is raised; two roots must then agree within
-    AGREEMENT_TOL (uniqueness), and their common value is returned.
+    is negative the equilibrium is enclosed by monotone Newton from the
+    upper pair (H_bar, V_B + eps w) and Newton-Fourier from the lower pair
+    delta (phi1, phi2), the largest delta in DELTA_CANDIDATES that gives a
+    lower solution below the upper pair (see the module docstring and
+    _bracket).  Both limits must pass the residual gate
+    max(RESIDUAL_TOL, 4 eps * stiffness * (1 + max |(H, V)|)), the larger
+    of RESIDUAL_TOL and the round-off floor of the infection block, or
+    ConvergenceError is raised; the two roots must then agree within
+    AGREEMENT_TOL (uniqueness), and the upper one is returned.
     """
     if bc.kind == DIRICHLET and scalar_eig is None:
         scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
@@ -574,37 +525,18 @@ def solve_endemic(
 
     if not problem.is_upper(upper_h, upper_v):
         raise ValidationError("starting pair is not a valid upper solution")
-    # The downward run from the upper pair leads the shared damping: its H
-    # tops every upward iterate (module docstring).  The delta search
-    # checked the lower pair.
-    down, up = _monotone_runs(problem, [(upper_h, upper_v, "down"), (lh, lv, "up")], upper_h, False)
-    down_h = problem.op1.restrict(down.h)
-    down_v = problem.op2.restrict(down.v)
-    up_h = problem.op1.restrict(up.h)
-    up_v = problem.op2.restrict(up.v)
-
-    # Polish inside order intervals that bracket the positive root and
-    # exclude zero, so Newton cannot drift to the trivial solution.
-    hd, vd, rd = _newton_polish(problem, down_h, down_v, ((up_h, up_v), (upper_h, upper_v)))
-    hu, vu_, ru = _newton_polish(
-        problem, up_h, up_v, ((up_h, up_v), (np.maximum(down_h, hd), np.maximum(down_v, vd)))
-    )
-    res = max(rd, ru)
+    # The delta search checked the lower pair.
+    x, y, passes, width, res = _bracket(problem, np.concatenate([upper_h, upper_v]), np.concatenate([lh, lv]))
+    m = problem.m
+    hd, vd = x[:m], x[m:]
     # Evaluating -L u costs round-off that grows with the stencil.  Only
     # two limits that are both roots can speak against uniqueness.
-    roots = res <= max(RESIDUAL_TOL, problem.roundoff(hd, vd))
-    disagreement = max(float(np.abs(hd - hu).max()), float(np.abs(vd - vu_).max()))
-    if not roots or disagreement > AGREEMENT_TOL:
-        capped = [name for name, it in (("downward", down), ("upward", up)) if not it.converged]
-        if capped:  # a cap hit, not evidence against uniqueness
-            raise ConvergenceError(
-                f"{capped[0]} monotone iteration hit its cap of {MAX_SWEEPS} sweeps; "
-                f"polished limits disagree by {disagreement:.3e}"
-            )
-        if not roots:
-            raise ConvergenceError("endemic equilibrium residual above tolerance", residual=res)
+    if res > max(RESIDUAL_TOL, problem.roundoff(hd, vd)):
+        raise ConvergenceError("endemic equilibrium residual above tolerance", residual=res)
+    disagreement = float(np.abs(x - y).max())
+    if disagreement > AGREEMENT_TOL:
         raise UniquenessViolation(
-            f"down/up limits disagree by {disagreement:.3e} (> {AGREEMENT_TOL:g}); "
+            f"upper/lower limits disagree by {disagreement:.3e} (> {AGREEMENT_TOL:g}); "
             "this contradicts uniqueness of the positive equilibrium"
         )
 
@@ -622,9 +554,7 @@ def solve_endemic(
         v_u=ScalarField(mesh, v_b.values - v_full),
         lambda_system=lam,
         eps=eps,
-        iterations_upper=down.sweeps,
-        iterations_lower=up.sweeps,
+        passes=passes,
+        bracket_width=width,
         residual=res,
-        converged_upper=down.converged,
-        converged_lower=up.converged,
     )

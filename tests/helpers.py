@@ -37,6 +37,23 @@ def criterion4_scenario(kind_index, seed):
     return coeffs, bc, log, EndemicProblem(coeffs, bc, log.v_b) if log.exists else None
 
 
+def criterion4_panel():
+    """Criterion 4's panel as its acceptance test builds it: the first 50
+    scenarios of each closure with a vector equilibrium and
+    |lambda_system| > 1e-3, as (coeffs, bc, logistic, system eigenpair)."""
+    for kind_index in range(3):
+        count, seed = 0, 0
+        while count < 50:
+            seed += 1
+            coeffs, bc, log, problem = criterion4_scenario(kind_index, seed)
+            if problem is None:
+                continue
+            eig = vh.principal_eigen_system(coeffs, log.v_b, bc)
+            if abs(eig.lam) > 1e-3:
+                count += 1
+                yield coeffs, bc, log, eig
+
+
 def make_state(mesh, h, vu, vi, t=0.0):
     def f(v):
         return v if isinstance(v, vh.ScalarField) else vh.field_from_constant(mesh, v)
@@ -115,3 +132,30 @@ def refined_system_lambda(coeffs, v_b, bc):
     rows, cols = np.nonzero(a)
     num = sum(Fraction(y[r]) * Fraction(a[r, c]) * Fraction(v[c]) for r, c in zip(rows, cols))
     return float(num / sum(Fraction(p) * Fraction(q) for p, q in zip(y, v)))
+
+
+def dense_endemic_newton(coeffs, v_b, bc, eps=0.0, weight=None):
+    """The positive endemic equilibrium (H, V) on the active nodes by plain
+    Newton on the dense residual, built here from the coefficients and
+    dense_matrix, with numpy.linalg.solve on its dense Jacobian.  It starts
+    from the upper pair (H_bar, V_B + eps w), so its iterates fall and stay
+    in V <= V_B + eps w, where the reaction is smooth.  It stops once a step
+    is below 1e-12 of the iterate's scale: by quadratic convergence the
+    error left is about that step squared, below round-off."""
+    w = 1.0 if weight is None else weight.values
+    op1, op2 = assemble(coeffs.d1, bc), assemble(coeffs.d2, bc)
+    sl = op1.sl
+    a1 = dense_matrix(op1) + np.diag(coeffs.rho.values[sl])
+    a2 = dense_matrix(op2) + np.diag((coeffs.mu.values * (v_b.values - eps * w))[sl])
+    s1hu = (coeffs.sigma1.values * coeffs.h_u.values)[sl]
+    s2 = coeffs.sigma2.values[sl]
+    v_plus = (v_b.values + eps * w)[sl]
+    h, v = np.linalg.solve(a1, s1hu * v_plus), v_plus.copy()
+    for _ in range(100):
+        g = np.concatenate([a1 @ h - s1hu * v, a2 @ v - s2 * (v_plus - v) * h])
+        jac = np.block([[a1, -np.diag(s1hu)], [-np.diag(s2 * (v_plus - v)), a2 + np.diag(s2 * h)]])
+        step = np.linalg.solve(jac, g)
+        h, v = h - step[: h.size], v - step[h.size :]
+        if np.abs(step).max() <= 1e-12 * (1.0 + max(np.abs(h).max(), np.abs(v).max())):
+            return h, v
+    raise AssertionError("dense Newton did not converge")

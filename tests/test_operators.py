@@ -501,16 +501,19 @@ class TestBlockMatrix:
         problem = EndemicProblem(coeffs, bc, v_b)
         m = problem.m
 
-        # A Newton point with both gap > 0 and gap = 0 nodes.
+        # A Newton point with nodes below, on and above the kink V = V_B + eps w
+        # of (V_B + eps w - V)^+, whose left derivative the Jacobian takes.
         h = rng.uniform(0.1, 2.0, m)
         v = problem.v_plus * rng.uniform(0.2, 1.0, m)
+        v[1::7] = 1.1 * problem.v_plus[1::7]
         v[::3] = problem.v_plus[::3]
         gap = np.maximum(problem.v_plus - v, 0.0)
-        assert (gap > 0).any() and (gap == 0).any()
+        below = v <= problem.v_plus
+        assert (gap > 0).any() and (v == problem.v_plus).any() and not below.all()
         a = dense_block(
             problem.op1, problem.op2,
             problem.op1.diag + problem.rho, -problem.s1hu, -problem.s2 * gap,
-            problem.op2.diag + problem.muv + problem.s2 * h * (gap > 0),
+            problem.op2.diag + problem.muv + problem.s2 * h * below,
         )
         assert_solves_dense(problem.jacobian(h, v), a, rng)
 

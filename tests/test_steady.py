@@ -17,10 +17,8 @@ from vectorhost.errors import (
     MonotonicityError,
     ValidationError,
 )
-from vectorhost.operators import ShiftedSolve
+from vectorhost.operators import ShiftedSolve, _factor_block
 from vectorhost.steady import (
-    MAX_POLISH,
-    POLISH_TOL,
     SWEEP_TOL,
     EndemicProblem,
     check_eps_admissibility,
@@ -28,7 +26,7 @@ from vectorhost.steady import (
     monotone_iterate,
 )
 
-from helpers import CLOSURES, constants_coeffs, criterion4_scenario
+from helpers import CLOSURES, constants_coeffs, criterion4_panel, criterion4_scenario, dense_endemic_newton
 
 
 class TestLogistic:
@@ -416,17 +414,12 @@ class TestNodewiseSweeps:
             monotone_iterate(problem, h_bar, log.v_b, "down", h_top=vh.field_from_constant(mesh, 0.0))
 
 
-def reference_monotone(problem, h0, v0, direction, *, h_top=None, redamp=None, history=None):
+def reference_monotone(problem, h0, v0, direction, *, h_top=None):
     """The sweeps of monotone_iterate written per component, with fresh
     arrays and separate H and V reductions, re-damping a "down" run from its
     H after sweeps 1, 2, 4, 8, ...: its active-node history, sweeps,
     converged, k_c and final change, or the MonotonicityError it raises.
-
-    redamp maps a sweep to the H that K2 is re-damped from after it, in
-    place of that rule: the schedule that a paired downward run sets (see
-    pair_schedule).  A given history list receives the iterates, so it
-    holds those before a wrong-way sweep too.  The cap is steady.MAX_SWEEPS
-    at the time of the call."""
+    The cap is steady.MAX_SWEEPS at the time of the call."""
     h_start, v_start = problem.op1.restrict(h0), problem.op2.restrict(v0)
     if h_top is not None:
         top = problem.op1.restrict(h_top)
@@ -438,17 +431,10 @@ def reference_monotone(problem, h0, v0, direction, *, h_top=None, redamp=None, h
     s1 = ShiftedSolve(problem.op1, k1)
     k_c = -np.inf
     h, v = h_start.copy(), v_start.copy()
-    history = [] if history is None else history
-    change, converged = np.inf, False
+    history, change, converged = [], np.inf, False
     for sweep in range(1, steady.MAX_SWEEPS + 1):
-        if redamp is not None:
-            damp_from = top if sweep == 1 else redamp.get(sweep - 1)
-        elif sweep == 1 or (direction == "down" and math.log2(sweep - 1).is_integer()):
-            damp_from = top if sweep == 1 else h
-        else:
-            damp_from = None
-        if damp_from is not None:
-            k2 = problem.sweep_potential(damp_from)
+        if sweep == 1 or (direction == "down" and math.log2(sweep - 1).is_integer()):
+            k2 = problem.sweep_potential(top if sweep == 1 else h)
             s2 = ShiftedSolve(problem.op2, k2)
             k_c = max(k_c, float(k2.max()))
             k_min = min(float(k1.min()), float(k2.min()))
@@ -477,25 +463,17 @@ def reference_monotone(problem, h0, v0, direction, *, h_top=None, redamp=None, h
     return history, sweep if converged else steady.MAX_SWEEPS, converged, k_c, change
 
 
-def pair_schedule(history, converged):
-    """The K2 schedule that a downward run with this history sets for an
-    upward run swept in lockstep with it: its H after sweeps 1, 2, 4, ...,
-    and its limit after its last sweep once it has converged."""
-    redamp = {k: history[k - 1][0] for k in range(1, len(history) + 1) if k & (k - 1) == 0}
-    if converged:
-        redamp[len(history)] = history[-1][0]
-    return redamp
-
-
 class TestMonotoneSweepOracle:
-    """The stacked, allocation-free sweep kernel reproduces the per-component
-    sweeps bit for bit: every iterate, the sweep count, the stop reason,
-    K_c and the final change, and the error of a wrong-way sweep."""
+    """The allocation-free sweep kernel reproduces the per-component sweeps
+    bit for bit: every iterate, the sweep count, the stop reason, K_c and
+    the final change, and the error of a wrong-way sweep."""
 
     @staticmethod
-    def assert_is(problem, run, ref):
-        """run returned the reference's iterates, sweeps, stop, K_c and change."""
-        history, sweeps, converged, k_c, change = ref
+    def assert_matches(problem, h0, v0, direction, **kwargs):
+        """monotone_iterate returns the reference's iterates, sweeps, stop,
+        K_c and change."""
+        history, sweeps, converged, k_c, change = reference_monotone(problem, h0, v0, direction, **kwargs)
+        run = monotone_iterate(problem, h0, v0, direction, keep_history=True, **kwargs)
         assert (run.sweeps, run.converged, run.k_c) == (sweeps, converged, k_c)
         assert run.final_change.hex() == change.hex()  # the sign of a zero too
         assert len(run.history) == len(history)
@@ -504,32 +482,7 @@ class TestMonotoneSweepOracle:
             assert np.array_equal(v.values, problem.op2.embed(v_ref))
         assert np.array_equal(run.h.values, run.history[-1][0].values)
         assert np.array_equal(run.v.values, run.history[-1][1].values)
-
-    def assert_matches(self, problem, h0, v0, direction, **kwargs):
-        run = monotone_iterate(problem, h0, v0, direction, keep_history=True, **kwargs)
-        self.assert_is(problem, run, reference_monotone(problem, h0, v0, direction, **kwargs))
         return run
-
-    @staticmethod
-    def pair(problem, upper, lower, h_bar, keep_history):
-        """The downward run from upper and the upward run from lower, swept
-        in lockstep with K2 first damped from h_bar, as solve_endemic runs
-        them."""
-        (uh, uv), (lh, lv) = upper, lower
-        restrict1, restrict2 = problem.op1.restrict, problem.op2.restrict
-        runs = [(restrict1(uh), restrict2(uv), "down"), (restrict1(lh), restrict2(lv), "up")]
-        return steady._monotone_runs(problem, runs, restrict1(h_bar), keep_history)
-
-    def assert_pair_matches(self, problem, upper, lower, h_bar):
-        """The pair's downward run is the standalone one, bit for bit, and its
-        upward run the reference under the schedule the downward run sets."""
-        down, up = self.pair(problem, upper, lower, h_bar, True)
-        ref_down = reference_monotone(problem, *upper, "down")
-        self.assert_is(problem, down, ref_down)
-        self.assert_is(problem, monotone_iterate(problem, *upper, "down", keep_history=True), ref_down)
-        redamp = pair_schedule(ref_down[0], ref_down[2])
-        self.assert_is(problem, up, reference_monotone(problem, *lower, "up", h_top=h_bar, redamp=redamp))
-        return down, up
 
     @staticmethod
     def lower_pair(coeffs, log, bc, amplitude=1e-2):
@@ -551,69 +504,20 @@ class TestMonotoneSweepOracle:
         self.assert_matches(problem, lo_h, lo_v, "up")
         self.assert_matches(problem, lo_h, lo_v, "up", h_top=down.h)
 
-    @pytest.mark.parametrize("kind_index, seed", [(0, 2), (1, 5), (2, 6)])
-    def test_down_and_up_in_lockstep(self, kind_index, seed):
-        """The pair of solve_endemic: the upward run, damped first from H_bar,
-        then from the downward run's H after passes 1, 2, 4, ... and from its
-        limit, goes on alone after the downward run retires."""
-        coeffs, bc, log, problem = criterion4_scenario(kind_index, seed)
-        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
-        lower = self.lower_pair(coeffs, log, bc)
-        down, up = self.assert_pair_matches(problem, (h_bar, log.v_b), lower, h_bar)
-        assert down.converged and up.converged and up.sweeps > down.sweeps
-        assert up.k_c == down.k_c == float(problem.sweep_potential(problem.op1.restrict(h_bar)).max())
-
     @pytest.mark.parametrize("capped", ["up", "down"])
     def test_cap_hit_of_one_run(self, capped, monkeypatch):
-        """One run of the pair converges and the other hits the cap: an upward
-        run from the lower pair capped after the downward run retired, or a
-        downward run capped after an upward run from just below the root (a
-        lower solution, the reaction being sublinear) retired."""
+        """A run that stops at MAX_SWEEPS: an upward run from the lower pair,
+        or a downward run from the upper pair, each the reference's run up
+        to the cap, unconverged."""
         coeffs, bc, log, problem = criterion4_scenario(0, 2)
-        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
         if capped == "up":
-            lower, cap = self.lower_pair(coeffs, log, bc), 12
+            start, cap = self.lower_pair(coeffs, log, bc), 12
         else:
-            eq = vh.solve_endemic(coeffs, bc, logistic=log)
-            s = 1.0 - 1e-9
-            lower = tuple(vh.ScalarField(h_bar.mesh, s * f.values) for f in (eq.h_i, eq.v_i))
-            cap = 6
+            start, cap = (vh.upper_solution_h(coeffs, log.v_b, bc), log.v_b), 6
         monkeypatch.setattr(steady, "MAX_SWEEPS", cap)
-        down, up = self.assert_pair_matches(problem, (h_bar, log.v_b), lower, h_bar)
-        runs = {"down": down, "up": up}
-        assert runs[capped].sweeps == cap and not runs[capped].converged
-        assert runs[capped].final_change >= SWEEP_TOL
-        other = runs["up" if capped == "down" else "down"]
-        assert other.converged and other.sweeps < cap
-
-    @pytest.mark.parametrize("wrong", ["down", "up"])
-    def test_pair_wrong_way_raises_the_same_error(self, wrong, monkeypatch):
-        """A K2 too small for the order interval: for every damping, which
-        makes the downward run rise first, or only for the one taken from the
-        downward limit, which makes the upward run, then alone, fall."""
-        coeffs, bc, log, problem = criterion4_scenario(0, 2)
-        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
-        lower = self.lower_pair(coeffs, log, bc)
-        limit = problem.op1.restrict(monotone_iterate(problem, h_bar, log.v_b, "down").h)
-        strong = problem.sweep_potential
-        if wrong == "down":
-            weak = lambda top: 0.3 * strong(top)  # noqa: E731
-        else:
-            weak = lambda top: 0.3 * strong(top) if np.array_equal(top, limit) else strong(top)  # noqa: E731
-        monkeypatch.setattr(problem, "sweep_potential", weak)
-        history = []
-        if wrong == "down":
-            with pytest.raises(MonotonicityError) as ref:
-                reference_monotone(problem, h_bar, log.v_b, "down", history=history)
-        else:
-            converged = reference_monotone(problem, h_bar, log.v_b, "down", history=history)[2]
-            redamp = pair_schedule(history, converged)
-            with pytest.raises(MonotonicityError) as ref:
-                reference_monotone(problem, *lower, "up", h_top=h_bar, redamp=redamp)
-            assert int(str(ref.value).split()[1]) > len(history)  # after the downward run retired
-        with pytest.raises(MonotonicityError) as got:
-            self.pair(problem, (h_bar, log.v_b), lower, h_bar, False)
-        assert str(got.value) == str(ref.value)
+        run = self.assert_matches(problem, *start, capped)
+        assert run.sweeps == cap and not run.converged
+        assert run.final_change >= SWEEP_TOL
 
     def test_low_top_raises_the_same_error(self):
         coeffs, bc, log, problem = criterion4_scenario(2, 6)
@@ -640,12 +544,16 @@ class TestMonotoneSweepOracle:
         assert str(got.value) == str(ref.value)
 
     def test_small_rise_within_tolerance(self):
-        """A start a few ulps below the polished root: the one "down" sweep
-        rises at some node by less than the round-off tolerance, so the
-        tolerance is computed and passed, not skipped."""
+        """A start a few ulps below the sweeps' fixed point: the one "down"
+        sweep rises at some node by less than the round-off tolerance, so the
+        tolerance is computed and passed, not skipped.  The bracketed root
+        lies within 1e-13 (1 + max |x|) of that point, 3.4e-12 here, so the
+        start is taken 4 ulps below the one sweep from the root."""
         coeffs, bc, log, problem = criterion4_scenario(0, 2)
         eq = vh.solve_endemic(coeffs, bc, logistic=log)
-        h0, v0 = eq.h_i.values, eq.v_i.values
+        settled = monotone_iterate(problem, eq.h_i, eq.v_i, "down")
+        assert settled.sweeps == 1
+        h0, v0 = settled.h.values, settled.v.values
         for _ in range(4):
             h0, v0 = np.nextafter(h0, -np.inf), np.nextafter(v0, -np.inf)
         h0, v0 = vh.ScalarField(eq.h_i.mesh, h0), vh.ScalarField(eq.v_i.mesh, v0)
@@ -686,201 +594,149 @@ class TestMonotoneSweepOracle:
         self.assert_matches(problem, lo_h, lo_v, "up", h_top=run.h)
 
 
-def reference_polish(problem, h, v, box):
-    """_newton_polish without its early exit: a rejected step is halved
-    until alpha reaches 2^-20, 20 trials in all, except that a search from
-    a residual at or below its round-off floor tries the full step only.
-    Returns (h, v, rn) and, per search, (accepted, trials, the first trial
-    whose clipped point was the current iterate or None, below the floor)."""
-    (h_lo, v_lo), (h_hi, v_hi) = box
-    r1, r2 = problem.residual(h, v)
-    rn = float(max(np.abs(r1).max(), np.abs(r2).max()))
-    m = problem.m
-    searches = []
-    for _ in range(MAX_POLISH):
-        if rn <= POLISH_TOL:
-            break
-        delta = problem.jacobian(h, v)(-np.concatenate([r1, r2]))
-        scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
-        below = rn <= roundoff_floor(problem.stiffness) * scale
-        still, improved = None, False
-        for trials in range(1, 2 if below else 21):
-            alpha = 2.0 ** (1 - trials)
-            h_t = np.clip(h + alpha * delta[:m], h_lo, h_hi)
-            v_t = np.clip(v + alpha * delta[m:], v_lo, v_hi)
-            if still is None and np.array_equal(h_t, h) and np.array_equal(v_t, v):
-                still = trials
-            r1_t, r2_t = problem.residual(h_t, v_t)
-            rn_t = float(max(np.abs(r1_t).max(), np.abs(r2_t).max()))
-            if rn_t < rn:
-                h, v, r1, r2, rn = h_t, v_t, r1_t, r2_t, rn_t
-                improved = True
-                break
-        searches.append((improved, trials, still, below))
-        if not improved:
-            break
-    return (h, v, rn), searches
+def bracket_passes(monkeypatch, solve):
+    """solve() with every pass of the endemic bracket recorded: its result
+    and the (x_k, y_k) at which each pass evaluated the residual, on the
+    active nodes as concatenated [H; V]."""
+    passes = []
+    bracket = steady._bracket
 
-
-class TestNewtonPolishOracle:
-    """The polish line search stops at a trial that is the current iterate,
-    and returns the bits of the search that tries every halving, or only
-    the full step from a residual at its round-off floor."""
-
-    @staticmethod
-    def polish_inputs(kind_index, seed, monkeypatch):
-        """The (problem, h, v, box) of both polishes of a criterion-4 solve."""
-        coeffs, bc, log, _ = criterion4_scenario(kind_index, seed)
+    def spy(problem, x, y):
+        residual = problem.residual
         calls = []
-        polish = steady._newton_polish
 
-        def spy(*args):
-            calls.append(args)
-            return polish(*args)
+        def recorded(h, v):
+            calls.append(np.concatenate([h, v]))
+            return residual(h, v)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(steady, "_newton_polish", spy)
+        problem.residual = recorded
+        try:
+            return bracket(problem, x, y)
+        finally:
+            del problem.residual
+            passes.extend(zip(calls[0::2], calls[1::2], strict=True))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(steady, "_bracket", spy)
+        return solve(), passes
+
+
+class TestBracket:
+    """solve_endemic encloses the root between Newton from the upper pair
+    and Newton-Fourier from the lower pair, both on G'(x), the Jacobian at
+    the upper iterate (Ortega and Rheinboldt 13.3.4 and 13.3.7)."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01, -0.01])
+    def test_enclosure_on_every_pass(self, eps, monkeypatch):
+        """y_k <= y_{k+1} <= x_{k+1} <= x_k on every pass over criterion 4's
+        panel, up to 1e-10 (1 + max |x_k|); the round-off measured there is
+        at most 7.5e-12 of that scale.  At eps = -0.01 five Robin scenarios
+        have no upper pair: V_B - 0.01 is no upper solution at a Robin wall."""
+        solves = 0
+        for coeffs, bc, log, eig in criterion4_panel():
+            if eig.lam >= 0:
+                continue
+            # The panel's eigenpair is that of eps = 0.
+            kwargs = dict(logistic=log, eigenpair=eig if eps == 0.0 else None)
+            try:
+                eq, passes = bracket_passes(monkeypatch, lambda: vh.solve_endemic(coeffs, bc, eps, **kwargs))
+            except ValidationError as err:
+                assert eps < 0 and bc is CLOSURES[2], err
+                assert "not a valid upper solution" in str(err)
+                continue
+            solves += 1
+            assert len(passes) == eq.passes + 1  # the last evaluation only stops
+            for (x, y), (x_next, y_next) in zip(passes, passes[1:]):
+                tol = 1e-10 * (1.0 + np.abs(x).max())
+                assert (y - y_next).max() <= tol
+                assert (y_next - x_next).max() <= tol
+                assert (x_next - x).max() <= tol
+            x, y = passes[-1]
+            assert eq.bracket_width == (x - y).max() <= 1e-13 * (1.0 + np.abs(x).max())
+            assert eq.residual <= steady.RESIDUAL_TOL
+        assert solves == (58 if eps < 0 else 63)
+
+    @pytest.mark.parametrize("kind_index, seed", [(0, 2), (1, 5), (2, 6), (1, 43)])
+    def test_limit_matches_dense_newton(self, kind_index, seed):
+        """The returned root is the dense oracle's within 1e-10 of its
+        scale; over criterion 4's panel at eps = 0 and 0.01 they differ by
+        at most 3.5e-12."""
+        coeffs, bc, log, problem = criterion4_scenario(kind_index, seed)
+        for eps in (0.0, 0.01):
+            eq = vh.solve_endemic(coeffs, bc, eps, logistic=log)
+            weight = steady.default_weight(coeffs, bc)
+            h, v = dense_endemic_newton(coeffs, log.v_b, bc, eps, weight)
+            scale = 1.0 + max(np.abs(h).max(), np.abs(v).max())
+            assert np.abs(problem.op1.restrict(eq.h_i) - h).max() <= 1e-10 * scale
+            assert np.abs(problem.op2.restrict(eq.v_i) - v).max() <= 1e-10 * scale
+
+    def test_pass_that_moves_neither_pair_stops(self, unit_mesh, neumann):
+        """Roots are fixed points of their Newton steps.  From the constant
+        case's positive root (1, 0.5), where the residual is exactly zero,
+        and the trivial root, the first pass moves neither pair, and the
+        bracket stops after it with its width still open."""
+        coeffs = constants_coeffs(unit_mesh)
+        problem = EndemicProblem(coeffs, neumann, vh.solve_logistic(coeffs, neumann).v_b)
+        m = problem.m
+        x, y = np.concatenate([np.ones(m), np.full(m, 0.5)]), np.zeros(2 * m)
+        x_end, y_end, passes, width, residual = steady._bracket(problem, x, y)
+        assert (passes, width, residual) == (1, 1.0, 0.0)
+        assert np.array_equal(x_end, x) and np.array_equal(y_end, y)
+
+    def test_right_derivative_at_the_kink_fails_the_order_check(self, monkeypatch):
+        """The upper pair starts on the kink V = V_B + eps w.  A Jacobian with
+        the right derivative there drops sigma2 H from the V diagonal, and
+        the first Newton-Fourier step overshoots the upper iterate."""
+        coeffs, bc, log, problem = criterion4_scenario(0, 1)
+
+        def right(self, h, v, shift=0.0):
+            gap = np.maximum(self.v_plus - v, 0.0)
+            return _factor_block(
+                self.op1, self.op2,
+                self.op1.diag + self.rho + shift, -self.s1hu, -self.s2 * gap,
+                self.op2.diag + (self.muv + self.s2 * h * (gap > 0.0)) + shift,
+            )
+
+        monkeypatch.setattr(EndemicProblem, "jacobian", right)
+        with pytest.raises(MonotonicityError, match="bracket pass 1: the lower pair tops the upper"):
             vh.solve_endemic(coeffs, bc, logistic=log)
-        assert len(calls) == 2
-        return calls
-
-    @staticmethod
-    def counted_polish(problem, h, v, box, monkeypatch):
-        """_newton_polish and the number of residual calls it made."""
-        count = [0]
-        residual = EndemicProblem.residual
-
-        def spy(self, *args):
-            count[0] += 1
-            return residual(self, *args)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(EndemicProblem, "residual", spy)
-            out = steady._newton_polish(problem, h, v, box)
-        return out, count[0]
-
-    @staticmethod
-    def assert_same_bits(got, ref):
-        (h, v, rn), (h_ref, v_ref, rn_ref) = got, ref
-        assert h.tobytes() == h_ref.tobytes() and v.tobytes() == v_ref.tobytes()
-        assert rn.hex() == rn_ref.hex()
-
-    # A search from a residual at or below its round-off floor tries the
-    # full step only, and on these scenarios no accepted step is halved.
-    # Neumann seed 16 stops at POLISH_TOL.  Neumann seeds 32 and 98 end both
-    # polishes in a search below the floor whose full step clips onto the
-    # iterate, which costs no residual call; Dirichlet seed 5 ends both in
-    # one whose full step is evaluated and rejected.  Seeds 32 and 5 are the
-    # first of their closure on those paths.  Halvings above the floor,
-    # which seeds 0 and 5 used to take, no longer occur on criterion 4's
-    # scenarios (seeds 0-200 of each closure); the two tests below cover
-    # that code.
-    @pytest.mark.parametrize(
-        "kind_index, seed, stop, halvings",
-        [(0, 16, "tol", 0), (0, 32, "clipped", 0), (1, 5, "rejected", 0), (0, 98, "clipped", 0)],
-    )
-    def test_matches_the_full_search(self, kind_index, seed, stop, halvings, monkeypatch):
-        longest = 0
-        for args in self.polish_inputs(kind_index, seed, monkeypatch):
-            ref, searches = reference_polish(*args)
-            got, calls = self.counted_polish(*args, monkeypatch)
-            self.assert_same_bits(got, ref)
-            accepted, trials, still, below = searches[-1]
-            if stop == "tol":
-                assert accepted and ref[2] <= POLISH_TOL
-                assert calls == 1 + sum(t for _, t, _, _ in searches)
-            else:
-                # The failed search is below the floor and tries the full
-                # step alone; a trial clipped onto the iterate is not evaluated.
-                assert not accepted and below and trials == 1
-                assert still == (1 if stop == "clipped" else None)
-                assert calls == 1 + sum(t for _, t, _, _ in searches[:-1]) + (still is None)
-            longest = max([longest] + [t - 1 for ok, t, _, _ in searches if ok])
-        assert longest == halvings  # the halvings before an accepted step
-
-    def test_stall_below_the_floor_costs_one_residual(self, monkeypatch):
-        """Restarted at the point where it stalled, the polish's one search
-        starts below the round-off floor: its full step is evaluated once
-        and rejected, where the halving search made 20 residual calls."""
-        (problem, h, v, box), _ = self.polish_inputs(1, 5, monkeypatch)
-        (h1, v1, rn), _ = self.counted_polish(problem, h, v, box, monkeypatch)
-        assert POLISH_TOL < rn <= problem.roundoff(h1, v1)
-        got, calls = self.counted_polish(problem, h1, v1, box, monkeypatch)
-        assert calls == 1 + 1  # the starting residual, then the full step
-        assert got[0] is h1 and got[1] is v1 and got[2] == rn
-        ref, searches = reference_polish(problem, h1, v1, box)
-        assert searches == [(False, 1, None, True)]
-        self.assert_same_bits(got, ref)
-
-    def test_search_that_never_reaches_the_iterate_runs_every_halving(self, monkeypatch):
-        """A box pinned to one point off the iterate clips every trial onto
-        it; when that point's residual is the larger, each of the 20 trials
-        is evaluated and rejected."""
-        (problem, h, v, _), _ = self.polish_inputs(0, 1, monkeypatch)
-        h0, v0 = h * (1.0 + 1e-6), v * (1.0 + 1e-6)
-        box = ((1.5 * h, 1.5 * v), (1.5 * h, 1.5 * v))
-        ref, searches = reference_polish(problem, h0, v0, box)
-        assert searches == [(False, 20, None, False)]
-        got, calls = self.counted_polish(problem, h0, v0, box, monkeypatch)
-        self.assert_same_bits(got, ref)
-        assert calls == 1 + 20
-        assert got[0] is h0 and got[1] is v0
-
-    def test_trial_at_the_iterate_in_one_component_only_goes_on(self, monkeypatch):
-        """A box that pins H at the iterate keeps every trial's H there, while
-        the V steps are still accepted: the exit needs both components.
-        Neumann seed 2 is the first whose first polish takes that path."""
-        (problem, h, v, ((_, v_lo), (_, v_hi))), _ = self.polish_inputs(0, 2, monkeypatch)
-        v0 = v * (1.0 + 1e-6)
-        box = ((h, v_lo), (h, v_hi))
-        ref, searches = reference_polish(problem, h, v0, box)
-        assert searches[0] == (True, 1, None, False) and len(searches) > 2
-        self.assert_same_bits(steady._newton_polish(problem, h, v0, box), ref)
 
 
 class TestSweepCap:
-    """A monotone iteration that stops at MAX_SWEEPS is a convergence
-    failure, not evidence against uniqueness, and is never silent."""
+    """A bracket that stops at its cap of MAX_NEWTON passes (formerly the
+    monotone iterations' MAX_SWEEPS sweeps) is a convergence failure, not
+    evidence against uniqueness, and is never silent."""
 
     def test_cap_hit_with_disagreeing_limits_is_convergence_error(
         self, unit_mesh, neumann, monkeypatch
     ):
-        monkeypatch.setattr(steady, "MAX_SWEEPS", 3)
-        expected = "downward monotone iteration hit its cap of 3 sweeps"
-        with pytest.raises(ConvergenceError, match=expected):
-            vh.solve_endemic(constants_coeffs(unit_mesh), neumann, 0.0)
-
-    def test_cap_hit_rescued_by_polish_is_recorded(self, unit_mesh, neumann, monkeypatch):
         coeffs = constants_coeffs(unit_mesh)
-        with monkeypatch.context() as patch:
-            patch.setattr(steady, "MAX_SWEEPS", 20)
-            capped = vh.solve_endemic(coeffs, neumann, 0.0)
-        assert (capped.converged_upper, capped.converged_lower) == (False, False)
-        assert (capped.iterations_upper, capped.iterations_lower) == (20, 20)
-        full = vh.solve_endemic(coeffs, neumann, 0.0)
-        assert full.converged_upper and full.converged_lower
-        assert vh.sup_distance(capped.h_i, full.h_i) < 1e-8
-        assert vh.sup_distance(capped.v_i, full.v_i) < 1e-8
+        log = vh.solve_logistic(coeffs, neumann)
+        monkeypatch.setattr(steady, "MAX_NEWTON", 3)
+        with pytest.raises(ConvergenceError, match="endemic bracket hit its cap of 3 passes at width"):
+            vh.solve_endemic(coeffs, neumann, 0.0, logistic=log)
 
     def test_former_cap_hitter_converges(self):
         """Robin seed 6 of criterion 4 (bench panel index 14) ran both monotone
         iterations into the 5,000-sweep cap under one scalar K_c."""
         coeffs, bc, log, _ = criterion4_scenario(2, 6)
         eq = vh.solve_endemic(coeffs, bc, logistic=log)
-        assert eq.converged_upper and eq.converged_lower
-        assert max(eq.iterations_upper, eq.iterations_lower) <= 100
+        assert eq.passes <= 20
 
 
 class TestResidualGate:
     @pytest.mark.parametrize("kind_index, seed", [(2, 19), (1, 43), (2, 46)])
     def test_unconverged_limits_are_not_a_uniqueness_violation(self, kind_index, seed, monkeypatch):
-        """With SWEEP_TOL = 1e-3 the upward Newton polish of these criterion-4
-        scenarios stalls far above the residual gate, and the two limits
-        disagree: a convergence failure, not evidence against uniqueness."""
+        """Limits the bracket has not closed by a cap of 4 passes have
+        residuals above RESIDUAL_TOL and lie further apart than
+        AGREEMENT_TOL: the cap raises ConvergenceError, never a
+        UniquenessViolation."""
         coeffs, bc, log, _ = criterion4_scenario(kind_index, seed)
-        monkeypatch.setattr(steady, "SWEEP_TOL", 1e-3)
-        with pytest.raises(ConvergenceError, match="residual above tolerance"):
+        monkeypatch.setattr(steady, "MAX_NEWTON", 4)
+        with pytest.raises(ConvergenceError, match="cap of 4 passes at width") as err:
             vh.solve_endemic(coeffs, bc, logistic=log)
+        width = float(str(err.value).split("at width ")[1].split()[0])
+        assert width > steady.AGREEMENT_TOL and err.value.residual > steady.RESIDUAL_TOL
 
 
 class TestDirichletOneNode:
