@@ -10,48 +10,26 @@ right-hand side they hand the core and in what they record per step.
 `integrate_many` runs many full systems at once; every other integrator is
 a batch of one.
 
-Each run keeps its own clock, state k at t0 + (k - k0) h: h = dt from
-k0 = t0 = 0 for floor(t_end/dt) full steps, then a remainder re-grids it to
-one step onto t_end.  The steady window (a sup-norm move below steady_tol
-over the last steady_window steps) is tested after full steps only.
-
-The core takes the steps of all active runs together, B at a time.  The rows
-of all runs form one C-contiguous (rows, runs, n) array, grouped by
-component: a comparison of two states stacks (H_i, H_i, V_u, V_u, V_i, V_i),
-so each component of all states and runs is one flat block.  Per active set,
-the core lays the runs' coefficient rows and 1/dt out in that order and
-factors one joined tridiagonal system, block diagonal with one block
--L_row + 1/dt_run per row, so each run keeps its own dt and gets the bits it
-would get alone.  A step writes W times the right-hand side, W the operators'
-weights (1, or 1/2 at Neumann and Robin walls), straight into a slot of one
-state ring (the longest closable steady window plus a block of B states,
-about BLOCK_BYTES), for the full system in 12 contiguous 1-D calls with W
-folded into the coefficients, and solves that slot in place with one bare
-dpttrs call.  The ring's buffer is allocated once; as runs retire, the ring
-is re-laid inside it with B sized by the runs still marching, so the last
-runs step in longer blocks.  After each block one vectorized pass finds, per
-run, the first non-finite or negative step, the first settled step and the
-reference distances; the caller's visit gets the block to record order
-violations, observer calls, first times below a tolerance and snapshots,
-chosen by step time.  A non-finite or negative entry sends every run back
-to the last clean step, which is redone alone with the per-step checks
-below.  A run retires when it settles, reaches t_end (its remainder step is
-a block of one) or fails; its later steps in the block are dropped and it is
-compacted out.  integrate_many keeps each snapshot as its time and rows;
-TrajectorySummary.snapshots builds the States on access.
+`_march` keeps each run's clock, visits each block and retires each run at
+its last step.  The rows of all runs form one C-contiguous (rows, runs, n)
+array, grouped by component, and one joined tridiagonal factor solves them,
+so each run keeps its own dt and gets the bits it would get alone.  It has
+three parts:
+- `_Ring`, the one buffer of the states a steady window still needs, re-laid
+  as runs retire so a block of B steps is sized by the runs still marching;
+- `_kernel`, the reaction and solve of one block under one cut rule for
+  non-finite and negative entries;
+- `_verdict`, each block's window and reference distances, and the step at
+  which each run stops.
 
 The explicit reaction imposes the step bound
 
     dt <= 0.5 / max_x (rho + 2 sigma2 Vhat + beta + 2 mu Vhat + sigma1 h_u),
 
 with Vhat = max(max V(0), max beta/mu), a crude Lipschitz bound that also
-keeps the update positivity-preserving.  Negative round-off in
-(-1e-14, 0) is clamped to zero; anything below that, or a right-hand side
-that overflows to a non-finite value, stops the run with BlowUpError.
-integrate_many records it for that run; the single-run integrators raise
-it.  Overflow is silenced for each stretch of blocks between retirements,
-never across a yield, so the caller's numpy error state holds whenever its
-code runs.
+keeps the update positivity-preserving.  A run that still steps out of it
+stops with BlowUpError (see _kernel); integrate_many records it for that
+run, the single-run integrators raise it.
 """
 
 from __future__ import annotations
@@ -227,25 +205,24 @@ def _snapshots(times, dt):
 
 
 def _joined_solver(ops, h, n: int):
-    """One ShiftedSolve for every row of the active runs against its
-    -L + 1/h, blocks in the row-major order of the stacked rows (rows, runs,
-    n), and the flat indices of the active and of the Dirichlet wall nodes
-    there (None, None when every node is active)."""
+    """solve(f), which solves the flat rows f of the active runs in place,
+    each row against its -L + 1/h, blocks in the row-major order of the
+    stacked rows (rows, runs, n), by one ShiftedSolve; Dirichlet wall nodes
+    are not solved for but zeroed."""
     flat = [run[j] for j in range(len(ops[0])) for run in ops]
     solver = ShiftedSolve(flat, np.tile(1.0 / h, len(ops[0])))
     if all(op.m == n for op in flat):
-        return solver, None, None
+        return solver.solve_weighted
     inner = np.zeros((len(flat), n), dtype=bool)
     for b, op in enumerate(flat):
         inner[b, op.sl] = True
-    return solver, np.flatnonzero(inner), np.flatnonzero(~inner)
+    active, walls = np.flatnonzero(inner), np.flatnonzero(~inner)
 
+    def solve(f):
+        f[active] = solver.solve_weighted(f[active])
+        f[walls] = 0.0
 
-def _spans(ring, start: int, count: int):
-    """Ring slots start, ..., start + count - 1, taken modulo the ring's
-    length, as (offset, view) pairs: one, or two where they wrap."""
-    head = ring[start % len(ring):][:count]
-    return [(0, head)] + [(len(head), ring[:count - len(head)])] * (len(head) < count)
+    return solve
 
 
 def _block_steps(values: int) -> int:
@@ -254,9 +231,137 @@ def _block_steps(values: int) -> int:
     return max(1, BLOCK_BYTES // (8 * values))
 
 
+class _Ring:
+    """The runs' recent states (rows, runs, n), in slots of one buffer that
+    is allocated once, at the full width.  State k sits in slot
+    (k - origin) % len(slots), origin = 1 at first (the initial state in the
+    last slot).  The slots hold the longest steady window that can close
+    plus a block of `block` states, and a block stops at the ring's end."""
+
+    def __init__(self, u, w_max: int):
+        self.block = _block_steps(u.size)
+        self.buf = np.empty(self.block * (-(-w_max // self.block) + 1) * u.size)
+        self.slots = self.buf.reshape(-1, *u.shape)
+        self.slots[-1] = u
+        self.origin = 1
+
+    def block_slots(self, k: int, size: int):
+        """The slots of states k + 1, ..., k + size, fewer where the ring ends."""
+        return self.slots[(k + 1 - self.origin) % len(self.slots):][:size]
+
+    def spans(self, start: int, count: int):
+        """States start, ..., start + count - 1 as (offset, view) pairs: one,
+        or two where their slots wrap."""
+        head = self.slots[(start - self.origin) % len(self.slots):][:count]
+        return [(0, head)] + [(len(head), self.slots[:count - len(head)])] * (len(head) < count)
+
+    def retire(self, keep, k: int, w_max: int) -> None:
+        """Keep only the runs in keep, at state k, w_max their longest window.
+
+        Their columns are compacted in place, slot by slot, so the ring is
+        never held twice: slot s of the narrower ring ends before slot s + 1
+        of the wider one.  The ring is then re-laid in the buffer: block
+        sized by the narrower width, the ring grown to hold the longest
+        window and a block, and a, the oldest state a window can still need,
+        kept in its slot p.  States a + 1..k past the old ring's end (its
+        slots 0..spill - 1) move shift slots on, up into new slots, then
+        wrapping down to 0.., chunk by chunk in increasing order, so each
+        target is free or its state has already moved."""
+        old = len(self.slots)
+        shape = (self.slots.shape[1], np.count_nonzero(keep), self.slots.shape[3])
+        width = math.prod(shape)
+        packed = self.buf[:old * width].reshape(old, *shape)
+        for s in range(old):
+            packed[s] = self.slots[s].compress(keep, axis=1)
+        block = _block_steps(width)
+        ring = self.buf[:min(len(self.buf) // width, max(old, w_max + block)) * width].reshape(-1, *shape)
+        self.slots, self.block = ring, min(block, len(ring) - w_max)
+        a = max(0, k + 1 - w_max)
+        p = (a - self.origin) % old
+        self.origin, spill, shift = a - p, p + k - a + 1 - old, len(ring) - old
+        for s in range(0, spill, shift) if shift else ():  # a ring that kept its length keeps its slots
+            e, d = min(spill, s + shift), (old + s) % len(ring)
+            ring[d:d + e - s] = ring[s:e]
+
+
+def _kernel(react, solve, u, new, t, k: int, names):
+    """Take a block of L steps from the state u: each step's react(u, out)
+    writes W (u/h + reaction) into out, its slot of new (L, rows, active,
+    n), W the operators' weights (ones under Dirichlet), and solve solves
+    that slot in place against W(-L + 1/h).  u and out are flat views of the
+    active runs' rows (rows, active, n), C-contiguous.  Return (size,
+    failed): the steps the block keeps and, by active index, the
+    BlowUpError of each run that failed at the last of them.
+
+    The block is taken unchecked, under one cut rule: its first step with a
+    non-finite or negative entry becomes its last, redone alone from the
+    state before it with the per-step checks.  A non-finite right-hand side
+    fails its run (zeroed, so the joined solve stays finite for the others);
+    negatives in (-1e-14, 0) are clamped and lower ones fail the run.  t
+    (L, active) holds the steps' times, for the errors."""
+    prev = u
+    for f in new.reshape(len(new), -1):
+        react(prev, f)
+        solve(f)
+        prev = f
+    if new.min() >= 0.0 and new.max() < math.inf:
+        return len(new), {}
+    c = int((np.isfinite(new).all(axis=(1, 2, 3)) & (new.min(axis=(1, 2, 3)) >= 0.0)).argmin())
+    rows, failed = new[c], {}
+    f = rows.reshape(-1)
+    react(new[c - 1].reshape(-1) if c else u, f)
+    if not math.isfinite(f.sum()):
+        bad = ~np.isfinite(rows).all(axis=(0, 2))
+        for i in np.flatnonzero(bad):
+            failed[i] = BlowUpError(
+                f"step {k + c + 1} (to t={t[c, i]:g}) overflowed: non-finite right-hand side"
+            )
+        rows[:, bad] = 0.0
+    solve(f)
+    return c + 1, {**_clamp(rows, names), **failed}
+
+
+def _verdict(new, k: int, ring: _Ring, windows, tol, ref, room, failed):
+    """Judge the block new (L, rows, active, n) of states k + 1..k + L.
+
+    windows pairs each window length w with its runs (a mask or a slice),
+    which settle at the first step that moved less than their tol over the
+    last w steps, read back from the ring.  failed holds the kernel's errors
+    at the last step.  Return, per run: dist, its sup distances to ref
+    (L, active), or None without ref; stop, the steps it keeps; settled,
+    whether its window closed at step stop; and the errors that stand.  A
+    run that settled before the last step keeps that, and one that failed
+    there keeps the steps before it: stop < L for both.  The distance terms
+    go through room, which holds those of a block."""
+    size, width = len(new), new.shape[2]
+    scratch = None if room is None else room[:new.size].reshape(new.shape)
+    stop = np.full(width, size)
+    settled = np.zeros(width, dtype=bool)
+    if windows:
+        win = np.full((size, width), np.inf)
+        for w, members in windows:
+            j = max(0, w - k - 1)  # step k + 1 + j is the first with a full window
+            if j < size:
+                for o, old in ring.spans(k + 1 + j - w, size - j):
+                    o += j
+                    np.subtract(new[o:o + len(old)], old, out=scratch[o:o + len(old)])
+                d = np.abs(scratch[j:size], out=scratch[j:size])
+                win[j:, members] = d.max(axis=(1, 3))[:, members]
+        hit = win < tol
+        settled = hit.any(axis=0)
+        stop[settled] = hit.argmax(axis=0)[settled] + 1
+    if failed:
+        failed = {i: err for i, err in failed.items() if stop[i] == size}
+        stop[list(failed)] = size - 1
+    dist = None
+    if ref is not None:
+        d = np.subtract(new, ref, out=scratch[:size])
+        dist = np.abs(d, out=d).max(axis=(1, 3))
+    return dist, stop, settled, failed
+
+
 def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
-    """Advance R independent runs in lockstep from t = 0 to their t_end, each
-    on its own clock, B = _block_steps(u.size) steps at a time.
+    """Advance R independent runs in lockstep from t = 0 to their t_end.
 
     Run r's clock puts state k at t0 + (k - k0) h up to state `end`, then rem
     is due (0 if no step is): at first k0 = t0 = 0, h = dt[r] and end =
@@ -269,42 +374,21 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     names[j] names it in errors.  Whenever the active set or a clock's h
     changes, rhs(c, h, rows) gets the active runs' coefficient rows
     c = coef[:, active], their step sizes h (active,) and the row count, and
-    returns react(u, out), which writes W (u/h + reaction) into out, W the
-    operators' weights (ones under Dirichlet).  u, the state before the
-    step, and out, its ring slot, are flat views of the active runs' rows
-    (rows, active, n), C-contiguous, made once per block; out is then solved
-    in place against W(-L + 1/h), row by row, by one bare dpttrs call
-    (ShiftedSolve.solve_weighted).
-
-    State k sits in ring slot (k - o) % S, o = 1 at first (the initial state
-    in slot S - 1).  S holds the longest steady window that can close plus a
-    block, and a block stops at the ring's end.  The ring's buffer is
-    allocated once, at the full width; as runs retire, their columns are
-    compacted out and the ring is re-laid in it: B = _block_steps(width), S
-    grown to the longest open window plus B as far as the buffer holds, o
-    moved so the oldest state a window still needs keeps its slot, and the
-    later states past the old end moved on.  A block with a non-finite or
-    negative entry is cut before that step, which is then redone as a block
-    of one: there a non-finite right-hand side fails its run (zeroed, so the
-    joined solve stays finite for the others), negatives in (-1e-14, 0) are
-    clamped and lower ones fail the run.  Given a StepperConfig as
-    steady[r], run r stops after the first full step that moved less than
-    steady_tol over the last steady_window steps; given ref (rows, R, n),
-    each step's sup distance of each run to ref[:, r] is taken.
+    returns the react of _kernel.  steady[r], a StepperConfig or None, sets
+    run r's steady test, and ref (rows, R, n) the states that each step's
+    distances are taken to (see _verdict).
 
     visit(k, t, new, old, runs, dist) gets each block, split where runs
-    retire: k the step index of new[0], the times t (L, active) (snapshots
-    are chosen by these), the states after each step new (L, rows, active,
-    n) and before the first old (rows, active, n), the runs' indices and
-    their distances dist (L, active) or None.  new and old are valid during
-    the call only.  visit runs under the error state that lets react overflow.
+    retire: k the step of new[0], the times t (L, active), the states after
+    each step new (L, rows, active, n) and before the first old, the runs'
+    indices and dist, their distances or None.  new and old are valid during
+    the call only; visit runs under the error state that lets react overflow.
 
     Yields (r, outcome) for each run r as it retires, by step and then by
     index: its (rows, t, steps, settled), or the BlowUpError that stopped
     it.  The error state is left before each yield, so the caller's is in
     force whenever it runs.
     """
-    n = u.shape[2]
     h = np.asarray(dt, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
     end = np.floor(t_end / h + 1e-12)  # a float: t_end/h may exceed any int64
@@ -322,27 +406,18 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
     if not runs.size:
         return
     u, coef = u.take(runs, axis=1), coef.take(runs, axis=1)  # C-contiguous, unlike u[:, runs]
-    if ref is not None:
-        ref = ref.take(runs, axis=1)
+    ref = None if ref is None else ref.take(runs, axis=1)
     # The clock of each run, its own copies: state k stands at t0 + (k - k0) h.
     h, t_end, end, rem, window, tol = (x[runs] for x in (h, t_end, end, rem, window, tol))
     k0, t0 = np.zeros((2, runs.size))
-    w_max = int(window.max(initial=0))
-    block = _block_steps(u.size)
-    buf = np.empty(block * (-(-w_max // block) + 1) * u.size)  # the ring's one buffer
-    ring = buf.reshape(-1, *u.shape)
-    origin = 1  # state st sits in ring slot (st - origin) % len(ring)
-    ring[-1] = u
+    ring = _Ring(u, int(window.max(initial=0)))
     # Room for the distance terms of any block, reshaped as runs retire.
-    room = np.empty(max(block * u.size, BLOCK_BYTES // 8)) if w_max or ref is not None else None
-    redo = False
+    room = np.empty(max(ring.block * u.size, BLOCK_BYTES // 8)) if window.any() or ref is not None else None
     k = 0
-    while runs.size:
+    while True:
         windows = [(w, window == w) for w in np.unique(window[window > 0]).tolist()]
         windows = [(w, slice(None) if m.all() else m) for w, m in windows]
-        scratch = None if room is None else room[:block * u.size].reshape(block, *u.shape)
-        u_flat = u.reshape(-1)
-        solver = None
+        solve = None
         # One error state per stretch of blocks between retirements: overflow
         # in react is reported as a BlowUpError instead.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -352,74 +427,22 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
                     regrid = end == k
                     h[regrid], k0[regrid], t0[regrid], end[regrid], rem[regrid], tol[regrid] = (
                         rem[regrid], k + 1, t_end[regrid], k + 1, 0.0, -np.inf)
-                    solver, gap = None, 1
-                if solver is None:
-                    solver, active, walls = _joined_solver([ops[r] for r in runs], h, n)
+                    solve, gap = None, 1
+                if solve is None:
+                    solve = _joined_solver([ops[r] for r in runs], h, u.shape[2])
                     react = rhs(coef, h, u.shape[0])
-                at = (k + 1 - origin) % len(ring)
-                size = 1 if redo else int(min(block, gap, len(ring) - at))
-                t = t0 + ((k + 1 + np.arange(size))[:, None] - k0) * h
-                new = ring[at:][:size]
-                failed = {}
-                prev = u_flat
-                for f in new.reshape(size, -1):  # the block's slots, flat
-                    react(prev, f)
-                    if size == 1 and not math.isfinite(f.sum()):
-                        rows = f.reshape(u.shape)
-                        bad = ~np.isfinite(rows).all(axis=(0, 2))
-                        for i in np.flatnonzero(bad):
-                            failed[i] = BlowUpError(
-                                f"step {k + 1} (to t={t[0, i]:g}) overflowed: non-finite right-hand side"
-                            )
-                        rows[:, bad] = 0.0  # keeps the joined solve finite for the other runs
-                    if active is None:
-                        solver.solve_weighted(f)
-                    else:
-                        f[active] = solver.solve_weighted(f[active])
-                        f[walls] = 0.0
-                    prev = f
-                if size == 1:
-                    redo = False
-                    if new.min() < 0.0:
-                        for i, err in _clamp(new[0], names).items():
-                            failed.setdefault(i, err)
-                elif not (new.min() >= 0.0 and new.max() < math.inf):
-                    clean = np.isfinite(new).all(axis=(1, 2, 3)) & (new.min(axis=(1, 2, 3)) >= 0.0)
-                    if not clean.all():
-                        size = int(clean.argmin())  # the steps before the first unclean one
-                        new, t, redo = new[:size], t[:size], True
-                        if not size:
-                            continue
-
-                win = dist = None
-                if w_max:
-                    win = np.full((size, runs.size), np.inf)
-                    for w, members in windows:
-                        j = max(0, w - k - 1)  # step k + 1 + j is the first with a full window
-                        if j < size:
-                            for o, old in _spans(ring, k + 1 + j - w - origin, size - j):
-                                o += j
-                                np.subtract(new[o:o + len(old)], old, out=scratch[o:o + len(old)])
-                            d = np.abs(scratch[j:size], out=scratch[j:size])
-                            win[j:, members] = d.max(axis=(1, 3))[:, members]
-                if ref is not None:
-                    d = np.subtract(new, ref, out=scratch[:size])
-                    dist = np.abs(d, out=d).max(axis=(1, 3))
-                stop = np.full(runs.size, size)  # the steps of this block each run keeps
-                settled = np.zeros(runs.size, dtype=bool)
-                if win is not None:
-                    hit = win < tol
-                    settled = hit.any(axis=0)
-                    stop[settled] = hit.argmax(axis=0)[settled] + 1
-                if failed:
-                    stop[list(failed)] = 0
+                new = ring.block_slots(k, int(min(ring.block, gap)))
+                t = t0 + ((k + 1 + np.arange(len(new)))[:, None] - k0) * h
+                size, failed = _kernel(react, solve, u.reshape(-1), new, t, k, names)
+                new, t = new[:size], t[:size]
+                dist, stop, settled, failed = _verdict(new, k, ring, windows, tol, ref, room, failed)
                 b = 0
                 for e in sorted(set(stop.tolist()) - {0}):  # one visit per stretch of one active set
                     keep, seg = stop >= e, new[b:e]
                     if keep.all():
                         keep = slice(None)
                     else:  # the survivors' columns, packed into the scratch the distances are done with
-                        shape = (e - b, seg.shape[1], np.count_nonzero(keep), n)
+                        shape = (e - b, seg.shape[1], np.count_nonzero(keep), seg.shape[3])
                         out = None if room is None else room[:math.prod(shape)].reshape(shape)
                         seg = np.compress(keep, seg, axis=2, out=out)
                     visit(k + b + 1, t[b:e, keep], seg, (new[b - 1] if b else u)[:, keep],
@@ -427,9 +450,7 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
                     b = e
                 k += size
                 np.copyto(u, new[-1])
-                done = settled | ((k >= end) & (rem == 0))
-                if failed:
-                    done[list(failed)] = True
+                done = settled | (stop < size) | ((k >= end) & (rem == 0))
                 if done.any():
                     break
 
@@ -444,32 +465,11 @@ def _march(u, ops, names, rhs, coef, dt, t_end, visit, steady, ref=None):
         if not keep.any():
             return
         u, coef = u.compress(keep, axis=1), coef.compress(keep, axis=1)
-        # Compacted in place, slot by slot, so the ring is never held twice:
-        # slot s of the narrower ring ends before slot s + 1 of the wider one.
-        old = len(ring)
-        packed = buf[:old * u.size].reshape(old, *u.shape)
-        for s in range(old):
-            packed[s] = ring[s].compress(keep, axis=1)
-        if ref is not None:
-            ref = ref.compress(keep, axis=1)
+        ref = None if ref is None else ref.compress(keep, axis=1)
         runs, h, k0, t0, end, rem, t_end, window, tol = (
             x[keep] for x in (runs, h, k0, t0, end, rem, t_end, window, tol)
         )
-        # Re-laid in buf for the narrower width: B sized by it, the ring grown
-        # to hold the longest window and a block, and a, the oldest state a
-        # window can still need, kept in its slot p.  States a + 1..k past the
-        # old ring's end (its slots 0..spill - 1) move shift slots on, up into
-        # new slots, then wrapping down to 0.., chunk by chunk in increasing
-        # order, so each target is free or its state has already moved.
-        w_max, block = int(window.max(initial=0)), _block_steps(u.size)
-        ring = buf[:min(len(buf) // u.size, max(old, w_max + block)) * u.size].reshape(-1, *u.shape)
-        block = min(block, len(ring) - w_max)
-        a = max(0, k + 1 - w_max)
-        p = (a - origin) % old
-        origin, spill, shift = a - p, p + k - a + 1 - old, len(ring) - old
-        for s in range(0, spill, shift) if shift else ():  # a ring that kept its length keeps its slots
-            e, d = min(spill, s + shift), (old + s) % len(ring)
-            ring[d:d + e - s] = ring[s:e]
+        ring.retire(keep, k, int(window.max(initial=0)))
 
 
 def _weights(op, n: int) -> np.ndarray:

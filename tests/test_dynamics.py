@@ -595,6 +595,77 @@ class TestMarchClamp:
             assert out[r][1:] == (2 * block + 1, 2 * block + 1, False)
         assert sorted(seen) == want_seen
 
+    @staticmethod
+    def _affine(c, h, rows):
+        """V_u goes to c[0] V_u - c[1] per unit step; H_i and V_i stay."""
+        def react(u, out):
+            np.divide(u, h[:, None], out)
+            out[1] = (c[0] * u[1] - c[1]) / h[:, None]
+
+        return react
+
+    @pytest.mark.parametrize("tol, settle", [(0.2, 3), (0.02, 6)])
+    def test_settle_beside_a_cut(self, tol, settle):
+        """Run 0's V_u halves less 0.01 a step from 1, so it moves
+        1.02 / 2**k at step k and first drops below the band at step 6, as
+        run 1's does.  A window of one closes at step `settle`: at step 3
+        run 0 keeps that outcome and its 3 steps; at step 6, where it fails,
+        it gets the BlowUpError.  Run 1 fails at step 6 either way, and each
+        run is visited at every step it keeps."""
+        from vectorhost.dynamics import _march
+
+        n = 21
+        op = vh.assemble(vh.field_from_constant(vh.build_mesh(0, 1, n), 1e-6), vh.BoundarySpec.neumann())
+        u0 = np.ones((3, 2, n))
+        u0[1] = [[1.0], [5.5e-3]]
+        coef = np.array([[0.5, 1.0], [0.01, 1e-3]])[:, :, None]
+        seen = []
+
+        def visit(k, t, new, old, runs, dist):
+            seen.extend((k + j, r) for j in range(len(t)) for r in runs.tolist())
+
+        steady = [vh.StepperConfig(dt=1.0, t_end=20.0, steady_tol=tol, steady_window=1), None]
+        out = list(_march(u0, [[op] * 3] * 2, ("H_i", "V_u", "V_i"), _core_rhs(self._affine, op), coef,
+                          [1.0] * 2, [20.0] * 2, visit, steady))
+        assert [r for r, _ in out] == [0, 1]
+        (_, first), (_, second) = out
+        assert str(second) == "V_u dropped to -5.000e-04, below the -1e-14 round-off band"
+        if settle == 3:
+            rows, t, steps, settled = first
+            assert (t, steps, settled) == (3.0, 3, True)
+            assert np.allclose(rows[1], 1.02 / 8 - 0.02, rtol=1e-12)
+        else:
+            assert isinstance(first, BlowUpError) and str(first).startswith("V_u dropped to -4.06")
+        kept = settle if settle == 3 else 5
+        assert sorted(seen) == sorted([(k, 0) for k in range(1, kept + 1)] + [(k, 1) for k in range(1, 6)])
+
+    def test_clean_march_reacts_once_per_step(self):
+        """Three runs that retire at steps 6 (a remainder step), 40 and 300,
+        over several blocks: react runs once per lockstep step, on the runs
+        still marching, so no step is taken twice."""
+        cases = _oracle_cases(n=41)
+        calls = []
+
+        def rhs(c, h, rows):
+            react = dynamics._system_rhs(c, h, rows)
+
+            def counted(u, out):
+                calls.append(h.size)
+                react(u, out)
+
+            return counted
+
+        systems = [dynamics._system(coeffs, bc) for _, coeffs, bc in cases]
+        dts = [vh.stability_dt_max(coeffs, state) for state, coeffs, _ in cases]
+        u = np.stack([_rows(state) for state, _, _ in cases], axis=1)
+        out = dict(dynamics._march(u, [ops for ops, _ in systems], dynamics.SYSTEM_ROWS, rhs,
+                                   np.stack([rows for _, rows in systems], axis=1), dts,
+                                   [5.5 * dts[0], 40 * dts[1], 300 * dts[2]], lambda *args: None,
+                                   [None] * 3))
+        steps = [out[r][2] for r in range(3)]
+        assert steps == [6, 40, 300] and 300 > 2 * _block_steps(u.size)
+        assert len(calls) == 300 and sum(calls) == sum(steps)
+
 
 class TestRelay:
     """As runs retire, the state ring is re-laid for the narrower width."""
@@ -650,6 +721,41 @@ class TestRelay:
             assert (got.steps, got.steady) == (np.ceil(ends[r]), r in settle)
             alone = vh.integrate(states[r], coeffs[r], bcs[r], cfgs[r], reference=refs[r], **kw)
             assert _fields(got) == _fields(alone)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ring_matches_a_dict_of_states(self, seed, monkeypatch):
+        """The ring against a dict from state index to rows, driven through
+        random block sizes, window lengths and retirements: after every block
+        and every re-lay, each state a window can still need reads back bit
+        for bit.  Blocks hold 4 states at the full width of 6 runs, so the
+        ring wraps, and grows as runs retire."""
+        rng = np.random.default_rng(seed)
+        rows, width, n = 2, 6, 3
+        monkeypatch.setattr(dynamics, "BLOCK_BYTES", 8 * rows * width * n * 4)
+        window = rng.integers(0, 30, width)
+        u = rng.random((rows, width, n))
+        ring, model, k = dynamics._Ring(u, int(window.max())), {0: u.copy()}, 0
+
+        def check(first):
+            """States first..k read from the ring as from the dict."""
+            first = max(0, first)
+            got = np.concatenate([view for _, view in ring.spans(first, k + 1 - first)])
+            assert np.array_equal(got, np.stack([model[s] for s in range(first, k + 1)]))
+
+        while window.size:
+            # A block's window distances read its states and the w_max before them.
+            new = ring.block_slots(k, int(rng.integers(1, ring.block + 1)))
+            new[...] = rng.random(new.shape)
+            model.update((k + 1 + j, x.copy()) for j, x in enumerate(new))
+            k += len(new)
+            check(k + 1 - len(new) - int(window.max()))
+            if rng.random() < 0.3:
+                keep = rng.random(window.size) < 0.7
+                window = window[keep]
+                if window.size:
+                    model = {s: x.compress(keep, axis=1) for s, x in model.items()}
+                    ring.retire(keep, k, int(window.max()))
+                    check(k + 1 - int(window.max()))
 
 
 def _oracle_step(state, coeffs, bc, dt):

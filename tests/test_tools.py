@@ -59,6 +59,13 @@ class TestSize:
         package = tmp_path / "src" / "vectorhost"
         package.mkdir(parents=True)
         (package / "mod.py").write_text("def f(a, b=1, *, c=2):\n    return a + b + c\n\n")
+        (package / "other.py").write_text(
+            "class A:\n    def m(self):\n        def inner():\n            pass\n\n        return 1\n\n\n"
+            "def g():\n    pass\n"
+        )
         assert load("size").main([str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert out == f"{tmp_path}: 3 lines in src/vectorhost, 2 parameters with defaults\n"
+        assert out == (
+            f"{tmp_path}: 13 lines in src/vectorhost, 2 parameters with defaults\n"
+            f"{tmp_path}: longest functions other.A.m 5, mod.f 2, other.A.m.inner 2\n"
+        )
