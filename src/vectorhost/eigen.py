@@ -15,8 +15,8 @@ Solving (A - min r) y = x keeps y positive and converges quadratically
 Rayleigh quotient, with the bracket of the final iterate.  A scalar shift
 sigma < lambda leaves W(-L2 - beta - sigma) definite for the LDL^T factor
 of every tridiagonal solve (operators._factor); the system's shifted
-solves factor the infection block as one LAPACK band matrix
-(operators._factor_block), as each pass of the endemic bracket does.
+solves factor copies of the infection block's band, laid out once per
+EndemicProblem, as each pass of the endemic bracket does.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MeshMismatchError, ValidationError
 from .grid import BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import _block_stiffness, _factor, _factor_block, _stiffness, assemble
+from .operators import _band_stiffness, _block_band, _factor, _factor_band, _interleave, _stiffness, assemble
 
 LAMBDA_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -142,20 +142,15 @@ class EndemicProblem:
     This is the only builder of the infection block.  reaction gives
     (f1, f2), the right-hand sides above without the -L terms;
     sweep_potential gives the nodewise damping K2 of the monotone sweeps.
-    Linearized at zero infection, the block is the cooperative operator of
-    the system eigenproblem: linear_matvec applies it, and
-    jacobian(0, 0, shift=-sigma) factors it minus sigma I as one band
-    matrix; stiffness is its largest |row| sum.
+    The other methods take pairs interleaved as (h_0, v_0, h_1, v_1, ...),
+    the order of the block's band, laid out once at zero infection, where
+    the block is the system eigenproblem's cooperative operator:
+    linear_matvec applies it, shifted(sigma) factors a copy of the band
+    minus sigma I, and jacobian(u) a copy with its V rows rewritten.
     """
 
-    def __init__(
-        self,
-        coeffs: CoefficientSet,
-        bc: BoundarySpec,
-        v_b: ScalarField,
-        eps: float = 0.0,
-        weight: ScalarField | None = None,
-    ):
+    def __init__(self, coeffs: CoefficientSet, bc: BoundarySpec, v_b: ScalarField,
+                 eps: float = 0.0, weight: ScalarField | None = None):
         mesh = coeffs.mesh
         if v_b.mesh != mesh:
             raise MeshMismatchError("v_b must share the coefficient mesh")
@@ -164,9 +159,9 @@ class EndemicProblem:
         if weight.mesh != mesh:
             raise MeshMismatchError("weight must share the coefficient mesh")
         self.mesh = mesh
-        self.op1 = assemble(coeffs.d1, bc)
-        self.op2 = assemble(coeffs.d2, bc)
-        sl = self.op1.sl
+        self.op1 = op1 = assemble(coeffs.d1, bc)
+        self.op2 = op2 = assemble(coeffs.d2, bc)
+        sl = op1.sl
         vb, ew = v_b.values[sl], eps * weight.values[sl]
         # sigma2 (V_B + eps w) < 0 would make the block non-cooperative.
         if np.min(vb - ew) <= 0 or np.min(vb + ew) < 0:
@@ -180,40 +175,56 @@ class EndemicProblem:
         self.v_plus = (v_b.values + eps * weight.values)[sl]
         self.s2v = self.s2 * self.v_plus  # sigma2 (V_B + eps w)
         self.muv = (coeffs.mu.values * (v_b.values - eps * weight.values))[sl]  # mu (V_B - eps w)
-        self.m = self.op1.m
+        self.m = m = op1.m
+        self._band = _block_band(op1, op2, op1.diag + self.rho, -self.s1hu, -self.s2v, op2.diag + self.muv)
         # |row| sums of the block at zero infection bound those of every
         # term of the residual on the order interval 0 <= V <= V_B + eps w.
-        self.stiffness = _block_stiffness(
-            self.op1, self.op2, self.op1.diag + self.rho, self.s1hu, self.s2v, self.op2.diag + self.muv
-        )
+        self.stiffness = _band_stiffness(self._band)
+        self._floor = roundoff_floor(self.stiffness)
+        # The diagonals of -L1 and -L2 interleaved (the off-diagonals are the
+        # band's), and each row's coefficients of h and v in the block.
+        self._stencil = _interleave(op1.diag, op2.diag), self._band[2, 2:].copy(), self._band[6, :-2].copy()
+        self._of_h = _interleave(self.rho, -self.s2v).reshape(m, 2)
+        self._of_v = _interleave(-self.s1hu, self.muv).reshape(m, 2)
 
     def reaction(self, h: np.ndarray, v: np.ndarray):
         f2 = self.s2 * np.maximum(self.v_plus - v, 0.0) * h - self.muv * v
         return -self.rho * h + self.s1hu * v, f2
 
-    def residual(self, h: np.ndarray, v: np.ndarray):
-        f1, f2 = self.reaction(h, v)
-        return self.op1.matvec(h) - f1, self.op2.matvec(v) - f2
+    def _minus_l(self, u: np.ndarray) -> np.ndarray:
+        """-L1 and -L2 on the interleaved u (or rows of a stack), in matvec's order."""
+        diag, upper, lower = self._stencil
+        out = diag * u
+        out[..., :-2] += upper * u[..., 2:]
+        out[..., 2:] += lower * u[..., :-2]
+        return out
 
-    def roundoff(self, h: np.ndarray, v: np.ndarray) -> float:
-        """The round-off floor of the residual at (h, v): roundoff_floor of
-        the stiffness times the solution scale 1 + max |(h, v)|."""
-        scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
-        return roundoff_floor(self.stiffness) * scale
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """G(u) = -L u - f(u) at the interleaved pair u, or at each row of a
+        stack of them: op.matvec less reaction, component by component."""
+        g = self._minus_l(u)
+        f1, f2 = self.reaction(u[..., 0::2], u[..., 1::2])
+        g[..., 0::2] -= f1
+        g[..., 1::2] -= f2
+        return g
 
-    def _slack(self, h, v, r1, r2) -> float:
-        r_max = float(max(np.abs(r1).max(), np.abs(r2).max()))
-        return max(1e-8 * (1.0 + r_max), self.roundoff(h, v))
+    def roundoff(self, u: np.ndarray) -> float:
+        """The round-off floor of the residual at the pair u: roundoff_floor
+        of the stiffness times the solution scale 1 + max |u|."""
+        return self._floor * (1.0 + float(np.abs(u).max()))
 
-    def is_upper(self, h: np.ndarray, v: np.ndarray) -> bool:
-        r1, r2 = self.residual(h, v)
-        s = self._slack(h, v, r1, r2)
-        return bool(r1.min() >= -s and r2.min() >= -s)
+    def _slack(self, u, r) -> float:
+        return max(1e-8 * (1.0 + float(np.abs(r).max())), self.roundoff(u))
 
-    def is_lower(self, h: np.ndarray, v: np.ndarray) -> bool:
-        r1, r2 = self.residual(h, v)
-        s = self._slack(h, v, r1, r2)
-        return bool(r1.max() <= s and r2.max() <= s)
+    def violation(self, u: np.ndarray, kind: str) -> str:
+        """'' if the pair u is an upper (kind "upper") or a lower solution up
+        to the slack, G(u) >= -slack or G(u) <= slack; else its worst
+        residual, that residual's component and mesh node, and the slack."""
+        r = self.residual(u)
+        s, i = self._slack(u, r), int(np.argmin(r) if kind == "upper" else np.argmax(r))
+        if (r[i] >= -s) if kind == "upper" else (r[i] <= s):
+            return ""
+        return f"residual {r[i]:.3e} in {'HV'[i % 2]} at node {i // 2 + self.op1.sl.start}, slack {s:.3e}"
 
     def sweep_potential(self, h_top: np.ndarray) -> np.ndarray:
         """Nodewise K2 = sigma2 h_top + mu (V_B - eps w) on active nodes.
@@ -224,35 +235,35 @@ class EndemicProblem:
         """
         return self.s2 * h_top + self.muv
 
-    def linear_matvec(self, p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The block linearized at zero infection, applied to (p1, p2)."""
-        r1 = self.op1.matvec(p1) + self.rho * p1 - self.s1hu * p2
-        r2 = self.op2.matvec(p2) - self.s2v * p1 + self.muv * p2
-        return r1, r2
+    def linear_matvec(self, z: np.ndarray) -> np.ndarray:
+        """The block at zero infection on the interleaved z: stencil, h, v terms."""
+        out = self._minus_l(z)
+        hv, rows = z.reshape(self.m, 2), out.reshape(self.m, 2)
+        rows += self._of_h * hv[:, :1]
+        rows += self._of_v * hv[:, 1:]
+        return out
 
-    def jacobian(self, h: np.ndarray, v: np.ndarray, shift: float = 0.0):
-        """Factor of the residual's Jacobian at (h, v) plus shift on the
-        diagonal: solve(f) on concatenated [h; v] vectors.  At the kink
-        V = V_B + eps w of (V_B + eps w - V)^+ it is the left derivative,
-        with sigma2 H on the V diagonal wherever V <= V_B + eps w: the one
-        for which the residual's convexity inequality holds from above,
-        where solve_endemic's upper pair starts.  Noda calls it at zero
-        infection, where both one-sided derivatives agree."""
-        gap = np.maximum(self.v_plus - v, 0.0)
-        return _factor_block(
-            self.op1, self.op2,
-            self.op1.diag + self.rho + shift, -self.s1hu, -self.s2 * gap,
-            self.op2.diag + (self.muv + self.s2 * h * (v <= self.v_plus)) + shift,
-        )
+    def shifted(self, sigma: float):
+        """Factor of the block at zero infection minus sigma I (_factor_band)."""
+        ab = self._band.copy(order="F")
+        ab[4] -= sigma
+        return _factor_band(ab)
+
+    def jacobian(self, u: np.ndarray):
+        """Factor of the residual's Jacobian at the pair u (_factor_band).  At
+        the kink V = V_B + eps w of (V_B + eps w - V)^+ it is the left
+        derivative, with sigma2 H on the V diagonal wherever V <= V_B + eps w:
+        the one for which the residual's convexity inequality holds from
+        above, where solve_endemic's upper pair starts."""
+        h, v = u[0::2], u[1::2]
+        ab = self._band.copy(order="F")
+        ab[4, 1::2] = self.op2.diag + (self.muv + self.s2 * h * (v <= self.v_plus))
+        ab[5, 0::2] = -self.s2 * np.maximum(self.v_plus - v, 0.0)
+        return _factor_band(ab)
 
 
-def principal_eigen_system(
-    coeffs: CoefficientSet,
-    v_b: ScalarField,
-    bc: BoundarySpec,
-    eps: float = 0.0,
-    weight: ScalarField | None = None,
-) -> SystemEigenpair:
+def principal_eigen_system(coeffs: CoefficientSet, v_b: ScalarField, bc: BoundarySpec,
+                           eps: float = 0.0, weight: ScalarField | None = None) -> SystemEigenpair:
     """Principal eigenpair of the coupled cooperative block system.
 
     The sign of the returned eigenvalue decides whether the infection can
@@ -263,16 +274,13 @@ def principal_eigen_system(
 
 
 def _system_eigenpair(problem: EndemicProblem) -> SystemEigenpair:
-    """principal_eigen_system of the block that problem linearizes at zero."""
+    """principal_eigen_system of the block that problem linearizes at zero,
+    on interleaved iterates.  The Rayleigh quotient's dots take them in the
+    concatenated [h; v] order (order), whose sums fix lambda's bits."""
     m = problem.m
-    x, lam, *bracket = _noda(
-        lambda z: np.concatenate(problem.linear_matvec(z[:m], z[m:])),
-        np.dot,
-        lambda sigma: problem.jacobian(0.0, 0.0, shift=-sigma),
-        2 * m,
-        problem.stiffness,
-        "system",
-    )
-    phi1, phi2 = problem.op1.embed(x[:m]), problem.op2.embed(x[m:])
+    order = np.arange(2 * m).reshape(m, 2).T.ravel()
+    x, lam, *bracket = _noda(problem.linear_matvec, lambda a, b: np.dot(a[order], b[order]),
+                             problem.shifted, 2 * m, problem.stiffness, "system")
+    phi1, phi2 = problem.op1.embed(x[0::2]), problem.op2.embed(x[1::2])
     mesh = problem.mesh
     return SystemEigenpair(lam, ScalarField(mesh, phi1), ScalarField(mesh, phi2), *bracket)

@@ -25,8 +25,9 @@ definite: a pivot that is not positive raises SingularSystemError.
 The 2m x 2m infection block [[T1, D12], [D21, T2]] (two tridiagonal blocks
 coupled through diagonals) is a band matrix with two sub- and two
 super-diagonals once its unknowns are interleaved as (h_0, v_0, h_1, v_1,
-...): it is LU-factored once by LAPACK dgbtrf and solved by dgbtrs, on
-right-hand sides given and returned in the concatenated [h; v] order.
+...): _block_band lays it out as a LAPACK band array, _factor_band
+LU-factors it (dgbtrf) and solves by one dgbtrs call per interleaved
+right-hand side, a vector or a block of columns.
 """
 
 from __future__ import annotations
@@ -147,45 +148,48 @@ def _stiffness(op, diag) -> float:
     return float(np.abs(diag).max() + off[0] + off[1])
 
 
-def _block_stiffness(op1, op2, diag1, off12, off21, diag2) -> float:
-    """The largest |row| sum of the block that _factor_block factors."""
-    rows = np.abs([diag1, diag2]) + np.abs([off12, off21])
-    rows[:, :-1] += np.abs([op1.upper, op2.upper])
-    rows[:, 1:] += np.abs([op1.lower, op2.lower])
-    return float(rows.max())
+def _interleave(a, b) -> np.ndarray:
+    """(a_0, b_0, a_1, b_1, ...), the order of the infection block's band."""
+    out = np.empty(2 * len(a))
+    out[0::2], out[1::2] = a, b
+    return out
 
 
-def _factor_block(op1, op2, diag1, off12, off21, diag2):
-    """LU-factor the 2m x 2m block [[T1, diag(off12)], [diag(off21), T2]],
-    where Tk has opk's off-diagonals and main diagonal diagk, once (dgbtrf)
-    and return solve(f) for the concatenated f = [h; v]: one dgbtrs call on
-    a preallocated interleaved copy of f, which leaves f untouched.  The
-    copy is shared, so the solves of one factor must not run concurrently."""
-    m = diag1.size
-    # In the order (h_0, v_0, h_1, v_1, ...) the block has kl = ku = 2.
-    # Entry (r, c) sits at row 4 + r - c of column c of the band array;
-    # rows 0 and 1 are dgbtrf's room for fill-in.
-    # ab[:, i, 0] is column h_i and ab[:, i, 1] column v_i of the band array,
-    # laid out in Fortran order so that dgbtrf factors it in place.
-    ab_f = np.zeros((m, 2, 7))
-    ab = ab_f.transpose(2, 0, 1)
-    ab[2, 1:, 0], ab[2, 1:, 1] = op1.upper, op2.upper
-    ab[3, :, 1] = off12
-    ab[4, :, 0], ab[4, :, 1] = diag1, diag2
-    ab[5, :, 0] = off21
-    ab[6, :-1, 0], ab[6, :-1, 1] = op1.lower, op2.lower
-    lu, piv, info = dgbtrf(ab_f.reshape(2 * m, 7).T, 2, 2, overwrite_ab=True)
+def _block_band(op1, op2, diag1, off12, off21, diag2) -> np.ndarray:
+    """The block [[T1, diag(off12)], [diag(off21), T2]], Tk with opk's
+    off-diagonals and main diagonal diagk, as dgbtrf's Fortran-ordered 7 x 2m
+    band array in the interleaved order (kl = ku = 2): entry (r, c) sits at
+    row 4 + r - c of column c; rows 0 and 1 are room for fill-in."""
+    ab = np.zeros((7, 2 * diag1.size), order="F")
+    ab[2, 2:] = _interleave(op1.upper, op2.upper)
+    ab[3, 1::2] = off12
+    ab[4] = _interleave(diag1, diag2)
+    ab[5, 0::2] = off21
+    ab[6, :-2] = _interleave(op1.lower, op2.lower)
+    return ab
+
+
+def _band_stiffness(ab) -> float:
+    """The largest |row| sum of the block with band array ab: row r's entries
+    sit at ab[k, r + 4 - k], summed as diagonal, coupling, upper and lower."""
+    a = np.zeros((7, ab.shape[1] + 4))
+    a[:, 2:-2] = np.abs(ab)
+    return float((a[4, 2:-2] + a[3, 3:-1] + a[5, 1:-3] + a[2, 4:] + a[6, :-4]).max())
+
+
+def _factor_band(ab):
+    """LU-factor the band array ab in place (dgbtrf; a zero pivot raises
+    SingularSystemError) and return solve(b): one dgbtrs call on the
+    interleaved b, a vector or 2m x k columns, into a fresh array (b untouched)."""
+    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
     if info != 0:
         raise SingularSystemError(f"block system is singular: zero pivot in row {info}")
-    buf = np.empty((m, 2))
 
-    def solve(f):
-        buf[:, 0] = f[:m]
-        buf[:, 1] = f[m:]
-        x, info = dgbtrs(lu, 2, 2, buf.reshape(2 * m), piv, overwrite_b=True)
+    def solve(b):
+        x, info = dgbtrs(lu, 2, 2, b, piv)
         if info != 0:
             raise ValueError(f"dgbtrs rejected argument {-info}")
-        return x.reshape(m, 2).T.flatten()
+        return x
 
     return solve
 

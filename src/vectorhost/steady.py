@@ -32,9 +32,12 @@ Solution of Nonlinear Equations in Several Variables, 1970, 13.3.4 and
 13.3.7).  x starts on the kink V = V_B + eps w of the reaction, where
 the convexity inequality needs the left derivative: EndemicProblem.jacobian
 takes it.  Each pass checks what the theory promises, G(x) >= 0 and
-G(y) <= 0 up to the slack of is_upper/is_lower and y <= x up to the
-round-off that G'(x)^{-1} carries from the residual, and raises
-MonotonicityError where it fails.
+G(y) <= 0 up to the slack of EndemicProblem.violation and y <= x up to
+the round-off that G'(x)^{-1} carries from the residual, and raises
+MonotonicityError where it fails.  The pairs are interleaved (h_0, v_0,
+h_1, v_1, ...) from the start of the bracket to its split at the end, and
+stacked as the two rows of one state: one residual call evaluates both,
+and one dgbtrs call takes both steps as a two-column right-hand side.
 
 Each monotone sweep is one block Gauss-Seidel step with nodewise damping
 potentials (C. V. Pao, Numer. Math. 72, 1995, and 79, 1998):
@@ -42,26 +45,20 @@ potentials (C. V. Pao, Numer. Math. 72, 1995, and 79, 1998):
     (-L1 + K1) H_new = f1(H_old, V_old) + K1 H_old
     (-L2 + K2) V_new = f2(H_new, V_old) + K2 V_old
 
-K1 = rho is exact, because f1 = -rho H + sigma1 h_u V is linear in H.
-K2 = sigma2 h_top + mu (V_B - eps w) bounds -df2/dV over the order
-interval, where h_top is the H component at its top, so f2 + K2 V is
-non-decreasing in V there.  f2 is non-decreasing in H (the system is
-cooperative), so taking V's reaction at the new H keeps the sweep map
-order-preserving and the iterates nodewise monotone.  A downward run's
-iterates fall, so its latest H tops the rest of the run: after sweeps 1,
-2, 4, 8, ... it re-damps with K2 from that H, a smaller K2 that contracts
-faster (Pao allows K to vary from sweep to sweep as long as it bounds
--df2/dV on the current order interval).
-
-The sweeps run on a stacked state: the iterate and its successor are two
-(2, m) arrays with rows (H, V), allocated once per run.  Each half-sweep
-builds its right-hand side W f, W the operators' weights, by ufunc calls
-on W-scaled coefficients into a row of the successor (each weight is 1 or
-1/2, so W f has the bits of f times W) and solves it there in place (one
-dpttrs call); one min and one max of the difference give the direction
-check and the change, and the scale max |u| is taken only for a wrong-way
-sweep.  Max and min are exact, and the arithmetic keeps the per-component
-order, so the iterates are those of separate H and V arrays bit for bit.
+K1 = rho is exact, because f1 is linear in H.  K2 = sigma2 h_top + mu
+(V_B - eps w) bounds -df2/dV over the order interval, h_top the H at its
+top, so f2 + K2 V is non-decreasing in V there; f2 is non-decreasing in
+H (the system is cooperative), so taking V's reaction at the new H keeps
+the sweep map order-preserving and the iterates nodewise monotone.  A
+downward run's latest H tops the rest of the run, so after sweeps 1, 2,
+4, 8, ... it re-damps with K2 from that H, which contracts faster (Pao
+allows K to vary from sweep to sweep as long as it bounds -df2/dV on the
+current order interval).  The sweeps run on two (2, m) arrays with rows
+(H, V), the iterate and its successor: each half-sweep builds W f (W the
+operators' weights, 1 or 1/2) from W-scaled coefficients in a row of the
+successor and solves it there in place by one dpttrs call; one exact min
+and max of the difference give the direction check and the change, and
+the arithmetic keeps the per-component order of separate H and V arrays.
 """
 
 from __future__ import annotations
@@ -86,7 +83,7 @@ from .eigen import (
     roundoff_floor,
 )
 from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, field_from_constant
-from .operators import ShiftedSolve, _factor, _stiffness, assemble
+from .operators import ShiftedSolve, _factor, _interleave, _stiffness, assemble
 
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 5000
@@ -317,11 +314,9 @@ def monotone_iterate(
         raise ValidationError(f"direction must be 'down' or 'up', got {direction!r}")
     h_start = problem.op1.restrict(h0)
     v_start = problem.op2.restrict(v0)
-    is_valid = problem.is_upper if direction == "down" else problem.is_lower
-    if not is_valid(h_start, v_start):
-        raise ValidationError(
-            f"starting pair is not a valid {'upper' if direction == 'down' else 'lower'} solution"
-        )
+    kind = "upper" if direction == "down" else "lower"
+    if why := problem.violation(_interleave(h_start, v_start), kind):
+        raise ValidationError(f"starting pair is not a valid {kind} solution: {why}")
     if h_top is not None:
         top = problem.op1.restrict(h_top)
         # A top below the start lets the first sweeps drop below the order
@@ -419,48 +414,47 @@ def monotone_iterate(
 def _bracket(problem: EndemicProblem, x: np.ndarray, y: np.ndarray):
     """Close the enclosure y <= u* <= x of the positive root by monotone
     Newton (module docstring), from an upper pair x and a lower pair y
-    below it, each the concatenated [H; V] on the active nodes.
+    below it, each interleaved on the active nodes.
 
     Returns (x, y, passes, width, residual): the final pairs, the number of
     passes (block factors), the width max(x - y) and the larger sup
     residual of the two.  Stops once the width is <= 1e-13 (1 + max |x|),
     or after a pass that moved neither pair.  An upper pair with a residual
-    below -slack, a lower pair with one above slack (the slack of
-    is_upper/is_lower) or a lower pair above the upper by more than the
-    round-off roundoff(x) * max(G'(x)^{-1} 1), taken only for such an
-    overlap, raises MonotonicityError; MAX_NEWTON passes raise
-    ConvergenceError.
+    below -slack, a lower pair with one above slack or a lower pair above
+    the upper by more than the round-off roundoff(x) * max(G'(x)^{-1} 1),
+    taken only for such an overlap, raises MonotonicityError; MAX_NEWTON
+    passes raise ConvergenceError.
     """
-    m = problem.m
+    pairs = np.stack([x, y])
     still = False
     for passes in range(MAX_NEWTON + 1):
-        gx = np.concatenate(problem.residual(x[:m], x[m:]))
-        gy = np.concatenate(problem.residual(y[:m], y[m:]))
+        g = problem.residual(pairs)
+        (x, y), (gx, gy) = pairs, g
         low, high = float(gx.min()), float(gy.max())
-        if low < 0.0 and low < -problem._slack(x[:m], x[m:], gx[:m], gx[m:]):
+        if low < 0.0 and low < -problem._slack(x, gx):
             raise MonotonicityError(f"bracket pass {passes}: the upper pair has a residual of {low:.3e}")
-        if high > 0.0 and high > problem._slack(y[:m], y[m:], gy[:m], gy[m:]):
+        if high > 0.0 and high > problem._slack(y, gy):
             raise MonotonicityError(f"bracket pass {passes}: the lower pair has a residual of {high:.3e}")
         width = float((x - y).max())
         if still or width <= 1e-13 * (1.0 + float(np.abs(x).max())):
-            return x, y, passes, width, float(max(np.abs(gx).max(), np.abs(gy).max()))
+            return x, y, passes, width, float(np.abs(g).max())
         if passes == MAX_NEWTON:
             raise ConvergenceError(
                 f"endemic bracket hit its cap of {MAX_NEWTON} passes at width {width:.3e}",
-                residual=float(max(np.abs(gx).max(), np.abs(gy).max())),
+                residual=float(np.abs(g).max()),
             )
-        solve = problem.jacobian(x[:m], x[m:])
-        x_new, y_new = x - solve(gx), y - solve(gy)
-        overlap = float((y_new - x_new).max())
+        solve = problem.jacobian(x)
+        new = pairs - solve(g.T).T
+        overlap = float((new[1] - new[0]).max())
         if overlap > 0.0:
             # G'(x) is an M-matrix, so G'(x)^{-1} 1 >= 0 gives its sup norm.
-            tol = problem.roundoff(x_new[:m], x_new[m:]) * float(solve(np.ones(2 * m)).max())
+            tol = problem.roundoff(new[0]) * float(solve(np.ones(x.size)).max())
             if overlap > tol:
                 raise MonotonicityError(
                     f"bracket pass {passes + 1}: the lower pair tops the upper by {overlap:.3e}"
                 )
-        still = np.array_equal(x_new, x) and np.array_equal(y_new, y)
-        x, y = x_new, y_new
+        still = np.array_equal(new, pairs)
+        pairs = new
 
 
 def solve_endemic(
@@ -506,32 +500,26 @@ def solve_endemic(
         return EndemicAbsent(lam, eps)
 
     mesh = problem.mesh
-    # The upper-solution pair (H_bar, V_B + eps w).
-    upper_h = _h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
-    upper_v = problem.v_plus
-    phi1 = problem.op1.restrict(eigenpair.phi1)
-    phi2 = problem.op2.restrict(eigenpair.phi2)
+    # The upper-solution pair (H_bar, V_B + eps w) and (phi1, phi2), interleaved.
+    upper = _interleave(_h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus), problem.v_plus)
+    phi = _interleave(problem.op1.restrict(eigenpair.phi1), problem.op2.restrict(eigenpair.phi2))
     for delta in DELTA_CANDIDATES:
-        lh, lv = delta * phi1, delta * phi2
-        fits = bool(
-            np.all(lh <= upper_h * (1.0 + 1e-12)) and np.all(lv <= upper_v * (1.0 + 1e-12))
-        )
-        if fits and problem.is_lower(lh, lv):
+        lower = delta * phi
+        if np.all(lower <= upper * (1.0 + 1e-12)) and not problem.violation(lower, "lower"):
             break
     else:
         raise ConvergenceError(
             "no amplitude in {1e-1..1e-8} makes delta*(phi1, phi2) an admissible lower solution"
         )
 
-    if not problem.is_upper(upper_h, upper_v):
-        raise ValidationError("starting pair is not a valid upper solution")
+    if why := problem.violation(upper, "upper"):
+        raise ValidationError(f"starting pair is not a valid upper solution: {why}")
     # The delta search checked the lower pair.
-    x, y, passes, width, res = _bracket(problem, np.concatenate([upper_h, upper_v]), np.concatenate([lh, lv]))
-    m = problem.m
-    hd, vd = x[:m], x[m:]
+    x, y, passes, width, res = _bracket(problem, upper, lower)
+    hd, vd = x[0::2], x[1::2]
     # Evaluating -L u costs round-off that grows with the stencil.  Only
     # two limits that are both roots can speak against uniqueness.
-    if res > max(RESIDUAL_TOL, problem.roundoff(hd, vd)):
+    if res > max(RESIDUAL_TOL, problem.roundoff(x)):
         raise ConvergenceError("endemic equilibrium residual above tolerance", residual=res)
     disagreement = float(np.abs(x - y).max())
     if disagreement > AGREEMENT_TOL:

@@ -4,8 +4,11 @@ import pytest
 import vectorhost as vh
 from vectorhost import eigen, verify
 from vectorhost.errors import ConvergenceError, ValidationError
+from vectorhost.operators import _interleave
 
 from helpers import (
+    CLOSURES,
+    criterion4_scenario,
     constants_coeffs,
     dense_r0,
     dense_scalar_eig,
@@ -150,7 +153,8 @@ class TestSystemEigen:
         problem = vh.EndemicProblem(coeffs, neumann, logistic.v_b)
         p1 = problem.op1.restrict(eig.phi1)
         p2 = problem.op2.restrict(eig.phi2)
-        r1, r2 = problem.linear_matvec(p1, p2)
+        r = problem.linear_matvec(_interleave(p1, p2))
+        r1, r2 = r[0::2], r[1::2]
         tol = 1e-9 * (1 + abs(eig.lam))
         assert np.abs(r1 - eig.lam * p1).max() <= tol
         assert np.abs(r2 - eig.lam * p2).max() <= tol
@@ -224,6 +228,80 @@ class TestSystemEigen:
         )
         assert decoupled > lams[-1]
         assert decoupled - lams[-1] < 0.05 * (1 + abs(decoupled))
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+class TestInterleavedBlock:
+    """EndemicProblem's residual and linearized matvec take interleaved pairs
+    (h_0, v_0, h_1, v_1, ...) and apply both stencils at once.  They must
+    keep the bits of the per-component formula: op.matvec of each
+    component, then reaction (or the linear terms) in the same order, so
+    the residual stays one formula with the reaction integrate_aux_pair
+    steps, and the two-column solve of a bracket pass must keep the bits
+    of one solve per column."""
+
+    @staticmethod
+    def problem_and_states(kind_index):
+        bc = CLOSURES[kind_index]
+        mesh = vh.build_mesh(0, 5, 101)
+        rng = np.random.default_rng([kind_index, 23])
+        coeffs = verify.random_coefficients(mesh, rng)
+        v_b = vh.ScalarField(mesh, rng.uniform(0.5, 2.0, mesh.n))
+        problem = vh.EndemicProblem(coeffs, bc, v_b, 0.01)
+        m = problem.m
+        states = []
+        for _ in range(3):
+            # V below, on and above the kink V = V_B + eps w.
+            h = rng.uniform(0.0, 3.0, m)
+            v = problem.v_plus * rng.uniform(0.0, 1.2, m)
+            v[::4] = problem.v_plus[::4]
+            states.append((h, v))
+        return problem, states
+
+    @pytest.mark.parametrize("kind_index", [0, 1, 2])
+    def test_residual_is_matvec_less_reaction(self, kind_index):
+        problem, states = self.problem_and_states(kind_index)
+        for h, v in states:
+            assert (v > problem.v_plus).any() and (v < problem.v_plus).any()
+            f1, f2 = problem.reaction(h, v)
+            expected = _interleave(problem.op1.matvec(h) - f1, problem.op2.matvec(v) - f2)
+            assert bits(problem.residual(_interleave(h, v))) == bits(expected)
+        # A stack of pairs, as the bracket evaluates its two: row by row the same bits.
+        stack = np.stack([_interleave(h, v) for h, v in states])
+        assert bits(problem.residual(stack)) == bits([problem.residual(u) for u in stack])
+
+    @pytest.mark.parametrize("kind_index", [0, 1, 2])
+    def test_linear_matvec_is_matvec_plus_linear_terms(self, kind_index):
+        problem, states = self.problem_and_states(kind_index)
+        for p1, p2 in states:
+            r1 = problem.op1.matvec(p1) + problem.rho * p1 - problem.s1hu * p2
+            r2 = problem.op2.matvec(p2) - problem.s2v * p1 + problem.muv * p2
+            assert bits(problem.linear_matvec(_interleave(p1, p2))) == bits(_interleave(r1, r2))
+
+    @pytest.mark.parametrize("kind_index", [0, 1, 2])
+    def test_two_column_solve_is_one_solve_per_column(self, kind_index):
+        problem, states = self.problem_and_states(kind_index)
+        (h, v), *rest = states
+        solve = problem.jacobian(_interleave(h, v))
+        g = problem.residual(np.stack([_interleave(h, v) for h, v in rest]))
+        both = solve(g.T)
+        assert bits(both[:, 0]) == bits(solve(g[0])) and bits(both[:, 1]) == bits(solve(g[1]))
+
+    @pytest.mark.parametrize("kind_index, seed", [(0, 2), (1, 5), (2, 6), (1, 43)])
+    def test_rayleigh_quotient_in_concatenated_order(self, kind_index, seed):
+        """Noda iterates on interleaved pairs, but its Rayleigh quotient sums
+        in the concatenated [h; v] order: lambda_system is that quotient at
+        the returned eigenvector, bit for bit (the interleaved order moves
+        lambda by up to a few ulps)."""
+        coeffs, bc, log, problem = criterion4_scenario(kind_index, seed)
+        eig = vh.principal_eigen_system(coeffs, log.v_b, bc)
+        p1, p2 = problem.op1.restrict(eig.phi1), problem.op2.restrict(eig.phi2)
+        r = problem.linear_matvec(_interleave(p1, p2))
+        x, ax = np.concatenate([p1, p2]), np.concatenate([r[0::2], r[1::2]])
+        assert bits(eig.lam) == bits(float(np.dot(x, ax) / np.dot(x, x)))
 
 
 class TestNodaIteration:

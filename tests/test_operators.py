@@ -9,7 +9,15 @@ from scipy.linalg.lapack import dptsv
 import vectorhost as vh
 from vectorhost.errors import SingularSystemError, ValidationError
 from vectorhost import verify
-from vectorhost.operators import ShiftedSolve, _block_stiffness, _factor, _factor_block, assemble
+from vectorhost.operators import (
+    ShiftedSolve,
+    _band_stiffness,
+    _block_band,
+    _factor,
+    _factor_band,
+    _interleave,
+    assemble,
+)
 from vectorhost.steady import EndemicProblem
 
 from helpers import dense_matrix, dense_scalar_eig, dense_system_block
@@ -464,10 +472,40 @@ def dense_stiffness(a):
     return float(np.abs(a).sum(axis=1).max())
 
 
+def interleaved(a):
+    """The 2m x 2m block a, given in the concatenated [h; v] order, in the
+    interleaved order (h_0, v_0, h_1, v_1, ...) of its band."""
+    m = a.shape[0] // 2
+    perm = np.arange(2 * m).reshape(2, m).T.ravel()
+    return a[np.ix_(perm, perm)]
+
+
+def kinked_pair(problem, rng):
+    """A random (h, v) with V below, on and above the kink V = V_B + eps w of
+    (V_B + eps w - V)^+, each at some node once m >= 3."""
+    m = problem.m
+    h = rng.uniform(0.1, 2.0, m)
+    v = problem.v_plus * rng.uniform(0.2, 1.0, m)
+    v[1::7] = 1.1 * problem.v_plus[1::7]
+    v[::3] = problem.v_plus[::3]
+    return h, v
+
+
+def dense_jacobian(problem, h, v):
+    """G'(h, v) with the left derivative at the kink, written out densely."""
+    gap = np.maximum(problem.v_plus - v, 0.0)
+    return dense_block(
+        problem.op1, problem.op2,
+        problem.op1.diag + problem.rho, -problem.s1hu, -problem.s2 * gap,
+        problem.op2.diag + problem.muv + problem.s2 * h * (v <= problem.v_plus),
+    )
+
+
 class TestBlockMatrix:
-    """The infection block [[T1, diag(off12)], [diag(off21), T2]] is factored
-    as one band matrix in interleaved order (dgbtrf) and solved by dgbtrs;
-    the dense block written out with np.block is its oracle, through
+    """The infection block [[T1, diag(off12)], [diag(off21), T2]] is laid
+    out once as a band matrix in interleaved order (_block_band), factored
+    by dgbtrf and solved by dgbtrs; the dense block written out with
+    np.block, permuted to that order, is its oracle, through
     np.linalg.solve and its |row| sums."""
 
     BCS = TestFactoredKernel.BCS
@@ -488,8 +526,8 @@ class TestBlockMatrix:
                 blocks[2][::2] = 0.0
                 blocks[1][-1] = 0.0
             a = dense_block(op1, op2, *blocks)
-            assert_solves_dense(_factor_block(op1, op2, *blocks), a, rng)
-            assert _block_stiffness(op1, op2, *blocks) == pytest.approx(dense_stiffness(a), rel=1e-15)
+            assert_solves_dense(_factor_band(_block_band(op1, op2, *blocks)), interleaved(a), rng)
+            assert _band_stiffness(_block_band(op1, op2, *blocks)) == pytest.approx(dense_stiffness(a), rel=1e-15)
 
     @pytest.mark.parametrize("kind", sorted(BCS))
     def test_jacobian_and_shifted_system_unchanged(self, kind):
@@ -503,29 +541,47 @@ class TestBlockMatrix:
 
         # A Newton point with nodes below, on and above the kink V = V_B + eps w
         # of (V_B + eps w - V)^+, whose left derivative the Jacobian takes.
-        h = rng.uniform(0.1, 2.0, m)
-        v = problem.v_plus * rng.uniform(0.2, 1.0, m)
-        v[1::7] = 1.1 * problem.v_plus[1::7]
-        v[::3] = problem.v_plus[::3]
+        h, v = kinked_pair(problem, rng)
         gap = np.maximum(problem.v_plus - v, 0.0)
         below = v <= problem.v_plus
         assert (gap > 0).any() and (v == problem.v_plus).any() and not below.all()
-        a = dense_block(
-            problem.op1, problem.op2,
-            problem.op1.diag + problem.rho, -problem.s1hu, -problem.s2 * gap,
-            problem.op2.diag + problem.muv + problem.s2 * h * below,
-        )
-        assert_solves_dense(problem.jacobian(h, v), a, rng)
+        a = interleaved(dense_jacobian(problem, h, v))
+        assert_solves_dense(problem.jacobian(_interleave(h, v)), a, rng)
 
         # Linearized at zero infection and shifted by -sigma with sigma below
         # lambda: the system eigensolve's matrix, a nonsingular M-matrix.
-        block = dense_system_block(coeffs, v_b, bc)
+        block = interleaved(dense_system_block(coeffs, v_b, bc))
         sigma = vh.principal_eigen_system(coeffs, v_b, bc).lam - 0.75
-        assert_solves_dense(problem.jacobian(0.0, 0.0, shift=-sigma), block - sigma * np.eye(2 * m), rng)
+        assert_solves_dense(problem.shifted(sigma), block - sigma * np.eye(2 * m), rng)
         assert problem.stiffness == pytest.approx(dense_stiffness(block), rel=1e-15)
         z = rng.normal(size=2 * m)
         scale = np.abs(z).max() * dense_stiffness(block)
-        assert np.abs(np.concatenate(problem.linear_matvec(z[:m], z[m:])) - block @ z).max() <= 1e-14 * scale
+        assert np.abs(problem.linear_matvec(z) - block @ z).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [3, 4, 103])
+    @pytest.mark.parametrize("kind", sorted(BCS))
+    def test_template_and_its_factors(self, kind, n):
+        """The band template at zero infection, its shifted factor and G'(u)'s
+        factor each solve against the dense block, at m = 1, 2 and 101
+        under Dirichlet (m = 1 is one active node) and m = n otherwise.
+        Factoring copies leaves the template as it was."""
+        bc = self.BCS[kind]
+        rng = np.random.default_rng([n, len(kind), 11])
+        mesh = vh.build_mesh(0, 2, n)
+        coeffs = verify.random_coefficients(mesh, rng)
+        v_b = vh.ScalarField(mesh, rng.uniform(0.5, 2.0, n))
+        problem = EndemicProblem(coeffs, bc, v_b)
+        m = problem.m
+        assert m == (n - 2 if kind == "dirichlet" else n)
+        template = problem._band.copy()
+        block = interleaved(dense_system_block(coeffs, v_b, bc))
+        assert_solves_dense(_factor_band(problem._band.copy(order="F")), block, rng)
+        # block - sigma I is then strictly diagonally dominant, a nonsingular M-matrix.
+        sigma = -(1.0 + dense_stiffness(block))
+        assert_solves_dense(problem.shifted(sigma), block - sigma * np.eye(2 * m), rng)
+        h, v = kinked_pair(problem, rng)
+        assert_solves_dense(problem.jacobian(_interleave(h, v)), interleaved(dense_jacobian(problem, h, v)), rng)
+        assert np.array_equal(problem._band, template)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_singular_block_raises(self, m):
@@ -533,11 +589,11 @@ class TestBlockMatrix:
         op = assemble(unit_d(vh.build_mesh(0, 1, m + 2)), vh.BoundarySpec.dirichlet())
         zero = np.zeros(m)
         with pytest.raises(SingularSystemError):
-            _factor_block(op, op, zero, zero, zero, zero)
+            _factor_band(_block_band(op, op, zero, zero, zero, zero))
 
     def test_rank_one_coupling_raises(self):
         # m = 1: [[2, -1], [-4, 2]] pivots on -4 and leaves an exact zero pivot.
         op = assemble(unit_d(vh.build_mesh(0, 1, 3)), vh.BoundarySpec.dirichlet())
         blocks = [np.array([x]) for x in (2.0, -1.0, -4.0, 2.0)]
         with pytest.raises(SingularSystemError):
-            _factor_block(op, op, *blocks)
+            _factor_band(_block_band(op, op, *blocks))

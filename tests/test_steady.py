@@ -17,7 +17,8 @@ from vectorhost.errors import (
     MonotonicityError,
     ValidationError,
 )
-from vectorhost.operators import ShiftedSolve, _factor_block
+from vectorhost import operators
+from vectorhost.operators import ShiftedSolve, _block_band, _factor_band, _interleave
 from vectorhost.steady import (
     SWEEP_TOL,
     EndemicProblem,
@@ -314,6 +315,15 @@ class TestMonotoneIteration:
         with pytest.raises(ValidationError):
             monotone_iterate(problem, tiny, tiny, "down")
 
+    def test_invalid_start_names_its_worst_residual(self):
+        """The error names the mesh node: under Dirichlet the first active
+        node is node 1, where -L1 of a constant H = 1 meets the zero wall."""
+        coeffs, bc, log, problem = criterion4_scenario(1, 5)
+        one = vh.field_from_constant(coeffs.mesh, 1.0)
+        message = r"^starting pair is not a valid lower solution: residual 1\.011e\+03 in H at node 1, slack 1\.012e-05$"
+        with pytest.raises(ValidationError, match=message):
+            monotone_iterate(problem, one, log.v_b, "up")
+
     def test_unknown_direction(self, unit_mesh, neumann):
         coeffs, log, problem = self._problem(unit_mesh, neumann)
         with pytest.raises(ValidationError):
@@ -597,7 +607,7 @@ class TestMonotoneSweepOracle:
 def bracket_passes(monkeypatch, solve):
     """solve() with every pass of the endemic bracket recorded: its result
     and the (x_k, y_k) at which each pass evaluated the residual, on the
-    active nodes as concatenated [H; V]."""
+    active nodes as interleaved pairs (one residual call takes both)."""
     passes = []
     bracket = steady._bracket
 
@@ -605,16 +615,16 @@ def bracket_passes(monkeypatch, solve):
         residual = problem.residual
         calls = []
 
-        def recorded(h, v):
-            calls.append(np.concatenate([h, v]))
-            return residual(h, v)
+        def recorded(pairs):
+            calls.append(pairs.copy())
+            return residual(pairs)
 
         problem.residual = recorded
         try:
             return bracket(problem, x, y)
         finally:
             del problem.residual
-            passes.extend(zip(calls[0::2], calls[1::2], strict=True))
+            passes.extend((x_k, y_k) for x_k, y_k in calls)
 
     with monkeypatch.context() as patch:
         patch.setattr(steady, "_bracket", spy)
@@ -678,7 +688,7 @@ class TestBracket:
         coeffs = constants_coeffs(unit_mesh)
         problem = EndemicProblem(coeffs, neumann, vh.solve_logistic(coeffs, neumann).v_b)
         m = problem.m
-        x, y = np.concatenate([np.ones(m), np.full(m, 0.5)]), np.zeros(2 * m)
+        x, y = _interleave(np.ones(m), np.full(m, 0.5)), np.zeros(2 * m)
         x_end, y_end, passes, width, residual = steady._bracket(problem, x, y)
         assert (passes, width, residual) == (1, 1.0, 0.0)
         assert np.array_equal(x_end, x) and np.array_equal(y_end, y)
@@ -689,17 +699,56 @@ class TestBracket:
         the first Newton-Fourier step overshoots the upper iterate."""
         coeffs, bc, log, problem = criterion4_scenario(0, 1)
 
-        def right(self, h, v, shift=0.0):
+        def right(self, u):
+            h, v = u[0::2], u[1::2]
             gap = np.maximum(self.v_plus - v, 0.0)
-            return _factor_block(
+            return _factor_band(_block_band(
                 self.op1, self.op2,
-                self.op1.diag + self.rho + shift, -self.s1hu, -self.s2 * gap,
-                self.op2.diag + (self.muv + self.s2 * h * (gap > 0.0)) + shift,
-            )
+                self.op1.diag + self.rho, -self.s1hu, -self.s2 * gap,
+                self.op2.diag + (self.muv + self.s2 * h * (gap > 0.0)),
+            ))
 
         monkeypatch.setattr(EndemicProblem, "jacobian", right)
         with pytest.raises(MonotonicityError, match="bracket pass 1: the lower pair tops the upper"):
             vh.solve_endemic(coeffs, bc, logistic=log)
+
+    def test_one_factor_and_one_solve_per_pass(self, monkeypatch):
+        """Each pass factors G'(x) once (dgbtrf) and takes both Newton steps
+        in one dgbtrs call on a two-column right-hand side; the only other
+        dgbtrs call is the sup norm G'(x)^{-1} 1 of an overlap."""
+        calls = []
+
+        def spy(name):
+            lapack = getattr(operators, name)
+
+            def recorded(*args, **kwargs):
+                calls.append((name, args[3] if name == "dgbtrs" else None))
+                return lapack(*args, **kwargs)
+
+            monkeypatch.setattr(operators, name, recorded)
+
+        spy("dgbtrf")
+        spy("dgbtrs")
+        for kind_index, seed in [(0, 2), (1, 5), (2, 6), (1, 43)]:
+            coeffs, bc, log, problem = criterion4_scenario(kind_index, seed)
+            eig = vh.principal_eigen_system(coeffs, log.v_b, bc)
+            calls.clear()
+            eq = vh.solve_endemic(coeffs, bc, logistic=log, eigenpair=eig)
+            factors = [b for name, b in calls if name == "dgbtrf"]
+            pairs = [b for name, b in calls if name == "dgbtrs" and b.shape == (2 * problem.m, 2)]
+            norms = [b for name, b in calls if name == "dgbtrs" and b.shape == (2 * problem.m,)]
+            assert len(factors) == len(pairs) == eq.passes
+            assert len(calls) == 2 * eq.passes + len(norms)
+            assert all(np.array_equal(b, np.ones(2 * problem.m)) for b in norms)
+
+    def test_invalid_upper_pair_names_its_worst_residual(self):
+        """Criterion 4's Robin seed 5 at eps = -0.01: V_B - 0.01 is no upper
+        solution at a Robin wall, where -L2 of a constant is positive.  The
+        error names the worst residual, its component and node, and the slack."""
+        coeffs, bc, log, _ = criterion4_scenario(2, 5)
+        message = r"^starting pair is not a valid upper solution: residual -8\.188e-02 in V at node 0, slack 1\.134e-08$"
+        with pytest.raises(ValidationError, match=message):
+            vh.solve_endemic(coeffs, bc, -0.01, logistic=log)
 
 
 class TestSweepCap:
