@@ -263,14 +263,14 @@ class EndemicProblem:
 
 
 def principal_eigen_system(coeffs: CoefficientSet, v_b: ScalarField, bc: BoundarySpec,
-                           eps: float = 0.0, weight: ScalarField | None = None) -> SystemEigenpair:
+                           eps: float = 0.0) -> SystemEigenpair:
     """Principal eigenpair of the coupled cooperative block system.
 
     The sign of the returned eigenvalue decides whether the infection can
-    invade the vector equilibrium v_b; eps/weight perturb the coupling
-    fields to sigma2 (V_B + eps w) and mu (V_B - eps w).
+    invade the vector equilibrium v_b; eps perturbs the coupling fields to
+    sigma2 (V_B + eps) and mu (V_B - eps).
     """
-    return _system_eigenpair(EndemicProblem(coeffs, bc, v_b, eps, weight))
+    return _system_eigenpair(EndemicProblem(coeffs, bc, v_b, eps))
 
 
 def _system_eigenpair(problem: EndemicProblem) -> SystemEigenpair:

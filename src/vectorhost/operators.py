@@ -211,8 +211,8 @@ class ShiftedSolve:
     solve_weighted(b) takes b = W f, already weighted, and writes u into b
     (a contiguous float64 array, such as one row of a C-ordered 2-D array,
     or an F-ordered block of columns, each solved as its own row would be),
-    so a loop of solves allocates nothing: the stepping core and the
-    monotone sweeps build W f themselves, from W-scaled coefficients.
+    so a loop of solves allocates nothing: the stepping core builds W f
+    itself, from W-scaled coefficients.
     solve_active(f) returns u in a fresh array, W f, and leaves f untouched.
     Solves into different arrays may run concurrently.  solve
     (single-operator form), not solve_active, checks f finite.

@@ -53,12 +53,7 @@ the sweep map order-preserving and the iterates nodewise monotone.  A
 downward run's latest H tops the rest of the run, so after sweeps 1, 2,
 4, 8, ... it re-damps with K2 from that H, which contracts faster (Pao
 allows K to vary from sweep to sweep as long as it bounds -df2/dV on the
-current order interval).  The sweeps run on two (2, m) arrays with rows
-(H, V), the iterate and its successor: each half-sweep builds W f (W the
-operators' weights, 1 or 1/2) from W-scaled coefficients in a row of the
-successor and solves it there in place by one dpttrs call; one exact min
-and max of the difference give the direction check and the change, and
-the arithmetic keeps the per-component order of separate H and V arrays.
+current order interval).
 """
 
 from __future__ import annotations
@@ -70,6 +65,7 @@ import numpy as np
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
+    MeshMismatchError,
     MonotonicityError,
     UniquenessViolation,
     ValidationError,
@@ -296,110 +292,76 @@ def monotone_iterate(
     by Newton (see the module docstring).  The damping potentials are
     K1 = rho and K2 = problem.sweep_potential(h_top), each factored once,
     except that a "down" run re-damps K2 from its latest H after sweeps 1,
-    2, 4, 8, ... (at most 13 times before the cap); in between, the sweeps
-    allocate nothing but the history.
+    2, 4, 8, ... (at most 13 times before the cap).
     h_top is the H component at the top of the order interval; by default
     the starting H for "down", and for "up" the H_bar solving
-    (-L1 + rho) H_bar = sigma1 h_u (V_B + eps w).  An h_top below
-    the starting H at any node raises ValidationError; one below later
-    iterates voids the order guarantee, and only a sweep that moves the
-    wrong way reveals it.  The starting pair is verified to satisfy the
-    matching discrete inequalities; every sweep is checked to move nodewise
-    in the declared direction, and one that moves the wrong way by more
-    than a positive round-off tolerance (computed only for such a sweep)
-    raises MonotonicityError.  Stops when the sweep-to-sweep sup change
-    drops below SWEEP_TOL, or at the cap of MAX_SWEEPS sweeps.
+    (-L1 + rho) H_bar = sigma1 h_u (V_B + eps w).  h0, v0 and h_top must
+    live on problem.mesh (MeshMismatchError).  An h_top below the starting
+    H at any node raises ValidationError; one below later iterates voids
+    the order guarantee, and only a sweep that moves the wrong way reveals
+    it.  The starting pair is verified to satisfy the matching discrete
+    inequalities; every sweep is checked to move nodewise in the declared
+    direction, and one that moves the wrong way by more than the round-off
+    floor of a sweep raises MonotonicityError.  Stops when the
+    sweep-to-sweep sup change drops below SWEEP_TOL, or at the cap of
+    MAX_SWEEPS sweeps.
     """
     if direction not in ("down", "up"):
         raise ValidationError(f"direction must be 'down' or 'up', got {direction!r}")
-    h_start = problem.op1.restrict(h0)
-    v_start = problem.op2.restrict(v0)
+    if any(f is not None and f.mesh != problem.mesh for f in (h0, v0, h_top)):
+        raise MeshMismatchError("h0, v0 and h_top must live on the problem's mesh")
+    h, v = problem.op1.restrict(h0), problem.op2.restrict(v0)
     kind = "upper" if direction == "down" else "lower"
-    if why := problem.violation(_interleave(h_start, v_start), kind):
+    if why := problem.violation(_interleave(h, v), kind):
         raise ValidationError(f"starting pair is not a valid {kind} solution: {why}")
     if h_top is not None:
         top = problem.op1.restrict(h_top)
         # A top below the start lets the first sweeps drop below the order
         # interval without ever moving the wrong way.
-        gap = float((top - h_start).min())
-        if gap < -1e-12 * (1.0 + float(np.abs(h_start).max())):
+        gap = float((top - h).min())
+        if gap < -1e-12 * (1.0 + float(np.abs(h).max())):
             raise ValidationError(f"h_top lies up to {-gap:.3e} below the starting H")
     elif direction == "down":
-        top = h_start
+        top = h
     else:  # H_bar, the H of the upper-solution pair
         top = _h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
     k1 = problem.rho
     solve1 = ShiftedSolve(problem.op1, k1)
-    w = problem.op1.weights
-
-    def damp(top):
-        """K2 for the H top, W K2, K2's factor, and mono_coef and k_min of
-        the wrong-way tolerance, the round-off floor of one sweep: evaluating
-        the residual costs eps*stiffness*|u| and the sweep damps it by
-        (M + K)^{-1} ~ 1/min K."""
-        k2 = problem.sweep_potential(top)
-        k_min = min(float(k1.min()), float(k2.min()))
-        stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
-        stiff += max(float(k1.max()), float(k2.max()))
-        return k2, w * k2, ShiftedSolve(problem.op2, k2), 256.0 * np.finfo(float).eps * stiff, k_min
-
-    k2, w_k2, solve2, mono_coef, k_min = damp(top)
-    k_c = float(k2.max())
-    # u and its successor u_new hold rows (H, V) and swap after each
-    # sweep; d and row are scratch (see the module docstring).
-    u = np.stack([h_start, v_start])
-    u_new = np.empty_like(u)
-    cur, nxt = (u, *u), (u_new, *u_new)
-    d = np.empty_like(u)
-    row = np.empty(problem.m)
-    s1hu, s2, muv = w * problem.s1hu, w * problem.s2, w * problem.muv
-    v_plus = problem.v_plus
+    stiff = max(float(problem.op1.diag.max()), float(problem.op2.diag.max()))
     history = [] if keep_history else None
-    change = np.inf
-    converged = False
+    k_c, change, converged = -np.inf, np.inf, False
     for sweep in range(1, MAX_SWEEPS + 1):
-        u, h, v = cur
-        u_new, h_new, v_new = nxt
-        # H half-sweep: f1 + K1 H = sigma1 h_u V, since K1 = rho.
-        np.multiply(s1hu, v, out=h_new)
-        solve1.solve_weighted(h_new)
-        # V half-sweep: f2(H_new, V) + K2 V, in the order of problem.reaction.
-        np.subtract(v_plus, v, out=v_new)
-        np.maximum(v_new, 0.0, out=v_new)
-        np.multiply(s2, v_new, out=v_new)
-        np.multiply(v_new, h_new, out=v_new)
-        np.multiply(muv, v, out=row)
-        np.subtract(v_new, row, out=v_new)
-        np.multiply(w_k2, v, out=row)
-        np.add(v_new, row, out=v_new)
-        solve2.solve_weighted(v_new)
-        np.subtract(u_new, u, out=d)
-        d_lo, d_hi = float(d.min()), float(d.max())
-        # max(u - u_new) is exactly -d_lo; the tolerance is > 0, so <= 0 passes.
-        violation = d_hi if direction == "down" else -d_lo
-        if not violation <= 0.0:
-            u_scale = 1.0 + float(np.abs(u, out=d).max())
-            if violation > mono_coef * u_scale / k_min:
-                raise MonotonicityError(
-                    f"sweep {sweep} moved {violation:.3e} against the declared direction "
-                    f"(max K2={float(k2.max()):g})"
-                )
-        change = abs(max(d_hi, -d_lo))  # abs(d).max(), never -0.0
-        cur, nxt = nxt, cur
-        if history is not None:
-            history.append(
-                (
-                    ScalarField(problem.mesh, problem.op1.embed(h_new)),
-                    ScalarField(problem.mesh, problem.op2.embed(v_new)),
-                )
+        if sweep == 1 or (direction == "down" and (sweep - 1) & (sweep - 2) == 0):
+            # Re-damp after sweeps 1, 2, 4, 8, ...: a "down" run's latest H
+            # tops the rest of the run.  The wrong-way tolerance is the
+            # round-off floor of one sweep: evaluating the residual costs
+            # eps*stiffness*|u| and the sweep damps it by (M + K)^{-1} ~ 1/min K.
+            k2 = problem.sweep_potential(top if sweep == 1 else h)
+            solve2 = ShiftedSolve(problem.op2, k2)
+            k_c = max(k_c, float(k2.max()))
+            k_min = min(float(k1.min()), float(k2.min()))
+            mono_coef = 256.0 * np.finfo(float).eps * (stiff + max(float(k1.max()), float(k2.max())))
+        h_new = solve1.solve_active(problem.s1hu * v)  # f1 + K1 H, as K1 = rho
+        v_new = solve2.solve_active(problem.reaction(h_new, v)[1] + k2 * v)
+        dh, dv = h_new - h, v_new - v
+        if direction == "down":
+            violation = max(float(dh.max()), float(dv.max()))
+        else:
+            violation = max(float(-dh.min()), float(-dv.min()))
+        u_scale = 1.0 + max(float(np.abs(h).max()), float(np.abs(v).max()))
+        if violation > mono_coef * u_scale / k_min:
+            raise MonotonicityError(
+                f"sweep {sweep} moved {violation:.3e} against the declared direction "
+                f"(max K2={float(k2.max()):g})"
             )
+        change = max(float(np.abs(dh).max()), float(np.abs(dv).max()))
+        h, v = h_new, v_new
+        if history is not None:
+            history.append((ScalarField(problem.mesh, problem.op1.embed(h)),
+                            ScalarField(problem.mesh, problem.op2.embed(v))))
         converged = change < SWEEP_TOL
         if converged:
             break
-        if direction == "down" and sweep & (sweep - 1) == 0:  # sweep is a power of 2
-            k2, w_k2, solve2, mono_coef, k_min = damp(h_new)
-            k_c = max(k_c, float(k2.max()))
-    _, h, v = cur
     return MonotoneIteration(
         ScalarField(problem.mesh, problem.op1.embed(h)),
         ScalarField(problem.mesh, problem.op2.embed(v)),

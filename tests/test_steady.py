@@ -14,6 +14,7 @@ from vectorhost.eigen import roundoff_floor
 from vectorhost.errors import (
     AdmissibilityError,
     ConvergenceError,
+    MeshMismatchError,
     MonotonicityError,
     ValidationError,
 )
@@ -324,6 +325,24 @@ class TestMonotoneIteration:
         with pytest.raises(ValidationError, match=message):
             monotone_iterate(problem, one, log.v_b, "up")
 
+    def test_rejects_pairs_off_the_problem_mesh(self, unit_mesh, neumann):
+        """A pair with another node count used to fail with a bare numpy
+        broadcast error, and one with the node count but not the interval
+        used to run and converge."""
+        coeffs, log, problem = self._problem(unit_mesh, neumann)
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, neumann)
+        coarse = vh.field_from_constant(vh.build_mesh(0, 1, 51), 1.0)
+        far = vh.build_mesh(0, 7, unit_mesh.n)
+        h_far, v_far = vh.ScalarField(far, h_bar.values), vh.ScalarField(far, log.v_b.values)
+        for args, kwargs in [
+            ((coarse, log.v_b), {}),
+            ((h_bar, coarse), {}),
+            ((h_far, v_far), {}),
+            ((h_bar, log.v_b), {"h_top": h_far}),
+        ]:
+            with pytest.raises(MeshMismatchError, match="must live on the problem's mesh"):
+                monotone_iterate(problem, *args, "down", **kwargs)
+
     def test_unknown_direction(self, unit_mesh, neumann):
         coeffs, log, problem = self._problem(unit_mesh, neumann)
         with pytest.raises(ValidationError):
@@ -474,9 +493,9 @@ def reference_monotone(problem, h0, v0, direction, *, h_top=None):
 
 
 class TestMonotoneSweepOracle:
-    """The allocation-free sweep kernel reproduces the per-component sweeps
-    bit for bit: every iterate, the sweep count, the stop reason, K_c and
-    the final change, and the error of a wrong-way sweep."""
+    """monotone_iterate reproduces the reference's per-component sweeps bit
+    for bit: every iterate, the sweep count, the stop reason, K_c and the
+    final change, and the error of a wrong-way sweep."""
 
     @staticmethod
     def assert_matches(problem, h0, v0, direction, **kwargs):
@@ -556,7 +575,7 @@ class TestMonotoneSweepOracle:
     def test_small_rise_within_tolerance(self):
         """A start a few ulps below the sweeps' fixed point: the one "down"
         sweep rises at some node by less than the round-off tolerance, so the
-        tolerance is computed and passed, not skipped.  The bracketed root
+        rise is held to the tolerance and passes it.  The bracketed root
         lies within 1e-13 (1 + max |x|) of that point, 3.4e-12 here, so the
         start is taken 4 ulps below the one sweep from the root."""
         coeffs, bc, log, problem = criterion4_scenario(0, 2)
@@ -590,7 +609,8 @@ class TestMonotoneSweepOracle:
     def test_padded_factor(self):
         """n = 4 under Dirichlet leaves m = 2 active nodes, the fewest that
         scipy's dpttrf takes unpadded: logistic Newton and the sweeps factor
-        the two rows as they are (m = 1 is padded: TestDirichletOneNode)."""
+        the two rows as they are.  n = 3 leaves m = 1, which every factor
+        pads to two rows (TestDirichletOneNode has its closed forms)."""
         mesh = vh.build_mesh(0, 5, 4)
         bc = vh.BoundarySpec.dirichlet()
         coeffs = constants_coeffs(mesh, d1=0.1, d2=0.1, h_u=5.0)
@@ -602,6 +622,15 @@ class TestMonotoneSweepOracle:
         assert run.sweeps > 1
         lo_h, lo_v = self.lower_pair(coeffs, log, bc)
         self.assert_matches(problem, lo_h, lo_v, "up", h_top=run.h)
+
+        mesh = vh.build_mesh(0, np.pi, 3)
+        coeffs = constants_coeffs(mesh, d1=0.1, d2=0.1, beta=2.0)
+        log = vh.solve_logistic(coeffs, bc)
+        problem = EndemicProblem(coeffs, bc, log.v_b)
+        assert problem.m == 1
+        h_bar = vh.upper_solution_h(coeffs, log.v_b, bc)
+        assert self.assert_matches(problem, h_bar, log.v_b, "down").sweeps == 42
+        assert self.assert_matches(problem, *self.lower_pair(coeffs, log, bc), "up").sweeps == 89
 
 
 def bracket_passes(monkeypatch, solve):
