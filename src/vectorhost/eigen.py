@@ -11,28 +11,32 @@ Math. 17, 1971).  For positive x, the ratios r = (A x) / x of an
 irreducible Z-matrix A bracket its principal eigenvalue: min r <= lambda
 <= max r (Collatz-Wielandt; R. S. Varga, Matrix Iterative Analysis, ch. 2).
 Solving (A - min r) y = x keeps y positive and converges quadratically
-(L. Elsner, Linear Algebra Appl. 15, 1976).  The reported eigenvalue is the
-Rayleigh quotient, with the bracket of the final iterate.  A scalar shift
+(L. Elsner, Linear Algebra Appl. 15, 1976); the shift is refactored until
+the bracket is REFACTOR_GAP (1e-9) wide relative, so the iteration stays
+quadratic nearly to its stop.  The reported eigenvalue is the Rayleigh
+quotient, with the bracket of the final iterate.  A scalar shift
 sigma < lambda leaves W(-L2 - beta - sigma) definite for the LDL^T factor
 of every tridiagonal solve (operators._factor); the system's shifted
 solves factor copies of the infection block's band, laid out once per
-EndemicProblem, as each pass of the endemic bracket does.
+EndemicProblem, as each pass of the endemic bracket does.  Each
+SystemEigenpair keeps the EndemicProblem it was solved on, so that
+solve_endemic can bracket on the same block instead of building it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, MeshMismatchError, ValidationError
-from .grid import BoundarySpec, CoefficientSet, ScalarField, field_from_constant
+from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, field_from_constant
 from .operators import _band_stiffness, _block_band, _factor, _factor_band, _interleave, _stiffness, assemble
 
 LAMBDA_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 MAX_ITERATIONS = 10_000
-REFACTOR_GAP = 1e-3
+REFACTOR_GAP = 1e-9
 STALL_FLOORS = 16.0
 
 
@@ -58,7 +62,8 @@ class ScalarEigenpair:
 class SystemEigenpair:
     """Principal eigenvalue of the coupled system with componentwise-positive
     eigenfunction pair, jointly sup-normalized so max(phi1, phi2) = 1, with
-    the bracket lam_lo <= lam <= lam_hi and the iteration count."""
+    the bracket lam_lo <= lam <= lam_hi and the iteration count.  problem is
+    the block it was solved on, outside comparison and repr."""
 
     lam: float
     phi1: ScalarField
@@ -66,6 +71,7 @@ class SystemEigenpair:
     lam_lo: float
     lam_hi: float
     iterations: int
+    problem: EndemicProblem | None = field(default=None, compare=False, repr=False)
 
 
 def _noda(matvec, dot, factor, m: int, stiffness: float, what: str):
@@ -73,9 +79,11 @@ def _noda(matvec, dot, factor, m: int, stiffness: float, what: str):
     as (x, lam, lam_lo, lam_hi, iterations) with x > 0 and max x = 1.
 
     factor(sigma) returns a solver of (A - sigma I) y = x.  The shift is
-    sigma = min(Ax/x) while the bracket is wider than REFACTOR_GAP relative; the
-    last factorization, still below lambda, then runs inverse iteration.  A
-    solve with an entry <= 0 or NaN proves A - sigma I is no nonsingular M-matrix.
+    sigma = min(Ax/x), refactored each iteration while the bracket is wider
+    than REFACTOR_GAP relative, so the steps stay quadratic until the bracket
+    is that narrow; the last factorization, still below lambda, then runs
+    inverse iteration for the few steps left.  A solve with an entry <= 0 or
+    NaN proves A - sigma I is no nonsingular M-matrix.
     dot is the inner product of the Rayleigh quotient lam.  The loop stops on
     a closed bracket, or on the change in lam and the eigen-residual, with
     tolerances raised to the round-off floor of stiffness >= |A| row sums.
@@ -159,6 +167,7 @@ class EndemicProblem:
         if weight.mesh != mesh:
             raise MeshMismatchError("weight must share the coefficient mesh")
         self.mesh = mesh
+        self._inputs = coeffs, bc, v_b, eps, weight
         self.op1 = op1 = assemble(coeffs.d1, bc)
         self.op2 = op2 = assemble(coeffs.d2, bc)
         sl = op1.sl
@@ -186,6 +195,14 @@ class EndemicProblem:
         self._stencil = _interleave(op1.diag, op2.diag), self._band[2, 2:].copy(), self._band[6, :-2].copy()
         self._of_h = _interleave(self.rho, -self.s2v).reshape(m, 2)
         self._of_v = _interleave(-self.s1hu, self.muv).reshape(m, 2)
+
+    def built_from(self, coeffs: CoefficientSet, bc: BoundarySpec, v_b: ScalarField,
+                   eps: float, weight: ScalarField) -> bool:
+        """Whether this block was built from these coeffs, bc and v_b objects
+        at eps, and, for eps != 0, a weight with the same values."""
+        c, b, v, e, w = self._inputs
+        same = c is coeffs and b is bc and v is v_b and e == eps
+        return same and (eps == 0 or np.array_equal(w.values, weight.values))
 
     def reaction(self, h: np.ndarray, v: np.ndarray):
         f2 = self.s2 * np.maximum(self.v_plus - v, 0.0) * h - self.muv * v
@@ -262,15 +279,31 @@ class EndemicProblem:
         return _factor_band(ab)
 
 
+def default_weight(
+    coeffs: CoefficientSet,
+    bc: BoundarySpec,
+    scalar_eig: ScalarEigenpair | None = None,
+) -> ScalarField:
+    """Perturbation weight: the (sup-normalized) principal eigenfunction of
+    -L2 - beta for Dirichlet closures, the constant 1 otherwise."""
+    if bc.kind == DIRICHLET:
+        if scalar_eig is None:
+            scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
+        return scalar_eig.phi
+    return field_from_constant(coeffs.mesh, 1.0)
+
+
 def principal_eigen_system(coeffs: CoefficientSet, v_b: ScalarField, bc: BoundarySpec,
                            eps: float = 0.0) -> SystemEigenpair:
     """Principal eigenpair of the coupled cooperative block system.
 
     The sign of the returned eigenvalue decides whether the infection can
     invade the vector equilibrium v_b; eps perturbs the coupling fields to
-    sigma2 (V_B + eps) and mu (V_B - eps).
+    sigma2 (V_B + eps w) and mu (V_B - eps w) with w = default_weight, the
+    block of solve_endemic(..., eps).
     """
-    return _system_eigenpair(EndemicProblem(coeffs, bc, v_b, eps))
+    weight = default_weight(coeffs, bc) if eps else None  # eps = 0 leaves w out
+    return _system_eigenpair(EndemicProblem(coeffs, bc, v_b, eps, weight))
 
 
 def _system_eigenpair(problem: EndemicProblem) -> SystemEigenpair:
@@ -283,4 +316,4 @@ def _system_eigenpair(problem: EndemicProblem) -> SystemEigenpair:
                              problem.shifted, 2 * m, problem.stiffness, "system")
     phi1, phi2 = problem.op1.embed(x[0::2]), problem.op2.embed(x[1::2])
     mesh = problem.mesh
-    return SystemEigenpair(lam, ScalarField(mesh, phi1), ScalarField(mesh, phi2), *bracket)
+    return SystemEigenpair(lam, ScalarField(mesh, phi1), ScalarField(mesh, phi2), *bracket, problem)

@@ -21,7 +21,8 @@ dG2/dH = -sigma2 (V_B + eps w - V) rises with V and dG2/dV = -L2 +
 sigma2 H + mu (V_B - eps w) rises with H.  So G is order-convex, and its
 Jacobian at the positive root is a nonsingular M-matrix.  From the upper
 pair x = (H_bar, V_B + eps w) and the lower pair y = delta (phi1, phi2),
-each pass factors G'(x) once and takes
+delta half the largest amplitude that the eigen bracket proves a lower
+solution (_lower_amplitude), each pass factors G'(x) once and takes
 
     x <- x - G'(x)^{-1} G(x)      (Newton)
     y <- y - G'(x)^{-1} G(y)      (Newton-Fourier)
@@ -75,10 +76,11 @@ from .eigen import (
     ScalarEigenpair,
     SystemEigenpair,
     _system_eigenpair,
+    default_weight,
     principal_eigen_scalar,
     roundoff_floor,
 )
-from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, field_from_constant
+from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField
 from .operators import ShiftedSolve, _factor, _interleave, _stiffness, assemble
 
 SWEEP_TOL = 1e-10
@@ -86,7 +88,6 @@ MAX_SWEEPS = 5000
 AGREEMENT_TOL = 2e-8
 RESIDUAL_TOL = 1e-8
 MAX_NEWTON = 60
-DELTA_CANDIDATES = tuple(10.0 ** (-k) for k in range(1, 9))
 
 
 @dataclass(frozen=True)
@@ -187,20 +188,6 @@ def solve_logistic(
     if rn > accept_tol(v):
         raise ConvergenceError("logistic Newton stalled above tolerance", residual=rn)
     return LogisticSteady(ScalarField(coeffs.mesh, op.embed(v)), lam)
-
-
-def default_weight(
-    coeffs: CoefficientSet,
-    bc: BoundarySpec,
-    scalar_eig: ScalarEigenpair | None = None,
-) -> ScalarField:
-    """Perturbation weight: the (sup-normalized) principal eigenfunction of
-    -L2 - beta for Dirichlet closures, the constant 1 otherwise."""
-    if bc.kind == DIRICHLET:
-        if scalar_eig is None:
-            scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
-        return scalar_eig.phi
-    return field_from_constant(coeffs.mesh, 1.0)
 
 
 def check_eps_admissibility(
@@ -419,6 +406,24 @@ def _bracket(problem: EndemicProblem, x: np.ndarray, y: np.ndarray):
         pairs = new
 
 
+def _lower_amplitude(problem: EndemicProblem, lam_hi: float, upper: np.ndarray, phi: np.ndarray) -> float:
+    """The first amplitude delta of the lower pair delta phi, phi the
+    interleaved eigen pair with A phi <= lam_hi phi, A the block at zero
+    infection (Collatz-Wielandt).
+
+    While delta phi2 <= V_B + eps w, G(delta phi) = delta A phi + [0;
+    sigma2 delta^2 phi1 phi2] <= delta phi (lam_hi + [0; sigma2 delta phi1]),
+    so for lam_hi < 0 delta phi is a lower solution for every delta <=
+    -lam_hi / max(sigma2 phi1).  Returns half the smaller of that bound and
+    min(upper / phi), or 0.1 when lam_hi >= 0 proves nothing.
+    """
+    if lam_hi >= 0:
+        return 0.1
+    coupling = float((problem.s2 * phi[0::2]).max())
+    proven = -lam_hi / coupling if coupling > 0 else np.inf
+    return 0.5 * min(proven, float((upper / phi).min()))
+
+
 def solve_endemic(
     coeffs: CoefficientSet,
     bc: BoundarySpec,
@@ -433,13 +438,16 @@ def solve_endemic(
     Absent exactly when the system principal eigenvalue is >= 0.  When it
     is negative the equilibrium is enclosed by monotone Newton from the
     upper pair (H_bar, V_B + eps w) and Newton-Fourier from the lower pair
-    delta (phi1, phi2), the largest delta in DELTA_CANDIDATES that gives a
-    lower solution below the upper pair (see the module docstring and
-    _bracket).  Both limits must pass the residual gate
-    max(RESIDUAL_TOL, 4 eps * stiffness * (1 + max |(H, V)|)), the larger
-    of RESIDUAL_TOL and the round-off floor of the infection block, or
-    ConvergenceError is raised; the two roots must then agree within
-    AGREEMENT_TOL (uniqueness), and the upper one is returned.
+    delta (phi1, phi2), the largest delta in delta0 10^-k, k = 0..7, that
+    gives a lower solution below the upper pair, delta0 from the eigen
+    bracket lam_hi (_lower_amplitude; see the module docstring and
+    _bracket).  The bracket runs on the eigenpair's own block when that was
+    built from these coeffs, bc and logistic.v_b at this eps.  Both limits
+    must pass the residual gate max(RESIDUAL_TOL, 4 eps * stiffness *
+    (1 + max |(H, V)|)), the larger of RESIDUAL_TOL and the round-off floor
+    of the infection block, or ConvergenceError is raised; the two roots
+    must then agree within AGREEMENT_TOL (uniqueness), and the upper one is
+    returned.
     """
     if bc.kind == DIRICHLET and scalar_eig is None:
         scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
@@ -454,24 +462,27 @@ def solve_endemic(
     weight = default_weight(coeffs, bc, scalar_eig)
     check_eps_admissibility(coeffs, v_b, bc, eps, weight, logistic.lambda_beta)
 
-    problem = None if eigenpair and eigenpair.lam >= 0 else EndemicProblem(coeffs, bc, v_b, eps, weight)
     if eigenpair is None:
-        eigenpair = _system_eigenpair(problem)
+        eigenpair = _system_eigenpair(EndemicProblem(coeffs, bc, v_b, eps, weight))
     lam = eigenpair.lam
     if lam >= 0:
         return EndemicAbsent(lam, eps)
+    problem = eigenpair.problem
+    if problem is None or not problem.built_from(coeffs, bc, v_b, eps, weight):
+        problem = EndemicProblem(coeffs, bc, v_b, eps, weight)
 
     mesh = problem.mesh
     # The upper-solution pair (H_bar, V_B + eps w) and (phi1, phi2), interleaved.
     upper = _interleave(_h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus), problem.v_plus)
     phi = _interleave(problem.op1.restrict(eigenpair.phi1), problem.op2.restrict(eigenpair.phi2))
-    for delta in DELTA_CANDIDATES:
-        lower = delta * phi
+    top = _lower_amplitude(problem, eigenpair.lam_hi, upper, phi)
+    for k in range(8):
+        lower = top / 10.0**k * phi
         if np.all(lower <= upper * (1.0 + 1e-12)) and not problem.violation(lower, "lower"):
             break
     else:
         raise ConvergenceError(
-            "no amplitude in {1e-1..1e-8} makes delta*(phi1, phi2) an admissible lower solution"
+            f"no amplitude in {top:.3e} * 10^-(0..7) makes delta*(phi1, phi2) an admissible lower solution"
         )
 
     if why := problem.violation(upper, "upper"):

@@ -204,6 +204,16 @@ class TestSystemEigen:
             ratios[n] = max(cs)
         assert 0.5 < ratios[201] / ratios[101] < 2.0
 
+    def test_perturbation_weight_is_solve_endemics(self):
+        """eps perturbs by default_weight, as solve_endemic does: on criterion
+        4's Dirichlet seed 5 at eps = 0.01 both report the same eigenvalue
+        to the bit (the constant weight gave -1.2037827 here)."""
+        coeffs, bc, log, _ = criterion4_scenario(1, 5)
+        lam = vh.principal_eigen_system(coeffs, log.v_b, bc, 0.01).lam
+        assert lam == vh.solve_endemic(coeffs, bc, 0.01, logistic=log).lambda_system
+        assert lam == pytest.approx(-1.2032398, abs=1e-7)
+        assert vh.steady.default_weight is eigen.default_weight
+
     def test_coupling_scale_sweep(self, unit_mesh, neumann):
         """Shrinking h_u raises the eigenvalue toward the decoupled minimum."""
         rng = np.random.default_rng(3)

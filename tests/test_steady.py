@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -778,6 +779,120 @@ class TestBracket:
         message = r"^starting pair is not a valid upper solution: residual -8\.188e-02 in V at node 0, slack 1\.134e-08$"
         with pytest.raises(ValidationError, match=message):
             vh.solve_endemic(coeffs, bc, -0.01, logistic=log)
+
+
+class TestLowerAmplitude:
+    """The lower pair starts at delta0 (phi1, phi2), delta0 half the largest
+    amplitude that the eigen bracket lam_hi proves a lower solution
+    (steady._lower_amplitude), then delta0 / 10, delta0 / 100, ..."""
+
+    @staticmethod
+    def pairs(eig):
+        """The block eig was solved on, its upper pair and phi, interleaved."""
+        problem = eig.problem
+        h_bar = steady._h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
+        phi = _interleave(problem.op1.restrict(eig.phi1), problem.op2.restrict(eig.phi2))
+        return problem, _interleave(h_bar, problem.v_plus), phi
+
+    @staticmethod
+    def tried_lower_pairs(monkeypatch):
+        """The pairs solve_endemic checks as lower solutions, in order."""
+        tried = []
+        violation = EndemicProblem.violation
+
+        def spy(self, u, kind):
+            if kind == "lower":
+                tried.append(u.copy())
+            return violation(self, u, kind)
+
+        monkeypatch.setattr(EndemicProblem, "violation", spy)
+        return tried
+
+    def test_proven_amplitude_is_accepted_first_on_the_panel(self, monkeypatch):
+        """On each of the 63 endemic scenarios of criterion 4's panel,
+        delta0 phi lies below the upper pair, G(delta0 phi) <= (lam_hi / 2)
+        delta0 phi up to the round-off of the residual, and solve_endemic
+        takes it on its first try."""
+        tried = self.tried_lower_pairs(monkeypatch)
+        solves = 0
+        for coeffs, bc, log, eig in criterion4_panel():
+            if eig.lam >= 0:
+                continue
+            problem, upper, phi = self.pairs(eig)
+            lower = steady._lower_amplitude(problem, eig.lam_hi, upper, phi) * phi
+            assert np.all(lower <= upper)
+            assert np.all(problem.residual(lower) <= 0.5 * eig.lam_hi * lower + problem.roundoff(lower))
+            tried.clear()
+            vh.solve_endemic(coeffs, bc, logistic=log, eigenpair=eig)
+            assert len(tried) == 1 and np.array_equal(tried[0], lower)
+            solves += 1
+        assert solves == 63
+
+    def test_open_bracket_falls_back_to_powers_of_ten(self, monkeypatch):
+        """An eigenpair whose lam_hi >= 0 proves no amplitude: the search
+        starts at 0.1 and divides by 10.  Criterion 4's Neumann seed 18
+        rejects 0.1 phi and brackets from 0.01 phi, bit for bit as the
+        bracket from that pair does."""
+        coeffs, bc, log, _ = criterion4_scenario(0, 18)
+        eig = vh.principal_eigen_system(coeffs, log.v_b, bc)
+        blind = dataclasses.replace(eig, lam_hi=0.5)
+        assert blind.lam < 0 <= blind.lam_hi and blind.problem is eig.problem
+        tried = self.tried_lower_pairs(monkeypatch)
+        eq = vh.solve_endemic(coeffs, bc, logistic=log, eigenpair=blind)
+        problem, upper, phi = self.pairs(eig)
+        assert len(tried) == 2
+        assert np.array_equal(tried[0], 0.1 * phi) and np.array_equal(tried[1], 0.01 * phi)
+        x, y, passes, width, res = steady._bracket(problem, upper, 0.01 * phi)
+        assert (eq.passes, eq.bracket_width, eq.residual) == (passes, width, res)
+        assert np.array_equal(problem.op1.restrict(eq.h_i), x[0::2])
+        assert np.array_equal(problem.op2.restrict(eq.v_i), x[1::2])
+
+    def test_fine_neumann_scenario(self):
+        """n = 1601 under Neumann on [0, 1] with the coefficients of seed
+        [7, 1601, 2]: starting at 0.9 of the proven amplitude instead of half
+        of it, the two limits ended 2.3e-8 apart, past AGREEMENT_TOL."""
+        mesh = vh.build_mesh(0.0, 1.0, 1601)
+        coeffs = verify.random_coefficients(mesh, np.random.default_rng([7, 1601, 2]))
+        eq = vh.solve_endemic(coeffs, vh.BoundarySpec.neumann())
+        assert isinstance(eq, vh.EndemicEquilibrium) and eq.lambda_system < 0
+
+
+class TestOneBlockPerChain:
+    """solve_endemic(eigenpair=) brackets on the block the eigenpair was
+    solved on when it was built from the same coeffs, bc and v_b objects at
+    the same eps, and builds its own otherwise."""
+
+    @pytest.mark.parametrize("kind_index, seed", [(0, 2), (1, 5), (2, 6)])
+    def test_builds_per_chain(self, kind_index, seed, monkeypatch):
+        coeffs, bc, log, _ = criterion4_scenario(kind_index, seed)
+        builds = []
+        init = EndemicProblem.__init__
+
+        def spy(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EndemicProblem, "__init__", spy)
+
+        def chain(logistic, eps=0.0, eig_eps=0.0):
+            builds.clear()
+            eig = vh.principal_eigen_system(coeffs, log.v_b, bc, eig_eps)
+            eq = vh.solve_endemic(coeffs, bc, eps, logistic=logistic, eigenpair=eig)
+            return eq, len(builds)
+
+        eq, count = chain(log)
+        assert count == 1
+        copied = steady.LogisticSteady(vh.ScalarField(coeffs.mesh, log.v_b.values.copy()), log.lambda_beta)
+        assert chain(copied)[1] == 2
+        assert chain(log, eps=0.01, eig_eps=0.01)[1] == 1
+        assert chain(log, eps=0.01)[1] == 2
+        assert chain(log, eig_eps=0.01)[1] == 2
+        # A block of its own gives the same bits.
+        eig = vh.principal_eigen_system(coeffs, log.v_b, bc)
+        own = vh.solve_endemic(coeffs, bc, logistic=log, eigenpair=dataclasses.replace(eig, problem=None))
+        assert (own.passes, own.bracket_width, own.residual) == (eq.passes, eq.bracket_width, eq.residual)
+        for name in ("h_i", "v_i", "v_u"):
+            assert np.array_equal(getattr(own, name).values, getattr(eq, name).values)
 
 
 class TestSweepCap:
