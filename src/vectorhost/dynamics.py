@@ -826,7 +826,6 @@ def integrate_aux_pair(
     cfg: StepperConfig,
     *,
     eps: float = 0.0,
-    weight: ScalarField | None = None,
     monotone: str | None = None,
 ) -> AuxPairTrajectory:
     """Integrate the auxiliary two-component flow with frozen vector
@@ -835,27 +834,25 @@ def integrate_aux_pair(
         dH/dt - L1 H = -rho H + sigma1 h_u V
         dV/dt - L2 V = sigma2 (V_B + eps w - V)^+ H - mu (V_B - eps w) V
 
-    whose reaction is EndemicProblem.reaction (v_b, eps and weight must
-    pass its checks).  This is the flow whose trajectories from upper
-    (lower) solutions are nodewise non-increasing (non-decreasing); pass
-    monotone="nonincreasing" or "nondecreasing" to track violations beyond
-    ORDER_TOL.  The step is capped so the update map is order-preserving
-    over the run.
+    whose reaction is EndemicProblem.reaction (v_b and eps must pass its
+    checks), w = default_weight as in solve_endemic.  This is the flow
+    whose trajectories from upper (lower) solutions are nodewise
+    non-increasing (non-decreasing); pass monotone="nonincreasing" or
+    "nondecreasing" to track violations beyond ORDER_TOL.  The step is
+    capped so the update map is order-preserving over the run.
     """
     mesh = coeffs.mesh
     if h0.mesh != mesh or v0.mesh != mesh:
         raise MeshMismatchError("h0, v0 and coefficients must share one mesh")
-    if weight is None:
-        weight = ScalarField(mesh, np.ones(mesh.n))
     if monotone not in (None, "nonincreasing", "nondecreasing"):
         raise ValidationError(f"unknown monotone mode {monotone!r}")
-    problem = EndemicProblem(coeffs, bc, v_b, eps, weight)
+    problem = EndemicProblem(coeffs, bc, v_b, eps)
     sl = problem.op1.sl
     u0 = np.array([h0.values, v0.values])
     if bc.kind == DIRICHLET:
         _snap_walls(u0, ("h0", "v0"))
     # V_B + |eps| w bounds both V and V_B - eps w.
-    dt = min(cfg.dt, _order_dt(coeffs, float(h0.values.max()), v_b.values + abs(eps) * weight.values))
+    dt = min(cfg.dt, _order_dt(coeffs, float(h0.values.max()), v_b.values + abs(eps) * problem.weight.values))
 
     w = _weights(problem.op1, mesh.n)
 

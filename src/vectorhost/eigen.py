@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, MeshMismatchError, ValidationError
-from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField, field_from_constant
+from .grid import BoundarySpec, CoefficientSet, ScalarField, field_from_constant
 from .operators import _band_stiffness, _block_band, _factor, _factor_band, _interleave, _stiffness, assemble
 
 LAMBDA_TOL = 1e-12
@@ -147,6 +147,7 @@ class EndemicProblem:
         (-L1 + rho) H = sigma1 h_u V
         (-L2) V = sigma2 (V_B + eps w - V)^+ H - mu (V_B - eps w) V
 
+    w is weight, or default_weight when weight is None and eps != 0.
     This is the only builder of the infection block.  reaction gives
     (f1, f2), the right-hand sides above without the -L terms;
     sweep_potential gives the nodewise damping K2 of the monotone sweeps.
@@ -163,11 +164,13 @@ class EndemicProblem:
         if v_b.mesh != mesh:
             raise MeshMismatchError("v_b must share the coefficient mesh")
         if weight is None:
-            weight = field_from_constant(mesh, 1.0)
+            # eps = 0 leaves w out of the block.
+            weight = default_weight(coeffs, bc) if eps else field_from_constant(mesh, 1.0)
         if weight.mesh != mesh:
             raise MeshMismatchError("weight must share the coefficient mesh")
         self.mesh = mesh
-        self._inputs = coeffs, bc, v_b, eps, weight
+        self._inputs = coeffs, bc, v_b, eps
+        self.weight = weight
         self.op1 = op1 = assemble(coeffs.d1, bc)
         self.op2 = op2 = assemble(coeffs.d2, bc)
         sl = op1.sl
@@ -200,9 +203,9 @@ class EndemicProblem:
                    eps: float, weight: ScalarField) -> bool:
         """Whether this block was built from these coeffs, bc and v_b objects
         at eps, and, for eps != 0, a weight with the same values."""
-        c, b, v, e, w = self._inputs
+        c, b, v, e = self._inputs
         same = c is coeffs and b is bc and v is v_b and e == eps
-        return same and (eps == 0 or np.array_equal(w.values, weight.values))
+        return same and (eps == 0 or np.array_equal(self.weight.values, weight.values))
 
     def reaction(self, h: np.ndarray, v: np.ndarray):
         f2 = self.s2 * np.maximum(self.v_plus - v, 0.0) * h - self.muv * v
@@ -284,13 +287,16 @@ def default_weight(
     bc: BoundarySpec,
     scalar_eig: ScalarEigenpair | None = None,
 ) -> ScalarField:
-    """Perturbation weight: the (sup-normalized) principal eigenfunction of
-    -L2 - beta for Dirichlet closures, the constant 1 otherwise."""
-    if bc.kind == DIRICHLET:
-        if scalar_eig is None:
-            scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
-        return scalar_eig.phi
-    return field_from_constant(coeffs.mesh, 1.0)
+    """Perturbation weight w under every closure: phi, the sup-normalized
+    principal eigenfunction of -L2 - beta (scalar_eig's, if given).  Since
+    -L2 phi = (lambda_beta + beta) phi at every active node, the V residual
+    of the upper pair (H_bar, V_B + eps phi) is beta V_B + eps phi
+    (lambda_beta + beta) - mu (eps phi)^2, which
+    steady.check_eps_admissibility checks.  (A constant w would miss -L2 w
+    = 2 b d / h > 0 at a Robin wall.)"""
+    if scalar_eig is None:
+        scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
+    return scalar_eig.phi
 
 
 def principal_eigen_system(coeffs: CoefficientSet, v_b: ScalarField, bc: BoundarySpec,
@@ -302,8 +308,7 @@ def principal_eigen_system(coeffs: CoefficientSet, v_b: ScalarField, bc: Boundar
     sigma2 (V_B + eps w) and mu (V_B - eps w) with w = default_weight, the
     block of solve_endemic(..., eps).
     """
-    weight = default_weight(coeffs, bc) if eps else None  # eps = 0 leaves w out
-    return _system_eigenpair(EndemicProblem(coeffs, bc, v_b, eps, weight))
+    return _system_eigenpair(EndemicProblem(coeffs, bc, v_b, eps))
 
 
 def _system_eigenpair(problem: EndemicProblem) -> SystemEigenpair:

@@ -16,13 +16,14 @@ Three layers:
     solution, usable standalone.
 
 The bracket.  G(u) = -L u - f(u), u = (H, V), is EndemicProblem.residual.
-On the order interval 0 <= V <= V_B + eps w its Jacobian is isotone:
-dG2/dH = -sigma2 (V_B + eps w - V) rises with V and dG2/dV = -L2 +
-sigma2 H + mu (V_B - eps w) rises with H.  So G is order-convex, and its
-Jacobian at the positive root is a nonsingular M-matrix.  From the upper
-pair x = (H_bar, V_B + eps w) and the lower pair y = delta (phi1, phi2),
-delta half the largest amplitude that the eigen bracket proves a lower
-solution (_lower_amplitude), each pass factors G'(x) once and takes
+With w = default_weight, on the order interval 0 <= V <= V_B + eps w its
+Jacobian is isotone: dG2/dH = -sigma2 (V_B + eps w - V) rises with V and
+dG2/dV = -L2 + sigma2 H + mu (V_B - eps w) rises with H.  So G is
+order-convex, and its Jacobian at the positive root is a nonsingular
+M-matrix.  From the upper pair x = (H_bar, V_B + eps w) and the lower
+pair y = delta (phi1, phi2), delta half the largest amplitude that the
+eigen bracket proves a lower solution (_lower_amplitude), each pass
+factors G'(x) once and takes
 
     x <- x - G'(x)^{-1} G(x)      (Newton)
     y <- y - G'(x)^{-1} G(y)      (Newton-Fourier)
@@ -80,7 +81,7 @@ from .eigen import (
     principal_eigen_scalar,
     roundoff_floor,
 )
-from .grid import DIRICHLET, BoundarySpec, CoefficientSet, ScalarField
+from .grid import BoundarySpec, CoefficientSet, ScalarField
 from .operators import ShiftedSolve, _factor, _interleave, _stiffness, assemble
 
 SWEEP_TOL = 1e-10
@@ -200,11 +201,11 @@ def check_eps_admissibility(
 ) -> None:
     """Raise AdmissibilityError naming the first violated smallness condition.
 
-    Neumann/Robin:  eps^2 mu < beta V_B      at every node;
-    Dirichlet:      (eps phi)^2 mu < beta V_D + eps phi (lambda + beta)
-                    at interior nodes,
-    plus positivity V_B - |eps| weight > 0 in both cases: all on the
-    active nodes, the interior for Dirichlet and every node otherwise.
+    With weight = phi (default_weight), under every closure:
+        positivity  V_B - |eps| phi > 0,
+        smallness   (eps phi)^2 mu < beta V_B + eps phi (lambda_beta + beta),
+    at every active node.  The smallness condition is the upper pair's
+    (H_bar, V_B + eps phi) V residual being positive.
     """
     if eps == 0.0:
         return
@@ -214,22 +215,13 @@ def check_eps_admissibility(
     if low <= 0:
         raise AdmissibilityError("V_B - |eps|*weight > 0", f"min over active nodes is {low:.3e}")
     mu, beta = coeffs.mu.values[sl], coeffs.beta.values[sl]
-    if bc.kind == DIRICHLET:
-        lhs = ew**2 * mu
-        rhs = beta * vb + ew * (lambda_beta + beta)
-        if np.any(lhs >= rhs):
-            raise AdmissibilityError(
-                "(eps*phi)^2 * mu < beta*V_B + eps*phi*(lambda_beta + beta)",
-                f"worst margin {np.min(rhs - lhs):.3e}",
-            )
-    else:
-        lhs = eps * eps * mu
-        rhs = beta * vb
-        if np.any(lhs >= rhs):
-            raise AdmissibilityError(
-                "eps^2 * mu < beta*V_B",
-                f"worst margin {np.min(rhs - lhs):.3e}",
-            )
+    lhs = ew**2 * mu
+    rhs = beta * vb + ew * (lambda_beta + beta)
+    if np.any(lhs >= rhs):
+        raise AdmissibilityError(
+            "(eps*phi)^2 * mu < beta*V_B + eps*phi*(lambda_beta + beta)",
+            f"worst margin {np.min(rhs - lhs):.3e}",
+        )
 
 
 def upper_solution_h(coeffs: CoefficientSet, v_b: ScalarField, bc: BoundarySpec) -> ScalarField:
@@ -435,8 +427,10 @@ def solve_endemic(
 ) -> EndemicEquilibrium | EndemicAbsent:
     """Positive equilibrium of the perturbed infection system, or Absent.
 
-    Absent exactly when the system principal eigenvalue is >= 0.  When it
-    is negative the equilibrium is enclosed by monotone Newton from the
+    Absent exactly when the system principal eigenvalue is >= 0.  eps != 0
+    perturbs by w = default_weight, phi of scalar_eig (solved here when
+    not given), after check_eps_admissibility.  When the eigenvalue is
+    negative the equilibrium is enclosed by monotone Newton from the
     upper pair (H_bar, V_B + eps w) and Newton-Fourier from the lower pair
     delta (phi1, phi2), the largest delta in delta0 10^-k, k = 0..7, that
     gives a lower solution below the upper pair, delta0 from the eigen
@@ -449,7 +443,7 @@ def solve_endemic(
     must then agree within AGREEMENT_TOL (uniqueness), and the upper one is
     returned.
     """
-    if bc.kind == DIRICHLET and scalar_eig is None:
+    if eps and scalar_eig is None:  # default_weight's, shared with solve_logistic
         scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
     if logistic is None:
         logistic = solve_logistic(coeffs, bc, scalar_eig=scalar_eig)
@@ -459,7 +453,7 @@ def solve_endemic(
             f"got lambda_beta = {logistic.lambda_beta:g}"
         )
     v_b = logistic.v_b
-    weight = default_weight(coeffs, bc, scalar_eig)
+    weight = default_weight(coeffs, bc, scalar_eig) if eps else None  # eps = 0 leaves w out
     check_eps_admissibility(coeffs, v_b, bc, eps, weight, logistic.lambda_beta)
 
     if eigenpair is None:

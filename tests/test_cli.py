@@ -210,6 +210,16 @@ class TestSteadyCommand:
         assert report["v_b_max"] == pytest.approx(-lam, rel=1e-12)
         assert report["endemic_exists"] is True
 
+    def test_robin_at_negative_eps(self, tmp_path):
+        """steady-robin.json at eps = -0.05, the run tools/artifacts.py
+        derives as steady-robin-neg: with w = phi the Robin upper pair holds
+        at either sign of eps, so the run exits 0 with an endemic pair."""
+        raw = json.loads((CONFIGS / "steady-robin.json").read_text())
+        raw["experiment"]["eps"] = -0.05
+        out = tmp_path / "out"
+        assert main(["steady", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+        assert read_report(out)["endemic_exists"] is True
+
 
 class TestEnvelopeCommand:
     def _config(self, eps):

@@ -10,7 +10,7 @@ from vectorhost.errors import BlowUpError, MeshMismatchError, StabilityError, Va
 from vectorhost.operators import ShiftedSolve
 from vectorhost.steady import default_weight
 
-from helpers import constants_coeffs, make_state
+from helpers import constants_coeffs, criterion4_scenario, make_state
 
 
 @pytest.fixture
@@ -840,7 +840,7 @@ class TestOneStepOracle:
         v_b = vh.ScalarField(state.mesh, state.v_u.values + state.v_i.values)  # any frozen V_B
         w = default_weight(coeffs, bc)
         flow = vh.integrate_aux_pair(state.h_i, state.v_i, coeffs, v_b, bc,
-                                     vh.StepperConfig(dt=1e-3, t_end=1e-3), eps=0.01, weight=w)
+                                     vh.StepperConfig(dt=1e-3, t_end=1e-3), eps=0.01)
         assert flow.steps == 1 and flow.dt == 1e-3
         want = _aux_oracle_step(state.h_i.values, state.v_i.values, coeffs, v_b.values, bc,
                                 1e-3, 0.01, w.values)
@@ -1167,12 +1167,11 @@ class TestAuxPairFlow:
         log = vh.solve_logistic(coeffs, bc)
         eq = vh.solve_endemic(coeffs, bc, 0.01, logistic=log)
         dts, times = _grid(length, remainder, _block_steps(2 * 201), 0.05)
-        kw = dict(eps=0.01, weight=default_weight(coeffs, bc))
         h, v = (vh.ScalarField(mesh, 3 * f.values) for f in (eq.h_i, eq.v_i))
         rows, worst, first = [np.array([h.values, v.values])], 0.0, None
         for dt, t in zip(dts, times[1:]):
             one = vh.integrate_aux_pair(h, v, coeffs, log.v_b, bc,
-                                        vh.StepperConfig(dt=dt, t_end=dt), **kw)
+                                        vh.StepperConfig(dt=dt, t_end=dt), eps=0.01)
             assert one.dt == dt
             h, v = one.h, one.v
             rows.append(np.array([h.values, v.values]))
@@ -1183,12 +1182,26 @@ class TestAuxPairFlow:
         flow = vh.integrate_aux_pair(vh.ScalarField(mesh, 3 * eq.h_i.values),
                                      vh.ScalarField(mesh, 3 * eq.v_i.values), coeffs, log.v_b, bc,
                                      vh.StepperConfig(dt=0.05, t_end=times[-1], steady_tol=1e-300),
-                                     monotone=monotone, **kw)
+                                     eps=0.01, monotone=monotone)
         assert flow.steps == len(dts)
         assert (flow.h.values.tobytes(), flow.v.values.tobytes()) == (h.values.tobytes(),
                                                                       v.values.tobytes())
         assert (flow.max_violation, flow.first_violation_time) == (worst, first)
         assert flow.monotone_ok == (first is None) == (monotone == "nonincreasing")
+
+    @pytest.mark.parametrize("kind_index", range(3), ids=["neumann", "dirichlet", "robin"])
+    def test_step_from_the_endemic_root_stays(self, kind_index):
+        """The flow perturbs by the weight that solve_endemic does, so one
+        step from the root at eps = 0.01 moves it only by round-off (at
+        most 3.6e-15 on criterion 4's seed 5; 1.6e-5 under Dirichlet when
+        the flow perturbed by 1 and the solve by phi)."""
+        coeffs, bc, log, _ = criterion4_scenario(kind_index, 5)
+        eq = vh.solve_endemic(coeffs, bc, 0.01, logistic=log)
+        flow = vh.integrate_aux_pair(eq.h_i, eq.v_i, coeffs, log.v_b, bc,
+                                     vh.StepperConfig(dt=1e-3, t_end=1e-3), eps=0.01)
+        assert flow.steps == 1
+        for got, root in ((flow.h, eq.h_i), (flow.v, eq.v_i)):
+            assert np.abs(got.values - root.values).max() <= 1e-13
 
     def test_rejects_inputs_the_endemic_problem_rejects(self, mesh201, neumann, dirichlet):
         """And, as integrate does, initial data off zero on Dirichlet walls."""
@@ -1199,8 +1212,6 @@ class TestAuxPairFlow:
         other = vh.field_from_constant(vh.build_mesh(0, 1, 51), 1.0)
         with pytest.raises(MeshMismatchError):
             vh.integrate_aux_pair(h0, v0, coeffs, other, neumann, cfg)
-        with pytest.raises(MeshMismatchError):
-            vh.integrate_aux_pair(h0, v0, coeffs, v_b, neumann, cfg, eps=0.1, weight=other)
         with pytest.raises(ValidationError, match=r"V_B - eps\*weight must stay positive"):
             vh.integrate_aux_pair(h0, v0, coeffs, v_b, neumann, cfg, eps=1.0)
         bump = vh.ScalarField(mesh201, np.sin(np.pi * mesh201.nodes))  # sin(pi) residue is snapped

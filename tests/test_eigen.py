@@ -3,7 +3,7 @@ import pytest
 
 import vectorhost as vh
 from vectorhost import eigen, verify
-from vectorhost.errors import ConvergenceError, ValidationError
+from vectorhost.errors import ConvergenceError, MeshMismatchError, ValidationError
 from vectorhost.operators import _interleave
 
 from helpers import (
@@ -188,6 +188,14 @@ class TestSystemEigen:
         with pytest.raises(ValidationError, match=r"V_B \+ eps\*weight"):
             vh.principal_eigen_system(coeffs, vb, neumann, eps=-1.5)
 
+    def test_weight_must_share_the_coefficient_mesh(self, neumann):
+        mesh = vh.build_mesh(0, 1, 51)
+        coeffs = constants_coeffs(mesh)
+        vb = vh.field_from_constant(mesh, 1.0)
+        other = vh.field_from_constant(vh.build_mesh(0, 1, 11), 1.0)
+        with pytest.raises(MeshMismatchError, match="weight must share the coefficient mesh"):
+            vh.EndemicProblem(coeffs, neumann, vb, 0.1, weight=other)
+
     def test_lipschitz_in_eps(self, neumann):
         """|lam(eps) - lam(0)| <= C |eps| with mesh-stable C."""
         ratios = {}
@@ -213,6 +221,16 @@ class TestSystemEigen:
         assert lam == vh.solve_endemic(coeffs, bc, 0.01, logistic=log).lambda_system
         assert lam == pytest.approx(-1.2032398, abs=1e-7)
         assert vh.steady.default_weight is eigen.default_weight
+
+    @pytest.mark.parametrize("kind_index", range(3), ids=["neumann", "dirichlet", "robin"])
+    def test_default_weight_is_phi_under_every_closure(self, kind_index):
+        """default_weight is the scalar eigenfunction phi under every
+        closure, and an EndemicProblem built without a weight at eps != 0
+        perturbs by it."""
+        coeffs, bc, log, _ = criterion4_scenario(kind_index, 5)
+        phi = vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, bc).phi
+        assert np.array_equal(eigen.default_weight(coeffs, bc).values, phi.values)
+        assert np.array_equal(vh.EndemicProblem(coeffs, bc, log.v_b, 0.01).weight.values, phi.values)
 
     def test_coupling_scale_sweep(self, unit_mesh, neumann):
         """Shrinking h_u raises the eigenvalue toward the decoupled minimum."""

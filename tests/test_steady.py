@@ -32,6 +32,11 @@ from vectorhost.steady import (
 from helpers import CLOSURES, constants_coeffs, criterion4_panel, criterion4_scenario, dense_endemic_newton
 
 
+def upper_pair(problem):
+    """solve_endemic's upper pair (H_bar, V_B + eps w) of problem, interleaved."""
+    return _interleave(steady._h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus), problem.v_plus)
+
+
 class TestLogistic:
     def test_constant_equilibrium(self, unit_mesh, neumann):
         log = vh.solve_logistic(constants_coeffs(unit_mesh), neumann)
@@ -117,6 +122,8 @@ class TestUpperSolution:
 
 class TestAdmissibility:
     def test_neumann_smallness_named(self, neumann):
+        """beta constant makes phi constant and lambda_beta = -beta, so the
+        condition is eps^2 mu < beta V_B, named in its form for every closure."""
         mesh = vh.build_mesh(0, 1, 101)
         x = mesh.nodes
         const = lambda c: vh.field_from_constant(mesh, c)
@@ -130,7 +137,8 @@ class TestAdmissibility:
         # strictly between the smallness bound and the positivity bound
         eps = 0.32
         assert log.v_b.values[mesh.interior].min() - eps > 0
-        with pytest.raises(AdmissibilityError, match="eps\\^2 \\* mu < beta\\*V_B"):
+        message = r"\(eps\*phi\)\^2 \* mu < beta\*V_B \+ eps\*phi\*\(lambda_beta \+ beta\).*worst margin -5\.344e-02"
+        with pytest.raises(AdmissibilityError, match=message):
             check_eps_admissibility(coeffs, log.v_b, neumann, eps,
                                     default_weight(coeffs, neumann), log.lambda_beta)
 
@@ -165,6 +173,30 @@ class TestAdmissibility:
         vb = vh.field_from_constant(unit_mesh, 1.0)
         check_eps_admissibility(coeffs, vb, neumann, 0.0,
                                 default_weight(coeffs, neumann), -1.0)
+
+    def test_smallness_fails_exactly_when_the_upper_pair_does(self):
+        """With w = phi under every closure the smallness condition is the
+        upper pair's V residual: it fails exactly when violation(upper,
+        "upper") does, on criterion 4's scenarios at eps of either sign
+        (pairs that fail the positivity clause are left out).  It fails
+        for Neumann seeds 15 and 30 and Robin seeds 4, 5 and 8."""
+        failures = []
+        for kind_index, seeds in [(0, (2, 15, 30)), (1, (3, 5, 8)), (2, (4, 5, 8))]:
+            for seed in seeds:
+                coeffs, bc, log, _ = criterion4_scenario(kind_index, seed)
+                weight = default_weight(coeffs, bc)
+                for eps in (-0.3, -0.1, -0.05, 0.05, 0.1, 0.3):
+                    try:
+                        check_eps_admissibility(coeffs, log.v_b, bc, eps, weight, log.lambda_beta)
+                        small = True
+                    except AdmissibilityError as err:
+                        if err.inequality == "V_B - |eps|*weight > 0":
+                            continue
+                        small = False
+                        failures.append((kind_index, seed, eps))
+                    problem = EndemicProblem(coeffs, bc, log.v_b, eps)
+                    assert small == (not problem.violation(upper_pair(problem), "upper")), (kind_index, seed, eps)
+        assert failures == [(0, 15, 0.1), (0, 30, 0.05), (2, 4, 0.05), (2, 5, -0.3), (2, 8, -0.3)]
 
 
 class TestEndemicConstants:
@@ -670,20 +702,15 @@ class TestBracket:
     def test_enclosure_on_every_pass(self, eps, monkeypatch):
         """y_k <= y_{k+1} <= x_{k+1} <= x_k on every pass over criterion 4's
         panel, up to 1e-10 (1 + max |x_k|); the round-off measured there is
-        at most 7.5e-12 of that scale.  At eps = -0.01 five Robin scenarios
-        have no upper pair: V_B - 0.01 is no upper solution at a Robin wall."""
+        at most 7.5e-12 of that scale.  All 63 endemic scenarios solve at
+        either sign of eps."""
         solves = 0
         for coeffs, bc, log, eig in criterion4_panel():
             if eig.lam >= 0:
                 continue
             # The panel's eigenpair is that of eps = 0.
             kwargs = dict(logistic=log, eigenpair=eig if eps == 0.0 else None)
-            try:
-                eq, passes = bracket_passes(monkeypatch, lambda: vh.solve_endemic(coeffs, bc, eps, **kwargs))
-            except ValidationError as err:
-                assert eps < 0 and bc is CLOSURES[2], err
-                assert "not a valid upper solution" in str(err)
-                continue
+            eq, passes = bracket_passes(monkeypatch, lambda: vh.solve_endemic(coeffs, bc, eps, **kwargs))
             solves += 1
             assert len(passes) == eq.passes + 1  # the last evaluation only stops
             for (x, y), (x_next, y_next) in zip(passes, passes[1:]):
@@ -694,7 +721,7 @@ class TestBracket:
             x, y = passes[-1]
             assert eq.bracket_width == (x - y).max() <= 1e-13 * (1.0 + np.abs(x).max())
             assert eq.residual <= steady.RESIDUAL_TOL
-        assert solves == (58 if eps < 0 else 63)
+        assert solves == 63
 
     @pytest.mark.parametrize("kind_index, seed", [(0, 2), (1, 5), (2, 6), (1, 43)])
     def test_limit_matches_dense_newton(self, kind_index, seed):
@@ -772,13 +799,22 @@ class TestBracket:
             assert all(np.array_equal(b, np.ones(2 * problem.m)) for b in norms)
 
     def test_invalid_upper_pair_names_its_worst_residual(self):
-        """Criterion 4's Robin seed 5 at eps = -0.01: V_B - 0.01 is no upper
-        solution at a Robin wall, where -L2 of a constant is positive.  The
-        error names the worst residual, its component and node, and the slack."""
+        """Criterion 4's Robin seed 5 at eps = -0.01 with the constant weight
+        1: V_B - 0.01 is no upper solution at a Robin wall, where -L2 of a
+        constant is positive.  violation names the worst residual, its
+        component and node, and the slack, as solve_endemic's error does."""
         coeffs, bc, log, _ = criterion4_scenario(2, 5)
-        message = r"^starting pair is not a valid upper solution: residual -8\.188e-02 in V at node 0, slack 1\.134e-08$"
-        with pytest.raises(ValidationError, match=message):
-            vh.solve_endemic(coeffs, bc, -0.01, logistic=log)
+        problem = EndemicProblem(coeffs, bc, log.v_b, -0.01, weight=vh.field_from_constant(coeffs.mesh, 1.0))
+        assert problem.violation(upper_pair(problem), "upper") == "residual -8.188e-02 in V at node 0, slack 1.134e-08"
+
+    @pytest.mark.parametrize("seed", [5, 13, 14, 20, 26])
+    def test_robin_solves_at_negative_eps(self, seed):
+        """The Robin scenarios whose constant-weight upper pair failed at a
+        wall at eps = -0.01 solve with w = phi."""
+        coeffs, bc, log, _ = criterion4_scenario(2, seed)
+        eq = vh.solve_endemic(coeffs, bc, -0.01, logistic=log)
+        assert isinstance(eq, vh.EndemicEquilibrium)
+        assert eq.residual <= steady.RESIDUAL_TOL
 
 
 class TestLowerAmplitude:
@@ -790,9 +826,8 @@ class TestLowerAmplitude:
     def pairs(eig):
         """The block eig was solved on, its upper pair and phi, interleaved."""
         problem = eig.problem
-        h_bar = steady._h_bar(problem.op1, problem.rho, problem.s1hu, problem.v_plus)
         phi = _interleave(problem.op1.restrict(eig.phi1), problem.op2.restrict(eig.phi2))
-        return problem, _interleave(h_bar, problem.v_plus), phi
+        return problem, upper_pair(problem), phi
 
     @staticmethod
     def tried_lower_pairs(monkeypatch):

@@ -6,9 +6,11 @@ compare the numbers of two such directories.
 
 Each entry of RUNS is one `python -m vectorhost COMMAND --config
 tools/artifacts/CONFIG --out OUT_DIR/NAME [--seed N]` call, made with
-this checkout's src/ first on PYTHONPATH.  The Dirichlet `threshold` run
-takes envelope.json with its experiment kind set to "threshold", written
-to OUT_DIR/threshold-dir.json, so the node data has one copy.  For each
+this checkout's src/ first on PYTHONPATH.  Two configs are derived, each
+written to OUT_DIR, so the node data has one copy: the Dirichlet
+`threshold` run takes envelope.json with its experiment kind set to
+"threshold" (threshold-dir.json), and the Robin run at eps < 0 takes
+steady-robin.json with eps -0.05 (steady-robin-neg.json).  For each
 tree the digest gives its exit code, the sha256 of every file in it (by
 relative path) and its stderr.  Two runs, of one checkout or of two
 checkouts on one machine, compare by `diff` of their digests.  No
@@ -52,6 +54,7 @@ RUNS = (
     ("steady-dir", "steady", "steady-dir.json", (), None),  # lambda_beta > 0
     ("steady-dir-endemic", "steady", "steady-dir-endemic.json", (), 0),  # Dirichlet, eps 0.01
     ("steady-robin", "steady", "steady-robin.json", (), 0),  # Robin, eps 0.01
+    ("steady-robin-neg", "steady", "steady-robin-neg.json", (), None),  # steady-robin.json at eps -0.05
     ("steady-dir-node", "steady", "steady-dir-node.json", (), None),  # Dirichlet n = 3: one active node
     ("eigen", "eigen", "eigen.json", (), None),
     ("sweep", "sweep", "sweep.json", (), 0),  # seed 11
@@ -158,10 +161,12 @@ def main(argv: list[str]) -> int:
         return 2
     out.mkdir(parents=True, exist_ok=True)
     configs = {p.name: p for p in CONFIGS.glob("*.json")}
-    derived = json.loads(configs["envelope.json"].read_text())
-    derived["experiment"]["kind"] = "threshold"
-    configs["threshold-dir.json"] = out / "threshold-dir.json"
-    configs["threshold-dir.json"].write_text(json.dumps(derived))
+    for name, source, key, value in (("threshold-dir.json", "envelope.json", "kind", "threshold"),
+                                     ("steady-robin-neg.json", "steady-robin.json", "eps", -0.05)):
+        derived = json.loads(configs[source].read_text())
+        derived["experiment"][key] = value
+        configs[name] = out / name
+        configs[name].write_text(json.dumps(derived))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     status = 0
