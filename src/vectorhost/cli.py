@@ -105,17 +105,16 @@ def _run_eigen(config: RunConfig, out: Path, seed: int) -> int:
 def _run_steady(config: RunConfig, out: Path, seed: int) -> int:
     coeffs = config.coefficient_set()
     bc = config.bc
-    eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
+    logistic = solve_logistic(coeffs, bc)
     report = _base_report(config, seed)
-    report["lambda_beta"] = eig.lam
+    report["lambda_beta"] = logistic.lambda_beta
     report["eps"] = config.eps
     profiles: dict[str, np.ndarray] = {}
-    logistic = solve_logistic(coeffs, bc, scalar_eig=eig)
     report["v_b_exists"] = logistic.exists
     if logistic.exists:
         report["v_b_max"] = float(logistic.v_b.values.max())
         profiles["V_B"] = logistic.v_b.values
-        result = solve_endemic(coeffs, bc, config.eps, logistic=logistic, scalar_eig=eig)
+        result = solve_endemic(coeffs, bc, config.eps, logistic=logistic)
         report["lambda_system"] = result.lambda_system
         if isinstance(result, EndemicEquilibrium):
             report["endemic_exists"] = True

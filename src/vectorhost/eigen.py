@@ -282,21 +282,15 @@ class EndemicProblem:
         return _factor_band(ab)
 
 
-def default_weight(
-    coeffs: CoefficientSet,
-    bc: BoundarySpec,
-    scalar_eig: ScalarEigenpair | None = None,
-) -> ScalarField:
+def default_weight(coeffs: CoefficientSet, bc: BoundarySpec) -> ScalarField:
     """Perturbation weight w under every closure: phi, the sup-normalized
-    principal eigenfunction of -L2 - beta (scalar_eig's, if given).  Since
-    -L2 phi = (lambda_beta + beta) phi at every active node, the V residual
-    of the upper pair (H_bar, V_B + eps phi) is beta V_B + eps phi
-    (lambda_beta + beta) - mu (eps phi)^2, which
+    principal eigenfunction of -L2 - beta, the one a LogisticSteady carries
+    as eig.phi.  Since -L2 phi = (lambda_beta + beta) phi at every active
+    node, the V residual of the upper pair (H_bar, V_B + eps phi) is
+    beta V_B + eps phi (lambda_beta + beta) - mu (eps phi)^2, which
     steady.check_eps_admissibility checks.  (A constant w would miss -L2 w
     = 2 b d / h > 0 at a Robin wall.)"""
-    if scalar_eig is None:
-        scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
-    return scalar_eig.phi
+    return principal_eigen_scalar(coeffs.d2, coeffs.beta, bc).phi
 
 
 def principal_eigen_system(coeffs: CoefficientSet, v_b: ScalarField, bc: BoundarySpec,

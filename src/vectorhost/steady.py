@@ -93,10 +93,15 @@ MAX_NEWTON = 60
 
 @dataclass(frozen=True)
 class LogisticSteady:
-    """Vector-population equilibrium; v_b is None when none exists."""
+    """Vector-population equilibrium, v_b None when none exists, and the
+    eigenpair of -L2 - beta that decided it, whose phi is default_weight."""
 
     v_b: ScalarField | None
-    lambda_beta: float
+    eig: ScalarEigenpair
+
+    @property
+    def lambda_beta(self) -> float:
+        return self.eig.lam
 
     @property
     def exists(self) -> bool:
@@ -141,13 +146,15 @@ def solve_logistic(
     no longer lowers it.  ConvergenceError is raised for an iterate that
     loses positivity, for one that rises by more than 1e-10 max v while
     the residual is above its round-off floor, and at MAX_NEWTON steps
-    (SingularSystemError for a Jacobian that is not definite).
+    (SingularSystemError for a Jacobian that is not definite).  A
+    scalar_eig handed in must live on coeffs.mesh (MeshMismatchError).
     """
     if scalar_eig is None:
         scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
-    lam = scalar_eig.lam
-    if lam >= 0:
-        return LogisticSteady(None, lam)
+    elif scalar_eig.phi.mesh != coeffs.mesh:
+        raise MeshMismatchError("scalar_eig must live on the coefficient mesh")
+    if scalar_eig.lam >= 0:
+        return LogisticSteady(None, scalar_eig)
 
     op = assemble(coeffs.d2, bc)
     beta = op.restrict(coeffs.beta)
@@ -188,7 +195,7 @@ def solve_logistic(
         raise ConvergenceError(f"logistic Newton hit its cap of {MAX_NEWTON} steps", residual=rn)
     if rn > accept_tol(v):
         raise ConvergenceError("logistic Newton stalled above tolerance", residual=rn)
-    return LogisticSteady(ScalarField(coeffs.mesh, op.embed(v)), lam)
+    return LogisticSteady(ScalarField(coeffs.mesh, op.embed(v)), scalar_eig)
 
 
 def check_eps_admissibility(
@@ -428,23 +435,22 @@ def solve_endemic(
     """Positive equilibrium of the perturbed infection system, or Absent.
 
     Absent exactly when the system principal eigenvalue is >= 0.  eps != 0
-    perturbs by w = default_weight, phi of scalar_eig (solved here when
-    not given), after check_eps_admissibility.  When the eigenvalue is
-    negative the equilibrium is enclosed by monotone Newton from the
-    upper pair (H_bar, V_B + eps w) and Newton-Fourier from the lower pair
+    perturbs by w = default_weight, logistic.eig.phi, after
+    check_eps_admissibility; scalar_eig only reaches solve_logistic, when
+    logistic is not given.  A logistic.v_b or eigenpair off coeffs.mesh
+    raises MeshMismatchError.  When the eigenvalue is negative the
+    equilibrium is enclosed by monotone Newton from the upper pair
+    (H_bar, V_B + eps w) and Newton-Fourier from the lower pair
     delta (phi1, phi2), the largest delta in delta0 10^-k, k = 0..7, that
     gives a lower solution below the upper pair, delta0 from the eigen
     bracket lam_hi (_lower_amplitude; see the module docstring and
     _bracket).  The bracket runs on the eigenpair's own block when that was
     built from these coeffs, bc and logistic.v_b at this eps.  Both limits
-    must pass the residual gate max(RESIDUAL_TOL, 4 eps * stiffness *
-    (1 + max |(H, V)|)), the larger of RESIDUAL_TOL and the round-off floor
-    of the infection block, or ConvergenceError is raised; the two roots
-    must then agree within AGREEMENT_TOL (uniqueness), and the upper one is
-    returned.
+    must pass the residual gate, the larger of RESIDUAL_TOL and the
+    round-off floor 4 eps * stiffness * (1 + max |(H, V)|) of the infection
+    block, or ConvergenceError is raised; the two roots must then agree
+    within AGREEMENT_TOL (uniqueness), and the upper one is returned.
     """
-    if eps and scalar_eig is None:  # default_weight's, shared with solve_logistic
-        scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
     if logistic is None:
         logistic = solve_logistic(coeffs, bc, scalar_eig=scalar_eig)
     if not logistic.exists:
@@ -453,7 +459,9 @@ def solve_endemic(
             f"got lambda_beta = {logistic.lambda_beta:g}"
         )
     v_b = logistic.v_b
-    weight = default_weight(coeffs, bc, scalar_eig) if eps else None  # eps = 0 leaves w out
+    if v_b.mesh != coeffs.mesh or (eigenpair is not None and eigenpair.phi1.mesh != coeffs.mesh):
+        raise MeshMismatchError("logistic.v_b and eigenpair must live on the coefficient mesh")
+    weight = logistic.eig.phi if eps else None  # default_weight; eps = 0 leaves w out
     check_eps_admissibility(coeffs, v_b, bc, eps, weight, logistic.lambda_beta)
 
     if eigenpair is None:

@@ -27,7 +27,6 @@ from .dynamics import (
     integrate,
     integrate_scalar_logistic,
 )
-from .eigen import principal_eigen_scalar
 from .errors import ValidationError
 from .grid import (
     DIRICHLET,
@@ -97,20 +96,18 @@ def classify_scenario(coeffs: CoefficientSet, bc: BoundarySpec, initial: State) 
         if getattr(initial, name).values[interior].min() <= 0:
             raise ValidationError(f"initial {name} must be positive at interior nodes")
 
-    scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
-    lam_beta = scalar_eig.lam
+    logistic = solve_logistic(coeffs, bc)
+    lam_beta = logistic.lambda_beta
     lam_sys = None
     equilibrium = None
-    v_b = None
+    v_b = logistic.v_b
     zero = field_from_constant(mesh, 0.0)
-    if lam_beta >= 0:
+    if not logistic.exists:
         predicted = EXTINCT
         attractor = (zero, zero, zero)
     else:
-        logistic = solve_logistic(coeffs, bc, scalar_eig=scalar_eig)
-        v_b = logistic.v_b
         # solve_endemic decides the threshold: Absent exactly when lambda_system >= 0.
-        result = solve_endemic(coeffs, bc, 0.0, logistic=logistic, scalar_eig=scalar_eig)
+        result = solve_endemic(coeffs, bc, 0.0, logistic=logistic)
         lam_sys = result.lambda_system
         if isinstance(result, EndemicAbsent):
             predicted = DISEASE_FREE
@@ -217,18 +214,18 @@ def check_envelope_dirichlet(
         raise ValidationError("envelope check needs eps > 0")
     bc = BoundarySpec.dirichlet()
     mesh = coeffs.mesh
-    scalar_eig = principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
-    if scalar_eig.lam >= 0:
+    logistic = solve_logistic(coeffs, bc)
+    if not logistic.exists:
         raise ValidationError(
-            f"envelope check requires lambda_beta < 0, got {scalar_eig.lam:g} "
+            f"envelope check requires lambda_beta < 0, got {logistic.lambda_beta:g} "
             "(no positive vector equilibrium exists)"
         )
-    logistic = solve_logistic(coeffs, bc, scalar_eig=scalar_eig)
-    check_eps_admissibility(coeffs, logistic.v_b, bc, eps, scalar_eig.phi, scalar_eig.lam)
+    phi = logistic.eig.phi
+    check_eps_admissibility(coeffs, logistic.v_b, bc, eps, phi, logistic.lambda_beta)
 
     interior = mesh.interior
-    lower = (logistic.v_b.values - eps * scalar_eig.phi.values)[interior]
-    upper = (logistic.v_b.values + eps * scalar_eig.phi.values)[interior]
+    lower = (logistic.v_b.values - eps * phi.values)[interior]
+    upper = (logistic.v_b.values + eps * phi.values)[interior]
     v0 = ScalarField(mesh, initial.v_u.values + initial.v_i.values)
 
     found: list[float | None] = [None]
@@ -250,7 +247,7 @@ def check_envelope_dirichlet(
     return EnvelopeReport(
         t_eps=found[0],
         held_until_end=held[0] if found[0] is not None else False,
-        lambda_beta=scalar_eig.lam,
+        lambda_beta=logistic.lambda_beta,
         eps=eps,
         t_end=cfg.t_end,
         margins=margins,

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 import vectorhost as vh
-from vectorhost import verify
+from vectorhost import cli, eigen, steady, verify
 from vectorhost.eigen import EndemicProblem
 from vectorhost.operators import assemble
 
@@ -52,6 +52,22 @@ def criterion4_panel():
             if abs(eig.lam) > 1e-3:
                 count += 1
                 yield coeffs, bc, log, eig
+
+
+def count_scalar_eigensolves(monkeypatch):
+    """Spy on principal_eigen_scalar in every module of the chain that calls
+    it (default_weight in eigen, solve_logistic in steady, and cli); returns
+    the list that each call appends its arguments to."""
+    calls = []
+    solve = eigen.principal_eigen_scalar
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    for module in (eigen, steady, cli):
+        monkeypatch.setattr(module, "principal_eigen_scalar", spy)
+    return calls
 
 
 def make_state(mesh, h, vu, vi, t=0.0):

@@ -8,6 +8,9 @@ import pytest
 import vectorhost as vh
 from vectorhost import verify
 from vectorhost.cli import main, write_report
+from vectorhost.errors import ConvergenceError
+
+from helpers import count_scalar_eigensolves
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "tools" / "artifacts"
@@ -220,6 +223,14 @@ class TestSteadyCommand:
         assert main(["steady", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
         assert read_report(out)["endemic_exists"] is True
 
+    def test_one_scalar_eigensolve(self, tmp_path, monkeypatch):
+        """steady-robin.json (eps = 0.01): lambda_beta, V_B and the weight
+        all come from one scalar eigensolve."""
+        calls = count_scalar_eigensolves(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["steady", "--config", str(CONFIGS / "steady-robin.json"), "--out", str(out)]) == 0
+        assert len(calls) == 1 and read_report(out)["endemic_exists"] is True
+
 
 class TestEnvelopeCommand:
     def _config(self, eps):
@@ -401,6 +412,42 @@ class TestSweepCommand:
                               "slow_regime", "passed"}
         message = failed["error"]["message"]
         assert capsys.readouterr().err == f"error: scenario 8: BlowUpError: {message}\n"
+
+    def test_failing_classification_is_isolated(self, tmp_path, capsys, monkeypatch):
+        """A scenario whose classification raises is recorded with its error
+        and left out of the batch; the others are integrated and written."""
+        classify = verify.classify_scenario
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ConvergenceError("endemic bracket hit its cap", residual=1.0)
+            return classify(*args)
+
+        monkeypatch.setattr(verify, "classify_scenario", failing)
+        cfg = write_config(tmp_path, {
+            "domain": {"a": 0, "b": 1, "n": 51},
+            "bc": "neumann",
+            "stepper": {"dt": "auto", "t_end": 2, "steady_tol": 1e-7},
+            "experiment": {"kind": "sweep", "seed": 11, "count": 5},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        error = {"type": "ConvergenceError", "message": "endemic bracket hit its cap (last residual 1.000e+00)"}
+        failed = json.loads((out / "scenario_002" / "report.json").read_text())
+        assert failed["error"] == error and failed["passed"] is False
+        assert not (out / "scenario_002" / "trajectory.csv").exists()
+        report = read_report(out)
+        assert report["passed"] is False
+        assert report["scenarios"][2] == {"scenario": 2, "error": error, "passed": False}
+        for i in (0, 1, 3, 4):
+            sub = out / f"scenario_{i:03d}"
+            assert (sub / "trajectory.csv").exists()
+            assert "error" not in json.loads((sub / "report.json").read_text())
+            assert set(report["scenarios"][i]) == {"scenario", "lambda_beta", "lambda_system",
+                                                   "predicted", "slow_regime", "passed"}
+        assert capsys.readouterr().err == f"error: scenario 2: ConvergenceError: {error['message']}\n"
 
     def test_batched_sweep_isolates_failure(self, tmp_path, capsys):
         """The benchmark's sweep config at seed 4: scenario 9 turns V_u

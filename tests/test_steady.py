@@ -29,7 +29,14 @@ from vectorhost.steady import (
     monotone_iterate,
 )
 
-from helpers import CLOSURES, constants_coeffs, criterion4_panel, criterion4_scenario, dense_endemic_newton
+from helpers import (
+    CLOSURES,
+    constants_coeffs,
+    count_scalar_eigensolves,
+    criterion4_panel,
+    criterion4_scenario,
+    dense_endemic_newton,
+)
 
 
 def upper_pair(problem):
@@ -917,7 +924,7 @@ class TestOneBlockPerChain:
 
         eq, count = chain(log)
         assert count == 1
-        copied = steady.LogisticSteady(vh.ScalarField(coeffs.mesh, log.v_b.values.copy()), log.lambda_beta)
+        copied = dataclasses.replace(log, v_b=vh.ScalarField(coeffs.mesh, log.v_b.values.copy()))
         assert chain(copied)[1] == 2
         assert chain(log, eps=0.01, eig_eps=0.01)[1] == 1
         assert chain(log, eps=0.01)[1] == 2
@@ -928,6 +935,93 @@ class TestOneBlockPerChain:
         assert (own.passes, own.bracket_width, own.residual) == (eq.passes, eq.bracket_width, eq.residual)
         for name in ("h_i", "v_i", "v_u"):
             assert np.array_equal(getattr(own, name).values, getattr(eq, name).values)
+
+
+class TestOneScalarSolvePerChain:
+    """The logistic carries the eigenpair of -L2 - beta that decided it, so
+    the chain after solve_logistic never solves that eigenpair again."""
+
+    @pytest.mark.parametrize("kind_index, seed", [(0, 2), (1, 5), (2, 6)])
+    def test_endemic_reads_the_weight_from_the_logistic(self, kind_index, seed, monkeypatch):
+        """At eps != 0 solve_endemic perturbs by the logistic's phi without a
+        scalar eigensolve, bit for bit as by a block whose weight is solved
+        afresh, and its block's weight is default_weight under every closure."""
+        coeffs, bc, log, _ = criterion4_scenario(kind_index, seed)
+        fresh = vh.principal_eigen_system(coeffs, log.v_b, bc, 0.01)
+        want = vh.solve_endemic(coeffs, bc, 0.01, logistic=log,
+                                eigenpair=dataclasses.replace(fresh, problem=None))
+        weight = default_weight(coeffs, bc)
+        calls = count_scalar_eigensolves(monkeypatch)
+        builds = []
+        init = EndemicProblem.__init__
+
+        def spy(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EndemicProblem, "__init__", spy)
+        got = vh.solve_endemic(coeffs, bc, 0.01, logistic=log)
+        assert calls == []
+        assert len(builds) == 1 and np.array_equal(builds[0].weight.values, weight.values)
+        assert (got.lambda_system, got.passes, got.bracket_width, got.residual) == (
+            want.lambda_system, want.passes, want.bracket_width, want.residual)
+        for name in ("h_i", "v_i", "v_u"):
+            assert np.array_equal(getattr(got, name).values, getattr(want, name).values)
+
+    @pytest.mark.parametrize("kind_index, seed, exists", [(0, 2, True), (1, 2, False)])
+    def test_logistic_keeps_its_eigenpair(self, kind_index, seed, exists):
+        """Both branches keep the eigenpair that decided them (Dirichlet
+        seed 2 of criterion 4 has no V_B)."""
+        coeffs, bc, log, _ = criterion4_scenario(kind_index, seed)
+        eig = vh.principal_eigen_scalar(coeffs.d2, coeffs.beta, bc)
+        assert log.exists is exists and (log.lambda_beta < 0) is exists
+        assert log.lambda_beta == log.eig.lam == eig.lam
+        assert np.array_equal(log.eig.phi.values, eig.phi.values)
+
+
+class TestMeshMismatch:
+    """An eigenpair or a logistic solved on another mesh never decides the
+    chain: solve_logistic and solve_endemic refuse it (MeshMismatchError)
+    before they read its eigenvalue."""
+
+    @staticmethod
+    def other(seed):
+        """A scenario of the 51-node sweep stream on [0, 1] under Neumann:
+        (coeffs, logistic, system eigenpair)."""
+        bc = vh.BoundarySpec.neumann()
+        coeffs = verify.random_coefficients(vh.build_mesh(0, 1, 51), np.random.default_rng(seed))
+        log = vh.solve_logistic(coeffs, bc)
+        return coeffs, log, vh.principal_eigen_system(coeffs, log.v_b, bc)
+
+    def test_scalar_eigenpair(self):
+        """Neumann seed 2 of criterion 4 has lambda_beta = -1.4329; the other
+        mesh's -0.2402 would have been taken as its own."""
+        coeffs, bc, log, _ = criterion4_scenario(0, 2)
+        other = self.other(0)[0]
+        eig = vh.principal_eigen_scalar(other.d2, other.beta, bc)
+        assert eig.lam == pytest.approx(-0.2402, abs=1e-4)
+        with pytest.raises(MeshMismatchError, match="scalar_eig must live on the coefficient mesh"):
+            vh.solve_logistic(coeffs, bc, scalar_eig=eig)
+        with pytest.raises(MeshMismatchError, match="scalar_eig"):
+            vh.solve_endemic(coeffs, bc, scalar_eig=eig)
+
+    def test_system_eigenpair(self):
+        """Its own lambda_system is -3.20, so an Absent from the other mesh's
+        1.166 would contradict the chain."""
+        coeffs, bc, log, _ = criterion4_scenario(0, 2)
+        eig = self.other(2)[2]
+        assert eig.lam == pytest.approx(1.166, abs=1e-3)
+        with pytest.raises(MeshMismatchError, match="eigenpair must live on the coefficient mesh"):
+            vh.solve_endemic(coeffs, bc, logistic=log, eigenpair=eig)
+
+    def test_logistic_before_the_absent_return(self):
+        """Neumann seed 3 of criterion 4 is Absent (lambda_system = 0.488) on
+        its own eigenpair; a logistic from the other mesh is refused first."""
+        coeffs, bc, log, _ = criterion4_scenario(0, 3)
+        eig = vh.principal_eigen_system(coeffs, log.v_b, bc)
+        assert eig.lam > 0
+        with pytest.raises(MeshMismatchError, match="logistic.v_b"):
+            vh.solve_endemic(coeffs, bc, logistic=self.other(2)[1], eigenpair=eig)
 
 
 class TestSweepCap:

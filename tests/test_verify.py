@@ -5,7 +5,7 @@ import vectorhost as vh
 from vectorhost import verify
 from vectorhost.errors import AdmissibilityError, ValidationError
 
-from helpers import constants_coeffs, make_state
+from helpers import constants_coeffs, count_scalar_eigensolves, make_state
 
 
 class TestThresholdExperiment:
@@ -224,6 +224,16 @@ class TestEnvelope:
             verify.check_envelope_dirichlet(coeffs, init, 5.0,
                                             vh.StepperConfig(dt=0.05, t_end=10.0))
 
+    def test_one_scalar_eigensolve(self, dirichlet, monkeypatch):
+        """The envelope's phi and lambda_beta are those of its logistic."""
+        mesh, coeffs = self._setup()
+        small = vh.ScalarField(mesh, 0.05 * np.sin(mesh.nodes))
+        init = vh.State(0.0, small, small, small)
+        cfg = vh.StepperConfig(dt=vh.stability_dt_max(coeffs, init), t_end=1.0)
+        calls = count_scalar_eigensolves(monkeypatch)
+        verify.check_envelope_dirichlet(coeffs, init, 0.05, cfg)
+        assert len(calls) == 1
+
     def test_requires_negative_lambda_beta(self, dirichlet):
         mesh, coeffs = self._setup(beta=0.5)
         bump = np.sin(mesh.nodes)
@@ -267,8 +277,7 @@ class TestClassification:
             log = vh.solve_logistic(sc.coeffs, bc, scalar_eig=eig)
             sys_eig = vh.principal_eigen_system(sc.coeffs, log.v_b, bc)
             lam_sys = float.hex(sys_eig.lam)
-            res = vh.solve_endemic(sc.coeffs, bc, 0.0, logistic=log, scalar_eig=eig,
-                                   eigenpair=sys_eig)
+            res = vh.solve_endemic(sc.coeffs, bc, 0.0, logistic=log, eigenpair=sys_eig)
             if isinstance(res, vh.EndemicAbsent):
                 want, attractor = verify.DISEASE_FREE, (zero, log.v_b.values, zero)
             else:
@@ -279,6 +288,18 @@ class TestClassification:
         assert (None if got.lambda_system is None else float.hex(got.lambda_system)) == lam_sys
         assert [f.values.tobytes() for f in got.attractor] == [a.tobytes() for a in attractor]
         assert (got.equilibrium is not None) == (want == verify.ENDEMIC)
+
+    @pytest.mark.parametrize("kind_index, seed, predicted", [
+        (0, 1, verify.ENDEMIC), (1, 2, verify.EXTINCT), (1, 3, verify.DISEASE_FREE),
+    ])
+    def test_one_scalar_eigensolve(self, kind_index, seed, predicted, monkeypatch):
+        """Each verdict solves the scalar eigenpair once, in solve_logistic."""
+        bc, b = CLOSURES[kind_index]
+        rng = np.random.default_rng(np.random.SeedSequence([4, kind_index, seed]))
+        sc = verify.random_scenario(vh.build_mesh(0.0, b, 101), bc, rng)
+        calls = count_scalar_eigensolves(monkeypatch)
+        assert verify.classify_scenario(sc.coeffs, bc, sc.initial).predicted_attractor == predicted
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("seed, predicted", [(1, verify.ENDEMIC), (3, verify.DISEASE_FREE)])
     def test_one_endemic_problem_per_classification(self, seed, predicted, monkeypatch):
